@@ -10,6 +10,17 @@ derivatives of x -> (qx+a)^-s keep a fixed sign).  Infinite-product tail
 estimates, by contrast, are geometric-fit heuristics and are flagged as
 such in the returned records.
 
+Euler-Maclaurin sums cut the direct summation at
+K = min(max(12, 2 prec / 5), first K >= 1 whose integral tail is below
+target), so large exponents need only a few direct terms; the cut
+doubles if the correction terms diverge first.  Corrections run in
+Decimal: x_j = q^(2j-1) (s)_(2j-1) / base^(s+2j-1) is stepped by one
+rational factor per j and multiplied by B_2j/(2j)!, rounded once per
+working precision and cached.  The stop test compares the computed term
+with target (1 - 10^-6); that margin exceeds the few roundings in each
+term by many orders of magnitude, so the remainder bound is still a
+proof.
+
 The core summation primitive is S(s, q, a) = sum_{k>=0} (qk+a)^-s, from
 which zeta, Hurwitz zeta and L-series are assembled without large
 intermediate magnitudes:
@@ -23,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple, Union
@@ -57,46 +68,77 @@ GUARD_DIGITS = 10
 # -- Euler-Maclaurin core ----------------------------------------------
 
 
-def _rising(s: int, m: int) -> int:
-    out = 1
-    for i in range(m):
-        out *= s + i
-    return out
-
-
 def _dec_frac(x: Fraction) -> Decimal:
     return Decimal(x.numerator) / Decimal(x.denominator)
 
 
+# context precision -> (B_2/2!, B_4/4!, ...) as Decimals at that precision;
+# grown by replacing the tuple, so concurrent callers never see a
+# half-built entry
+_em_coeffs: Dict[int, Tuple[Decimal, ...]] = {}
+
+
+def _em_coeff(j: int, prec: int) -> Decimal:
+    """B_2j / (2j)! rounded once to `prec` digits (current context)."""
+    coeffs = _em_coeffs.get(prec, ())
+    if len(coeffs) < j:
+        more = []
+        for i in range(2 * len(coeffs) + 2, 2 * j + 1, 2):
+            b = bernoulli(i)
+            more.append(Decimal(b.numerator)
+                        / Decimal(b.denominator * math.factorial(i)))
+        coeffs += tuple(more)
+        _em_coeffs[prec] = coeffs
+    return coeffs[j - 1]
+
+
+_STOP_MARGIN = Decimal("0.999999")  # 1 - 10^-6
+
+
 def _em_attempt(s: int, q: int, a: int, cut: int, prec: int,
-                target: Fraction) -> Tuple[Decimal, bool]:
+                target: Decimal) -> Tuple[Decimal, bool]:
     """One Euler-Maclaurin evaluation of S(s, q, a) with summation cutoff
     `cut`.  Returns (value, ok); ok is False when the correction terms start
-    growing before the remainder bound drops below target."""
+    growing before the remainder bound drops below target.
+
+    Correction j is c_j x_j with c_j = B_2j/(2j)! and
+    x_j = q^(2j-1) (s)_(2j-1) / base^(s+2j-1), base = q cut + a; x_1 is
+    q s base^-(s+1) and each step multiplies by q^2 (s+2j-1)(s+2j) and
+    divides by base^2.  The remainder after the corrections already added
+    is at most the first omitted one in absolute value (all derivatives of
+    x -> (qx+a)^-s keep a fixed sign), so we stop once the computed term
+    is <= target (1 - 10^-6).  The computed term is the exact one times
+    (1 + eps) with |eps| <= (2j+4) 10^-(prec+11): at most 2j+4 roundings
+    at the caller's prec+12 digits (two allowed for the power, two for
+    x_1 and for each later step of x_j, one each for c_j and the
+    product), and j <= 4 prec.  That is far below 10^-6, so the true term
+    is below target too and the bound stays a proof.
+    """
     total = Decimal(0)
     for k in range(cut):
-        total += Decimal(1) / Decimal((q * k + a) ** s)
+        total += Decimal(q * k + a) ** -s
     base = q * cut + a
+    base2 = base * base
+    p = Decimal(base) ** -s
     # integral term + half term
-    total += Decimal(1) / (Decimal(base ** (s - 1)) * (q * (s - 1)))
-    total += Decimal(1) / (2 * Decimal(base**s))
+    total += p * base / (q * (s - 1))
+    total += p / 2
+    limit = target * _STOP_MARGIN
+    ctx_prec = getcontext().prec
+    x = p * (q * s) / base
     prev = None
     j = 1
     while True:
-        term = (
-            bernoulli(2 * j)
-            * q ** (2 * j - 1)
-            * _rising(s, 2 * j - 1)
-            / Fraction(math.factorial(2 * j) * base ** (s + 2 * j - 1))
-        )
+        term = _em_coeff(j, ctx_prec) * x
         size = abs(term)
-        if size <= target:
+        if size <= limit:
             # remainder after the terms already added is below target
             return total, True
         if prev is not None and size >= prev:
             return total, False  # asymptotic series turned; need larger cut
-        total += _dec_frac(term)
+        total += term
         prev = size
+        x = x * (q * q * (s + 2 * j - 1) * (s + 2 * j)) / base2
         j += 1
         if j > 4 * prec:  # pragma: no cover - safety stop
             return total, False
@@ -106,14 +148,23 @@ def _dirichlet_sum(s: int, q: int, a: int, prec: int) -> Decimal:
     """S(s, q, a) = sum_{k>=0} (qk+a)^-s with absolute error < 10^-prec.
 
     s >= 2; q >= 1; a >= 1.  Working precision carries 12 extra digits so
-    per-operation rounding stays far below the truncation target.
+    per-operation rounding stays far below the truncation target.  The
+    cut is the default max(12, 2 prec / 5), lowered to the first K >= 1
+    whose integral tail (qK+a)^(1-s) / (q(s-1)) is already below target
+    (large s needs only a few direct terms).  Floats only choose the cut;
+    the remainder bound is checked in _em_attempt, and the cut doubles
+    when the corrections diverge before reaching target.
     """
     if s < 2:
         raise ValueError(f"series exponent must be >= 2, got {s}")
     if q < 1 or a < 1:
         raise ValueError("q and a must be >= 1")
-    target = Fraction(1, 10 ** (prec + 1))
+    target = Decimal(1).scaleb(-(prec + 1))
     cut = max(12, (2 * prec) // 5)
+    # (qK+a)^(1-s) / (q(s-1)) < 10^-(prec+1)  <=>  log10(qK+a) > bound
+    bound = (prec + 1 - math.log10(q * (s - 1))) / (s - 1)
+    if bound < math.log10(q * cut + a):
+        cut = max(1, min(cut, math.ceil((10.0**bound - a) / q)))
     with localcontext() as ctx:
         ctx.prec = prec + 12
         while True:
@@ -123,10 +174,14 @@ def _dirichlet_sum(s: int, q: int, a: int, prec: int) -> Decimal:
             cut *= 2
 
 
+_LOG10_2 = math.log10(2)
+
+
 def _log10_int(n: int) -> float:
-    """log10 |n| for arbitrary-size nonzero integers."""
-    s = str(abs(n))
-    return math.log10(float(s[:15])) + max(0, len(s) - 15)
+    """log10 |n| for arbitrary-size nonzero integers (no str())."""
+    n = abs(n)
+    shift = max(0, n.bit_length() - 64)
+    return math.log10(n >> shift) + shift * _LOG10_2
 
 
 def _quantize(value: Decimal, digits: int) -> Decimal:

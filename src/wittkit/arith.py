@@ -103,27 +103,49 @@ def nth_prime(m: int) -> int:
         bound *= 2
 
 
-_bern_cache: List[Fraction] = [Fraction(1)]
+# B_0, B_2, B_4, ...: the even-index Bernoulli numbers computed so far
+_bern_even: List[Fraction] = [Fraction(1)]
 _bern_lock = threading.Lock()
+
+
+def _tangent_numbers(n: int) -> List[int]:
+    """Tangent numbers T_1..T_n, tan x = sum_k T_k x^(2k-1)/(2k-1)!.
+
+    Brent & Harvey's in-place integer recurrence (O(n^2) additions and
+    small multiplications; "Fast computation of Bernoulli, tangent and
+    secant numbers", 2013, Algorithm TangentNumbers).
+    """
+    t = [0] * (n + 1)
+    t[1] = 1
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[1:]
 
 
 def bernoulli(k: int) -> Fraction:
     """Bernoulli number B_k (convention B_1 = -1/2), memoized.
 
-    Uses the recurrence sum_{j=0}^{k} C(k+1, j) B_j = 0 for k >= 1.
+    Even indices come from tangent numbers,
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)); the cache of even values
+    is rebuilt at (at least) twice its length whenever it runs out.
     """
     if k < 0:
         raise ValueError(f"bernoulli requires k >= 0, got {k}")
-    if k >= 3 and k % 2 == 1:
+    if k == 1:
+        return Fraction(-1, 2)
+    if k % 2 == 1:
         return Fraction(0)
     with _bern_lock:
-        while len(_bern_cache) <= k:
-            m = len(_bern_cache)
-            acc = sum(
-                Fraction(math.comb(m + 1, j)) * _bern_cache[j] for j in range(m)
-            )
-            _bern_cache.append(-acc / (m + 1))
-        return _bern_cache[k]
+        if len(_bern_even) <= k // 2:
+            n = max(k // 2, 2 * len(_bern_even))
+            _bern_even[1:] = [
+                Fraction((-1) ** (i - 1) * 2 * i * t, 4**i * (4**i - 1))
+                for i, t in enumerate(_tangent_numbers(n), start=1)
+            ]
+        return _bern_even[k // 2]
 
 
 def gcd_all(values: Iterable[int]) -> int:

@@ -1,11 +1,14 @@
 """Unique infinite-product expansions.
 
 Every unital integer series factors uniquely as prod_n (1 - z^n)^(-e_n);
-peel_1d recovers the exponents by killing one degree at a time.  The
-two-variable analogue factors 1 + f(z, y) as prod (1 - z^j y^k)^(e(j,k)),
-peeled in increasing weight ((j1,k1) before (j2,k2) iff k1 < k2, or
-k1 == k2 and j1 < j2).  The result does not depend on the weight order,
-which tests assert by re-peeling j-major rather than trusting.
+peel_1d recovers the exponents from the logarithmic derivative z f'/f,
+whose coefficients are sum_{d|n} d e_d, by Moebius inversion, while
+reconstruct_1d multiplies the factors back out, so comparing the two
+checks one algorithm against another.  The two-variable analogue factors
+1 + f(z, y) as prod (1 - z^j y^k)^(e(j,k)), peeled in increasing weight
+((j1,k1) before (j2,k2) iff k1 < k2, or k1 == k2 and j1 < j2).  The
+result does not depend on the weight order, which tests assert by
+re-peeling j-major rather than trusting.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .arith import moebius
 from .series import TruncatedSeries
 from .witt import witt_table
 
@@ -82,24 +86,45 @@ class Expansion1D:
 def peel_1d(f: TruncatedSeries) -> Expansion1D:
     """Unique product exponents of a unital integer series.
 
-    At step n the exponent is the current z^n coefficient of the residual,
-    which is then cleared by multiplying with (1 - z^n)^(e_n).  Exponents
-    grow geometrically with n for generic rational inputs; arbitrary
-    precision absorbs that.
+    From f = prod (1 - z^n)^(-e_n) the logarithmic derivative is
+    c = z f'/f = sum_n c_n z^n with c_n = sum_{d|n} d e_d.  The c_n follow
+    from z f' = c f as c_n = n a_n - sum_{i=1}^{n-1} a_i c_(n-i) (only
+    nonzero a_i contribute), and Moebius inversion gives
+    n e_n = sum_{d|n} mu(n/d) c_d; every division by n is checked to be
+    exact.  Exponents grow geometrically with n for generic rational
+    inputs; arbitrary precision absorbs that.
     """
     if not f.is_integral():
         raise ValueError("peel_1d requires integer coefficients")
     if f.coeff(0) != 1:
         raise ValueError(f"peel_1d requires a unital series, got f(0) = {f.coeff(0)}")
-    coeffs = list(f.coeffs)
+    N = f.order
+    a = f.coeffs
+    support = [(i, a[i]) for i in range(1, N + 1) if a[i]]
+    c = [0] * (N + 1)
+    for n in range(1, N + 1):
+        acc = n * a[n]
+        for i, ai in support:
+            if i >= n:
+                break
+            acc -= ai * c[n - i]
+        c[n] = acc
+    mu = [0] + [moebius(m) for m in range(1, N + 1)]
+    ne = [0] * (N + 1)
+    for d in range(1, N + 1):
+        cd = c[d]
+        if cd:
+            for m in range(1, N // d + 1):
+                if mu[m] == 1:
+                    ne[d * m] += cd
+                elif mu[m]:
+                    ne[d * m] -= cd
     exps = []
-    for n in range(1, f.order + 1):
-        e_n = coeffs[n]
+    for n in range(1, N + 1):
+        e_n, rem = divmod(ne[n], n)
+        assert rem == 0, f"exponent {n} is not an integer"
         exps.append(e_n)
-        if e_n:
-            coeffs = _mul_one_minus_pow(coeffs, n, e_n)
-    assert all(c == 0 for c in coeffs[1:]), "peel residual did not clear"
-    return Expansion1D(f.order, tuple(exps))
+    return Expansion1D(N, tuple(exps))
 
 
 def reconstruct_1d(expansion: Expansion1D, order: int) -> TruncatedSeries:

@@ -6,6 +6,7 @@ import mpmath
 import pytest
 
 from conftest import catalan_oracle
+from wittkit import analytic
 from wittkit.analytic import (
     EulerProductSpec,
     b_chi,
@@ -35,6 +36,53 @@ def test_zeta_against_mpmath():
     for s in (2, 3, 4, 5, 7, 10, 20, 50):
         ref = mp_ref(mpmath.zeta(s), 30)
         assert abs(zeta(s, 30) - ref) < Decimal("1e-30"), s
+
+
+def test_zeta_high_precision_against_mpmath():
+    mpmath.mp.dps = 270
+    for s in (2, 3, 37, 700):
+        ref = mp_ref(mpmath.zeta(s), 250)
+        assert abs(zeta(s, 250) - ref) < Decimal("1e-250"), s
+
+
+def test_l_series_high_precision_against_mpmath():
+    # L(3, chi_-4) = pi^3 / 32
+    mpmath.mp.dps = 320
+    chi4 = RealDirichletCharacter.from_kronecker(-4)
+    ref = mp_ref(mpmath.pi**3 / 32, 300)
+    assert abs(l_series(3, chi4, 300) - ref) < Decimal("1e-300")
+
+
+def test_hurwitz_high_precision_against_mpmath():
+    mpmath.mp.dps = 140
+    ref = mp_ref(mpmath.zeta(4, mpmath.mpf(2) / 7), 120)
+    assert abs(hurwitz_zeta(4, Fraction(2, 7), 120) - ref) < Decimal("1e-120")
+
+
+def test_em_cut_doubling_path(monkeypatch):
+    # zeta(100) at 50 digits: the first cut leaves the integral tail below
+    # target but the corrections diverge, so the cut has to double
+    cuts = []
+    attempt = analytic._em_attempt
+
+    def counting(s, q, a, cut, prec, target):
+        value, ok = attempt(s, q, a, cut, prec, target)
+        cuts.append((cut, ok))
+        return value, ok
+
+    monkeypatch.setattr(analytic, "_em_attempt", counting)
+    value = zeta(100, 50)
+    assert len(cuts) >= 2 and not cuts[0][1] and cuts[-1][1]
+    assert cuts[1][0] == 2 * cuts[0][0]
+    mpmath.mp.dps = 70
+    assert abs(value - mp_ref(mpmath.zeta(100), 50)) < Decimal("1e-50")
+
+
+def test_log10_int_beyond_str_limit():
+    assert analytic._log10_int(7) == math.log10(7)
+    for n in (10**5000, -(10**5000)):
+        assert abs(analytic._log10_int(n) - 5000) < 1e-9
+    assert abs(analytic._log10_int(2**20000) - 20000 * math.log10(2)) < 1e-9
 
 
 def test_zeta_large_s_close_to_one():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from wittkit import arith
 from wittkit.arith import (
     bernoulli,
     divisors,
@@ -91,6 +92,41 @@ def test_bernoulli_recurrence():
     for k in range(1, 61):
         total = sum(math.comb(k + 1, j) * bernoulli(j) for j in range(k + 1))
         assert total == 0, k
+
+
+def _bernoulli_by_recurrence(k_max):
+    """The O(k^2) recurrence sum_{j=0}^{k} C(k+1, j) B_j = 0, as an oracle."""
+    out = [Fraction(1)]
+    for m in range(1, k_max + 1):
+        acc = sum(Fraction(math.comb(m + 1, j)) * out[j] for j in range(m))
+        out.append(-acc / (m + 1))
+    return out
+
+
+def test_bernoulli_against_recurrence():
+    oracle = _bernoulli_by_recurrence(200)
+    assert [bernoulli(k) for k in range(201)] == oracle
+
+
+def test_bernoulli_von_staudt_clausen():
+    # B_2k + sum_{(p-1) | 2k} 1/p is an integer, so the denominator of
+    # B_2k is the product of those primes
+    for k in range(2, 601, 2):
+        ps = [p for p in primes_up_to(k + 1) if k % (p - 1) == 0]
+        b = bernoulli(k)
+        assert b.denominator == math.prod(ps), k
+        assert (b + sum(Fraction(1, p) for p in ps)).denominator == 1, k
+
+
+def test_bernoulli_cache_fill_order(monkeypatch):
+    ks = [2, 7, 1, 0, 88, 600, 3, 144, 598, 250]
+    monkeypatch.setattr(arith, "_bern_even", [Fraction(1)])
+    descending = {k: bernoulli(k) for k in sorted(ks, reverse=True)}
+    monkeypatch.setattr(arith, "_bern_even", [Fraction(1)])
+    ascending = {k: bernoulli(k) for k in sorted(ks)}
+    monkeypatch.setattr(arith, "_bern_even", [Fraction(1)])
+    mixed = {k: bernoulli(k) for k in ks}
+    assert descending == ascending == mixed
 
 
 def test_gcd_all():

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from wittkit.expansion import (
     BiSeries,
+    _mul_one_minus_pow,
     cyclotomic_check,
     peel_1d,
     peel_2d,
@@ -17,6 +18,38 @@ from wittkit.witt import witt_table
 
 def S(coeffs, order=None):
     return TruncatedSeries(coeffs, order)
+
+
+def peel_by_multiplication(f):
+    """Exponents by clearing one degree at a time: e_n is the z^n
+    coefficient of the residual, which (1 - z^n)^(e_n) then removes."""
+    coeffs = list(f.coeffs)
+    exps = []
+    for n in range(1, f.order + 1):
+        e_n = coeffs[n]
+        exps.append(e_n)
+        if e_n:
+            coeffs = _mul_one_minus_pow(coeffs, n, e_n)
+    assert all(c == 0 for c in coeffs[1:])
+    return tuple(exps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-50, 50), max_size=40))
+def test_peel_matches_multiplication_oracle(xs):
+    f = S([1] + xs, len(xs))
+    assert peel_1d(f).exponents == peel_by_multiplication(f)
+
+
+def test_peel_closed_form_one_plus_minus_z_over_one_minus_two_z():
+    # 1/(1-2z) has e_n = M(2, n); 1+z = (1-z^2)/(1-z) adds e_1 and removes
+    # e_2, and 1-z removes e_1
+    N = 300
+    necklaces = [necklace_poly(2, n) for n in range(1, N + 1)]
+    plus = peel_1d(RationalFunction([1, 1], [1, -2]).expand(N)).exponents
+    minus = peel_1d(RationalFunction([1, -1], [1, -2]).expand(N)).exponents
+    assert plus == tuple([necklaces[0] + 1, necklaces[1] - 1] + necklaces[2:])
+    assert minus == tuple([necklaces[0] - 1] + necklaces[1:])
 
 
 def test_peel_recovers_necklace_exponents():

@@ -22,16 +22,7 @@ from .expansion import (
     reconstruct_2d,
 )
 from .necklace import necklace_closed, necklace_count, necklace_poly, v_count
-from .series import (
-    RationalFunction,
-    TruncatedSeries,
-    ps_add,
-    ps_inflate,
-    ps_mul,
-    ps_pow,
-    ps_recip,
-    ratfun_expand,
-)
+from .series import RationalFunction, TruncatedSeries
 from .analytic import (
     BChiResult,
     ConstantResult,
@@ -66,7 +57,6 @@ __all__ = [
     "moebius", "divisors", "multinomial", "primes_up_to", "nth_prime",
     "bernoulli",
     "TruncatedSeries", "RationalFunction",
-    "ps_add", "ps_mul", "ps_pow", "ps_inflate", "ps_recip", "ratfun_expand",
     "necklace_poly", "necklace_count", "v_count", "necklace_closed",
     "is_lyndon", "lyndon_words", "lyndon_census", "aperiodic_count",
     "witt_transform", "c_transform", "witt_table", "WittTable",

@@ -36,7 +36,7 @@ from .errors import (
 )
 from .expansion import BiSeries, cyclotomic_check, peel_1d, peel_2d
 from .necklace import necklace_count, necklace_poly, v_count
-from .series import RationalFunction, TruncatedSeries
+from .series import RationalFunction, TruncatedSeries, coeff_str
 from .witt import monotonicity_scan, verify_identity, witt_table, witt_transform
 from .words import aperiodic_count, lyndon_words
 
@@ -169,21 +169,21 @@ def _run(args) -> int:
     if cmd == "necklace":
         if args.content:
             if args.vk is not None:
-                _emit({"value": str(v_count(args.content, args.vk))})
+                _emit({"value": coeff_str(v_count(args.content, args.vk))})
             else:
-                _emit({"value": str(necklace_count(args.content))})
+                _emit({"value": coeff_str(necklace_count(args.content))})
         elif args.alpha is not None and args.n is not None:
-            _emit({"value": str(necklace_poly(args.alpha, args.n))})
+            _emit({"value": coeff_str(necklace_poly(args.alpha, args.n))})
         else:
             raise SystemExit(2)
         return 0
     if cmd == "words":
         if args.list:
             ws = lyndon_words(args.content)
-            _emit({"count": str(len(ws)),
+            _emit({"count": coeff_str(len(ws)),
                    "words": ["".join(map(str, w)) for w in ws]})
         else:
-            _emit({"count": str(aperiodic_count(args.content, budget=args.budget))})
+            _emit({"count": coeff_str(aperiodic_count(args.content, budget=args.budget))})
         return 0
     if cmd == "witt":
         _emit({"value": witt_transform(args.f, args.r).to_json_dict()})

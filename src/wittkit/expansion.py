@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .arith import moebius
-from .series import TruncatedSeries
+from .series import TruncatedSeries, coeff_str
 from .witt import witt_table
 
 __all__ = [
@@ -80,7 +80,7 @@ class Expansion1D:
 
     def to_json_dict(self) -> dict:
         return {"order": self.order,
-                "e": {str(n): str(e) for n, e in self.items()}}
+                "e": {str(n): coeff_str(e) for n, e in self.items()}}
 
 
 def peel_1d(f: TruncatedSeries) -> Expansion1D:
@@ -234,7 +234,7 @@ class BiSeries:
         return {
             "J": self.deg_z,
             "K": self.deg_y,
-            "rows": [[str(c) for c in row] for row in self.grid],
+            "rows": [[coeff_str(c) for c in row] for row in self.grid],
         }
 
     @classmethod
@@ -264,7 +264,7 @@ class Expansion2D:
         return {
             "J": self.deg_z,
             "K": self.deg_y,
-            "e": {f"{j},{k}": str(e) for (j, k), e in self.exponents},
+            "e": {f"{j},{k}": coeff_str(e) for (j, k), e in self.exponents},
         }
 
 

@@ -13,6 +13,7 @@ series stay on the fast int path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Sequence, Tuple, Union
 
@@ -22,12 +23,7 @@ __all__ = [
     "Coeff",
     "TruncatedSeries",
     "RationalFunction",
-    "ps_add",
-    "ps_mul",
-    "ps_pow",
-    "ps_inflate",
-    "ps_recip",
-    "ratfun_expand",
+    "coeff_str",
 ]
 
 Coeff = Union[int, Fraction]
@@ -42,8 +38,46 @@ def _norm(x: Coeff) -> Coeff:
 def _parse_coeff(text: str) -> Coeff:
     text = text.strip()
     if "/" in text:
-        return _norm(Fraction(text))
+        try:
+            return _norm(Fraction(text))
+        except ZeroDivisionError:
+            raise ValueError(f"coefficient {text!r} has a zero denominator") from None
     return int(text)
+
+
+def coeff_str(x: Coeff) -> str:
+    """Decimal text of an int or Fraction, as str() gives it, also past
+    the interpreter's int-to-str digit limit (which str() refuses)."""
+    if isinstance(x, Fraction):
+        if x.denominator == 1:
+            return coeff_str(x.numerator)
+        return f"{coeff_str(x.numerator)}/{coeff_str(x.denominator)}"
+    try:
+        return str(x)
+    except ValueError:
+        return str(Decimal(x))
+
+
+def _json_field(obj: dict, key: str):
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    if key not in obj:
+        raise ValueError(f"JSON object lacks the field {key!r}")
+    return obj[key]
+
+
+def _json_array(obj: dict, key: str) -> list:
+    value = _json_field(obj, key)
+    if not isinstance(value, list):
+        raise ValueError(f"{key!r} must be a JSON array, got {type(value).__name__}")
+    return value
+
+
+def _json_int(value, what: str) -> int:
+    # bool is an int subclass and floats would be truncated: both are refused
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 class TruncatedSeries:
@@ -256,19 +290,17 @@ class TruncatedSeries:
     # -- serialization -----------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
+        return {"order": self.order, "coeffs": [coeff_str(c) for c in self.coeffs]}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "TruncatedSeries":
-        coeffs = []
-        for c in obj["coeffs"]:
-            if isinstance(c, str):
-                coeffs.append(_parse_coeff(c))
-            elif isinstance(c, int) and not isinstance(c, bool):
-                coeffs.append(c)
-            else:
-                raise ValueError(f"coefficient {c!r} must be a string or integer")
-        return cls(coeffs, int(obj["order"]))
+        """Strict reader: `coeffs` is an array of integers or exact rational
+        strings, `order` an integer; anything else raises ValueError."""
+        coeffs = [
+            _parse_coeff(c) if isinstance(c, str) else _json_int(c, "coefficient")
+            for c in _json_array(obj, "coeffs")
+        ]
+        return cls(coeffs, _json_int(_json_field(obj, "order"), "order"))
 
 
 @dataclass(frozen=True)
@@ -297,30 +329,10 @@ class RationalFunction:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "RationalFunction":
-        return cls(obj["num"], obj["den"])
+        """Strict reader: `num` and `den` are arrays of integers."""
+        num, den = (
+            [_json_int(c, f"{key} coefficient") for c in _json_array(obj, key)]
+            for key in ("num", "den")
+        )
+        return cls(num, den)
 
-
-# Named aliases matching the operation-level API.
-
-def ps_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a + b
-
-
-def ps_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a * b
-
-
-def ps_pow(a: TruncatedSeries, k: int) -> TruncatedSeries:
-    return a**k
-
-
-def ps_inflate(a: TruncatedSeries, d: int) -> TruncatedSeries:
-    return a.inflate(d)
-
-
-def ps_recip(a: TruncatedSeries) -> TruncatedSeries:
-    return a.recip()
-
-
-def ratfun_expand(h: RationalFunction, order: int) -> TruncatedSeries:
-    return h.expand(order)

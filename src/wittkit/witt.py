@@ -5,6 +5,12 @@ z^j coefficient is written m(j, r).  For an integer-coefficient input the
 transform is again integral, and the division by r is performed exactly so
 that any violation raises instead of silently producing fractions.
 
+One kernel, _divisor_sum, computes every Moebius-weighted sum of inflated
+terms sum_{d|r} mu(d) X_{r/d}(z^d): c_transform and witt_transform take
+X_e = f^e, witt_table takes the powers f, f^2, ..., f^R built once at the
+table's degree, and the series inversions take X_e = A(e).  Each term is
+asked for only up to z^(N//d), the part that survives inflation by d.
+
 verify_identity evaluates both sides of the classical identities for the
 transform (product rule, power rule, sign rule, Moebius inversion, and the
 necklace-polynomial specializations) at a shared truncation and reports
@@ -16,16 +22,14 @@ claims on the scanned window only.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .arith import divisors, moebius
 from .errors import IntegralityError, PreconditionError
 from .necklace import necklace_poly
-from .series import Coeff, TruncatedSeries
+from .series import Coeff, TruncatedSeries, coeff_str
 
 __all__ = [
     "witt_transform",
@@ -43,19 +47,45 @@ __all__ = [
 ]
 
 
+def _divisor_sum(term: Callable[[int, int], Sequence[Coeff]], r: int, n: int,
+                 signed: bool = True) -> TruncatedSeries:
+    """sum_{d|r} mu(d) X_{r/d}(z^d) truncated at z^n; the Witt kernel.
+
+    term(e, m) gives the coefficients of X_e at least up to z^m; inflating
+    by d only reaches z^(n//d), so m = n // d and no more is read.  With
+    signed=False the Moebius weights are dropped (the inverse summation).
+    """
+    acc: List[Coeff] = [0] * (n + 1)
+    for d in divisors(r):
+        mu = moebius(d) if signed else 1
+        if mu == 0:
+            continue
+        m = n // d
+        for j, c in enumerate(term(r // d, m)[: m + 1]):
+            if c:
+                acc[j * d] += c if mu == 1 else -c
+    return TruncatedSeries(acc, n)
+
+
+def _divide_by_order(acc: TruncatedSeries, r: int, integral: bool) -> TruncatedSeries:
+    # the 1/r of the Witt transform: exact for integral input, where a
+    # remainder is a bug and raises, and a Fraction scale otherwise
+    if integral:
+        try:
+            return acc.divexact(r)
+        except IntegralityError as exc:
+            raise IntegralityError(
+                f"witt_transform(r={r}) of an integral series is not integral: {exc}"
+            ) from exc
+    return acc * Fraction(1, r)
+
+
 def c_transform(f: TruncatedSeries, r: int) -> TruncatedSeries:
     """Normalized transform sum_{d|r} mu(d) f(z^d)^{r/d} (r times the
     Witt transform); always integral for integral f."""
     if r < 1:
         raise ValueError(f"transform order must be >= 1, got {r}")
-    acc = TruncatedSeries.zero(f.order)
-    for d in divisors(r):
-        mu = moebius(d)
-        if mu == 0:
-            continue
-        term = f.inflate(d) ** (r // d)
-        acc = acc + (term if mu == 1 else -term)
-    return acc
+    return _divisor_sum(lambda e, m: (f.truncate(m) ** e).coeffs, r, f.order)
 
 
 def witt_transform(f: TruncatedSeries, r: int) -> TruncatedSeries:
@@ -64,15 +94,7 @@ def witt_transform(f: TruncatedSeries, r: int) -> TruncatedSeries:
     Integer-coefficient input must give an integer-coefficient result;
     a failed exact division raises IntegralityError (a bug, not bad input).
     """
-    acc = c_transform(f, r)
-    if f.is_integral():
-        try:
-            return acc.divexact(r)
-        except IntegralityError as exc:
-            raise IntegralityError(
-                f"witt_transform(r={r}) of an integral series is not integral: {exc}"
-            ) from exc
-    return acc * Fraction(1, r)
+    return _divide_by_order(c_transform(f, r), r, f.is_integral())
 
 
 @dataclass(frozen=True)
@@ -99,58 +121,37 @@ class WittTable:
         return {
             "degree": self.degree,
             "order": self.order,
-            "m": [[str(c) for c in row.coeffs] for row in self.rows],
+            "m": [[coeff_str(c) for c in row.coeffs] for row in self.rows],
         }
 
 
 def witt_table(f: TruncatedSeries, order: int, degree: int | None = None) -> WittTable:
     """Rows 1..order of Witt transforms of f, truncated to `degree`.
 
-    Rows are independent; WITTKIT_THREADS > 1 computes them in a thread
-    pool, assembled in row order so the result is identical either way.
+    f is cut to `degree` first and its powers f, f^2, ..., f^order are
+    built once at that degree; every row is the Witt kernel over those
+    shared powers, so row r equals witt_transform(f, r).truncate(degree).
     """
     if order < 1:
         raise ValueError(f"table order must be >= 1, got {order}")
     if degree is None:
         degree = f.order
-    if degree > f.order:
+    if not 0 <= degree <= f.order:
         raise ValueError(
-            f"requested degree {degree} exceeds input truncation {f.order}"
+            f"requested degree {degree} is outside the input truncation 0..{f.order}"
         )
-    try:
-        threads = int(os.environ.get("WITTKIT_THREADS", "1") or "1")
-    except ValueError:
-        threads = 1
-    orders = range(1, order + 1)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda r: witt_transform(f, r), orders))
-    else:
-        # sequential path shares inflation powers across rows; the rows are
-        # identical to the per-row path (exact arithmetic either way)
-        inflated = {d: f.inflate(d) for d in range(1, order + 1)}
-        powers: dict = {}
-
-        def power(d: int, e: int) -> TruncatedSeries:
-            got = powers.get((d, e))
-            if got is None:
-                got = inflated[d] if e == 1 else power(d, e - 1) * inflated[d]
-                powers[(d, e)] = got
-            return got
-
-        rows = []
-        integral = f.is_integral()
-        for r in orders:
-            acc = TruncatedSeries.zero(f.order)
-            for d in divisors(r):
-                mu = moebius(d)
-                if mu == 0:
-                    continue
-                term = power(d, r // d)
-                acc = acc + (term if mu == 1 else -term)
-            rows.append(acc.divexact(r) if integral else acc * Fraction(1, r))
-    rows = [row.truncate(degree) for row in rows]
-    table = WittTable(f=f.truncate(degree), rows=tuple(rows))
+    f = f.truncate(degree)
+    powers = [f]
+    for _ in range(order - 1):
+        powers.append(powers[-1] * f)
+    rows = tuple(
+        _divide_by_order(
+            _divisor_sum(lambda e, m: powers[e - 1].coeffs, r, degree),
+            r, f.is_integral(),
+        )
+        for r in range(1, order + 1)
+    )
+    table = WittTable(f=f, rows=rows)
     _check_constant_row(table)
     return table
 
@@ -174,29 +175,15 @@ def _check_constant_row(table: WittTable) -> None:
 def moebius_invert_series(seq: Sequence[TruncatedSeries]) -> List[TruncatedSeries]:
     """B(r) = sum_{d|r} mu(d) A(r/d)(z^d) for r = 1..len(seq)."""
     n = min(s.order for s in seq)
-    out = []
-    for r in range(1, len(seq) + 1):
-        acc = TruncatedSeries.zero(n)
-        for d in divisors(r):
-            mu = moebius(d)
-            if mu == 0:
-                continue
-            term = seq[r // d - 1].truncate(n).inflate(d)
-            acc = acc + (term if mu == 1 else -term)
-        out.append(acc)
-    return out
+    return [_divisor_sum(lambda e, m: seq[e - 1].coeffs, r, n)
+            for r in range(1, len(seq) + 1)]
 
 
 def moebius_sum_series(seq: Sequence[TruncatedSeries]) -> List[TruncatedSeries]:
     """A(r) = sum_{d|r} B(r/d)(z^d); inverse of moebius_invert_series."""
     n = min(s.order for s in seq)
-    out = []
-    for r in range(1, len(seq) + 1):
-        acc = TruncatedSeries.zero(n)
-        for d in divisors(r):
-            acc = acc + seq[r // d - 1].truncate(n).inflate(d)
-        out.append(acc)
-    return out
+    return [_divisor_sum(lambda e, m: seq[e - 1].coeffs, r, n, signed=False)
+            for r in range(1, len(seq) + 1)]
 
 
 # -- identity verification --------------------------------------------
@@ -272,19 +259,22 @@ def _verify_t33(f, r):
     return lhs, rhs
 
 
+def _inflated_transforms(f: TruncatedSeries, n: int) -> Dict[int, TruncatedSeries]:
+    """W_i(f)(z^(n/i)) for every divisor i of n, each transform computed once."""
+    return {i: witt_transform(f, i).inflate(n // i) for i in divisors(n)}
+
+
 def _verify_t34(f, g, r):
     _require_order("T3.4", f, r)
     _require_order("T3.4", g, r)
     lhs = witt_transform(f * g, r)
+    wf, wg = _inflated_transforms(f, r), _inflated_transforms(g, r)
     rhs = TruncatedSeries.zero(lhs.order)
-    for i in divisors(r):
-        for j in divisors(r):
+    for i in wf:
+        for j in wg:
             if math.lcm(i, j) != r:
                 continue
-            term = witt_transform(f, i).inflate(r // i) * witt_transform(g, j).inflate(
-                r // j
-            )
-            rhs = rhs + term * math.gcd(i, j)
+            rhs = rhs + wf[i] * wg[j] * math.gcd(i, j)
     return lhs, rhs
 
 
@@ -313,6 +303,7 @@ def _verify_t36(f, g, r, v, w):
     _require_order("T3.6", f, r * max(w1, v1))
     _require_order("T3.6", g, r * max(w1, v1))
     lhs = witt_transform((f**w1) * (g**v1), r)
+    wf, wg = _inflated_transforms(f, r * w1), _inflated_transforms(g, r * v1)
     rhs = TruncatedSeries.zero(lhs.order)
     for i in range(1, r * w1 + 1):
         for j in range(1, r * v1 + 1):
@@ -324,10 +315,7 @@ def _verify_t36(f, g, r, v, w):
                     f"T3.6: set member (i,j)=({i},{j}) violates "
                     f"i | {r * w1}, j | {r * v1}"
                 )
-            term = witt_transform(f, i).inflate(r * w1 // i) * witt_transform(
-                g, j
-            ).inflate(r * v1 // j)
-            rhs = rhs + term * (d // gg)
+            rhs = rhs + wf[i] * wg[j] * (d // gg)
     return lhs, rhs
 
 
@@ -476,11 +464,8 @@ def _require_nondecreasing(f: TruncatedSeries, upto: int, family: str) -> None:
 
 def _signed_neg_table(f: TruncatedSeries, rmax: int, kmax: int):
     """Rows of (-1)^r * transform of -f, truncated to degree kmax."""
-    rows = []
-    for r in range(1, rmax + 1):
-        row = witt_transform(-f, r)
-        rows.append((-row if r % 2 else row).truncate(kmax))
-    return rows
+    rows = witt_table(-f, rmax, kmax).rows
+    return [-row if r % 2 else row for r, row in enumerate(rows, 1)]
 
 
 def monotonicity_scan(
@@ -537,7 +522,7 @@ def monotonicity_scan(
     if family in ("T5.1", "T5.2"):
         kmin = 2 if family == "T5.1" else 3
         if family == "T5.1":
-            rows = [witt_transform(f, r).truncate(kmax) for r in range(1, rmax + 1)]
+            rows = witt_table(f, rmax, kmax).rows
         else:
             rows = _signed_neg_table(f, rmax, kmax)
         for k in range(kmin, kmax + 1):
@@ -555,7 +540,7 @@ def monotonicity_scan(
     rows = (
         _signed_neg_table(f, rmax, kmax)
         if signed
-        else [witt_transform(f, r).truncate(kmax) for r in range(1, rmax + 1)]
+        else witt_table(f, rmax, kmax).rows
     )
     for r in range(1, rmax + 1):
         row = rows[r - 1]

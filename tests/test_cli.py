@@ -1,6 +1,14 @@
 import json
+import sys
+from fractions import Fraction
 
-from wittkit.cli import main
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wittkit.arith import divisors, moebius
+from wittkit.cli import _ratfun, _series, main
+from wittkit.series import RationalFunction
 
 SERIES_1PZ = '{"order":4,"coeffs":["1","1","0","0","0"]}'
 
@@ -194,3 +202,96 @@ def test_round_trip_series_json(capsys):
     code2, out2, _ = run(capsys, "witt", "--f", payload, "--r", "1")
     assert code2 == 0
     assert json.loads(out2)["value"] == json.loads(payload)
+
+def test_necklace_beyond_str_digit_limit(capsys):
+    # M(10; 5000) has 4997 digits, past CPython's default 4300-digit str() limit
+    code, out, _ = run(capsys, "necklace", "--alpha", "10", "--n", "5000")
+    assert code == 0
+    value = json.loads(out)["value"]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        total, rem = divmod(sum(moebius(5000 // d) * 10**d for d in divisors(5000)), 5000)
+        assert rem == 0 and len(value) > limit
+        assert value == str(total)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("argv", [
+    ("witt", "--f", '{"order": 1, "coeffs": "12"}', "--r", "1"),
+    ("witt", "--f", '{"order": 2.9, "coeffs": ["1", "1"]}', "--r", "1"),
+    ("witt", "--f", '{"order": true, "coeffs": ["1", "1"]}', "--r", "1"),
+    ("witt", "--f", '{"coeffs": ["1"]}', "--r", "1"),
+    ("witt", "--f", '{"order": 1, "coeffs": ["1/0"]}', "--r", "1"),
+    ("constant", "--h", '{"num": "12", "den": [1, 1.9]}'),
+    ("constant", "--h", '{"num": [1], "den": [1, 1.9]}'),
+    ("constant", "--h", '{"num": [1, true], "den": [1, -1]}'),
+    ("constant", "--h", '[1, -1]'),
+])
+def test_malformed_json_inputs_are_usage_errors(capsys, argv):
+    assert run(capsys, *argv)[0] == 2
+
+
+coeff_values = st.integers(-10**6, 10**6) | st.fractions(max_denominator=50)
+coeff_docs = st.lists(
+    st.one_of(st.integers(-10**6, 10**6), coeff_values.map(str)), max_size=10
+)
+not_array = st.one_of(st.text(max_size=4), st.integers(), st.floats(allow_nan=False),
+                      st.none(), st.booleans(), st.dictionaries(st.text(max_size=2),
+                                                               st.integers(), max_size=2))
+not_int = st.one_of(st.floats(allow_nan=False), st.booleans(), st.text(max_size=4),
+                    st.none(), st.lists(st.integers(), max_size=2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 12), coeff_docs)
+def test_series_documents_round_trip(order, coeffs):
+    doc = {"order": order, "coeffs": coeffs}
+    f = _series(json.dumps(doc))
+    parsed = [Fraction(c) for c in coeffs] + [0] * (order + 1)
+    assert f.order == order and list(f.coeffs) == parsed[: order + 1]
+    assert _series(json.dumps(f.to_json_dict())) == f
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6), coeff_docs, st.sampled_from(["coeffs", "order", "element"]),
+       st.data())
+def test_malformed_series_documents_raise(order, coeffs, where, data):
+    doc = {"order": order, "coeffs": coeffs}
+    if where == "coeffs":
+        doc["coeffs"] = data.draw(not_array)
+    elif where == "order":
+        doc["order"] = data.draw(not_int)
+    else:
+        bad = data.draw(not_int.filter(lambda x: not isinstance(x, str))
+                        | st.sampled_from(["", "1/0", "x", "1.5", "1/2/3"]))
+        doc["coeffs"] = coeffs + [bad]
+    with pytest.raises(ValueError):
+        _series(json.dumps(doc))
+
+
+int_lists = st.lists(st.integers(-10**9, 10**9), max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_lists, st.integers(-9, 9).filter(bool), int_lists)
+def test_ratfun_documents_round_trip(num, den0, den_rest):
+    doc = {"num": num, "den": [den0] + den_rest}
+    h = _ratfun(json.dumps(doc))
+    assert h == RationalFunction(num, [den0] + den_rest)
+    assert json.loads(json.dumps(h.to_json_dict())) == doc
+    assert _ratfun(json.dumps(h.to_json_dict())) == h
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_lists, int_lists, st.sampled_from(["num", "den"]),
+       st.booleans(), st.data())
+def test_malformed_ratfun_documents_raise(num, den, key, whole, data):
+    doc = {"num": num, "den": [1] + den}
+    if whole:
+        doc[key] = data.draw(not_array)
+    else:
+        doc[key] = doc[key] + [data.draw(not_int)]
+    with pytest.raises(ValueError):
+        _ratfun(json.dumps(doc))

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import longdiv_series
 from wittkit.errors import IntegralityError
-from wittkit.series import RationalFunction, TruncatedSeries, ratfun_expand
+from wittkit.series import RationalFunction, TruncatedSeries, coeff_str
 
 small_ints = st.lists(st.integers(-9, 9), min_size=1, max_size=12)
 
@@ -78,13 +79,13 @@ def test_ratfun_expand_against_long_division():
         ((1, -2), (1, -2, 1), 3),
     ]
     for num, den, order in cases:
-        got = ratfun_expand(RationalFunction(num, den), order)
+        got = RationalFunction(num, den).expand(order)
         assert list(got.coeffs) == longdiv_series(num, den, order)
     # frozen values computed with the long-division oracle
-    assert ratfun_expand(RationalFunction([1, -1, -1], [1, -1]), 4).coeffs == (
+    assert RationalFunction([1, -1, -1], [1, -1]).expand(4).coeffs == (
         1, 0, -1, -1, -1)
-    assert ratfun_expand(RationalFunction([1], [1, -2]), 3).coeffs == (1, 2, 4, 8)
-    assert ratfun_expand(RationalFunction([1, -2], [1, -2, 1]), 3).coeffs == (
+    assert RationalFunction([1], [1, -2]).expand(3).coeffs == (1, 2, 4, 8)
+    assert RationalFunction([1, -2], [1, -2, 1]).expand(3).coeffs == (
         1, 0, -1, -2)
 
 
@@ -143,3 +144,18 @@ def test_expand_times_denominator_recovers_numerator(num, den, order):
     h = RationalFunction(num, den)
     lhs = h.expand(order) * S(list(den), order)
     assert lhs == S(list(num), order)
+
+
+def test_coeff_str_past_the_int_str_limit():
+    limit = sys.get_int_max_str_digits()
+    big = 3**12000  # 5726 digits
+    assert coeff_str(12) == "12" and coeff_str(Fraction(-3, 4)) == "-3/4"
+    assert coeff_str(Fraction(6, 3)) == "2"
+    with pytest.raises(ValueError):
+        str(big)
+    series = TruncatedSeries([-big, Fraction(1, big)], 1).to_json_dict()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert series["coeffs"] == [str(-big), f"1/{big}"]
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wittkit.arith import divisors, moebius
 from wittkit.errors import PreconditionError
 from wittkit.necklace import necklace_count, necklace_poly
 from wittkit.series import TruncatedSeries
@@ -20,10 +21,39 @@ from wittkit.witt import (
 from wittkit.words import aperiodic_count
 
 int_series = st.lists(st.integers(-5, 5), min_size=1, max_size=7)
+rational_series = st.lists(
+    st.integers(-4, 4) | st.fractions(-3, 3, max_denominator=4), min_size=1, max_size=6
+)
 
 
 def S(coeffs, order=None):
     return TruncatedSeries(coeffs, order)
+
+
+def literal_c_transform(f, r):
+    """Independent oracle: the defining sum sum_{d|r} mu(d) f(z^d)^(r/d),
+    every inflated term raised to its power at f's full truncation."""
+    acc = TruncatedSeries.zero(f.order)
+    for d in divisors(r):
+        acc = acc + f.inflate(d) ** (r // d) * moebius(d)
+    return acc
+
+
+def literal_witt_transform(f, r):
+    acc = literal_c_transform(f, r)
+    return acc.divexact(r) if f.is_integral() else acc * Fraction(1, r)
+
+
+def literal_moebius_series(seq, signed):
+    n = min(s.order for s in seq)
+    out = []
+    for r in range(1, len(seq) + 1):
+        acc = TruncatedSeries.zero(n)
+        for d in divisors(r):
+            weight = moebius(d) if signed else 1
+            acc = acc + seq[r // d - 1].truncate(n).inflate(d) * weight
+        out.append(acc)
+    return out
 
 
 def test_transform_of_constant_is_necklace_polynomial():
@@ -76,15 +106,6 @@ def test_table_of_constant_has_single_column():
         assert all(table.m(j, r) == 0 for j in range(1, 7))
 
 
-def test_table_threads_match_sequential(monkeypatch):
-    f = S([1, 2, 0, -1, 3], 12)
-    seq = witt_table(f, 10)
-    monkeypatch.setenv("WITTKIT_THREADS", "4")
-    par = witt_table(f, 10)
-    assert seq.rows == par.rows
-    assert seq.to_json_dict() == par.to_json_dict()
-
-
 def test_table_rows_equal_per_row_transforms():
     # the table's shared-power path must agree with independent transforms
     for coeffs in ([1, 1], [2, -3, 1, 0, 5], ["1/2", "1/3"]):
@@ -92,6 +113,31 @@ def test_table_rows_equal_per_row_transforms():
         table = witt_table(f, 9)
         for r in range(1, 10):
             assert table.rows[r - 1] == witt_transform(f, r), (coeffs, r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(int_series | rational_series, st.integers(0, 10), st.integers(1, 12), st.data())
+def test_kernel_matches_literal_formula(coeffs, order, rows, data):
+    f = S(coeffs, order)
+    degree = data.draw(st.integers(0, order), label="degree")
+    table = witt_table(f, rows, degree)
+    assert table.degree == degree and table.order == rows
+    for r in range(1, rows + 1):
+        want = literal_witt_transform(f, r)
+        assert c_transform(f, r) == literal_c_transform(f, r)
+        got = witt_transform(f, r)
+        assert got == want and got.is_integral() == want.is_integral()
+        assert table.rows[r - 1] == want.truncate(degree), (r, degree)
+
+
+def test_moebius_series_against_literal_sums():
+    # orders differ, so both sides truncate to the shortest member
+    seq = [S([(3 * i + j) % 7 - 3 for j in range(i + 2)] + ["1/2"], 6 + (5 * i) % 9)
+           for i in range(1, 13)]
+    inv, tot = moebius_invert_series(seq), moebius_sum_series(seq)
+    assert inv == literal_moebius_series(seq, signed=True)
+    assert tot == literal_moebius_series(seq, signed=False)
+    assert {s.order for s in inv} == {min(s.order for s in seq)}
 
 
 def test_table_degree_truncation():

@@ -49,7 +49,7 @@ from .witt import (
     witt_table,
     witt_transform,
 )
-from .words import aperiodic_count, is_lyndon, lyndon_census, lyndon_words
+from .words import aperiodic_count, is_lyndon, lyndon_words
 
 __version__ = "0.1.0"
 
@@ -58,7 +58,7 @@ __all__ = [
     "bernoulli",
     "TruncatedSeries", "RationalFunction",
     "necklace_poly", "necklace_count", "v_count", "necklace_closed",
-    "is_lyndon", "lyndon_words", "lyndon_census", "aperiodic_count",
+    "is_lyndon", "lyndon_words", "aperiodic_count",
     "witt_transform", "c_transform", "witt_table", "WittTable",
     "moebius_invert_series", "moebius_sum_series",
     "verify_identity", "IdentityReport", "monotonicity_scan", "ScanReport",

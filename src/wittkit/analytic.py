@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from .arith import bernoulli, nth_prime, primes_up_to
 from .characters import RealDirichletCharacter
 from .errors import DivergenceError
-from .expansion import peel_1d
+from .expansion import _mul_one_minus_pow, peel_1d
 from .series import RationalFunction, TruncatedSeries
 from .witt import witt_table
 
@@ -340,47 +340,22 @@ class ConstantResult:
         }
 
 
-def _poly_mul(a: List[int], b: List[int]) -> List[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _poly_pow(base: List[int], k: int) -> List[int]:
-    out = [1]
-    while k:
-        if k & 1:
-            out = _poly_mul(out, base)
-        base = _poly_mul(base, base)
-        k >>= 1
-    return out
-
-
 def _is_exact_factorization(h: RationalFunction, exps) -> Optional[bool]:
     """True iff h equals prod (1-z^n)^(-e_n) exactly as rational functions,
     i.e. h * prod (1-z^n)^(+e_n) == 1.  Returns None (undecided) when the
     product's degree would make the polynomial check impractical."""
     if sum(n * abs(e) for n, e in exps) > 4096:
         return None
-    num = list(h.num) or [0]
-    den = list(h.den)
+    # pad both sides to the larger product degree, so nothing is truncated
+    top = max(len(h.num) - 1 + sum(n * e for n, e in exps if e > 0),
+              len(h.den) - 1 - sum(n * e for n, e in exps if e < 0))
+    num = list(h.num) + [0] * (top + 1 - len(h.num))
+    den = list(h.den) + [0] * (top + 1 - len(h.den))
     for n, e in exps:
-        factor = [0] * (n + 1)
-        factor[0], factor[n] = 1, -1
-        piece = _poly_pow(factor, abs(e))
         if e > 0:
-            num = _poly_mul(num, piece)
+            num = _mul_one_minus_pow(num, n, e)
         else:
-            den = _poly_mul(den, piece)
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    while len(den) > 1 and den[-1] == 0:
-        den.pop()
+            den = _mul_one_minus_pow(den, n, -e)
     return num == den
 
 

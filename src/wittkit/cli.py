@@ -179,7 +179,7 @@ def _run(args) -> int:
         return 0
     if cmd == "words":
         if args.list:
-            ws = lyndon_words(args.content)
+            ws = lyndon_words(args.content, budget=args.budget)
             _emit({"count": coeff_str(len(ws)),
                    "words": ["".join(map(str, w)) for w in ws]})
         else:

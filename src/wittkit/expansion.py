@@ -14,11 +14,12 @@ re-peeling j-major rather than trusting.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .arith import moebius
-from .series import TruncatedSeries, coeff_str
+from .series import TruncatedSeries, _json_array, _json_field, _json_int, coeff_str
 from .witt import witt_table
 
 __all__ = [
@@ -140,6 +141,14 @@ def reconstruct_1d(expansion: Expansion1D, order: int) -> TruncatedSeries:
 # -- two-variable grids ------------------------------------------------
 
 
+def _grid_entry(value) -> int:
+    if isinstance(value, str):
+        if not re.fullmatch(r"[+-]?[0-9]+", value.strip()):
+            raise ValueError(f"grid entry {value!r} is not a decimal integer")
+        return int(value)
+    return _json_int(value, "grid entry")
+
+
 @dataclass(frozen=True)
 class BiSeries:
     """Integer coefficient grid c(j, k) for 0 <= j <= J, 0 <= k <= K;
@@ -239,9 +248,16 @@ class BiSeries:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "BiSeries":
-        rows = [[int(c) for c in row] for row in obj["rows"]]
-        bs = cls.from_rows(rows)
-        if bs.deg_z != int(obj["J"]) or bs.deg_y != int(obj["K"]):
+        """Strict reader: `rows` is a non-empty array of equally long arrays
+        of integers or decimal-integer strings, `J` and `K` are integers
+        matching its shape; anything else raises ValueError."""
+        rows = _json_array(obj, "rows")
+        if not rows or not all(isinstance(row, list) and row for row in rows):
+            raise ValueError("'rows' must be a non-empty array of non-empty arrays")
+        bs = cls.from_rows([[_grid_entry(c) for c in row] for row in rows])
+        J = _json_int(_json_field(obj, "J"), "J")
+        K = _json_int(_json_field(obj, "K"), "K")
+        if (bs.deg_z, bs.deg_y) != (J, K):
             raise ValueError("grid shape does not match declared J/K")
         return bs
 

@@ -236,12 +236,19 @@ class TruncatedSeries:
             return NotImplemented
         if k < 0:
             raise ValueError("negative powers are not defined; use recip()")
-        result = TruncatedSeries.one(self.order)
+        if k == 0:
+            return TruncatedSeries.one(self.order)
+        # square up to the lowest set bit, then one product per further bit
         base = self
+        while not k & 1:
+            base = base * base
+            k >>= 1
+        result = base
+        k >>= 1
         while k:
+            base = base * base
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
         return result
 

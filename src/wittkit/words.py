@@ -4,22 +4,27 @@ This module is deliberately independent of the closed-form counting in
 wittkit.necklace; it enumerates actual words so the Moebius-inversion
 formulas can be checked against ground truth.  Letters are the integers
 1..r in natural order.
+
+Two routes enumerate the Lyndon words of a fixed content.  The fast one
+walks the prenecklace tree of Fredricksen, Kessler and Maiorana restricted
+to the letters still available (J. Sawada, "A fast algorithm to generate
+necklaces with fixed content", Theoret. Comput. Sci. 301 (2003));
+`lyndon_words` lists its output and `aperiodic_count` counts it.  The slow
+one, `lyndon_words_naive`, filters all r^n words by content and the
+rotation test of `is_lyndon`, so the two share no code.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from .errors import BudgetExceededError
 
 __all__ = [
     "is_lyndon",
-    "duval_lyndon",
     "lyndon_words",
     "lyndon_words_naive",
-    "lyndon_census",
     "aperiodic_count",
-    "multiset_permutations",
 ]
 
 DEFAULT_BUDGET = 14
@@ -37,40 +42,70 @@ def is_lyndon(word: Sequence[int]) -> bool:
     return all(doubled[s : s + n] > w for s in range(1, n))
 
 
-def duval_lyndon(max_len: int, alphabet_size: int) -> Iterator[Word]:
-    """All Lyndon words of length <= max_len over 1..alphabet_size, in
-    lexicographic order (Duval's generation algorithm)."""
-    if max_len < 1 or alphabet_size < 1:
-        return
-    w = [1]
-    while True:
-        yield tuple(w)
-        # extend periodically to max_len, then strip maximal letters and bump
-        w = [w[i % len(w)] for i in range(max_len)]
-        while w and w[-1] == alphabet_size:
-            w.pop()
-        if not w:
-            return
-        w[-1] += 1
-
-
 def _content_of(word: Sequence[int], alphabet_size: int) -> Word:
     return tuple(word.count(i) for i in range(1, alphabet_size + 1))
 
 
-def lyndon_words(content: Sequence[int]) -> List[Word]:
+def _fixed_content_lyndon(content: Sequence[int], budget: int) -> Iterator[Word]:
     """Lyndon words whose letter-i multiplicity is content[i-1], in
-    lexicographic order.  Duval generation filtered by content."""
+    lexicographic order, from the prenecklace tree restricted to content.
+
+    A prefix a[1..t] of a necklace has a period p (a[i] = a[i-p] for
+    p < i <= t); the next letter must be at least a[t+1-p], keeps the
+    period if equal and makes t+1 the period if larger.  A word of the
+    full length is Lyndon iff its period is its length.  Position 1 holds
+    the smallest letter present, and a branch is cut as soon as only
+    copies of that letter remain (a longer word ending in its smallest
+    letter is no necklace).  The walk keeps its own stack, so long words
+    do not recurse.
+    """
     content = tuple(content)
+    if any(c < 0 for c in content):
+        raise ValueError(f"content must be non-negative, got {content!r}")
     n = sum(content)
     if n < 1:
-        raise ValueError("lyndon_words requires a nonzero content")
+        raise ValueError("a Lyndon word needs a nonzero content")
+    if n > budget:
+        raise BudgetExceededError(
+            f"total {n} exceeds enumeration budget {budget}; "
+            "raise the budget explicitly to proceed"
+        )
     r = len(content)
-    out = []
-    for w in duval_lyndon(n, r):
-        if len(w) == n and _content_of(w, r) == content:
-            out.append(w)
-    return out
+    left = [0, *content]  # left[j]: copies of letter j not yet placed
+    first = next(j for j in range(1, r + 1) if left[j])
+    a = [0] * (n + 1)  # a[1..t] is the current prefix
+    per = [1] * (n + 1)  # per[t]: period of a[1..t]; per[0] = 1 seeds position 1
+    t, j = 1, first  # fill position t with the smallest usable letter >= j
+    while True:
+        while j <= r and not left[j]:
+            j += 1
+        if j > r:  # nothing fits at t: try the next letter at t - 1
+            t -= 1
+            if t <= 1:  # position 1 keeps the smallest letter
+                return
+            j = a[t]
+            left[j] += 1
+            j += 1
+            continue
+        p = per[t - 1]
+        a[t] = j
+        per[t] = p if j == a[t - p] else t
+        if t == n:
+            if per[t] == n:
+                yield tuple(a[1:])
+            j += 1
+        elif left[first] == n - t + (j == first):
+            j += 1  # only copies of the smallest letter would remain
+        else:
+            left[j] -= 1
+            t += 1
+            j = a[t - per[t - 1]]
+
+
+def lyndon_words(content: Sequence[int], budget: int = DEFAULT_BUDGET) -> List[Word]:
+    """Lyndon words whose letter-i multiplicity is content[i-1], in
+    lexicographic order.  Totals above `budget` raise BudgetExceededError."""
+    return list(_fixed_content_lyndon(content, budget))
 
 
 def lyndon_words_naive(content: Sequence[int], budget: int = 10) -> List[Word]:
@@ -99,65 +134,12 @@ def lyndon_words_naive(content: Sequence[int], budget: int = 10) -> List[Word]:
         word[i] += 1
 
 
-def lyndon_census(alphabet_size: int, max_total: int) -> Dict[Word, int]:
-    """Count Lyndon words by exact content for every length <= max_total,
-    from a single Duval pass."""
-    census: Dict[Word, int] = {}
-    for w in duval_lyndon(max_total, alphabet_size):
-        key = _content_of(w, alphabet_size)
-        census[key] = census.get(key, 0) + 1
-    return census
-
-
-def multiset_permutations(items: Sequence[int]) -> Iterator[Word]:
-    """Distinct permutations of a multiset, in lexicographic order."""
-    word = sorted(items)
-    n = len(word)
-    if n == 0:
-        return
-    while True:
-        yield tuple(word)
-        # classic next-permutation step; terminates at the descending word
-        i = n - 2
-        while i >= 0 and word[i] >= word[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = n - 1
-        while word[j] <= word[i]:
-            j -= 1
-        word[i], word[j] = word[j], word[i]
-        word[i + 1 :] = reversed(word[i + 1 :])
-
-
 def aperiodic_count(content: Sequence[int], budget: int = DEFAULT_BUDGET) -> int:
     """Number of rotation classes of words with the given content whose
     minimal period equals the total length.
 
-    Counts class representatives directly: a word is counted iff it is
-    strictly smaller than each of its proper rotations (one such word per
-    aperiodic class, none for periodic words).  The content is first
-    reduced by dropping absent letters and sorting -- a letter relabeling,
-    which permutes the enumerated words but not their number.
+    Each aperiodic class holds exactly one Lyndon word (its least
+    rotation), so this counts the fixed-content Lyndon words without
+    listing them.  Totals above `budget` raise BudgetExceededError.
     """
-    content = tuple(content)
-    n = sum(content)
-    if any(c < 0 for c in content):
-        raise ValueError(f"content must be non-negative, got {content!r}")
-    if n < 1:
-        raise ValueError("aperiodic_count requires a nonzero content")
-    if n > budget:
-        raise BudgetExceededError(
-            f"total {n} exceeds enumeration budget {budget}; "
-            "raise the budget explicitly to proceed"
-        )
-    reduced = sorted(c for c in content if c > 0)
-    letters: List[int] = []
-    for letter, mult in enumerate(reduced, start=1):
-        letters.extend([letter] * mult)
-    count = 0
-    for w in multiset_permutations(letters):
-        doubled = w + w
-        if all(doubled[s : s + n] > w for s in range(1, n)):
-            count += 1
-    return count
+    return sum(1 for _ in _fixed_content_lyndon(content, budget))

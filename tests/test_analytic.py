@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import catalan_oracle
 from wittkit import analytic
@@ -20,6 +22,7 @@ from wittkit.analytic import (
 )
 from wittkit.characters import RealDirichletCharacter
 from wittkit.errors import DivergenceError
+from wittkit.expansion import peel_1d
 from wittkit.series import RationalFunction, TruncatedSeries
 
 ARTIN_H = RationalFunction([1, -1, -1], [1, -1])
@@ -154,6 +157,40 @@ def test_euler_product_quadratic_fixture():
     result = euler_product(spec)
     assert result.tail_estimate == 0.0 and not result.heuristic_tail
     assert abs(result.value - mp_ref(8 / mpmath.pi**2, 15)) < Decimal("1e-15")
+
+
+def _cyclotomic_product(factors, degree):
+    """Coefficients of prod (1 - z^n)^k over (n, k) in factors, k >= 0, via
+    series multiplication at the product's degree."""
+    out = TruncatedSeries.one(degree)
+    for n, k in factors:
+        out = out * TruncatedSeries([1] + [0] * (n - 1) + [-1], degree) ** k
+    return list(out.coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.integers(1, 6), st.integers(-3, 3).filter(bool), max_size=4),
+       st.integers(0, 30), st.integers(1, 3))
+def test_exact_factorization_recognises_products(exps, where, bump):
+    # h = prod (1 - z^n)^(-e_n): numerator from e_n < 0, denominator from e_n > 0
+    items = sorted(exps.items())
+    num_deg = sum(-n * e for n, e in items if e < 0)
+    den_deg = sum(n * e for n, e in items if e > 0)
+    num = _cyclotomic_product([(n, -e) for n, e in items if e < 0], num_deg)
+    den = _cyclotomic_product([(n, e) for n, e in items if e > 0], den_deg)
+    assert analytic._is_exact_factorization(RationalFunction(num, den), items) is True
+    perturbed = list(num) + [0] * max(0, where + 1 - len(num))
+    perturbed[where] += bump
+    assert analytic._is_exact_factorization(RationalFunction(perturbed, den), items) is False
+
+
+def test_exact_factorization_of_the_quadratic_fixture():
+    # prod_{p > 2} (1 - p^-2) = 8/pi^2 terminates after one factor
+    exps = peel_1d(QUAD_H.expand(64)).items()
+    assert exps == [(2, -1)]
+    assert analytic._is_exact_factorization(QUAD_H, exps) is True
+    assert analytic._is_exact_factorization(RationalFunction([1, 0, -1], [1, 0, 1]), exps) is False
+    assert analytic._is_exact_factorization(QUAD_H, [(1, 5000)]) is None
 
 
 def test_euler_product_artin_digits():

@@ -2,6 +2,7 @@
 from the environment."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import wittkit
@@ -13,6 +14,18 @@ def test_all_names_resolve_without_duplicates():
     assert len(wittkit.__all__) == len(set(wittkit.__all__))
     missing = [name for name in wittkit.__all__ if not hasattr(wittkit, name)]
     assert missing == []
+
+
+def test_every_module_all_resolves():
+    stale = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        module = importlib.import_module(f"wittkit.{path.stem}")
+        names = getattr(module, "__all__", [])
+        assert len(names) == len(set(names)), path.name
+        stale += [f"{path.stem}.{name}" for name in names if not hasattr(module, name)]
+    assert stale == []
 
 
 def test_no_module_reads_the_environment():

@@ -39,6 +39,14 @@ def test_words(capsys):
     assert json.loads(out)["words"] == ["122"]
 
 
+def test_words_budget(capsys):
+    code, out, err = run(capsys, "words", "--content", "20,20", "--list")
+    assert code == 1
+    assert "budget 14" in json.loads(out)["error"] and "budget" in err
+    code, out, _ = run(capsys, "words", "--content", "1200,1", "--budget", "1201")
+    assert code == 0 and json.loads(out) == {"count": "1"}
+
+
 def test_witt(capsys):
     code, out, _ = run(capsys, "witt", "--f", SERIES_1PZ, "--r", "2")
     assert code == 0
@@ -179,6 +187,14 @@ def test_verify_all_empty_budget(capsys):
     assert json.loads(out)["passed"] is True
 
 
+@pytest.mark.parametrize("budget", range(1, 13))
+def test_verify_all_combinatorial_budgets(capsys, budget):
+    code, out, _ = run(capsys, "verify-all", "--scope", "combinatorial",
+                       "--budget", str(budget))
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
 def test_verify_all_small_budget(capsys):
     code, out, _ = run(capsys, "verify-all", "--scope", "expansion", "--budget", "5")
     assert code == 0
@@ -228,6 +244,18 @@ def test_necklace_beyond_str_digit_limit(capsys):
     ("constant", "--h", '{"num": [1], "den": [1, 1.9]}'),
     ("constant", "--h", '{"num": [1, true], "den": [1, -1]}'),
     ("constant", "--h", '[1, -1]'),
+    ("expand2d", "--F", '{"J": 0, "K": 1, "rows": [[1.9], [1]]}'),
+    ("expand2d", "--F", '{"J": 1}'),
+    ("expand2d", "--F", '{"J": 0, "K": 1, "rows": [["1"], ["1/2"]]}'),
+    ("expand2d", "--F", '{"J": 0, "K": 1, "rows": [[1], [true]]}'),
+    ("expand2d", "--F", '{"J": 0, "K": 1, "rows": [1, 1]}'),
+    ("expand2d", "--F", '{"J": 0, "K": 1, "rows": "11"}'),
+    ("expand2d", "--F", '{"J": 0, "K": 0, "rows": []}'),
+    ("expand2d", "--F", '{"J": 1, "K": 1, "rows": [[1, 0], [0]]}'),
+    ("expand2d", "--F", '{"J": 0.0, "K": 0, "rows": [[1]]}'),
+    ("expand2d", "--F", '{"J": 0, "K": false, "rows": [[1]]}'),
+    ("expand2d", "--F", '{"J": 1, "K": 0, "rows": [[1]]}'),
+    ("expand2d", "--F", '[[1]]'),
 ])
 def test_malformed_json_inputs_are_usage_errors(capsys, argv):
     assert run(capsys, *argv)[0] == 2

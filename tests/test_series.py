@@ -49,6 +49,33 @@ def test_pow():
         f ** (-1)
 
 
+def test_pow_product_count(monkeypatch):
+    products = []
+    mul = TruncatedSeries.__mul__
+
+    def counting_mul(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counting_mul)
+    f = S([1, 2, -1], 6)
+    # one squaring per bit below the top one, one product per set bit above the lowest
+    for k, expected in [(0, 0), (1, 0), (2, 1), (3, 2), (8, 3), (12, 4), (15, 6)]:
+        products.clear()
+        f**k
+        assert len(products) == expected, k
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_ints, st.integers(0, 9), st.integers(0, 12))
+def test_pow_is_repeated_multiplication(coeffs, order, k):
+    f = S(coeffs, order)
+    expected = TruncatedSeries.one(order)
+    for _ in range(k):
+        expected = expected * f
+    assert f**k == expected
+
+
 def test_inflate():
     assert S([1, 1], 4).inflate(2) == S([1, 0, 1], 4)
     f = S([5, 1, 2], 7)

@@ -41,10 +41,11 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from .arith import bernoulli, nth_prime, primes_up_to
 from .characters import RealDirichletCharacter
-from .errors import DivergenceError
-from .expansion import _mul_one_minus_pow, peel_1d
+from .errors import DivergenceError, IntegralityError
+# peel_1d is unused here but stays bound: perfbench's span tests rebind it
+from .expansion import _mul_one_minus_pow, _rational_exponents, peel_1d  # noqa: F401
+from .necklace import necklace_poly
 from .series import RationalFunction, TruncatedSeries
-from .witt import witt_table
 
 __all__ = [
     "GUARD_DIGITS",
@@ -374,17 +375,14 @@ def _fit_ratio(points: List[Tuple[int, float]]) -> float:
 
 
 def _plan_cutoff(spec: EulerProductSpec):
-    """Expand h far enough that the heuristic geometric tail estimate of
+    """Extend h's exponents until the heuristic geometric tail estimate of
     |e_n| * (zeta_m(n) - 1) drops below the precision target; returns
     (exponents, cutoff, tail_estimate, exact_tail)."""
     digits = spec.digits
     log_p = math.log10(nth_prime(spec.m + 1))
     order = 64
     while True:
-        f = spec.h.expand(order)
-        if not f.is_integral():
-            raise ValueError("h must have an integer-coefficient expansion")
-        exps = peel_1d(f)
+        exps = _rational_exponents(spec.h, order)
         nonzero = exps.items()
         if not nonzero:
             return exps, 1, 0.0, True
@@ -490,8 +488,10 @@ def euler_product_direct(spec: EulerProductSpec, prime_limit: int) -> ConstantRe
 
 # -- the order-constant family B_chi ------------------------------------
 
-_FIB_RATFUN = RationalFunction([-1], [1, -1, -1])  # -1/(1 - z - z^2)
 _ARTIN_H = RationalFunction([1, -1, -1], [1, -1])
+# 1/(1 - y f(z)) at y = +z^3 and y = -z^3, for f = -1/(1 - z - z^2)
+_G_PLUS = RationalFunction([1, -1, -1], [1, -1, -1, 1])
+_G_MINUS = RationalFunction([1, -1, -1], [1, -1, -1, -1])
 
 
 @lru_cache(maxsize=None)
@@ -522,40 +522,25 @@ class BChiResult:
         return out
 
 
-@lru_cache(maxsize=8)
-def _bchi_table(digits: int):
-    """Witt coefficient table of -1/(1-z-z^2) wide and tall enough that the
-    remaining terms |m(k,r)| 2^-(3r+k) are negligible at this precision."""
-    tol = -(digits + 4.0)
-    kmax, rmax = 30 * digits + 10, 3 * digits + 10
-    while True:
-        f = _FIB_RATFUN.expand(kmax)
-        table = witt_table(f, rmax)
-        row_logs = []
-        for r in range(1, rmax + 1):
-            row = [
-                _log10_int(table.m(k, r)) - (3 * r + k) * math.log10(2)
-                for k in range(1, kmax + 1)
-                if table.m(k, r)
-            ]
-            row_logs.append(max(row) if row else -400.0)
-        k_tail = max(
-            (
-                _log10_int(table.m(kmax, r)) - (3 * r + kmax) * math.log10(2) + 1.0
-                for r in range(1, rmax + 1)
-                if table.m(kmax, r)
-            ),
-            default=-400.0,
-        )
-        r_tail = row_logs[-1] + 1.0
-        if k_tail < tol and r_tail < tol:
-            return table, kmax, rmax
-        if k_tail >= tol:
-            kmax = int(kmax * 1.5)
-        if r_tail >= tol:
-            rmax += 2
-        if kmax > 600 or rmax > 64:  # pragma: no cover - safety stop
-            raise ValueError("requested precision needs an impractical table")
+def _bchi_exponents(order: int) -> Tuple[List[int], List[int]]:
+    """A(n), B(n) for n <= order: the sums of the Witt coefficients m(k, r)
+    of -1/(1-z-z^2) over k, r >= 1 with k + 3r = n, even r in A, odd in B.
+    Over all k >= 0 the sums give e+_n = A + B and e-_n = A - B + B(n/2)
+    (even n), the exponents of _G_PLUS and _G_MINUS, by the cyclotomic
+    identity and (1 + z^n)^(-m) = (1 - z^n)^m (1 - z^(2n))^(-m); the k = 0
+    terms m(0, r) = M(-1; r) at n = 3r are then removed."""
+    plus = _rational_exponents(_G_PLUS, order).exponents
+    minus = _rational_exponents(_G_MINUS, order).exponents
+    A, B = [0] * (order + 1), [0] * (order + 1)
+    for n in range(1, order + 1):
+        half = 0 if n % 2 else B[n // 2]
+        A[n], rem_a = divmod(plus[n - 1] + minus[n - 1] - half, 2)
+        B[n], rem_b = divmod(plus[n - 1] - minus[n - 1] + half, 2)
+        if rem_a or rem_b:
+            raise IntegralityError(f"b_chi exponent sums at n={n} are not integers")
+    for r in range(1, order // 3 + 1):
+        (B if r % 2 else A)[3 * r] -= necklace_poly(-1, r)
+    return A, B
 
 
 def b_chi(
@@ -567,44 +552,39 @@ def b_chi(
     evaluated through Dirichlet L-series.
 
     The L-series route multiplies the Artin constant by
-    L(2,chi) L(3,chi) / L(6,chi^2) and a double product of L(j, chi^r)
-    powers whose exponents come from the Witt table of -1/(1-z-z^2).
+    L(2,chi) L(3,chi) / L(6,chi^2) and prod_n L(n,chi^2)^-A(n) L(n,chi)^-B(n),
+    with A and B from two one-variable rational functions (_bchi_exponents).
     With cross_check_limit set, the defining product over primes up to
     that limit is computed as well and the difference reported.
     """
     _check_digits(digits)
-    table, kmax, rmax = _bchi_table(digits)
-    log2 = math.log10(2)
-    # Terms with |m(k,r)| 2^-(3r+k) below the skip threshold contribute less
-    # than 10^-(digits+10) each (at most ~10^-(digits+5) in total) and are
+    # A term with |exponent| 2^-n below the skip threshold contributes less
+    # than 10^-(digits+10) (at most ~10^-(digits+5) in total) and is
     # dropped; working precision only has to absorb the exponents that stay.
     skip = -(digits + 10.0)
-    live: List[Tuple[int, int, int]] = []
-    max_log_m = 0.0
-    for r in range(1, rmax + 1):
-        for k in range(1, kmax + 1):
-            m = table.m(k, r)
-            if not m:
-                continue
-            lg = _log10_int(m)
-            if lg - (3 * r + k) * log2 >= skip:
-                live.append((k, r, m))
-                max_log_m = max(max_log_m, lg)
-    prec = digits + 6 + math.ceil(max_log_m) + GUARD_DIGITS
-    ln_l: Dict[Tuple[int, int], Decimal] = {}
+    chi2 = chi.square()
+    order = 64
+    while True:
+        A, B = _bchi_exponents(order)
+        terms = [(n, e, character) for n in range(1, order + 1)
+                 for e, character in ((A[n], chi2), (B[n], chi))
+                 if e and _log10_int(e) - n * _LOG10_2 >= skip]
+        if not terms or terms[-1][0] <= order - 12:
+            break  # the last 12 n hold no term above the threshold
+        if order >= 16384:
+            raise ValueError("requested precision needs an impractical cutoff")
+        order *= 2
+    max_log_e = max((_log10_int(e) for _, e, _ in terms), default=0.0)
+    prec = digits + 6 + math.ceil(max_log_e) + GUARD_DIGITS
     with localcontext() as ctx:
         ctx.prec = prec + 12
         total = Decimal(0)
-        for k, r, m in live:
-            j = 3 * r + k
-            key = (j, r % 2)
-            if key not in ln_l:
-                ln_l[key] = _ln1p(_l_minus_1(j, chi.power(r), prec))
-            total -= m * ln_l[key]
+        for n, e, character in terms:
+            total -= e * _ln1p(_l_minus_1(n, character, prec))
         artin = _artin_value(digits + 8)
         l2 = l_series(2, chi, prec)
         l3 = l_series(3, chi, prec)
-        l6 = l_series(6, chi.square(), prec)
+        l6 = l_series(6, chi2, prec)
         value = artin * l2 * l3 / l6 * total.exp()
         value = +value
     tail = 10.0 ** (-(digits + 3))

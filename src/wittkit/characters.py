@@ -98,12 +98,6 @@ class RealDirichletCharacter:
         """chi^2, the principal character mod q."""
         return RealDirichletCharacter(self.modulus, tuple(v * v for v in self.values))
 
-    def power(self, k: int) -> "RealDirichletCharacter":
-        """chi^k: chi itself for odd k, the principal character for even k."""
-        if k < 1:
-            raise ValueError("power requires k >= 1")
-        return self if k % 2 else self.square()
-
     @property
     def is_trivial(self) -> bool:
         return self.modulus == 1

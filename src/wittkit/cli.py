@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import List, Optional
 
 from . import suites
@@ -36,7 +35,7 @@ from .errors import (
 )
 from .expansion import BiSeries, cyclotomic_check, peel_1d, peel_2d
 from .necklace import necklace_count, necklace_poly, v_count
-from .series import RationalFunction, TruncatedSeries, coeff_str
+from .series import Coeff, RationalFunction, TruncatedSeries, _decimal, coeff_str
 from .witt import monotonicity_scan, verify_identity, witt_table, witt_transform
 from .words import aperiodic_count, lyndon_words
 
@@ -58,15 +57,23 @@ def _biseries(arg: str) -> BiSeries:
     return BiSeries.from_json_dict(json.loads(arg))
 
 
+def _int(arg: str) -> int:
+    return _decimal(arg, "integer", integer=True)
+
+
+def _rational(arg: str) -> Coeff:
+    return _decimal(arg, "rational")
+
+
 def _content(arg: str) -> List[int]:
-    return [int(p) for p in arg.split(",") if p.strip() != ""]
+    return [_decimal(p, "list item", integer=True) for p in arg.split(",")]
 
 
 def _character(args) -> RealDirichletCharacter:
     if args.kronecker is not None:
         return RealDirichletCharacter.from_kronecker(args.kronecker)
     if args.table:
-        return RealDirichletCharacter.from_values(_content(args.table))
+        return RealDirichletCharacter.from_values(args.table)
     return RealDirichletCharacter.trivial()
 
 
@@ -79,80 +86,79 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("necklace", help="necklace counts")
-    p.add_argument("--alpha", type=int)
-    p.add_argument("--n", type=int)
+    p.add_argument("--alpha", type=_int)
+    p.add_argument("--n", type=_int)
     p.add_argument("--content", type=_content)
-    p.add_argument("--vk", type=int, help="sign-twisted count with this prefix length")
+    p.add_argument("--vk", type=_int, help="sign-twisted count with this prefix length")
 
     p = sub.add_parser("words", help="Lyndon words by content")
     p.add_argument("--content", type=_content, required=True)
     p.add_argument("--list", action="store_true")
-    p.add_argument("--count", action="store_true")
-    p.add_argument("--budget", type=int, default=14)
+    p.add_argument("--budget", type=_int, default=14)
 
     p = sub.add_parser("witt", help="Witt transform of a series")
     p.add_argument("--f", type=_series, required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=_int, required=True)
 
     p = sub.add_parser("witt-table", help="coefficient table m(j, r)")
     p.add_argument("--f", type=_series, required=True)
-    p.add_argument("--R", type=int, required=True)
-    p.add_argument("--J", type=int)
+    p.add_argument("--R", type=_int, required=True)
+    p.add_argument("--J", type=_int)
 
     p = sub.add_parser("verify", help="check one transform identity")
     p.add_argument("--id", required=True)
     p.add_argument("--f", type=_series)
     p.add_argument("--g", type=_series)
     for name in ("r", "k", "v", "w", "alpha", "beta", "n"):
-        p.add_argument(f"--{name}", type=int)
+        p.add_argument(f"--{name}", type=_int)
 
     p = sub.add_parser("scan", help="monotonicity window scan")
     p.add_argument("--family", required=True)
     p.add_argument("--f", type=_series)
-    p.add_argument("--kmax", type=int, default=8)
-    p.add_argument("--rmax", type=int, default=12)
-    p.add_argument("--cmax", type=int, default=6)
+    p.add_argument("--kmax", type=_int, default=8)
+    p.add_argument("--rmax", type=_int, default=12)
+    p.add_argument("--cmax", type=_int, default=6)
 
     p = sub.add_parser("expand", help="1-variable product exponents")
     p.add_argument("--f", type=_series, required=True)
-    p.add_argument("--N", type=int)
+    p.add_argument("--N", type=_int)
 
     p = sub.add_parser("expand2d", help="2-variable product exponents")
     p.add_argument("--F", type=_biseries, required=True)
-    p.add_argument("--J", type=int)
-    p.add_argument("--K", type=int)
+    p.add_argument("--J", type=_int)
+    p.add_argument("--K", type=_int)
     p.add_argument("--order", choices=("k-major", "j-major"), default="k-major")
 
     p = sub.add_parser("cyclotomic", help="two-variable product identity check")
     p.add_argument("--f", type=_series, required=True)
-    p.add_argument("--J", type=int, required=True)
-    p.add_argument("--K", type=int, required=True)
+    p.add_argument("--J", type=_int, required=True)
+    p.add_argument("--K", type=_int, required=True)
 
     p = sub.add_parser("zeta", help="Riemann/Hurwitz zeta")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--a", type=str, help="rational in (0,1], e.g. 1/4")
-    p.add_argument("--digits", type=int, default=15)
-    p.add_argument("--m", type=int, help="partial zeta: remove first m Euler factors")
+    p.add_argument("--s", type=_int, required=True)
+    p.add_argument("--a", type=_rational, help="rational in (0,1], e.g. 1/4")
+    p.add_argument("--digits", type=_int, default=15)
+    p.add_argument("--m", type=_int, help="partial zeta: remove first m Euler factors")
 
     p = sub.add_parser("lseries", help="real Dirichlet L-series")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--kronecker", type=int)
-    p.add_argument("--table", type=str, help="comma-separated values chi(0..q-1)")
-    p.add_argument("--digits", type=int, default=15)
+    p.add_argument("--s", type=_int, required=True)
+    p.add_argument("--kronecker", type=_int)
+    p.add_argument("--table", type=_content, help="comma-separated values chi(0..q-1)")
+    p.add_argument("--digits", type=_int, default=15)
 
     p = sub.add_parser("constant", help="Euler-product constant from a rational h")
     p.add_argument("--h", type=_ratfun, required=True)
-    p.add_argument("--m", type=int, default=0)
-    p.add_argument("--digits", type=int, default=12)
-    p.add_argument("--direct-limit", type=int,
+    p.add_argument("--m", type=_int, default=0)
+    p.add_argument("--digits", type=_int, default=12)
+    p.add_argument("--direct-limit", type=_int,
                    help="also evaluate the defining product over p <= limit")
 
     p = sub.add_parser("bchi", help="order-constant family via L-series")
-    p.add_argument("--kronecker", type=int)
-    p.add_argument("--table", type=str)
-    p.add_argument("--digits", type=int, default=8)
+    p.add_argument("--kronecker", type=_int)
+    p.add_argument("--table", type=_content)
+    p.add_argument("--digits", type=_int, default=8)
     p.add_argument("--cross-check", action="store_true")
-    p.add_argument("--prime-limit", type=int, default=10**6)
+    p.add_argument("--prime-limit", type=_int, default=10**6)
 
     p = sub.add_parser("convergence", help="report product-to-L-series hypotheses")
     p.add_argument("--f", type=_series)
@@ -160,7 +166,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-all", help="run a verification scope")
     p.add_argument("--scope", required=True, choices=suites.SCOPES)
-    p.add_argument("--budget", type=int, default=0)
+    p.add_argument("--budget", type=_int, default=0)
     return top
 
 
@@ -225,8 +231,8 @@ def _run(args) -> int:
         if args.m is not None:
             _emit({"value": str(partial_zeta(args.m, args.s, args.digits)),
                    "digits": args.digits, "abs_error_bound": bound})
-        elif args.a:
-            _emit({"value": str(hurwitz_zeta(args.s, Fraction(args.a), args.digits)),
+        elif args.a is not None:
+            _emit({"value": str(hurwitz_zeta(args.s, args.a, args.digits)),
                    "digits": args.digits, "abs_error_bound": bound})
         else:
             _emit({"value": str(zeta(args.s, args.digits)),

@@ -4,22 +4,25 @@ Every unital integer series factors uniquely as prod_n (1 - z^n)^(-e_n);
 peel_1d recovers the exponents from the logarithmic derivative z f'/f,
 whose coefficients are sum_{d|n} d e_d, by Moebius inversion, while
 reconstruct_1d multiplies the factors back out, so comparing the two
-checks one algorithm against another.  The two-variable analogue factors
-1 + f(z, y) as prod (1 - z^j y^k)^(e(j,k)), peeled in increasing weight
-((j1,k1) before (j2,k2) iff k1 < k2, or k1 == k2 and j1 < j2).  The
-result does not depend on the weight order, which tests assert by
-re-peeling j-major rather than trusting.
+checks one algorithm against another.  For rational h = num/den,
+_rational_exponents takes the same route without expanding h, from the
+recurrence (num den) z h'/h = z (num' den - num den') in O(N deg).  The
+two-variable analogue factors 1 + f(z, y) as prod (1 - z^j y^k)^(e(j,k)),
+peeled in increasing weight ((j1,k1) before (j2,k2) iff k1 < k2, or
+k1 == k2 and j1 < j2).  The result does not depend on the weight order,
+which tests assert by re-peeling j-major rather than trusting.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .arith import moebius
-from .series import TruncatedSeries, _json_array, _json_field, _json_int, coeff_str
+from .errors import IntegralityError
+from .series import (RationalFunction, TruncatedSeries, _decimal, _json_array,
+                     _json_field, _json_int, coeff_str)
 from .witt import witt_table
 
 __all__ = [
@@ -84,48 +87,68 @@ class Expansion1D:
                 "e": {str(n): coeff_str(e) for n, e in self.items()}}
 
 
-def peel_1d(f: TruncatedSeries) -> Expansion1D:
-    """Unique product exponents of a unital integer series.
-
-    From f = prod (1 - z^n)^(-e_n) the logarithmic derivative is
-    c = z f'/f = sum_n c_n z^n with c_n = sum_{d|n} d e_d.  The c_n follow
-    from z f' = c f as c_n = n a_n - sum_{i=1}^{n-1} a_i c_(n-i) (only
-    nonzero a_i contribute), and Moebius inversion gives
-    n e_n = sum_{d|n} mu(n/d) c_d; every division by n is checked to be
-    exact.  Exponents grow geometrically with n for generic rational
-    inputs; arbitrary precision absorbs that.
-    """
-    if not f.is_integral():
-        raise ValueError("peel_1d requires integer coefficients")
-    if f.coeff(0) != 1:
-        raise ValueError(f"peel_1d requires a unital series, got f(0) = {f.coeff(0)}")
-    N = f.order
-    a = f.coeffs
-    support = [(i, a[i]) for i in range(1, N + 1) if a[i]]
-    c = [0] * (N + 1)
-    for n in range(1, N + 1):
-        acc = n * a[n]
-        for i, ai in support:
+def _exponents(p: Sequence[int], r: Sequence[int], order: int) -> Expansion1D:
+    """Exponents e_1..e_order of the unital f whose log-derivative
+    c = z f'/f solves p c = r: c_n = (r_n - sum_{i>=1} p_i c_(n-i)) / p_0,
+    then n e_n = sum_{d|n} mu(n/d) c_d by Moebius inversion.  Every
+    division, by p_0 and by n, is checked to be exact (IntegralityError)."""
+    support = [(i, p[i]) for i in range(1, len(p)) if p[i]]
+    c = [0] * (order + 1)
+    for n in range(1, order + 1):
+        acc = r[n] if n < len(r) else 0
+        for i, pi in support:
             if i >= n:
                 break
-            acc -= ai * c[n - i]
-        c[n] = acc
-    mu = [0] + [moebius(m) for m in range(1, N + 1)]
-    ne = [0] * (N + 1)
-    for d in range(1, N + 1):
+            acc -= pi * c[n - i]
+        c[n], rem = divmod(acc, p[0])
+        if rem:
+            raise IntegralityError(f"c_{n} is not an integer")
+    mu = [0] + [moebius(m) for m in range(1, order + 1)]
+    ne = [0] * (order + 1)
+    for d in range(1, order + 1):
         cd = c[d]
         if cd:
-            for m in range(1, N // d + 1):
+            for m in range(1, order // d + 1):
                 if mu[m] == 1:
                     ne[d * m] += cd
                 elif mu[m]:
                     ne[d * m] -= cd
     exps = []
-    for n in range(1, N + 1):
+    for n in range(1, order + 1):
         e_n, rem = divmod(ne[n], n)
-        assert rem == 0, f"exponent {n} is not an integer"
+        if rem:
+            raise IntegralityError(f"exponent {n} is not an integer")
         exps.append(e_n)
-    return Expansion1D(N, tuple(exps))
+    return Expansion1D(order, tuple(exps))
+
+
+def peel_1d(f: TruncatedSeries) -> Expansion1D:
+    """Unique product exponents of a unital integer series: z f' = c f with
+    c_n = sum_{d|n} d e_d, solved by _exponents with p = f, r_n = n a_n.
+    Exponents grow geometrically with n for generic rational inputs;
+    arbitrary precision absorbs that."""
+    if not f.is_integral():
+        raise ValueError("peel_1d requires integer coefficients")
+    if f.coeff(0) != 1:
+        raise ValueError(f"peel_1d requires a unital series, got f(0) = {f.coeff(0)}")
+    a = f.coeffs
+    return _exponents(a, [n * an for n, an in enumerate(a)], f.order)
+
+
+def _rational_exponents(h: RationalFunction, order: int) -> Expansion1D:
+    """peel_1d(h.expand(order)) for a rational h with h(0) = 1, without the
+    expansion: (num den) c = z (num' den - num den') is a recurrence of
+    length deg(num den).  An inexact division means that h's expansion is
+    not integral (ValueError)."""
+    top = len(h.num) + len(h.den) - 2
+    num = TruncatedSeries(list(h.num), top)
+    den = TruncatedSeries(list(h.den), top)
+    z_num1 = TruncatedSeries([i * a for i, a in enumerate(h.num)], top)
+    z_den1 = TruncatedSeries([i * a for i, a in enumerate(h.den)], top)
+    try:
+        return _exponents((num * den).coeffs, (z_num1 * den - num * z_den1).coeffs, order)
+    except IntegralityError:
+        raise ValueError("h must have an integer-coefficient expansion") from None
 
 
 def reconstruct_1d(expansion: Expansion1D, order: int) -> TruncatedSeries:
@@ -139,14 +162,6 @@ def reconstruct_1d(expansion: Expansion1D, order: int) -> TruncatedSeries:
 
 
 # -- two-variable grids ------------------------------------------------
-
-
-def _grid_entry(value) -> int:
-    if isinstance(value, str):
-        if not re.fullmatch(r"[+-]?[0-9]+", value.strip()):
-            raise ValueError(f"grid entry {value!r} is not a decimal integer")
-        return int(value)
-    return _json_int(value, "grid entry")
 
 
 @dataclass(frozen=True)
@@ -254,7 +269,8 @@ class BiSeries:
         rows = _json_array(obj, "rows")
         if not rows or not all(isinstance(row, list) and row for row in rows):
             raise ValueError("'rows' must be a non-empty array of non-empty arrays")
-        bs = cls.from_rows([[_grid_entry(c) for c in row] for row in rows])
+        bs = cls.from_rows([[_decimal(c, "grid entry", integer=True) for c in row]
+                            for row in rows])
         J = _json_int(_json_field(obj, "J"), "J")
         K = _json_int(_json_field(obj, "K"), "K")
         if (bs.deg_z, bs.deg_y) != (J, K):

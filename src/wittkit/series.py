@@ -12,6 +12,7 @@ series stay on the fast int path.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -35,14 +36,19 @@ def _norm(x: Coeff) -> Coeff:
     return x
 
 
-def _parse_coeff(text: str) -> Coeff:
-    text = text.strip()
-    if "/" in text:
-        try:
-            return _norm(Fraction(text))
-        except ZeroDivisionError:
-            raise ValueError(f"coefficient {text!r} has a zero denominator") from None
-    return int(text)
+def _decimal(value, what: str, integer: bool = False) -> Coeff:
+    """An exact number read at the CLI/JSON boundary: a JSON integer, or text
+    [+-]?[0-9]+ followed (unless `integer`) by an optional /q, q > 0.  int()
+    and Fraction() would also take underscores and non-ASCII digits."""
+    if not isinstance(value, str):
+        return _json_int(value, what)
+    match = re.fullmatch(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?", value.strip())
+    if match is None or (integer and match[2] is not None):
+        kind = "integer" if integer else "integer or fraction p/q with q > 0"
+        raise ValueError(f"{what} {value!r} is not a decimal {kind}")
+    if match[2] is None:
+        return int(match[1])
+    return _norm(Fraction(int(match[1]), int(match[2])))
 
 
 def coeff_str(x: Coeff) -> str:
@@ -303,10 +309,7 @@ class TruncatedSeries:
     def from_json_dict(cls, obj: dict) -> "TruncatedSeries":
         """Strict reader: `coeffs` is an array of integers or exact rational
         strings, `order` an integer; anything else raises ValueError."""
-        coeffs = [
-            _parse_coeff(c) if isinstance(c, str) else _json_int(c, "coefficient")
-            for c in _json_array(obj, "coeffs")
-        ]
+        coeffs = [_decimal(c, "coefficient") for c in _json_array(obj, "coeffs")]
         return cls(coeffs, _json_int(_json_field(obj, "order"), "order"))
 
 

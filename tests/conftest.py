@@ -57,3 +57,9 @@ def legendre_symbol(a: int, p: int) -> int:
         return 0
     r = pow(a, (p - 1) // 2, p)
     return -1 if r == p - 1 else r
+
+
+# b_chi for chi_-4 to 32 digits from mpmath: the prime-zeta evaluation of
+# perfbench/make_refs.py (b_chi_mpmath), which agrees with the same
+# evaluation at 42 digits and shares no code with wittkit's L-series route
+B_CHI_MINUS_4 = Decimal("0.3218253398312629869864361045102871")

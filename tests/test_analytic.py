@@ -1,5 +1,5 @@
 import math
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import mpmath
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import catalan_oracle
+from conftest import B_CHI_MINUS_4, catalan_oracle
 from wittkit import analytic
 from wittkit.analytic import (
     EulerProductSpec,
@@ -22,8 +22,9 @@ from wittkit.analytic import (
 )
 from wittkit.characters import RealDirichletCharacter
 from wittkit.errors import DivergenceError
-from wittkit.expansion import peel_1d
+from wittkit.expansion import _rational_exponents, peel_1d
 from wittkit.series import RationalFunction, TruncatedSeries
+from wittkit.witt import witt_table
 
 ARTIN_H = RationalFunction([1, -1, -1], [1, -1])
 TWIN_H = RationalFunction([1, -2], [1, -2, 1])
@@ -260,6 +261,87 @@ def test_b_chi_cross_route():
     rep = b_chi(chi, 8, cross_check_limit=10**5)
     budget = rep.tail_estimate + rep.direct_tail_estimate + 2e-8
     assert rep.difference <= budget
+
+
+FIB_RATFUN = RationalFunction([-1], [1, -1, -1])  # -1/(1 - z - z^2)
+
+
+def test_bchi_exponents_match_witt_table_sums():
+    N = 60
+    table = witt_table(FIB_RATFUN.expand(N), N // 3)
+    A, B = analytic._bchi_exponents(N)
+    for n in range(1, N + 1):
+        sums = [0, 0]
+        for r in range(1, n // 3 + 1):
+            if n - 3 * r >= 1:
+                sums[r % 2] += table.m(n - 3 * r, r)
+        assert [A[n], B[n]] == sums, n
+
+
+def table_route_b_chi(chis, digits):
+    """The earlier b_chi, kept as an oracle: a dense Witt table of
+    -1/(1-z-z^2), grown until the terms |m(k,r)| 2^-(3r+k) on its last
+    row and column are below 10^-(digits+5), then one L-value per
+    (3r+k, parity of r) for every term above 10^-(digits+10)."""
+    def size(m, k, r):
+        return analytic._log10_int(m) - (3 * r + k) * math.log10(2)
+
+    tol = -(digits + 5.0)
+    kmax, rmax = 30 * digits + 10, 3 * digits + 10
+    while True:
+        table = witt_table(FIB_RATFUN.expand(kmax), rmax)
+        k_edge = max((size(table.m(kmax, r), kmax, r) for r in range(1, rmax + 1)
+                      if table.m(kmax, r)), default=-400.0)
+        r_edge = max((size(table.m(k, rmax), k, rmax) for k in range(1, kmax + 1)
+                      if table.m(k, rmax)), default=-400.0)
+        if k_edge < tol and r_edge < tol:
+            break
+        kmax = int(kmax * 1.5) if k_edge >= tol else kmax
+        rmax = rmax + 2 if r_edge >= tol else rmax
+    live = [(k, r, table.m(k, r)) for r in range(1, rmax + 1) for k in range(1, kmax + 1)
+            if table.m(k, r) and size(table.m(k, r), k, r) >= -(digits + 10)]
+    prec = (digits + 6 + math.ceil(max(analytic._log10_int(m) for _, _, m in live))
+            + analytic.GUARD_DIGITS)
+    values = []
+    for chi in chis:
+        with localcontext() as ctx:
+            ctx.prec = prec + 12
+            ln_l = {}
+            total = Decimal(0)
+            for k, r, m in live:
+                if (3 * r + k, r % 2) not in ln_l:
+                    character = chi if r % 2 else chi.square()
+                    ln_l[3 * r + k, r % 2] = analytic._ln1p(
+                        analytic._l_minus_1(3 * r + k, character, prec))
+                total -= m * ln_l[3 * r + k, r % 2]
+            values.append(analytic._artin_value(digits + 8) * l_series(2, chi, prec)
+                          * l_series(3, chi, prec) / l_series(6, chi.square(), prec)
+                          * total.exp())
+    return values
+
+
+def test_b_chi_matches_the_table_route():
+    chis = [RealDirichletCharacter.from_kronecker(d) for d in (-4, 5)]
+    for chi, oracle in zip(chis, table_route_b_chi(chis, 8)):
+        assert abs(b_chi(chi, 8).value - oracle) < Decimal("1e-8")
+
+
+@pytest.mark.parametrize("digits", [20, 30])
+def test_b_chi_beyond_sixteen_digits(digits):
+    value = b_chi(RealDirichletCharacter.from_kronecker(-4), digits).value
+    assert abs(value - B_CHI_MINUS_4) < Decimal(10) ** -digits
+
+
+def test_non_integral_h_is_refused_by_the_kernel_and_the_planner():
+    h = RationalFunction([2, 0, -1], [2])  # 1 - z^2/2
+    message = "h must have an integer-coefficient expansion"
+    with pytest.raises(ValueError, match=message):
+        _rational_exponents(h, 64)
+    with pytest.raises(ValueError, match=message):
+        analytic._plan_cutoff(EulerProductSpec(h, 0, 10))
+    # at order 2 the c_n are still integers; the Moebius step finds e_2 = -1/2
+    with pytest.raises(ValueError, match=message):
+        _rational_exponents(h, 2)
 
 
 def test_convergence_report_fibonacci_tail():

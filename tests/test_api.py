@@ -1,5 +1,5 @@
-"""The package's public surface: exports that resolve, and no settings read
-from the environment."""
+"""The package's public surface: exports that resolve, no settings read
+from the environment, and the import boundaries the design relies on."""
 
 import ast
 import importlib
@@ -37,3 +37,16 @@ def test_no_module_reads_the_environment():
             if name in ("environ", "getenv", "environb", "getenvb"):
                 readers.append(f"{path.name}:{node.lineno}")
     assert readers == []
+
+
+def test_analytic_does_not_import_witt():
+    # b_chi takes its exponents from one-variable rational functions; the
+    # two-variable Witt table must not come back into the constants path
+    imported = []
+    for node in ast.walk(ast.parse((SRC / "analytic.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+            imported += ["." * node.level + alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert not [name for name in imported if name.split(".")[-1] == "witt"]

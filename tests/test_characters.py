@@ -77,11 +77,6 @@ def test_character_square_and_power():
     chi = RealDirichletCharacter.from_kronecker(5)
     sq = chi.square()
     assert sq.values == (0, 1, 1, 1, 1)
-    assert chi.power(3) == chi
-    assert chi.power(2) == sq
-    assert chi.power(4) == sq
-    with pytest.raises(ValueError):
-        chi.power(0)
 
 
 def test_trivial_character():

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import B_CHI_MINUS_4
 from wittkit.arith import divisors, moebius
-from wittkit.cli import _ratfun, _series, main
+from wittkit.cli import _content, _int, _ratfun, _rational, _series, main
 from wittkit.series import RationalFunction
 
 SERIES_1PZ = '{"order":4,"coeffs":["1","1","0","0","0"]}'
@@ -33,8 +34,9 @@ def test_necklace_content_and_vk(capsys):
 
 
 def test_words(capsys):
-    code, out, _ = run(capsys, "words", "--content", "2,3", "--count")
+    code, out, _ = run(capsys, "words", "--content", "2,3")
     assert code == 0 and json.loads(out)["count"] == "2"
+    assert run(capsys, "words", "--content", "2,3", "--count")[0] == 2
     code, out, _ = run(capsys, "words", "--content", "1,2", "--list")
     assert json.loads(out)["words"] == ["122"]
 
@@ -164,6 +166,20 @@ def test_constant_divergence_exit_code(capsys):
     assert "increase m" in json.loads(out)["error"]
 
 
+def test_constant_non_integral_h_is_usage_error(capsys):
+    code, out, err = run(capsys, "constant", "--h", '{"num":[2,0,-1],"den":[2]}')
+    assert code == 2 and out == ""
+    assert err == "usage error: h must have an integer-coefficient expansion\n"
+
+
+def test_bchi_twenty_digits(capsys):
+    from decimal import Decimal
+
+    code, out, _ = run(capsys, "bchi", "--kronecker", "-4", "--digits", "20")
+    assert code == 0
+    assert abs(Decimal(json.loads(out)["value"]) - B_CHI_MINUS_4) < Decimal("1e-20")
+
+
 def test_bchi_trivial(capsys):
     from decimal import Decimal
 
@@ -256,6 +272,23 @@ def test_necklace_beyond_str_digit_limit(capsys):
     ("expand2d", "--F", '{"J": 0, "K": false, "rows": [[1]]}'),
     ("expand2d", "--F", '{"J": 1, "K": 0, "rows": [[1]]}'),
     ("expand2d", "--F", '[[1]]'),
+    ("witt", "--f", '{"order": 1, "coeffs": ["1_0", "1"]}', "--r", "1"),
+    ("witt", "--f", '{"order": 1, "coeffs": ["1", "\u0663"]}', "--r", "1"),
+    ("witt", "--f", '{"order": 1, "coeffs": ["1", "1_0/3"]}', "--r", "1"),
+    ("witt", "--f", '{"order": 1, "coeffs": ["1", "1/\u0663"]}', "--r", "1"),
+    ("expand2d", "--F", '{"J": 0, "K": 1, "rows": [["1"], ["\u0661"]]}'),
+    ("necklace", "--content", "1,,2"),
+    ("necklace", "--content", "\u0663,1"),
+    ("necklace", "--content", "1_0,1"),
+    ("necklace", "--content", "1,2,"),
+    ("necklace", "--alpha", "2", "--n", "1_0"),
+    ("zeta", "--s", "2", "--a", "1_0/2\u0663"),
+    ("zeta", "--s", "2", "--a", "0"),
+    ("zeta", "--s", "2", "--digits", "1.5"),
+    ("lseries", "--s", "2", "--kronecker", "\u0665"),
+    ("lseries", "--s", "2", "--table", "0,1,,-1"),
+    ("bchi", "--kronecker", "-\u0664"),
+    ("words", "--content", "2,3", "--budget", "\u0661\u0664"),
 ])
 def test_malformed_json_inputs_are_usage_errors(capsys, argv):
     assert run(capsys, *argv)[0] == 2
@@ -323,3 +356,63 @@ def test_malformed_ratfun_documents_raise(num, den, key, whole, data):
         doc[key] = doc[key] + [data.draw(not_int)]
     with pytest.raises(ValueError):
         _ratfun(json.dumps(doc))
+
+
+ARABIC_DIGITS = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                              "\u0665\u0666\u0667\u0668\u0669")
+not_decimal_int = st.one_of(
+    st.sampled_from(["", " ", "x", "+", "--1", "0x10", "1e3", "1/2", "\u0663"]),
+    st.integers(1000, 10**9).map(lambda n: f"{n:_}"),
+    st.integers(0, 10**9).map(lambda n: str(n).translate(ARABIC_DIGITS)),
+    st.integers(-10**9, 10**9).map(lambda n: f"{n}.0"),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-10**9, 10**9), min_size=1, max_size=8), st.booleans())
+def test_content_lists_round_trip(xs, spaced):
+    assert _content((", " if spaced else ",").join(map(str, xs))) == xs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 9), max_size=6), st.integers(0, 6), not_decimal_int)
+def test_malformed_content_lists_are_usage_errors(xs, where, bad):
+    items = [str(x) for x in xs]
+    items.insert(where % (len(items) + 1), bad)
+    arg = ",".join(items)
+    with pytest.raises(ValueError):
+        _content(arg)
+    assert main(["necklace", "--content", arg]) == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-10**12, 10**12))
+def test_kronecker_arguments_round_trip(d):
+    assert _int(str(d)) == _int(f" {d} ") == d
+    assert _int(f"+{abs(d)}") == abs(d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(not_decimal_int)
+def test_malformed_kronecker_is_usage_error(bad):
+    with pytest.raises(ValueError):
+        _int(bad)
+    assert main(["lseries", "--s", "2", "--kronecker", bad]) == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-10**12, 10**12), st.integers(1, 10**12))
+def test_fraction_arguments_round_trip(p, q):
+    assert _rational(f"{p}/{q}") == Fraction(p, q)
+    assert _rational(f" {p} ") == p
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 10**6), st.sampled_from(
+    ["{p}/0", "{p}_0/{q}", "{p}/{q}_0", "{p}/{q}/1", "{p}.5/{q}", "{p}/-{q}",
+     "/{q}", "{p}/", "{p} / {q}", "{a}/{q}", "{p}/{a}"]))
+def test_malformed_fractions_are_usage_errors(p, q, form):
+    bad = form.format(p=p, q=q, a=str(p).translate(ARABIC_DIGITS))
+    with pytest.raises(ValueError):
+        _rational(bad)
+    assert main(["zeta", "--s", "2", "--a", bad]) == 2

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from wittkit.expansion import (
     BiSeries,
     _mul_one_minus_pow,
+    _rational_exponents,
     cyclotomic_check,
     peel_1d,
     peel_2d,
@@ -98,6 +99,28 @@ def test_peel_round_trip(xs):
     back = reconstruct_1d(expn, f.order)
     assert back == f
     assert peel_1d(back) == expn
+
+
+unit = st.sampled_from([1, -1])
+small_coeffs = st.lists(st.integers(-3, 3), max_size=3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(unit, small_coeffs, small_coeffs, st.integers(0, 60))
+def test_rational_exponents_match_peel_of_the_expansion(u, num, den, N):
+    h = RationalFunction([u] + num, [u] + den)
+    assert _rational_exponents(h, N) == peel_1d(h.expand(N))
+
+
+@pytest.mark.parametrize("h", [
+    RationalFunction([1, -1, -1], [1, -1]),          # Artin
+    RationalFunction([1, -2], [1, -2, 1]),           # twin prime
+    RationalFunction([1], [1, -2]),                  # 1/(1-2z)
+    RationalFunction([1, -1, -1], [1, -1, -1, 1]),   # G+ of b_chi
+    RationalFunction([1, -1, -1], [1, -1, -1, -1]),  # G- of b_chi
+])
+def test_rational_exponents_fixed_cases(h):
+    assert _rational_exponents(h, 300) == peel_1d(h.expand(300))
 
 
 def test_peel_2d_single_factor():

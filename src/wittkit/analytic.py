@@ -6,9 +6,9 @@ Decimal within 10^-D of the true value (absolute), quantized to D+4
 decimal places.  Internally everything runs at D plus GUARD_DIGITS extra
 digits, and the Euler-Maclaurin truncation remainder is bounded
 rigorously (by the first omitted correction term, valid because all
-derivatives of x -> (qx+a)^-s keep a fixed sign).  Infinite-product tail
-estimates, by contrast, are geometric-fit heuristics and are flagged as
-such in the returned records.
+derivatives of x -> (qx+a)^-s keep a fixed sign), and so are the tails
+of infinite products: a bound on the reciprocal roots of h bounds every
+exponent and fixes the cutoff before any zeta or L value is computed.
 
 Euler-Maclaurin sums cut the direct summation at
 K = min(max(12, 2 prec / 5), first K >= 1 whose integral tail is below
@@ -33,11 +33,12 @@ intermediate magnitudes:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
 from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
-from functools import lru_cache
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from .arith import bernoulli, nth_prime, primes_up_to
 from .characters import RealDirichletCharacter
@@ -45,7 +46,7 @@ from .errors import DivergenceError, IntegralityError
 # peel_1d is unused here but stays bound: perfbench's span tests rebind it
 from .expansion import _mul_one_minus_pow, _rational_exponents, peel_1d  # noqa: F401
 from .necklace import necklace_poly
-from .series import RationalFunction, TruncatedSeries
+from .series import RationalFunction, TruncatedSeries, _decimal
 
 __all__ = [
     "GUARD_DIGITS",
@@ -210,7 +211,9 @@ def hurwitz_zeta(s: int, a: Union[int, str, Fraction], digits: int) -> Decimal:
     if s < 2:
         raise ValueError(f"hurwitz_zeta requires s >= 2, got {s}")
     _check_digits(digits)
-    a = Fraction(a)
+    if isinstance(a, float):
+        raise TypeError(f"a must be exact, got the float {a!r}")
+    a = Fraction(_decimal(a, "a") if isinstance(a, str) else a)
     if not 0 < a <= 1:
         raise ValueError(f"a must lie in (0, 1], got {a}")
     p, q = a.numerator, a.denominator
@@ -249,17 +252,9 @@ def l_series(s: int, chi: RealDirichletCharacter, digits: int) -> Decimal:
     if s < 2:
         raise ValueError(f"l_series requires s >= 2, got {s}")
     _check_digits(digits)
-    q = chi.modulus
-    prec = digits + GUARD_DIGITS + 2
     with localcontext() as ctx:
-        ctx.prec = prec + 12
-        total = Decimal(0)
-        for a in range(1, q + 1):
-            v = chi(a)
-            if v:
-                term = _dirichlet_sum(s, q, a, prec)
-                total += term if v == 1 else -term
-        return _quantize(total, digits)
+        ctx.prec = digits + GUARD_DIGITS + 14
+        return _quantize(1 + _l_minus_1(s, chi, digits + GUARD_DIGITS), digits)
 
 
 def _ln1p(t: Decimal) -> Decimal:
@@ -360,87 +355,114 @@ def _is_exact_factorization(h: RationalFunction, exps) -> Optional[bool]:
     return num == den
 
 
-def _fit_ratio(points: List[Tuple[int, float]]) -> float:
-    """Least-squares slope of log10-magnitude versus index, as a ratio."""
-    xs = [float(n) for n, _ in points]
-    ys = [t for _, t in points]
-    n = len(points)
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    denom = sum((x - mean_x) ** 2 for x in xs)
-    if denom == 0:
-        return 1.0
-    slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / denom
-    return 10.0**slope
+def _root_bound(poly: Sequence[int]) -> Fraction:
+    """An exact rho >= |beta| for every reciprocal root beta of an integer
+    polynomial a_0 + ... + a_d z^d, a_0 != 0: the least over k = 0..4 (a step
+    can loosen it) of the Cauchy bound of the k-th Graeffe iterate raised to
+    1/2^k, by exact bisection (upper end) on |a_0| x^d - ... - |a_d|."""
+    poly = list(poly)
+    while len(poly) > 1 and poly[-1] == 0:
+        poly.pop()
+    d, best = len(poly) - 1, None
+    for power in (1, 2, 4, 8, 16) if d else ():
+        def at_or_above(x: Fraction) -> bool:  # sign of q^d C(p/q), p/q = x^power
+            p, q, acc = x.numerator**power, x.denominator**power, abs(poly[0])
+            for i in range(1, d + 1):
+                acc = acc * p - abs(poly[i]) * q**i
+            return acc >= 0
+
+        lo, hi = Fraction(0), Fraction(1)
+        while not at_or_above(hi):
+            lo, hi = hi, 2 * hi
+        for _ in range(50):
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if at_or_above(mid) else (mid, hi)
+        best = hi if best is None else min(best, hi)
+        # Graeffe's step Q(z^2) = P(z) P(-z) squares the reciprocal roots
+        poly = [sum((-1) ** j * poly[j] * poly[i - j] for j in range(max(0, i - d), min(i, d) + 1))
+                for i in range(0, 2 * d + 1, 2)]
+    return best or Fraction(0)
+
+
+def _cutoff(deg: int, rho: Fraction, base: int, digits: int) -> Tuple[int, float]:
+    """(N, T(N)) for the least N with T(N) <= 10^-(digits+4), where T(N)
+    bounds sum_{n>N} |e_n ln(1 + t_n)|: |e_n| <= (deg/n) sum_{d|n} R^d for
+    deg reciprocal roots bounded by rho, R = max(rho, 1); |t_n| <= tau_n =
+    b^-n + b^(1-n)/(n-1) for t_n = zeta_m(n) - 1 or L(n, psi) - 1 with no
+    term below k = b = base; |ln(1 + t)| <= |t|/(1 - |t|).  By sum_{d|n} R^d
+    <= R^n + (n/2) R^(n/2), with x = R/b, y = sqrt(R)/b, T(N) = deg (1 + b/N)
+    (x^(N+1)/((N+1)(1-x)) + y^(N+1)/(2(1-y))) / (1 - tau_(N+1)).
+    DivergenceError iff rho >= b; ValueError iff N > 16384."""
+    if rho >= base:
+        raise DivergenceError(f"the reciprocal roots of h may reach {float(rho):.3f} >= "
+                              f"{base}; remove more Euler factors (increase m)")
+    ln_r, ln_b, ln_target = math.log(max(rho, 1)), math.log(base), -(digits + 4) * math.log(10)
+
+    def ln_tail(n: int) -> float:  # ln(T(n) / target), summed from logs
+        pre = (math.log(max(deg, 1)) + math.log1p(base / n) - ln_target
+               - math.log1p(-math.exp(-(n + 1) * ln_b + math.log1p(base / n))))
+        parts = [pre + (n + 1) * ln_q - math.log(-c * math.expm1(ln_q))
+                 for ln_q, c in ((ln_r - ln_b, n + 1), (ln_r / 2 - ln_b, 2))]
+        return max(parts) + math.log(sum(math.exp(p - max(parts)) for p in parts))
+
+    if ln_r > ln_b - 1e-9 or ln_tail(16384) > 0:
+        raise ValueError("requested precision needs an impractical cutoff")
+    n = bisect_left(range(16385), True, lo=1, key=lambda n: ln_tail(n) <= 0)
+    return n, math.exp(ln_tail(n) + ln_target)
+
+
+def _ratfun_cutoff(h: RationalFunction, base: int, digits: int) -> Tuple[int, float]:
+    """_cutoff for h, with at most len(num) + len(den) - 2 reciprocal roots."""
+    return _cutoff(len(h.num) + len(h.den) - 2, max(map(_root_bound, (h.num, h.den))),
+                   base, digits)
 
 
 def _plan_cutoff(spec: EulerProductSpec):
-    """Extend h's exponents until the heuristic geometric tail estimate of
-    |e_n| * (zeta_m(n) - 1) drops below the precision target; returns
-    (exponents, cutoff, tail_estimate, exact_tail)."""
-    digits = spec.digits
-    log_p = math.log10(nth_prime(spec.m + 1))
-    order = 64
-    while True:
-        exps = _rational_exponents(spec.h, order)
-        nonzero = exps.items()
-        if not nonzero:
-            return exps, 1, 0.0, True
-        n_last = nonzero[-1][0]
-        if n_last <= order * 3 // 4:
-            # the expansion appears to terminate; prove it exactly if cheap
-            if _is_exact_factorization(spec.h, nonzero):
-                return exps, n_last, 0.0, True
-            # a long run of zero exponents with no proof: tail estimated 0
-            return exps, n_last, 0.0, False
-        # log10 of the heuristic term size |e_n| p^-n
-        sizes = [(n, _log10_int(e) - n * log_p) for n, e in nonzero]
-        window = sizes[-12:]
-        ratio = _fit_ratio(window)
-        if ratio < 0.99:
-            spread = math.log10(ratio / (1.0 - ratio)) if ratio > 0 else -300.0
-            for n, t in sizes:
-                if t + spread < -(digits + 4):
-                    return exps, n, 10.0 ** (t + spread), False
-        elif order >= 512:
-            raise DivergenceError(
-                "exponent growth matches or outruns the prime base "
-                f"(fitted ratio {ratio:.3f}); remove more Euler factors "
-                "(increase m)"
-            )
-        if order >= 16384:
-            raise ValueError("requested precision needs an impractical cutoff")
-        order *= 2
+    """(exponents, cutoff, proven tail) of h; 0 for a product that ends."""
+    cutoff, tail = _ratfun_cutoff(spec.h, nth_prime(spec.m + 1), spec.digits)
+    exps = _rational_exponents(spec.h, cutoff).items()
+    if _is_exact_factorization(spec.h, exps):
+        return exps, exps[-1][0] if exps else 1, 0.0
+    return exps, cutoff, tail
+
+
+def _exp_log_sum(exponents: Dict[Hashable, int], minus_one: Callable[[Hashable, int], Decimal],
+                 digits: int) -> Tuple[Decimal, int]:
+    """(exp(sum_k e_k ln(1 + t_k)), prec) for t_k = minus_one(k, prec)
+    within 10^-prec; prec absorbs the size of the largest exponent."""
+    max_log_e = max((_log10_int(e) for e in exponents.values()), default=0.0)
+    prec = digits + 6 + math.ceil(max_log_e) + GUARD_DIGITS
+    with localcontext() as ctx:
+        ctx.prec = prec + 12
+        total = Decimal(0)
+        for key, e in exponents.items():
+            total += e * _ln1p(minus_one(key, prec))
+        return total.exp(), prec
 
 
 def euler_product(spec: EulerProductSpec) -> ConstantResult:
     """prod_{p > p_m} h(1/p) as prod_{n >= 2} zeta_m(n)^(e_n).
 
-    The exponents come from the unique product expansion of h; each factor
+    The exponents come from the unique product expansion of h, up to the
+    cutoff that a bound on the reciprocal roots of h proves (_cutoff); each
     contributes e_n * ln(1 + (zeta_m(n) - 1)) at a working precision wide
-    enough to absorb the size of e_n.  The cutoff tail is a geometric-fit
-    heuristic (flagged), everything else is budgeted rigorously.
+    enough to absorb the size of e_n.  The reported tail is that proven
+    bound, or 0 for a product that terminates.
     """
-    exps, cutoff, tail, exact_tail = _plan_cutoff(spec)
-    used = [(n, e) for n, e in exps.items() if n <= cutoff]
-    max_log_e = max((_log10_int(e) for _, e in used), default=0.0)
-    prec = spec.digits + 6 + math.ceil(max_log_e) + GUARD_DIGITS
-    with localcontext() as ctx:
-        ctx.prec = prec + 12
-        total = Decimal(0)
-        for n, e in used:
-            t = _dirichlet_sum(n, 1, 2, prec)  # zeta(n) - 1
-            factors = _euler_factor_product(spec.m, n)
-            # zeta_m(n) - 1 = (P - 1) + P * (zeta(n) - 1), P exact
-            t_m = _dec_frac(factors - 1) + _dec_frac(factors) * t
-            total += e * _ln1p(t_m)
-        value = total.exp()
+    exps, cutoff, tail = _plan_cutoff(spec)
+
+    def zeta_m_minus_1(n: int, prec: int) -> Decimal:
+        factors = _euler_factor_product(spec.m, n)
+        # zeta_m(n) - 1 = (P - 1) + P * (zeta(n) - 1), P exact
+        return _dec_frac(factors - 1) + _dec_frac(factors) * _dirichlet_sum(n, 1, 2, prec)
+
+    value, prec = _exp_log_sum(dict(exps), zeta_m_minus_1, spec.digits)
     return ConstantResult(
         value=_quantize(value, spec.digits),
         digits=spec.digits,
         cutoff=cutoff,
         tail_estimate=tail,
-        heuristic_tail=not exact_tail,
+        heuristic_tail=False,
         working_digits=prec,
     )
 
@@ -494,11 +516,6 @@ _G_PLUS = RationalFunction([1, -1, -1], [1, -1, -1, 1])
 _G_MINUS = RationalFunction([1, -1, -1], [1, -1, -1, -1])
 
 
-@lru_cache(maxsize=None)
-def _artin_value(digits: int) -> Decimal:
-    return euler_product(EulerProductSpec(_ARTIN_H, 0, digits)).value
-
-
 @dataclass(frozen=True)
 class BChiResult:
     value: Decimal
@@ -513,7 +530,7 @@ class BChiResult:
             "value": str(self.value),
             "digits": self.digits,
             "tail_estimate": f"{self.tail_estimate:.3e}",
-            "heuristic_tail": True,
+            "heuristic_tail": False,
         }
         if self.direct_value is not None:
             out["direct_value"] = str(self.direct_value)
@@ -528,7 +545,10 @@ def _bchi_exponents(order: int) -> Tuple[List[int], List[int]]:
     Over all k >= 0 the sums give e+_n = A + B and e-_n = A - B + B(n/2)
     (even n), the exponents of _G_PLUS and _G_MINUS, by the cyclotomic
     identity and (1 + z^n)^(-m) = (1 - z^n)^m (1 - z^(2n))^(-m); the k = 0
-    terms m(0, r) = M(-1; r) at n = 3r are then removed."""
+    terms m(0, r) = M(-1; r) in {-1, 0, 1} at n = 3r are then removed.
+    For R >= 3/2 bounding the roots of G+ and G- and s(n) = sum_{d|n} R^d,
+    |e+-_n| <= 5 s(n)/n, so |B(n)| <= 15 s(n)/n over k >= 0 (induction: s(n/2)
+    <= s(n) - R^n < 2 s(n)/3) and |A(n)|, |B(n)| <= 16 s(n)/n without k = 0."""
     plus = _rational_exponents(_G_PLUS, order).exponents
     minus = _rational_exponents(_G_MINUS, order).exponents
     A, B = [0] * (order + 1), [0] * (order + 1)
@@ -543,6 +563,34 @@ def _bchi_exponents(order: int) -> Tuple[List[int], List[int]]:
     return A, B
 
 
+def _bchi_cutoffs(chi: RealDirichletCharacter, digits: int) -> Tuple[int, int, float]:
+    """Orders of the Artin exponents (trivial character, base 2) and of A, B
+    (chi^2 and chi, base the least k >= 2 with chi(k) != 0, weight 2 * 16),
+    and the summed tails; for trivial chi all cancel, so share one order."""
+    base = next(k for k in range(2, chi.modulus + 2) if chi(k))
+    n_artin, tail_artin = _ratfun_cutoff(_ARTIN_H, 2, digits)
+    rho = max(Fraction(3, 2), *map(_root_bound, (_G_PLUS.num, _G_PLUS.den, _G_MINUS.den)))
+    n_ab, tail_ab = _cutoff(32, rho, base, digits)
+    if chi.is_trivial:
+        n_artin = n_ab = max(n_artin, n_ab)
+    return n_artin, n_ab, tail_artin + tail_ab
+
+
+def _bchi_terms(chi: RealDirichletCharacter, n_artin: int, n_ab: int) -> dict:
+    """The nonzero exponents E of b_chi = prod L(n, psi)^E(n, psi): Artin's
+    e_n at (n, 1), +1 at (2, chi) and (3, chi), -1 at (6, chi^2), -A(n) at
+    (n, chi^2) and -B(n) at (n, chi)."""
+    chi2 = chi.square()
+    terms = defaultdict(int, {(2, chi): 1, (3, chi): 1, (6, chi2): -1})
+    for n, e in _rational_exponents(_ARTIN_H, n_artin).items():
+        terms[n, RealDirichletCharacter.trivial()] += e
+    A, B = _bchi_exponents(n_ab)
+    for n in range(1, n_ab + 1):
+        terms[n, chi2] -= A[n]
+        terms[n, chi] -= B[n]
+    return {key: e for key, e in terms.items() if e}
+
+
 def b_chi(
     chi: RealDirichletCharacter,
     digits: int,
@@ -551,43 +599,17 @@ def b_chi(
     """The Euler product prod_p (1 + (chi(p)-1) p / ((p^2 - chi(p)) (p-1)))
     evaluated through Dirichlet L-series.
 
-    The L-series route multiplies the Artin constant by
-    L(2,chi) L(3,chi) / L(6,chi^2) and prod_n L(n,chi^2)^-A(n) L(n,chi)^-B(n),
-    with A and B from two one-variable rational functions (_bchi_exponents).
-    With cross_check_limit set, the defining product over primes up to
-    that limit is computed as well and the difference reported.
+    The L-series route is the Artin constant times L(2,chi) L(3,chi) /
+    L(6,chi^2) prod_n L(n,chi^2)^-A(n) L(n,chi)^-B(n), as one map of
+    exponents keyed by (n, character) cut at proven orders, so each L-value
+    is computed once (none for the trivial character, where all cancel).
+    With cross_check_limit set, the defining product over primes up to that
+    limit is computed as well and the difference reported.
     """
     _check_digits(digits)
-    # A term with |exponent| 2^-n below the skip threshold contributes less
-    # than 10^-(digits+10) (at most ~10^-(digits+5) in total) and is
-    # dropped; working precision only has to absorb the exponents that stay.
-    skip = -(digits + 10.0)
-    chi2 = chi.square()
-    order = 64
-    while True:
-        A, B = _bchi_exponents(order)
-        terms = [(n, e, character) for n in range(1, order + 1)
-                 for e, character in ((A[n], chi2), (B[n], chi))
-                 if e and _log10_int(e) - n * _LOG10_2 >= skip]
-        if not terms or terms[-1][0] <= order - 12:
-            break  # the last 12 n hold no term above the threshold
-        if order >= 16384:
-            raise ValueError("requested precision needs an impractical cutoff")
-        order *= 2
-    max_log_e = max((_log10_int(e) for _, e, _ in terms), default=0.0)
-    prec = digits + 6 + math.ceil(max_log_e) + GUARD_DIGITS
-    with localcontext() as ctx:
-        ctx.prec = prec + 12
-        total = Decimal(0)
-        for n, e, character in terms:
-            total -= e * _ln1p(_l_minus_1(n, character, prec))
-        artin = _artin_value(digits + 8)
-        l2 = l_series(2, chi, prec)
-        l3 = l_series(3, chi, prec)
-        l6 = l_series(6, chi2, prec)
-        value = artin * l2 * l3 / l6 * total.exp()
-        value = +value
-    tail = 10.0 ** (-(digits + 3))
+    n_artin, n_ab, tail = _bchi_cutoffs(chi, digits)
+    terms = _bchi_terms(chi, n_artin, n_ab)
+    value, _ = _exp_log_sum(terms, lambda key, prec: _l_minus_1(*key, prec), digits)
     result_value = _quantize(value, digits)
     if cross_check_limit is None:
         return BChiResult(result_value, digits, tail)
@@ -645,38 +667,6 @@ class ConvergenceReport:
         }
 
 
-def _poly_roots_min_modulus(coeffs: List[int]) -> float:
-    """Smallest |root| of an integer polynomial (Durand-Kerner)."""
-    while coeffs and coeffs[-1] == 0:
-        coeffs = coeffs[:-1]
-    deg = len(coeffs) - 1
-    if deg < 1:
-        return math.inf
-    lead = coeffs[-1]
-    monic = [c / lead for c in coeffs]
-    roots = [complex(0.4, 0.9) ** i for i in range(1, deg + 1)]
-
-    def poly(x: complex) -> complex:
-        acc = 0j
-        for c in reversed(monic):
-            acc = acc * x + c
-        return acc
-
-    for _ in range(200):
-        new = []
-        for i, r in enumerate(roots):
-            denom = 1 + 0j
-            for jj, other in enumerate(roots):
-                if i != jj:
-                    denom *= r - other
-            new.append(r - poly(r) / denom if denom != 0 else r)
-        shift = max(abs(a - b) for a, b in zip(new, roots))
-        roots = new
-        if shift < 1e-14:
-            break
-    return min(abs(r) for r in roots)
-
-
 def check_convergence_hypotheses(
     f: Union[TruncatedSeries, RationalFunction],
 ) -> ConvergenceReport:
@@ -693,8 +683,9 @@ def check_convergence_hypotheses(
         probe = f.expand(64)
         if probe.coeff(0) != 0:
             raise ValueError("f must have zero constant term")
-        radius = _poly_roots_min_modulus(list(f.den))
-        method = "denominator-roots"
+        rho = _root_bound(f.den)  # every pole 1/beta has |1/beta| >= 1/rho
+        radius = math.inf if rho == 0 else float(1 / rho)
+        method = "denominator root bound (a proven lower bound on the radius)"
         coeffs = probe.coeffs
         window_note = ""
     else:

@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
+from .series import _exact_int
+
 __all__ = ["kronecker", "RealDirichletCharacter"]
 
 
@@ -91,7 +93,7 @@ class RealDirichletCharacter:
 
     @classmethod
     def from_values(cls, values: Sequence[int]) -> "RealDirichletCharacter":
-        vals = tuple(int(v) for v in values)
+        vals = tuple(_exact_int(v, "character value") for v in values)
         return cls(len(vals), vals)
 
     def square(self) -> "RealDirichletCharacter":

@@ -12,6 +12,7 @@ series stay on the fast int path.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from decimal import Decimal
@@ -49,6 +50,11 @@ def _decimal(value, what: str, integer: bool = False) -> Coeff:
     if match[2] is None:
         return int(match[1])
     return _norm(Fraction(int(match[1]), int(match[2])))
+
+
+def _exact_int(value, what: str) -> int:
+    """A constructor's integer: text through _decimal, non-integers a TypeError."""
+    return _decimal(value, what, integer=True) if isinstance(value, str) else operator.index(value)
 
 
 def coeff_str(x: Coeff) -> str:
@@ -94,7 +100,7 @@ class TruncatedSeries:
     def __init__(self, coeffs: Sequence[Coeff], order: int | None = None):
         if any(isinstance(c, float) for c in coeffs):
             raise TypeError("coefficients must be exact (int, Fraction, or string)")
-        coeffs = [_norm(Fraction(c) if isinstance(c, str) else c) for c in coeffs]
+        coeffs = [_decimal(c, "coefficient") if isinstance(c, str) else _norm(c) for c in coeffs]
         if order is None:
             order = len(coeffs) - 1
         if order < 0:
@@ -321,8 +327,8 @@ class RationalFunction:
     den: Tuple[int, ...]
 
     def __init__(self, num: Sequence[int], den: Sequence[int]):
-        num = tuple(int(c) for c in num)
-        den = tuple(int(c) for c in den)
+        num = tuple(_exact_int(c, "coefficient") for c in num)
+        den = tuple(_exact_int(c, "coefficient") for c in den)
         if not den or den[0] == 0:
             raise ValueError("denominator must have a nonzero constant term")
         object.__setattr__(self, "num", num)

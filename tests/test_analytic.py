@@ -20,6 +20,7 @@ from wittkit.analytic import (
     partial_zeta,
     zeta,
 )
+from wittkit.arith import divisors, nth_prime, primes_up_to
 from wittkit.characters import RealDirichletCharacter
 from wittkit.errors import DivergenceError
 from wittkit.expansion import _rational_exponents, peel_1d
@@ -314,7 +315,8 @@ def table_route_b_chi(chis, digits):
                     ln_l[3 * r + k, r % 2] = analytic._ln1p(
                         analytic._l_minus_1(3 * r + k, character, prec))
                 total -= m * ln_l[3 * r + k, r % 2]
-            values.append(analytic._artin_value(digits + 8) * l_series(2, chi, prec)
+            values.append(euler_product(EulerProductSpec(ARTIN_H, 0, digits + 8)).value
+                          * l_series(2, chi, prec)
                           * l_series(3, chi, prec) / l_series(6, chi.square(), prec)
                           * total.exp())
     return values
@@ -368,3 +370,163 @@ def test_convergence_requires_zero_constant_term():
         check_convergence_hypotheses(TruncatedSeries([1, 1], 8))
     with pytest.raises(ValueError):
         check_convergence_hypotheses(RationalFunction([-1], [1, -1, -1]))
+
+
+# -- the proven cutoff ----------------------------------------------------
+
+def _reciprocal_root_moduli(poly):
+    # mpmath takes coefficients from the top degree down, so the ascending
+    # list of poly, read that way, is its reversal
+    if len(poly) == 1:
+        return [mpmath.mpf(0)]
+    mpmath.mp.dps = 50
+    return [abs(r) for r in mpmath.polyroots(poly, maxsteps=2000, extraprec=300)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-12, 12), min_size=1, max_size=6)
+       .filter(lambda p: p[0] != 0 and p[-1] != 0))
+def test_root_bound_bounds_every_reciprocal_root(poly):
+    rho = analytic._root_bound(poly)
+    assert isinstance(rho, Fraction)
+    top = max(_reciprocal_root_moduli(poly))
+    assert mpmath.mpf(rho.numerator) / rho.denominator >= top * (1 - mpmath.mpf(10) ** -20)
+
+
+@pytest.mark.parametrize("poly", [[1, -1, -1], [1, -1, -1, -1], [1, -2]],
+                         ids=["artin-num", "g-minus-den", "1-2z"])
+def test_root_bound_is_tight_where_cauchy_is_exact(poly):
+    # Artin's numerator (the golden ratio), G-'s denominator (the
+    # tribonacci constant) and 1 - 2z
+    top = max(_reciprocal_root_moduli(poly))
+    rho = analytic._root_bound(poly)
+    assert top <= mpmath.mpf(rho.numerator) / rho.denominator <= top * (1 + mpmath.mpf(10) ** -9)
+
+
+def test_root_bound_of_a_double_root():
+    # Cauchy's bound of (1 - z)^2 is 1 + sqrt(2); Graeffe's steps bring it near 1
+    assert 1 <= analytic._root_bound([1, -2, 1]) < Fraction(6, 5)
+    assert analytic._root_bound([5]) == 0 == analytic._root_bound([3, 0, 0])
+
+
+def _bound_terms(deg, rho, base, upto):
+    """w_n tau_n / (1 - tau_n) of _cutoff's bound for n = 2..upto, in mpmath."""
+    mpmath.mp.dps = 40
+    R = max(mpmath.mpf(rho.numerator) / rho.denominator, 1)
+    out = {}
+    for n in range(2, upto + 1):
+        tau = mpmath.mpf(base) ** -n + mpmath.mpf(base) ** (1 - n) / (n - 1)
+        w = mpmath.mpf(deg) / n * sum(R**d for d in divisors(n))
+        out[n] = w * tau / (1 - tau)
+    return out
+
+
+@pytest.mark.parametrize("deg, rho, base, digits", [
+    (3, Fraction(1618034, 1000000), 2, 10),    # Artin, m = 0
+    (3, Fraction(2), 3, 20),                   # twin prime, m = 1
+    (32, Fraction(1839287, 1000000), 3, 12),   # A, B of b_chi for chi_-4
+    (2, Fraction(1), 3, 15),                   # roots on the unit circle
+    (3, Fraction(1618034, 1000000), 17, 200),  # Artin, m = 6
+], ids=["artin", "twin", "b_chi", "unit-circle", "artin-m6"])
+def test_cutoff_bounds_the_exact_tail_sum(deg, rho, base, digits):
+    # _cutoff's closed form against the sum it bounds, term by term
+    N, tail = analytic._cutoff(deg, rho, base, digits)
+    target = mpmath.mpf(10) ** -(digits + 4)
+    terms = _bound_terms(deg, rho, base, N + 1500)
+    after = sum(t for n, t in terms.items() if n > N)
+    assert terms[N + 1500] < after * mpmath.mpf(10) ** -30  # the rest is negligible
+    assert after <= tail * (1 + 1e-9) and tail <= target
+    # the cutoff is at most two orders above the least the exact sum allows
+    assert after + terms[N] + terms[N - 1] + terms[N - 2] > target
+
+
+def test_cutoff_refuses_divergence_and_impractical_orders():
+    with pytest.raises(DivergenceError, match="increase m"):
+        analytic._cutoff(3, Fraction(2), 2, 10)
+    with pytest.raises(ValueError, match="impractical cutoff"):
+        analytic._cutoff(3, Fraction(2), 3, 5000)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    inner = getattr(analytic, name)
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(analytic, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("run", [
+    lambda: b_chi(RealDirichletCharacter.from_kronecker(5), 3000),
+    lambda: euler_product(EulerProductSpec(TWIN_H, 1, 5000)),
+], ids=["b_chi-kronecker5-D3000", "twin-m1-D5000"])
+def test_oversized_requests_fail_before_any_value(monkeypatch, run):
+    sums = _counting(monkeypatch, "_dirichlet_sum")
+    exponents = _counting(monkeypatch, "_rational_exponents")
+    with pytest.raises(ValueError, match="^requested precision needs an impractical cutoff$"):
+        run()
+    assert sums == [] and exponents == []
+
+
+@pytest.mark.parametrize("digits", [8, 16])
+def test_b_chi_trivial_is_exactly_one_without_l_values(monkeypatch, digits):
+    calls = _counting(monkeypatch, "_l_minus_1")
+    rep = b_chi(RealDirichletCharacter.trivial(), digits)
+    assert rep.value == 1 and calls == []
+    assert rep.to_json_dict()["heuristic_tail"] is False
+
+
+def test_bchi_terms_vanish_for_the_trivial_character():
+    # Artin e_n + [n=2] + [n=3] - [n=6] - A(n) - B(n) = 0 for every n
+    assert analytic._bchi_terms(RealDirichletCharacter.trivial(), 200, 200) == {}
+
+
+def test_b_chi_computes_each_l_value_once(monkeypatch):
+    chi = RealDirichletCharacter.from_kronecker(-4)
+    n_artin, n_ab, _ = analytic._bchi_cutoffs(chi, 30)
+    calls = _counting(monkeypatch, "_l_minus_1")
+    b_chi(chi, 30)
+    keys = [(s, character) for s, character, _ in calls]
+    assert len(set(keys)) == len(keys) <= 2 * (max(n_artin, n_ab) + 1)
+
+
+def _minus_one(n, allowed, limit=60):
+    """sum_{2 <= k <= limit} allowed(k) k^-n in mpmath: zeta_m(n) - 1 or
+    L(n, psi) - 1, far past what the cutoffs below need."""
+    return sum(allowed(k) * mpmath.mpf(k) ** -n for k in range(2, limit + 1))
+
+
+def _log_sum(terms):
+    """|sum e ln(1 + t)| over (e, n, allowed) with t = _minus_one(n, allowed)."""
+    mpmath.mp.dps = 50
+    return abs(sum(e * mpmath.log1p(_minus_one(n, allowed)) for e, n, allowed in terms))
+
+
+@pytest.mark.parametrize("h, m, digits", [(ARTIN_H, 0, 10), (ARTIN_H, 0, 30), (TWIN_H, 1, 20)],
+                         ids=["artin-m0-D10", "artin-m0-D30", "twin-m1-D20"])
+def test_proven_tail_bounds_the_omitted_factors(h, m, digits):
+    result = euler_product(EulerProductSpec(h, m, digits))
+    assert result.heuristic_tail is False and result.tail_estimate > 0
+    N = result.cutoff
+    removed = primes_up_to(nth_prime(m)) if m else []
+
+    def rough(k):
+        return int(all(k % p for p in removed))
+
+    omitted = [(e, n, rough) for n, e in _rational_exponents(h, N + 400).items() if n > N]
+    assert _log_sum(omitted) <= result.tail_estimate
+
+
+def test_proven_b_chi_tail_bounds_the_omitted_factors():
+    chi = RealDirichletCharacter.from_kronecker(-4)
+    rep = b_chi(chi, 12)
+    n_artin, n_ab, tail = analytic._bchi_cutoffs(chi, 12)
+    assert rep.tail_estimate == tail
+    trivial = RealDirichletCharacter.trivial()
+    omitted = [(e, n, psi) for (n, psi), e in
+               analytic._bchi_terms(chi, n_artin + 400, n_ab + 400).items()
+               if n > (n_artin if psi == trivial else n_ab)]
+    assert _log_sum(omitted) <= tail

@@ -133,7 +133,7 @@ def test_constant_artin(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["value"].startswith("0.3739558136")
-    assert data["heuristic_tail"] is True
+    assert data["heuristic_tail"] is False
 
 
 def test_constant_with_direct_cross_check(capsys):
@@ -164,6 +164,15 @@ def test_constant_divergence_exit_code(capsys):
                          "--m", "0", "--digits", "8")
     assert code == 1
     assert "increase m" in json.loads(out)["error"]
+
+
+def test_impractical_cutoff_is_usage_error(capsys):
+    message = "usage error: requested precision needs an impractical cutoff\n"
+    code, out, err = run(capsys, "constant", "--h", '{"num":[1,-2],"den":[1,-2,1]}',
+                         "--m", "1", "--digits", "5000")
+    assert (code, out, err) == (2, "", message)
+    code, out, err = run(capsys, "bchi", "--kronecker", "5", "--digits", "3000")
+    assert (code, out, err) == (2, "", message)
 
 
 def test_constant_non_integral_h_is_usage_error(capsys):

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import longdiv_series
+from wittkit.analytic import hurwitz_zeta
+from wittkit.characters import RealDirichletCharacter
 from wittkit.errors import IntegralityError
 from wittkit.series import RationalFunction, TruncatedSeries, coeff_str
 
@@ -24,6 +26,32 @@ def test_construction_and_parsing():
     # a fraction that reduces to an integer is normalized
     assert S([Fraction(4, 2)]).coeffs == (2,)
     assert S([Fraction(4, 2)]).is_integral()
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: TruncatedSeries(["1_0", "\u0663"]), ValueError),
+    (lambda: TruncatedSeries(["1", 0.5]), TypeError),
+    (lambda: RationalFunction(["1_0"], ["\u0663"]), ValueError),
+    (lambda: RationalFunction([1, -1.5], [1]), TypeError),
+    (lambda: RationalFunction([1, Fraction(-3, 2)], [1]), TypeError),
+    (lambda: hurwitz_zeta(2, "1_0/2\u0663", 5), ValueError),
+    (lambda: hurwitz_zeta(2, 0.1, 5), TypeError),
+    (lambda: RealDirichletCharacter.from_values(["0", "\u0661", "0", "-1"]), ValueError),
+    (lambda: RealDirichletCharacter.from_values([0, 1, 0, -1.0]), TypeError),
+], ids=["series-text", "series-float", "ratfun-text", "ratfun-float", "ratfun-fraction",
+        "hurwitz-text", "hurwitz-float", "character-text", "character-float"])
+def test_constructors_take_only_exact_decimal_input(build, error):
+    # int() and Fraction() would read underscores, non-ASCII digits and floats
+    with pytest.raises(error):
+        build()
+
+
+def test_constructors_read_decimal_text():
+    assert TruncatedSeries(["10", " -3/6 "]).coeffs == (10, Fraction(-1, 2))
+    assert RationalFunction(["1", "-1"], [1, "+2"]) == RationalFunction([1, -1], [1, 2])
+    assert hurwitz_zeta(2, "1/4", 8) == hurwitz_zeta(2, Fraction(1, 4), 8)
+    assert RealDirichletCharacter.from_values(["0", "1", "0", "-1"]) \
+        == RealDirichletCharacter.from_kronecker(-4)
 
 
 def test_add_examples():

@@ -44,7 +44,7 @@ from .arith import bernoulli, nth_prime, primes_up_to
 from .characters import RealDirichletCharacter
 from .errors import DivergenceError, IntegralityError
 # peel_1d is unused here but stays bound: perfbench's span tests rebind it
-from .expansion import _mul_one_minus_pow, _rational_exponents, peel_1d  # noqa: F401
+from .expansion import _mul_factor, _rational_exponents, peel_1d  # noqa: F401
 from .necklace import necklace_poly
 from .series import RationalFunction, TruncatedSeries, _decimal
 
@@ -321,7 +321,7 @@ class ConstantResult:
     value: Decimal
     digits: int
     cutoff: int
-    tail_estimate: float
+    tail_estimate: Decimal
     heuristic_tail: bool
     working_digits: int
 
@@ -330,10 +330,17 @@ class ConstantResult:
             "value": str(self.value),
             "digits": self.digits,
             "cutoff": self.cutoff,
-            "tail_estimate": f"{self.tail_estimate:.3e}",
+            "tail_estimate": _sci(self.tail_estimate),
             "heuristic_tail": self.heuristic_tail,
             "working_digits": self.working_digits,
         }
+
+
+def _sci(x: Decimal) -> str:
+    """x to four significant digits, as f"{x:.3e}" prints a float, also
+    below the float range (where a float would print 0.000e+00)."""
+    mantissa, exponent = f"{x:.3e}".split("e") if x else ("0.000", "0")
+    return f"{mantissa}e{int(exponent):+03d}"
 
 
 def _is_exact_factorization(h: RationalFunction, exps) -> Optional[bool]:
@@ -345,13 +352,13 @@ def _is_exact_factorization(h: RationalFunction, exps) -> Optional[bool]:
     # pad both sides to the larger product degree, so nothing is truncated
     top = max(len(h.num) - 1 + sum(n * e for n, e in exps if e > 0),
               len(h.den) - 1 - sum(n * e for n, e in exps if e < 0))
-    num = list(h.num) + [0] * (top + 1 - len(h.num))
-    den = list(h.den) + [0] * (top + 1 - len(h.den))
+    num = [list(h.num) + [0] * (top + 1 - len(h.num))]
+    den = [list(h.den) + [0] * (top + 1 - len(h.den))]
     for n, e in exps:
         if e > 0:
-            num = _mul_one_minus_pow(num, n, e)
+            num = _mul_factor(num, n, 0, e)
         else:
-            den = _mul_one_minus_pow(den, n, -e)
+            den = _mul_factor(den, n, 0, -e)
     return num == den
 
 
@@ -384,7 +391,7 @@ def _root_bound(poly: Sequence[int]) -> Fraction:
     return best or Fraction(0)
 
 
-def _cutoff(deg: int, rho: Fraction, base: int, digits: int) -> Tuple[int, float]:
+def _cutoff(deg: int, rho: Fraction, base: int, digits: int) -> Tuple[int, Decimal]:
     """(N, T(N)) for the least N with T(N) <= 10^-(digits+4), where T(N)
     bounds sum_{n>N} |e_n ln(1 + t_n)|: |e_n| <= (deg/n) sum_{d|n} R^d for
     deg reciprocal roots bounded by rho, R = max(rho, 1); |t_n| <= tau_n =
@@ -392,6 +399,8 @@ def _cutoff(deg: int, rho: Fraction, base: int, digits: int) -> Tuple[int, float
     term below k = b = base; |ln(1 + t)| <= |t|/(1 - |t|).  By sum_{d|n} R^d
     <= R^n + (n/2) R^(n/2), with x = R/b, y = sqrt(R)/b, T(N) = deg (1 + b/N)
     (x^(N+1)/((N+1)(1-x)) + y^(N+1)/(2(1-y))) / (1 - tau_(N+1)).
+    T(N) is a Decimal, 10^-(digits+4) exp(ln(T(N)) + (digits+4) ln 10), so
+    it stays positive where a float would underflow.
     DivergenceError iff rho >= b; ValueError iff N > 16384."""
     if rho >= base:
         raise DivergenceError(f"the reciprocal roots of h may reach {float(rho):.3f} >= "
@@ -408,10 +417,10 @@ def _cutoff(deg: int, rho: Fraction, base: int, digits: int) -> Tuple[int, float
     if ln_r > ln_b - 1e-9 or ln_tail(16384) > 0:
         raise ValueError("requested precision needs an impractical cutoff")
     n = bisect_left(range(16385), True, lo=1, key=lambda n: ln_tail(n) <= 0)
-    return n, math.exp(ln_tail(n) + ln_target)
+    return n, Decimal(math.exp(ln_tail(n))).scaleb(-(digits + 4))
 
 
-def _ratfun_cutoff(h: RationalFunction, base: int, digits: int) -> Tuple[int, float]:
+def _ratfun_cutoff(h: RationalFunction, base: int, digits: int) -> Tuple[int, Decimal]:
     """_cutoff for h, with at most len(num) + len(den) - 2 reciprocal roots."""
     return _cutoff(len(h.num) + len(h.den) - 2, max(map(_root_bound, (h.num, h.den))),
                    base, digits)
@@ -422,7 +431,7 @@ def _plan_cutoff(spec: EulerProductSpec):
     cutoff, tail = _ratfun_cutoff(spec.h, nth_prime(spec.m + 1), spec.digits)
     exps = _rational_exponents(spec.h, cutoff).items()
     if _is_exact_factorization(spec.h, exps):
-        return exps, exps[-1][0] if exps else 1, 0.0
+        return exps, exps[-1][0] if exps else 1, Decimal(0)
     return exps, cutoff, tail
 
 
@@ -502,7 +511,7 @@ def euler_product_direct(spec: EulerProductSpec, prime_limit: int) -> ConstantRe
         value=_quantize(value, spec.digits),
         digits=spec.digits,
         cutoff=prime_limit,
-        tail_estimate=tail,
+        tail_estimate=Decimal(tail),
         heuristic_tail=True,
         working_digits=prec,
     )
@@ -520,7 +529,7 @@ _G_MINUS = RationalFunction([1, -1, -1], [1, -1, -1, -1])
 class BChiResult:
     value: Decimal
     digits: int
-    tail_estimate: float
+    tail_estimate: Decimal
     direct_value: Optional[Decimal] = None
     direct_tail_estimate: Optional[float] = None
     difference: Optional[float] = None
@@ -529,7 +538,7 @@ class BChiResult:
         out = {
             "value": str(self.value),
             "digits": self.digits,
-            "tail_estimate": f"{self.tail_estimate:.3e}",
+            "tail_estimate": _sci(self.tail_estimate),
             "heuristic_tail": False,
         }
         if self.direct_value is not None:
@@ -563,7 +572,7 @@ def _bchi_exponents(order: int) -> Tuple[List[int], List[int]]:
     return A, B
 
 
-def _bchi_cutoffs(chi: RealDirichletCharacter, digits: int) -> Tuple[int, int, float]:
+def _bchi_cutoffs(chi: RealDirichletCharacter, digits: int) -> Tuple[int, int, Decimal]:
     """Orders of the Artin exponents (trivial character, base 2) and of A, B
     (chi^2 and chi, base the least k >= 2 with chi(k) != 0, weight 2 * 16),
     and the summed tails; for trivial chi all cancel, so share one order."""

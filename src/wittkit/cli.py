@@ -127,7 +127,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--F", type=_biseries, required=True)
     p.add_argument("--J", type=_int)
     p.add_argument("--K", type=_int)
-    p.add_argument("--order", choices=("k-major", "j-major"), default="k-major")
 
     p = sub.add_parser("cyclotomic", help="two-variable product identity check")
     p.add_argument("--f", type=_series, required=True)
@@ -220,7 +219,7 @@ def _run(args) -> int:
                 grid.deg_z if args.J is None else args.J,
                 grid.deg_y if args.K is None else args.K,
             )
-        _emit(peel_2d(grid, args.order).to_json_dict())
+        _emit(peel_2d(grid).to_json_dict())
         return 0
     if cmd == "cyclotomic":
         rep = cyclotomic_check(args.f, args.J, args.K)

@@ -1,16 +1,17 @@
 """Unique infinite-product expansions.
 
-Every unital integer series factors uniquely as prod_n (1 - z^n)^(-e_n);
-peel_1d recovers the exponents from the logarithmic derivative z f'/f,
-whose coefficients are sum_{d|n} d e_d, by Moebius inversion, while
-reconstruct_1d multiplies the factors back out, so comparing the two
-checks one algorithm against another.  For rational h = num/den,
-_rational_exponents takes the same route without expanding h, from the
-recurrence (num den) z h'/h = z (num' den - num den') in O(N deg).  The
-two-variable analogue factors 1 + f(z, y) as prod (1 - z^j y^k)^(e(j,k)),
-peeled in increasing weight ((j1,k1) before (j2,k2) iff k1 < k2, or
-k1 == k2 and j1 < j2).  The result does not depend on the weight order,
-which tests assert by re-peeling j-major rather than trusting.
+Every unital integer series factors uniquely as prod_n (1 - z^n)^(-e_n),
+and every unital integer grid as prod (1 - z^j y^k)^(e(j,k)).  One kernel,
+_exponents, recovers both from the logarithmic derivative: for the
+total-degree operator theta (z^a y^b -> (a + b) z^a y^b) the coefficients
+of theta F / F are sum_{m | gcd(a,b)} w(a/m, b/m) with w(j, k) = (j + k)
+times the exponent at (j, k), so Moebius inversion gives the exponents.
+peel_1d and peel_2d take that route; for rational h = num/den,
+_rational_exponents takes it without expanding h, from the recurrence
+(num den) z h'/h = z (num' den - num den') in O(N deg).  One factor kernel,
+_mul_factor, multiplies the products back out (reconstruct_1d,
+reconstruct_2d, cyclotomic_check), so comparing the two checks one
+algorithm against another.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .arith import moebius
 from .errors import IntegralityError
-from .series import (RationalFunction, TruncatedSeries, _decimal, _json_array,
+from .series import (RationalFunction, TruncatedSeries, _decimal, _exact_int, _json_array,
                      _json_field, _json_int, coeff_str)
 from .witt import witt_table
 
@@ -49,21 +50,26 @@ def _binom_term(e: int, i: int) -> int:
     return math.comb(-e + i - 1, i)
 
 
-def _mul_one_minus_pow(coeffs: List[int], n: int, e: int) -> List[int]:
-    """Multiply a dense coefficient list by (1 - z^n)^e, truncated."""
-    if e == 0:
-        return coeffs
-    top = len(coeffs) - 1
-    out = [0] * len(coeffs)
-    for i in range(top // n + 1):
+def _mul_factor(rows: Sequence[Sequence[int]], j: int, k: int, e: int) -> List[List[int]]:
+    """Multiply the grid rows[b][a] (the coefficient of z^a y^b) by
+    (1 - z^j y^k)^e, truncated to its shape; a series is one row."""
+    if (j, k) == (0, 0):
+        raise ValueError("factor exponent position (0,0) is not allowed")
+    J, K = len(rows[0]) - 1, len(rows) - 1
+    limit = min(J // j if j else K, K // k if k else J)
+    out = [[0] * (J + 1) for _ in range(K + 1)]
+    for i in range(limit + 1):
         b = _binom_term(e, i)
         if b == 0:
             continue
-        shift = n * i
-        for m in range(top - shift + 1):
-            c = coeffs[m]
-            if c:
-                out[m + shift] += b * c
+        dj, dk = i * j, i * k
+        for k0 in range(K + 1 - dk):
+            row = rows[k0]
+            orow = out[k0 + dk]
+            for j0 in range(J + 1 - dj):
+                c = row[j0]
+                if c:
+                    orow[j0 + dj] += b * c
     return out
 
 
@@ -87,39 +93,54 @@ class Expansion1D:
                 "e": {str(n): coeff_str(e) for n, e in self.items()}}
 
 
-def _exponents(p: Sequence[int], r: Sequence[int], order: int) -> Expansion1D:
-    """Exponents e_1..e_order of the unital f whose log-derivative
-    c = z f'/f solves p c = r: c_n = (r_n - sum_{i>=1} p_i c_(n-i)) / p_0,
-    then n e_n = sum_{d|n} mu(n/d) c_d by Moebius inversion.  Every
-    division, by p_0 and by n, is checked to be exact (IntegralityError)."""
-    support = [(i, p[i]) for i in range(1, len(p)) if p[i]]
-    c = [0] * (order + 1)
-    for n in range(1, order + 1):
-        acc = r[n] if n < len(r) else 0
-        for i, pi in support:
-            if i >= n:
-                break
-            acc -= pi * c[n - i]
-        c[n], rem = divmod(acc, p[0])
-        if rem:
-            raise IntegralityError(f"c_{n} is not an integer")
-    mu = [0] + [moebius(m) for m in range(1, order + 1)]
-    ne = [0] * (order + 1)
-    for d in range(1, order + 1):
-        cd = c[d]
-        if cd:
-            for m in range(1, order // d + 1):
-                if mu[m] == 1:
-                    ne[d * m] += cd
-                elif mu[m]:
-                    ne[d * m] -= cd
-    exps = []
-    for n in range(1, order + 1):
-        e_n, rem = divmod(ne[n], n)
-        if rem:
-            raise IntegralityError(f"exponent {n} is not an integer")
-        exps.append(e_n)
-    return Expansion1D(order, tuple(exps))
+def _exponents(p: Sequence[Sequence[int]], r: Sequence[Sequence[int]],
+               J: int, K: int) -> List[List[int]]:
+    """Exponents E(a, b), a <= J, b <= K, of the unital F = prod
+    (1 - z^a y^b)^(-E(a,b)) whose log-derivative c = theta F / F solves
+    p c = r; grids are rows, rows[b][a] the coefficient of z^a y^b.  c(a, b)
+    = (r(a, b) - sum_{(i,l) != (0,0)} p(i, l) c(a-i, b-l)) / p(0, 0), then
+    (a + b) E(a, b) = sum_{m | gcd(a,b)} mu(m) c(a/m, b/m), gcd(a, 0) = a.
+    Every division, by p(0, 0) and by a + b, is checked to be exact
+    (IntegralityError)."""
+    # p's support, row by row and by z-degree within a row, so that the
+    # sums stop at the first term past (a, b)
+    support = [(l, [(i, pi) for i, pi in enumerate(row) if pi and (i or l)])
+               for l, row in enumerate(p[: K + 1])]
+    support = [(l, terms) for l, terms in support if terms]
+    p0 = p[0][0]
+    c = [[0] * (J + 1) for _ in range(K + 1)]
+    for b in range(K + 1):
+        rb = r[b] if b < len(r) else ()
+        for a in range(1 if b == 0 else 0, J + 1):
+            acc = rb[a] if a < len(rb) else 0
+            for l, terms in support:
+                if l > b:
+                    break
+                cl = c[b - l]
+                for i, pi in terms:
+                    if i > a:
+                        break
+                    acc -= pi * cl[a - i]
+            c[b][a], rem = divmod(acc, p0)
+            if rem:
+                raise IntegralityError(f"log-derivative coefficient at z^{a} y^{b} "
+                                       "is not an integer")
+    mu = [0] + [moebius(m) for m in range(1, max(J, K) + 1)]
+    E = [[0] * (J + 1) for _ in range(K + 1)]
+    # row-major order: (a, b) receives only from its divisors, which come first
+    for b in range(K + 1):
+        for a in range(1 if b == 0 else 0, J + 1):
+            cab = c[b][a]
+            if cab:
+                for m in range(1, min(J // a if a else K, K // b if b else J) + 1):
+                    if mu[m] == 1:
+                        E[b * m][a * m] += cab
+                    elif mu[m]:
+                        E[b * m][a * m] -= cab
+            E[b][a], rem = divmod(E[b][a], a + b)
+            if rem:
+                raise IntegralityError(f"exponent at z^{a} y^{b} is not an integer")
+    return E
 
 
 def peel_1d(f: TruncatedSeries) -> Expansion1D:
@@ -132,7 +153,8 @@ def peel_1d(f: TruncatedSeries) -> Expansion1D:
     if f.coeff(0) != 1:
         raise ValueError(f"peel_1d requires a unital series, got f(0) = {f.coeff(0)}")
     a = f.coeffs
-    return _exponents(a, [n * an for n, an in enumerate(a)], f.order)
+    E = _exponents([a], [[n * an for n, an in enumerate(a)]], f.order, 0)
+    return Expansion1D(f.order, tuple(E[0][1:]))
 
 
 def _rational_exponents(h: RationalFunction, order: int) -> Expansion1D:
@@ -146,19 +168,20 @@ def _rational_exponents(h: RationalFunction, order: int) -> Expansion1D:
     z_num1 = TruncatedSeries([i * a for i, a in enumerate(h.num)], top)
     z_den1 = TruncatedSeries([i * a for i, a in enumerate(h.den)], top)
     try:
-        return _exponents((num * den).coeffs, (z_num1 * den - num * z_den1).coeffs, order)
+        E = _exponents([(num * den).coeffs], [(z_num1 * den - num * z_den1).coeffs], order, 0)
     except IntegralityError:
         raise ValueError("h must have an integer-coefficient expansion") from None
+    return Expansion1D(order, tuple(E[0][1:]))
 
 
 def reconstruct_1d(expansion: Expansion1D, order: int) -> TruncatedSeries:
     """prod_n (1 - z^n)^(-e_n) truncated at the given order."""
-    coeffs = [1] + [0] * order
+    rows = [[1] + [0] * order]
     for n, e_n in expansion.items():
         if n > order:
             break
-        coeffs = _mul_one_minus_pow(coeffs, n, -e_n)
-    return TruncatedSeries(coeffs, order)
+        rows = _mul_factor(rows, n, 0, -e_n)
+    return TruncatedSeries(rows[0], order)
 
 
 # -- two-variable grids ------------------------------------------------
@@ -184,10 +207,13 @@ class BiSeries:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "BiSeries":
+        """Integer entries or decimal-integer text; anything else raises."""
+        if not rows or not rows[0]:
+            raise ValueError("a grid needs at least one row and one column")
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ValueError("ragged grid")
-        return cls(tuple(tuple(int(c) for c in r) for r in rows))
+        return cls(tuple(tuple(_exact_int(c, "grid entry") for c in r) for r in rows))
 
     @classmethod
     def one(cls, deg_z: int, deg_y: int) -> "BiSeries":
@@ -226,26 +252,7 @@ class BiSeries:
 
     def mul_factor(self, j: int, k: int, e: int) -> "BiSeries":
         """Multiply by (1 - z^j y^k)^e, truncated to the grid degrees."""
-        if (j, k) == (0, 0):
-            raise ValueError("factor exponent position (0,0) is not allowed")
-        if e == 0:
-            return self
-        J, K = self.deg_z, self.deg_y
-        limit = min(J // j if j else K, K // k if k else J)
-        out = [[0] * (J + 1) for _ in range(K + 1)]
-        for i in range(limit + 1):
-            b = _binom_term(e, i)
-            if b == 0:
-                continue
-            dj, dk = i * j, i * k
-            for k0 in range(K + 1 - dk):
-                row = self.grid[k0]
-                orow = out[k0 + dk]
-                for j0 in range(J + 1 - dj):
-                    c = row[j0]
-                    if c:
-                        orow[j0 + dj] += b * c
-        return BiSeries.from_rows(out)
+        return BiSeries.from_rows(_mul_factor(self.grid, j, k, e))
 
     def truncate(self, deg_z: int, deg_y: int) -> "BiSeries":
         if deg_z > self.deg_z or deg_y > self.deg_y:
@@ -300,44 +307,26 @@ class Expansion2D:
         }
 
 
-def _weight_cells(J: int, K: int, order: str) -> List[Tuple[int, int]]:
-    cells = [(j, k) for k in range(K + 1) for j in range(J + 1) if (j, k) != (0, 0)]
-    if order == "k-major":
-        cells.sort(key=lambda jk: (jk[1], jk[0]))
-    elif order == "j-major":
-        cells.sort(key=lambda jk: (jk[0], jk[1]))
-    else:
-        raise ValueError(f"unknown weight order {order!r}")
-    return cells
-
-
-def peel_2d(F: BiSeries, order: str = "k-major") -> Expansion2D:
-    """Unique product exponents of a unital integer grid.
-
-    Peels in increasing weight; at each cell the exponent is the negated
-    residual coefficient there, so the residual's lowest weight strictly
-    increases.
-    """
+def peel_2d(F: BiSeries) -> Expansion2D:
+    """Unique product exponents of a unital integer grid: _exponents with
+    p = F and r = theta F, theta F(a, b) = (a + b) F(a, b), negated for the
+    (1 - z^j y^k)^(+e) convention."""
     if F.coeff(0, 0) != 1:
         raise ValueError("peel_2d requires a unital grid (c(0,0) = 1)")
-    residual = F
-    exps = {}
-    for j, k in _weight_cells(F.deg_z, F.deg_y, order):
-        c = residual.coeff(j, k)
-        if c:
-            exps[(j, k)] = -c
-            residual = residual.mul_factor(j, k, c)
-    assert residual == BiSeries.one(F.deg_z, F.deg_y), "2-D peel residual did not clear"
-    return Expansion2D(F.deg_z, F.deg_y, tuple(sorted(exps.items())))
+    J, K = F.deg_z, F.deg_y
+    theta = [[(a + b) * c for a, c in enumerate(row)] for b, row in enumerate(F.grid)]
+    E = _exponents(F.grid, theta, J, K)
+    return Expansion2D(J, K, tuple(((j, k), -E[k][j])
+                                   for j in range(J + 1) for k in range(K + 1) if E[k][j]))
 
 
 def reconstruct_2d(expansion: Expansion2D, deg_z: int, deg_y: int) -> BiSeries:
     """prod (1 - z^j y^k)^(e(j,k)) truncated to the given bidegree."""
-    out = BiSeries.one(deg_z, deg_y)
-    for (j, k), e in sorted(expansion.exponents, key=lambda item: (item[0][1], item[0][0])):
+    rows = BiSeries.one(deg_z, deg_y).grid
+    for (j, k), e in expansion.exponents:
         if j <= deg_z and k <= deg_y:
-            out = out.mul_factor(j, k, e)
-    return out
+            rows = _mul_factor(rows, j, k, e)
+    return BiSeries.from_rows(rows)
 
 
 @dataclass(frozen=True)
@@ -365,18 +354,9 @@ def cyclotomic_check(f: TruncatedSeries, deg_z: int, deg_y: int) -> CyclotomicRe
         )
     lhs = BiSeries.geometric(f, deg_z, deg_y)
     table = witt_table(f.truncate(deg_z), deg_y)
-    rhs = BiSeries.one(deg_z, deg_y)
-    for k in range(1, deg_y + 1):
-        for j in range(deg_z + 1):
-            m = table.m(j, k)
-            if m:
-                rhs = rhs.mul_factor(j, k, -m)
-    mismatch = None
-    for k in range(deg_y + 1):
-        for j in range(deg_z + 1):
-            if lhs.coeff(j, k) != rhs.coeff(j, k):
-                mismatch = (j, k)
-                break
-        if mismatch:
-            break
+    minus_m = tuple(((j, k), -m) for k, row in enumerate(table.rows, 1)
+                    for j, m in enumerate(row.coeffs) if m)
+    rhs = reconstruct_2d(Expansion2D(deg_z, deg_y, minus_m), deg_z, deg_y)
+    mismatch = next(((j, k) for k in range(deg_y + 1) for j in range(deg_z + 1)
+                     if lhs.coeff(j, k) != rhs.coeff(j, k)), None)
     return CyclotomicReport(mismatch is None, mismatch, lhs, rhs)

@@ -157,6 +157,8 @@ class TruncatedSeries:
         return self._all_int
 
     def truncate(self, order: int) -> "TruncatedSeries":
+        if order < 0:
+            raise ValueError("series order must be >= 0")
         if order > self.order:
             raise ValueError(
                 f"cannot extend truncation {self.order} to {order}: "

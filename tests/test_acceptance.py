@@ -65,8 +65,8 @@ def test_criterion_6_cyclotomic_identities():
 
 def test_criterion_7_expansion_uniqueness():
     result = expansion_uniqueness_battery(seeds=100, order=24)
-    _report(7, "peel/reconstruct/re-peel fixed points; weight-order "
-               "independence", result)
+    _report(7, "peel/reconstruct/re-peel fixed points; transpose "
+               "symmetry of the 2-D peel", result)
 
 
 def test_criterion_8_artin_constant():

@@ -260,7 +260,7 @@ def test_b_chi_trivial_is_one():
 def test_b_chi_cross_route():
     chi = RealDirichletCharacter.from_kronecker(-4)
     rep = b_chi(chi, 8, cross_check_limit=10**5)
-    budget = rep.tail_estimate + rep.direct_tail_estimate + 2e-8
+    budget = float(rep.tail_estimate) + rep.direct_tail_estimate + 2e-8
     assert rep.difference <= budget
 
 
@@ -435,7 +435,7 @@ def test_cutoff_bounds_the_exact_tail_sum(deg, rho, base, digits):
     terms = _bound_terms(deg, rho, base, N + 1500)
     after = sum(t for n, t in terms.items() if n > N)
     assert terms[N + 1500] < after * mpmath.mpf(10) ** -30  # the rest is negligible
-    assert after <= tail * (1 + 1e-9) and tail <= target
+    assert after <= mpmath.mpf(str(tail)) * (1 + 1e-9) and tail <= Decimal(10) ** -(digits + 4)
     # the cutoff is at most two orders above the least the exact sum allows
     assert after + terms[N] + terms[N - 1] + terms[N - 2] > target
 
@@ -445,6 +445,24 @@ def test_cutoff_refuses_divergence_and_impractical_orders():
         analytic._cutoff(3, Fraction(2), 2, 10)
     with pytest.raises(ValueError, match="impractical cutoff"):
         analytic._cutoff(3, Fraction(2), 3, 5000)
+
+
+@pytest.mark.parametrize("digits", [310, 400])
+def test_cutoff_tail_stays_positive_below_the_float_range(digits):
+    _, tail = analytic._ratfun_cutoff(ARTIN_H, 2, digits)
+    assert 0 < tail <= Decimal(10) ** -(digits + 4)
+
+
+def test_euler_product_tail_below_the_float_range():
+    result = euler_product(EulerProductSpec(ARTIN_H, 6, 330))
+    assert 0 < result.tail_estimate <= Decimal(10) ** -334
+    text = result.to_json_dict()["tail_estimate"]
+    assert abs(Decimal(text) / result.tail_estimate - 1) < Decimal("1e-3")
+
+
+@pytest.mark.parametrize("x", [0.0, 3.2e-6, 9.99951e-5, 1.2345678e-100, 2.5e5, 5e-300])
+def test_tail_text_is_the_float_text(x):
+    assert analytic._sci(Decimal(x)) == f"{x:.3e}"
 
 
 def _counting(monkeypatch, name):
@@ -517,7 +535,7 @@ def test_proven_tail_bounds_the_omitted_factors(h, m, digits):
         return int(all(k % p for p in removed))
 
     omitted = [(e, n, rough) for n, e in _rational_exponents(h, N + 400).items() if n > N]
-    assert _log_sum(omitted) <= result.tail_estimate
+    assert _log_sum(omitted) <= mpmath.mpf(str(result.tail_estimate))
 
 
 def test_proven_b_chi_tail_bounds_the_omitted_factors():
@@ -529,4 +547,4 @@ def test_proven_b_chi_tail_bounds_the_omitted_factors():
     omitted = [(e, n, psi) for (n, psi), e in
                analytic._bchi_terms(chi, n_artin + 400, n_ab + 400).items()
                if n > (n_artin if psi == trivial else n_ab)]
-    assert _log_sum(omitted) <= tail
+    assert _log_sum(omitted) <= mpmath.mpf(str(tail))

@@ -303,6 +303,21 @@ def test_malformed_json_inputs_are_usage_errors(capsys, argv):
     assert run(capsys, *argv)[0] == 2
 
 
+GRID_1_1 = '{"J":1,"K":1,"rows":[["1","0"],["0","-1"]]}'
+
+
+@pytest.mark.parametrize("argv", [
+    ("expand", "--f", '{"order":3,"coeffs":[1,1]}', "--N", "-1"),
+    ("expand2d", "--F", GRID_1_1, "--J", "-1"),
+    ("expand2d", "--F", GRID_1_1, "--K", "-1"),
+    ("cyclotomic", "--f", '{"order":3,"coeffs":[1,1]}', "--J", "2", "--K", "-1"),
+    ("cyclotomic", "--f", '{"order":3,"coeffs":[1,1]}', "--J", "-1", "--K", "2"),
+], ids=["expand-N", "expand2d-J", "expand2d-K", "cyclotomic-K", "cyclotomic-J"])
+def test_negative_sizes_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("usage error: ")
+
+
 coeff_values = st.integers(-10**6, 10**6) | st.fractions(max_denominator=50)
 coeff_docs = st.lists(
     st.one_of(st.integers(-10**6, 10**6), coeff_values.map(str)), max_size=10

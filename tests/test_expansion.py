@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from wittkit.expansion import (
     BiSeries,
-    _mul_one_minus_pow,
+    _mul_factor,
     _rational_exponents,
     cyclotomic_check,
     peel_1d,
@@ -30,9 +30,24 @@ def peel_by_multiplication(f):
         e_n = coeffs[n]
         exps.append(e_n)
         if e_n:
-            coeffs = _mul_one_minus_pow(coeffs, n, e_n)
+            coeffs = _mul_factor([coeffs], n, 0, e_n)[0]
     assert all(c == 0 for c in coeffs[1:])
     return tuple(exps)
+
+
+def peel_2d_by_multiplication(F):
+    """Exponents by clearing one cell at a time, k-major: e(j, k) is minus
+    the residual coefficient there, which (1 - z^j y^k)^(-e) removes."""
+    rows = [list(row) for row in F.grid]
+    exps = {}
+    for k in range(F.deg_y + 1):
+        for j in range(F.deg_z + 1):
+            c = rows[k][j]
+            if (j, k) != (0, 0) and c:
+                exps[j, k] = -c
+                rows = _mul_factor(rows, j, k, c)
+    assert rows == [list(row) for row in BiSeries.one(F.deg_z, F.deg_y).grid]
+    return exps
 
 
 @settings(max_examples=150, deadline=None)
@@ -141,11 +156,39 @@ def test_peel_2d_matches_transform_table():
 
 
 def test_peel_2d_weight_order_independence():
-    rows = [[1, 2, -1], [3, 0, 2], [-2, 1, 1]]
-    grid = BiSeries.from_rows(rows)
-    assert peel_2d(grid, "k-major").as_dict() == peel_2d(grid, "j-major").as_dict()
-    with pytest.raises(ValueError):
-        peel_2d(grid, "diagonal")
+    # a j-major peel of F is a k-major peel of its transpose, so the
+    # order-free exponents of the transpose are those of F with (j, k) swapped
+    rows = [[1, 2, -1, 0], [3, 0, 2, 5], [-2, 1, 1, -4]]
+    expn = peel_2d(BiSeries.from_rows(rows)).as_dict()
+    transposed = peel_2d(BiSeries.from_rows(list(zip(*rows)))).as_dict()
+    assert transposed == {(k, j): e for (j, k), e in expn.items()}
+    assert expn == peel_2d_by_multiplication(BiSeries.from_rows(rows))
+
+
+unital_grids = st.integers(0, 6).flatmap(lambda J: st.integers(0, 6).flatmap(
+    lambda K: st.lists(st.lists(st.integers(-4, 4), min_size=J + 1, max_size=J + 1),
+                       min_size=K + 1, max_size=K + 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(unital_grids)
+def test_peel_2d_matches_residual_peel_and_round_trips(rows):
+    rows[0][0] = 1
+    F = BiSeries.from_rows(rows)
+    expn = peel_2d(F)
+    assert expn.as_dict() == peel_2d_by_multiplication(F)
+    assert reconstruct_2d(expn, F.deg_z, F.deg_y) == F
+    if F.deg_y == 0:
+        row0 = peel_1d(S(rows[0])).items()
+        assert expn.as_dict() == {(n, 0): -e for n, e in row0}
+
+
+def test_peel_2d_bridge_at_forty():
+    f = S([0, 1, 2, -1], 40)
+    expn = peel_2d(BiSeries.one_minus_y_times(f, 40, 40))
+    table = witt_table(f, 40)
+    assert expn.as_dict() == {(j, k): table.m(j, k) for k in range(1, 41)
+                              for j in range(41) if table.m(j, k)}
 
 
 def test_peel_2d_round_trip():

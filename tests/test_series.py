@@ -9,6 +9,7 @@ from conftest import longdiv_series
 from wittkit.analytic import hurwitz_zeta
 from wittkit.characters import RealDirichletCharacter
 from wittkit.errors import IntegralityError
+from wittkit.expansion import BiSeries
 from wittkit.series import RationalFunction, TruncatedSeries, coeff_str
 
 small_ints = st.lists(st.integers(-9, 9), min_size=1, max_size=12)
@@ -38,8 +39,13 @@ def test_construction_and_parsing():
     (lambda: hurwitz_zeta(2, 0.1, 5), TypeError),
     (lambda: RealDirichletCharacter.from_values(["0", "\u0661", "0", "-1"]), ValueError),
     (lambda: RealDirichletCharacter.from_values([0, 1, 0, -1.0]), TypeError),
+    (lambda: BiSeries.from_rows([[1, 0.9], [2, 10]]), TypeError),
+    (lambda: BiSeries.from_rows([[1, 0], [Fraction(3, 2), 10]]), TypeError),
+    (lambda: BiSeries.from_rows([[1, 0], [2, "1_0"]]), ValueError),
+    (lambda: BiSeries.from_rows([[1, "\u0663"]]), ValueError),
 ], ids=["series-text", "series-float", "ratfun-text", "ratfun-float", "ratfun-fraction",
-        "hurwitz-text", "hurwitz-float", "character-text", "character-float"])
+        "hurwitz-text", "hurwitz-float", "character-text", "character-float",
+        "grid-float", "grid-fraction", "grid-underscore", "grid-non-ascii"])
 def test_constructors_take_only_exact_decimal_input(build, error):
     # int() and Fraction() would read underscores, non-ASCII digits and floats
     with pytest.raises(error):
@@ -50,6 +56,18 @@ def test_constructors_read_decimal_text():
     assert TruncatedSeries(["10", " -3/6 "]).coeffs == (10, Fraction(-1, 2))
     assert RationalFunction(["1", "-1"], [1, "+2"]) == RationalFunction([1, -1], [1, 2])
     assert hurwitz_zeta(2, "1/4", 8) == hurwitz_zeta(2, Fraction(1, 4), 8)
+    assert BiSeries.from_rows([["1", " -2"], [3, "+4"]]).grid == ((1, -2), (3, 4))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: BiSeries.from_rows([]),
+    lambda: BiSeries.from_rows([[], []]),
+    lambda: TruncatedSeries([1, 1], 3).truncate(-1),
+], ids=["grid-no-rows", "grid-empty-rows", "series-negative-truncation"])
+def test_empty_shapes_are_refused(build):
+    # the CLI reports a ValueError as a usage error (exit 2)
+    with pytest.raises(ValueError):
+        build()
     assert RealDirichletCharacter.from_values(["0", "1", "0", "-1"]) \
         == RealDirichletCharacter.from_kronecker(-4)
 

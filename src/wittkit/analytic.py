@@ -22,12 +22,13 @@ term by many orders of magnitude, so the remainder bound is still a
 proof.
 
 The core summation primitive is S(s, q, a) = sum_{k>=0} (qk+a)^-s, from
-which zeta, Hurwitz zeta and L-series are assembled without large
-intermediate magnitudes:
+which Hurwitz zeta and the one L-value kernel behind every other value
+are assembled without large intermediate magnitudes:
 
-    zeta(s)          = S(s, 1, 1)
-    zeta(s, a=p/q)   = q^s * S(s, q, p)
-    L(s, chi mod q)  = sum_{a=1..q} chi(a) S(s, q, a)
+    zeta(s, a=p/q)       = q^s * S(s, q, p)
+    L(s, chi mod q) - 1  = S(s, q, q+1) + sum_{a=2..q} chi(a) S(s, q, a)
+    L_m(s, chi) - 1      = (P - 1) + P (L - 1), P = prod_{p<=p_m} (1 - chi(p) p^-s)
+    zeta(s)              = 1 + (L(s, 1) - 1), at the trivial character
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .arith import bernoulli, nth_prime, primes_up_to
 from .characters import RealDirichletCharacter
@@ -198,12 +199,22 @@ def _check_digits(digits: int) -> None:
         raise ValueError(f"digits must be >= 1, got {digits}")
 
 
+def _l_value(name: str, s: int, chi: RealDirichletCharacter, digits: int,
+             m: int = 0) -> Decimal:
+    """L_m(s, chi) within 10^-digits; errors name the public function `name`."""
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
+    if s < 2:
+        raise ValueError(f"{name} requires s >= 2, got {s}")
+    _check_digits(digits)
+    with localcontext() as ctx:
+        ctx.prec = digits + GUARD_DIGITS + 14
+        return _quantize(1 + _l_minus_1(s, chi, digits + GUARD_DIGITS, m), digits)
+
+
 def zeta(s: int, digits: int) -> Decimal:
     """Riemann zeta at an integer s >= 2, within 10^-digits."""
-    if s < 2:
-        raise ValueError(f"zeta requires s >= 2, got {s}")
-    _check_digits(digits)
-    return _quantize(_dirichlet_sum(s, 1, 1, digits + GUARD_DIGITS), digits)
+    return _l_value("zeta", s, RealDirichletCharacter.trivial(), digits)
 
 
 def hurwitz_zeta(s: int, a: Union[int, str, Fraction], digits: int) -> Decimal:
@@ -225,36 +236,14 @@ def hurwitz_zeta(s: int, a: Union[int, str, Fraction], digits: int) -> Decimal:
         return _quantize(raw * Decimal(q**s), digits)
 
 
-def _euler_factor_product(m: int, s: int) -> Fraction:
-    """prod_{p <= p_m} (1 - p^-s), exactly."""
-    out = Fraction(1)
-    if m > 0:
-        for p in primes_up_to(nth_prime(m)):
-            out *= 1 - Fraction(1, p**s)
-    return out
-
-
 def partial_zeta(m: int, s: int, digits: int) -> Decimal:
     """zeta(s) with the Euler factors of the first m primes removed."""
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    if s < 2:
-        raise ValueError(f"partial_zeta requires s >= 2, got {s}")
-    _check_digits(digits)
-    raw = _dirichlet_sum(s, 1, 1, digits + GUARD_DIGITS + 2)
-    with localcontext() as ctx:
-        ctx.prec = digits + GUARD_DIGITS + 12
-        return _quantize(raw * _dec_frac(_euler_factor_product(m, s)), digits)
+    return _l_value("partial_zeta", s, RealDirichletCharacter.trivial(), digits, m)
 
 
 def l_series(s: int, chi: RealDirichletCharacter, digits: int) -> Decimal:
     """L(s, chi) for a real character, within 10^-digits."""
-    if s < 2:
-        raise ValueError(f"l_series requires s >= 2, got {s}")
-    _check_digits(digits)
-    with localcontext() as ctx:
-        ctx.prec = digits + GUARD_DIGITS + 14
-        return _quantize(1 + _l_minus_1(s, chi, digits + GUARD_DIGITS), digits)
+    return _l_value("l_series", s, chi, digits)
 
 
 def _ln1p(t: Decimal) -> Decimal:
@@ -280,17 +269,30 @@ def _ln1p(t: Decimal) -> Decimal:
     return +acc
 
 
-def _l_minus_1(s: int, chi: RealDirichletCharacter, prec: int) -> Decimal:
-    """L(s, chi) - 1 with absolute error < 10^-prec (no cancellation:
-    the n=1 term is excluded symbolically)."""
+def _l_minus_1(s: int, chi: RealDirichletCharacter, prec: int, m: int = 0) -> Decimal:
+    """L_m(s, chi) - 1 = (P - 1) + P (L(s, chi) - 1) within 10^-prec, with the
+    Euler factors P = prod_{p <= p_m} (1 - chi(p) p^-s) exact and L's n = 1
+    term left out symbolically, so nothing cancels.  Each S sum at w digits
+    errs by under 2 10^-(w+1).  For q = 1, one sum and 0 < P <= 1 allow
+    w = prec.  For q > 1, w = prec + len(str(q)) + 1 (prec + 2 for q <= 9):
+    the phi(q) < 10^len(str(q)) sums err by under 2 10^-(prec+2) and |P| <=
+    zeta(2)/zeta(4) < 1.52, so the error stays below 10^-prec for any q."""
     q = chi.modulus
-    total = _dirichlet_sum(s, q, q + 1, prec + 2)  # n = 1+q, 1+2q, ...
-    for a in range(2, q + 1):
-        v = chi(a)
-        if v:
-            term = _dirichlet_sum(s, q, a, prec + 2)
-            total += term if v == 1 else -term
-    return total
+    work = prec if q == 1 else prec + len(str(q)) + 1
+    with localcontext() as ctx:
+        ctx.prec = prec + 12
+        total = _dirichlet_sum(s, q, q + 1, work)  # n = 1+q, 1+2q, ...
+        for a in range(2, q + 1):
+            v = chi(a)
+            if v:
+                term = _dirichlet_sum(s, q, a, work)
+                total += term if v == 1 else -term
+        if m == 0:
+            return total
+        factors = Fraction(1)
+        for p in primes_up_to(nth_prime(m)):
+            factors *= 1 - Fraction(chi(p), p**s)
+        return _dec_frac(factors - 1) + _dec_frac(factors) * total
 
 
 # -- Euler products over exponent expansions ---------------------------
@@ -435,17 +437,17 @@ def _plan_cutoff(spec: EulerProductSpec):
     return exps, cutoff, tail
 
 
-def _exp_log_sum(exponents: Dict[Hashable, int], minus_one: Callable[[Hashable, int], Decimal],
+def _exp_log_sum(exponents: Dict[Tuple[int, RealDirichletCharacter], int], m: int,
                  digits: int) -> Tuple[Decimal, int]:
-    """(exp(sum_k e_k ln(1 + t_k)), prec) for t_k = minus_one(k, prec)
-    within 10^-prec; prec absorbs the size of the largest exponent."""
+    """(exp(sum e ln L_m(n, psi)), prec) over exponents e keyed by (n, psi),
+    each L_m - 1 within 10^-prec; prec absorbs the size of the largest e."""
     max_log_e = max((_log10_int(e) for e in exponents.values()), default=0.0)
     prec = digits + 6 + math.ceil(max_log_e) + GUARD_DIGITS
     with localcontext() as ctx:
         ctx.prec = prec + 12
         total = Decimal(0)
-        for key, e in exponents.items():
-            total += e * _ln1p(minus_one(key, prec))
+        for (n, psi), e in exponents.items():
+            total += e * _ln1p(_l_minus_1(n, psi, prec, m))
         return total.exp(), prec
 
 
@@ -459,13 +461,8 @@ def euler_product(spec: EulerProductSpec) -> ConstantResult:
     bound, or 0 for a product that terminates.
     """
     exps, cutoff, tail = _plan_cutoff(spec)
-
-    def zeta_m_minus_1(n: int, prec: int) -> Decimal:
-        factors = _euler_factor_product(spec.m, n)
-        # zeta_m(n) - 1 = (P - 1) + P * (zeta(n) - 1), P exact
-        return _dec_frac(factors - 1) + _dec_frac(factors) * _dirichlet_sum(n, 1, 2, prec)
-
-    value, prec = _exp_log_sum(dict(exps), zeta_m_minus_1, spec.digits)
+    trivial = RealDirichletCharacter.trivial()
+    value, prec = _exp_log_sum({(n, trivial): e for n, e in exps}, spec.m, spec.digits)
     return ConstantResult(
         value=_quantize(value, spec.digits),
         digits=spec.digits,
@@ -618,7 +615,7 @@ def b_chi(
     _check_digits(digits)
     n_artin, n_ab, tail = _bchi_cutoffs(chi, digits)
     terms = _bchi_terms(chi, n_artin, n_ab)
-    value, _ = _exp_log_sum(terms, lambda key, prec: _l_minus_1(*key, prec), digits)
+    value, _ = _exp_log_sum(terms, 0, digits)
     result_value = _quantize(value, digits)
     if cross_check_limit is None:
         return BChiResult(result_value, digits, tail)

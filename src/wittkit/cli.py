@@ -226,16 +226,14 @@ def _run(args) -> int:
         _emit(rep.to_json_dict())
         return 0 if rep.passed else 1
     if cmd == "zeta":
-        bound = f"1e-{args.digits}"
         if args.m is not None:
-            _emit({"value": str(partial_zeta(args.m, args.s, args.digits)),
-                   "digits": args.digits, "abs_error_bound": bound})
+            value = partial_zeta(args.m, args.s, args.digits)
         elif args.a is not None:
-            _emit({"value": str(hurwitz_zeta(args.s, args.a, args.digits)),
-                   "digits": args.digits, "abs_error_bound": bound})
+            value = hurwitz_zeta(args.s, args.a, args.digits)
         else:
-            _emit({"value": str(zeta(args.s, args.digits)),
-                   "digits": args.digits, "abs_error_bound": bound})
+            value = zeta(args.s, args.digits)
+        _emit({"value": str(value), "digits": args.digits,
+               "abs_error_bound": f"1e-{args.digits}"})
         return 0
     if cmd == "lseries":
         chi = _character(args)

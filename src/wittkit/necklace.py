@@ -55,18 +55,23 @@ def necklace_poly(alpha: int, n: int) -> int:
     return _exact_div(acc, n, f"necklace_poly({alpha}, {n})")
 
 
+def _moebius_count(parts: Sequence[int], n: int, t: int, what: str) -> int:
+    """((-1)^t / n) sum_{d | gcd} mu(d) (-1)^(t/d) (n/d; n_1/d,...,n_r/d),
+    exact; t = 0 gives M(n_1,...,n_r)."""
+    acc = 0
+    for d in divisors(content_gcd(parts)):
+        term = moebius(d) * multinomial(n // d, [p // d for p in parts])
+        acc += -term if (t // d) % 2 else term
+    return _exact_div(-acc if t % 2 else acc, n, what)
+
+
 def necklace_count(parts: Sequence[int]) -> int:
     """M(n_1,...,n_r) by Moebius inversion over d | gcd(parts)."""
     parts = tuple(parts)
     n = content_total(parts)
     if n < 1:
         raise ValueError("necklace_count requires a nonzero content")
-    g = content_gcd(parts)
-    acc = 0
-    for d in divisors(g):
-        scaled = [p // d for p in parts]
-        acc += moebius(d) * multinomial(n // d, scaled)
-    value = _exact_div(acc, n, f"necklace_count({parts!r})")
+    value = _moebius_count(parts, n, 0, f"necklace_count({parts!r})")
     if value < 0:
         raise IntegralityError(f"necklace_count({parts!r}) came out negative: {value}")
     return value
@@ -84,15 +89,7 @@ def v_count(parts: Sequence[int], k: int) -> int:
     n = content_total(parts)
     if n < 1:
         raise ValueError("v_count requires a nonzero content")
-    g = content_gcd(parts)
-    t_k = sum(parts[:k])
-    acc = 0
-    for d in divisors(g):
-        scaled = [p // d for p in parts]
-        sign = -1 if (t_k // d) % 2 else 1
-        acc += moebius(d) * sign * multinomial(n // d, scaled)
-    acc = -acc if t_k % 2 else acc
-    return _exact_div(acc, n, f"v_count({parts!r}, k={k})")
+    return _moebius_count(parts, n, sum(parts[:k]), f"v_count({parts!r}, k={k})")
 
 
 def necklace_closed(m: int, first: int) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product as iproduct
-from typing import List, Tuple
+from typing import List
 
 from .analytic import (
     EulerProductSpec,
@@ -36,6 +36,14 @@ from .witt import monotonicity_scan, verify_identity, witt_table, witt_transform
 from .words import aperiodic_count, lyndon_words, lyndon_words_naive
 
 PI_50 = Decimal("3.14159265358979323846264338327950288419716939937510")
+
+# battery sizes fixed by the acceptance criteria (seeds stay arguments)
+_CLOSED_FORM_LIMIT = 50
+_IDENTITY_DEGREE, _IDENTITY_RMAX, _IDENTITY_VWMAX, _IDENTITY_ORDER = 6, 8, 4, 24
+_POSITIVITY_RMAX, _POSITIVITY_ORDER, _SR_COUNT, _DOM_COUNT = 10, 30, 50, 50
+_MONO_KMAX, _MONO_RMAX, _MONO_CMAX = 10, 12, 6
+_CYCLOTOMIC_BIDEGREE, _BRIDGE_BIDEGREE = (8, 8), (10, 10)
+_UNIQUENESS_ORDER = 24
 
 
 @dataclass
@@ -117,11 +125,11 @@ def combinatorial_battery(max_total: int = 12, max_parts: int = 4) -> SuiteResul
 
 
 @_timed
-def closed_form_battery(limit: int = 50) -> SuiteResult:
+def closed_form_battery() -> SuiteResult:
     """First-slot closed forms, the gcd-1 ratio recursion, and the
     prime-order congruence, all exact."""
     res = SuiteResult("closed-forms")
-    for m in range(1, limit + 1):
+    for m in range(1, _CLOSED_FORM_LIMIT + 1):
         res.check(necklace_closed(m, 0) == necklace_count((0, m)), f"M(0,{m})")
         res.check(necklace_closed(m, 1) == necklace_count((1, m)), f"M(1,{m})")
         res.check(necklace_closed(m, 2) == necklace_count((2, m)), f"M(2,{m})")
@@ -153,16 +161,14 @@ def _random_series(rng: random.Random, degree: int, order: int,
 
 
 @_timed
-def identity_battery(seeds: int = 200, degree: int = 6, rmax: int = 8,
-                     vwmax: int = 4, order: int = 24,
-                     seed0: int = 20240917) -> SuiteResult:
+def identity_battery(seeds: int = 200, seed0: int = 20240917) -> SuiteResult:
     """Transform identity battery over seeded random integer series."""
     res = SuiteResult("identities")
     rng = random.Random(seed0)
     for _ in range(seeds):
-        f = _random_series(rng, degree, order)
-        g = _random_series(rng, degree, order)
-        r = rng.randint(1, rmax)
+        f = _random_series(rng, _IDENTITY_DEGREE, _IDENTITY_ORDER)
+        g = _random_series(rng, _IDENTITY_DEGREE, _IDENTITY_ORDER)
+        r = rng.randint(1, _IDENTITY_RMAX)
         k = rng.randint(1, 2)
         checks = [
             verify_identity("T3.1", f, r=r, k=k),
@@ -171,9 +177,9 @@ def identity_battery(seeds: int = 200, degree: int = 6, rmax: int = 8,
             verify_identity("T3.4", f, g, r=r),
             verify_identity("T3.5", f, r=r, k=rng.randint(1, 3)),
         ]
-        v, w = rng.randint(1, vwmax), rng.randint(1, vwmax)
+        v, w = rng.randint(1, _IDENTITY_VWMAX), rng.randint(1, _IDENTITY_VWMAX)
         gg = math.gcd(v, w)
-        r6 = min(r, order // max(v // gg, w // gg))
+        r6 = min(r, _IDENTITY_ORDER // max(v // gg, w // gg))
         checks.append(verify_identity("T3.6", f, g, r=r6, v=v, w=w))
         for rep in checks:
             res.check(
@@ -206,18 +212,16 @@ def _palindrome(rng: random.Random, degree: int) -> TruncatedSeries:
 
 
 @_timed
-def positivity_battery(seeds: int = 200, rmax: int = 10, order: int = 30,
-                       sr_count: int = 50, dom_count: int = 50,
-                       seed0: int = 777) -> SuiteResult:
+def positivity_battery(seeds: int = 200, seed0: int = 777) -> SuiteResult:
     """Integrality, sign and dominance checks on seeded random series."""
     res = SuiteResult("positivity")
     rng = random.Random(seed0)
     for _ in range(seeds):
-        f = _random_series(rng, 8, order)
-        r = rng.randint(1, rmax)
+        f = _random_series(rng, 8, _POSITIVITY_ORDER)
+        r = rng.randint(1, _POSITIVITY_RMAX)
         wt = witt_transform(f, r)  # raises IntegralityError on any defect
         res.check(wt.is_integral(), f"non-integral transform r={r}")
-        fp = _random_series(rng, 6, order, lo=0, hi=5)
+        fp = _random_series(rng, 6, _POSITIVITY_ORDER, lo=0, hi=5)
         wp = witt_transform(fp, rng.randint(1, 6))
         res.check(all(c >= 0 for c in wp.coeffs), "negative coefficient, f >= 0")
         fn = -fp
@@ -226,7 +230,7 @@ def positivity_battery(seeds: int = 200, rmax: int = 10, order: int = 30,
         signed = (-wn if rn % 2 else wn).coeffs
         res.check(all(c >= 0 for c in signed), "sign-flip positivity fails")
     rng = random.Random(seed0 + 1)
-    for _ in range(sr_count):
+    for _ in range(_SR_COUNT):
         deg = rng.randint(1, 4)
         f = _palindrome(rng, deg)
         r = rng.randint(1, 5)
@@ -236,9 +240,9 @@ def positivity_battery(seeds: int = 200, rmax: int = 10, order: int = 30,
             f"self-reciprocality lost (deg={deg}, r={r})",
         )
     rng = random.Random(seed0 + 2)
-    for _ in range(dom_count):
-        f = _random_series(rng, 6, order, lo=0, hi=4)
-        h = _random_series(rng, 6, order, lo=0, hi=4)
+    for _ in range(_DOM_COUNT):
+        f = _random_series(rng, 6, _POSITIVITY_ORDER, lo=0, hi=4)
+        h = _random_series(rng, 6, _POSITIVITY_ORDER, lo=0, hi=4)
         g = f + h
         r = rng.randint(1, 6)
         diff = witt_transform(g, r) - witt_transform(f, r)
@@ -247,31 +251,29 @@ def positivity_battery(seeds: int = 200, rmax: int = 10, order: int = 30,
 
 
 @_timed
-def monotonicity_battery(kmax: int = 10, rmax: int = 12, cmax: int = 6) -> SuiteResult:
+def monotonicity_battery() -> SuiteResult:
     """Monotonicity windows for the standard fixtures plus the necklace
     polynomial in both arguments."""
     res = SuiteResult("monotonicity")
     fixtures = [
-        TruncatedSeries([1, 1], kmax),
-        TruncatedSeries([1, 1, 1], kmax),
-        TruncatedSeries([1, 2, 3], kmax),
+        TruncatedSeries([1, 1], _MONO_KMAX),
+        TruncatedSeries([1, 1, 1], _MONO_KMAX),
+        TruncatedSeries([1, 2, 3], _MONO_KMAX),
     ]
     for f in fixtures:
         for family in ("T5.1", "T5.2"):
-            rep = monotonicity_scan(f, family, kmax=kmax, rmax=rmax)
+            rep = monotonicity_scan(f, family, kmax=_MONO_KMAX, rmax=_MONO_RMAX)
             res.check(rep.passed, f"{family} fails for {f}: {rep.violations[:3]}")
-    rep = monotonicity_scan(None, "P6", rmax=rmax, cmax=cmax)
+    rep = monotonicity_scan(None, "P6", rmax=_MONO_RMAX, cmax=_MONO_CMAX)
     res.check(rep.passed, f"P6 fails: {rep.violations[:3]}")
     return res
 
 
 @_timed
-def expansion_identity_battery(bidegree: Tuple[int, int] = (8, 8),
-                               bridge: Tuple[int, int] = (10, 10),
-                               seed0: int = 4242) -> SuiteResult:
+def expansion_identity_battery(seed0: int = 4242) -> SuiteResult:
     """Two-variable product identity checks and the peel/table bridge."""
     res = SuiteResult("expansion-identities")
-    J, K = bidegree
+    J, K = _CYCLOTOMIC_BIDEGREE
     for f in [
         TruncatedSeries.constant(2, J),
         TruncatedSeries([1, 1], J),
@@ -279,7 +281,7 @@ def expansion_identity_battery(bidegree: Tuple[int, int] = (8, 8),
     ]:
         rep = cyclotomic_check(f, J, K)
         res.check(rep.passed, f"cyclotomic check fails for {f} at {rep.first_mismatch}")
-    bj, bk = bridge
+    bj, bk = _BRIDGE_BIDEGREE
     rng = random.Random(seed0)
     bridge_fixtures = [
         TruncatedSeries([0, 1], bj),
@@ -302,16 +304,15 @@ def expansion_identity_battery(bidegree: Tuple[int, int] = (8, 8),
 
 
 @_timed
-def expansion_uniqueness_battery(seeds: int = 100, order: int = 24,
-                                 seed0: int = 4242) -> SuiteResult:
+def expansion_uniqueness_battery(seeds: int = 100, seed0: int = 4242) -> SuiteResult:
     """Peel / reconstruct / re-peel fixed points and transpose symmetry
     of the 2-D peel: swapping z and y swaps (j, k) in every exponent."""
     res = SuiteResult("expansion-uniqueness")
     rng = random.Random(seed0 + 1)
     for _ in range(seeds):
-        f = _random_series(rng, order, order, lo=-4, hi=4, unital=True)
+        f = _random_series(rng, _UNIQUENESS_ORDER, _UNIQUENESS_ORDER, lo=-4, hi=4, unital=True)
         expn = peel_1d(f)
-        back = reconstruct_1d(expn, order)
+        back = reconstruct_1d(expn, _UNIQUENESS_ORDER)
         res.check(back == f, "reconstruct(peel(f)) != f")
         res.check(peel_1d(back) == expn, "re-peel is not a fixed point")
     rng = random.Random(seed0 + 2)
@@ -402,7 +403,7 @@ SCOPES = ("combinatorial", "identities", "expansion", "analytic")
 
 
 def verify_all(scope: str, budget: int = 0) -> List[SuiteResult]:
-    """Run a scope's batteries; budget 0 means a no-op summary.
+    """Run a scope's batteries; budget 0 gives a no-op summary, < 0 an error.
 
     Budgets scale the dominant size knob of each battery: max word total
     for combinatorial, random seeds for identities/expansion, digits for
@@ -410,7 +411,9 @@ def verify_all(scope: str, budget: int = 0) -> List[SuiteResult]:
     """
     if scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}; known: {SCOPES}")
-    if budget <= 0:
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+    if budget == 0:
         return [SuiteResult(suite=f"{scope} (skipped: empty budget)")]
     if scope == "combinatorial":
         return [combinatorial_battery(max_total=min(budget, 14)),

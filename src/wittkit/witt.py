@@ -432,6 +432,10 @@ class ScanReport:
     violations: Tuple[str, ...] = field(default_factory=tuple)
     note: str = "finite-window check; certifies the claim on this window only"
 
+    def __post_init__(self):
+        if not self.checked:  # an empty window would pass without a check
+            raise ValueError(f"{self.family}: the window {self.params} holds no comparison")
+
     def to_json_dict(self) -> dict:
         return {
             "family": self.family,

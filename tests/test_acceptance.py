@@ -32,39 +32,41 @@ def test_criterion_1_oracle_equivalence():
 
 
 def test_criterion_2_closed_forms():
-    result = closed_form_battery(limit=50)
+    # first slots and m <= 50; exact
+    result = closed_form_battery()
     _report(2, "first-slot closed forms and gcd-1 ratio recursion", result)
 
 
 def test_criterion_3_identity_battery():
     # 200 seeded series, degree <= 6, coefficients in [-5, 5], r <= 8,
     # v, w <= 4, truncation 24; exact; < 2 min
-    result = identity_battery(seeds=200, degree=6, rmax=8, vwmax=4, order=24)
+    result = identity_battery(seeds=200)
     _report(3, "transform identity battery, parts 1-6", result)
     assert result.runtime_s < 120.0, f"took {result.runtime_s:.1f}s, budget 120s"
 
 
 def test_criterion_4_integrality_and_positivity():
     # 200 seeds at r <= 10, N = 30; 50 self-reciprocal; 50 dominance pairs
-    result = positivity_battery(seeds=200, rmax=10, order=30,
-                                sr_count=50, dom_count=50)
+    result = positivity_battery(seeds=200)
     _report(4, "integrality / positivity / self-reciprocality / dominance",
             result)
 
 
 def test_criterion_5_monotonicity_windows():
-    result = monotonicity_battery(kmax=10, rmax=12, cmax=6)
+    result = monotonicity_battery()
     _report(5, "monotonicity windows (k <= 10, r <= 12, c <= 6)", result)
 
 
 def test_criterion_6_cyclotomic_identities():
-    result = expansion_identity_battery(bidegree=(8, 8), bridge=(10, 10))
+    # cyclotomic checks at bidegree (8, 8); the bridge at (10, 10)
+    result = expansion_identity_battery()
     _report(6, "two-variable product identities and the peel/table bridge",
             result)
 
 
 def test_criterion_7_expansion_uniqueness():
-    result = expansion_uniqueness_battery(seeds=100, order=24)
+    # 100 seeded unital series, truncation 24
+    result = expansion_uniqueness_battery(seeds=100)
     _report(7, "peel/reconstruct/re-peel fixed points; transpose "
                "symmetry of the 2-D peel", result)
 

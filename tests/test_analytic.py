@@ -153,6 +153,27 @@ def test_l_series_kronecker_five_against_mpmath():
     assert abs(l_series(3, chi5, 15) - mp_ref(ref, 15)) < Decimal("1e-14")
 
 
+def _l_m_reference(s, chi, m):
+    """L(s, chi) prod_{p <= p_m} (1 - chi(p) p^-s) - 1 in mpmath, with L
+    from Hurwitz sums over the residues mod q."""
+    q = chi.modulus
+    value = sum(chi(a) * mpmath.zeta(s, mpmath.mpf(a) / q) for a in range(1, q + 1)) / q**s
+    for p in primes_up_to(nth_prime(m)) if m else ():
+        value *= 1 - chi(p) * mpmath.mpf(p) ** -s
+    return value - 1
+
+
+@pytest.mark.parametrize("d", [1, -4, -3, 5])
+@pytest.mark.parametrize("m", [0, 1, 3])
+@pytest.mark.parametrize("s", [2, 3, 7])
+def test_l_minus_1_with_removed_factors_against_mpmath(d, m, s):
+    chi = RealDirichletCharacter.from_kronecker(d)
+    mpmath.mp.dps = 60
+    got = analytic._l_minus_1(s, chi, 40, m)
+    ref = _l_m_reference(s, chi, m)
+    assert abs(mpmath.mpf(str(got)) - ref) < mpmath.mpf(10) ** -40
+
+
 def test_euler_product_quadratic_fixture():
     mpmath.mp.dps = 40
     spec = EulerProductSpec(QUAD_H, 1, 15)
@@ -507,7 +528,7 @@ def test_b_chi_computes_each_l_value_once(monkeypatch):
     n_artin, n_ab, _ = analytic._bchi_cutoffs(chi, 30)
     calls = _counting(monkeypatch, "_l_minus_1")
     b_chi(chi, 30)
-    keys = [(s, character) for s, character, _ in calls]
+    keys = [(s, character) for s, character, *_ in calls]
     assert len(set(keys)) == len(keys) <= 2 * (max(n_artin, n_ab) + 1)
 
 

@@ -50,3 +50,14 @@ def test_analytic_does_not_import_witt():
         elif isinstance(node, ast.Import):
             imported += [alias.name for alias in node.names]
     assert not [name for name in imported if name.split(".")[-1] == "witt"]
+
+
+def test_dirichlet_sums_come_from_the_l_value_kernel_and_hurwitz_zeta():
+    # zeta, partial_zeta, l_series, euler_product and b_chi all take their
+    # sums from _l_minus_1; a separate route to S(s, q, a) must not return
+    callers = set()
+    for node in ast.walk(ast.parse((SRC / "analytic.py").read_text())):
+        if isinstance(node, ast.FunctionDef):
+            callers |= {node.name for call in ast.walk(node) if isinstance(call, ast.Call)
+                        and getattr(call.func, "id", None) == "_dirichlet_sum"}
+    assert callers == {"_l_minus_1", "hurwitz_zeta"}

@@ -312,7 +312,12 @@ GRID_1_1 = '{"J":1,"K":1,"rows":[["1","0"],["0","-1"]]}'
     ("expand2d", "--F", GRID_1_1, "--K", "-1"),
     ("cyclotomic", "--f", '{"order":3,"coeffs":[1,1]}', "--J", "2", "--K", "-1"),
     ("cyclotomic", "--f", '{"order":3,"coeffs":[1,1]}', "--J", "-1", "--K", "2"),
-], ids=["expand-N", "expand2d-J", "expand2d-K", "cyclotomic-K", "cyclotomic-J"])
+    # empty check windows, which would otherwise report a pass with 0 checks
+    ("verify-all", "--scope", "expansion", "--budget", "-1"),
+    ("scan", "--family", "P6", "--cmax", "-1", "--rmax", "12"),
+    ("scan", "--family", "P6", "--cmax", "6", "--rmax", "-3"),
+], ids=["expand-N", "expand2d-J", "expand2d-K", "cyclotomic-K", "cyclotomic-J",
+        "verify-all-budget", "scan-P6-cmax", "scan-P6-rmax"])
 def test_negative_sizes_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("usage error: ")

@@ -609,10 +609,12 @@ def b_chi(
     L(6,chi^2) prod_n L(n,chi^2)^-A(n) L(n,chi)^-B(n), as one map of
     exponents keyed by (n, character) cut at proven orders, so each L-value
     is computed once (none for the trivial character, where all cancel).
-    With cross_check_limit set, the defining product over primes up to that
-    limit is computed as well and the difference reported.
+    With cross_check_limit set (at least 2), the defining product over
+    primes up to that limit is computed as well and the difference reported.
     """
     _check_digits(digits)
+    if cross_check_limit is not None and cross_check_limit < 2:
+        raise ValueError(f"cross_check_limit must be >= 2, got {cross_check_limit}")
     n_artin, n_ab, tail = _bchi_cutoffs(chi, digits)
     terms = _bchi_terms(chi, n_artin, n_ab)
     value, _ = _exp_log_sum(terms, 0, digits)

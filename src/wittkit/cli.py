@@ -180,7 +180,7 @@ def _run(args) -> int:
         elif args.alpha is not None and args.n is not None:
             _emit({"value": coeff_str(necklace_poly(args.alpha, args.n))})
         else:
-            raise SystemExit(2)
+            raise ValueError("necklace needs --content, or --alpha with --n")
         return 0
     if cmd == "words":
         if args.list:
@@ -259,7 +259,7 @@ def _run(args) -> int:
     if cmd == "convergence":
         target = args.ratfun if args.ratfun is not None else args.f
         if target is None:
-            raise SystemExit(2)
+            raise ValueError("convergence needs --f or --ratfun")
         _emit(check_convergence_hypotheses(target).to_json_dict())
         return 0
     if cmd == "verify-all":

@@ -139,13 +139,6 @@ class TruncatedSeries:
     def constant(cls, c: Coeff, order: int) -> "TruncatedSeries":
         return cls([c], order)
 
-    @classmethod
-    def monomial(cls, c: Coeff, degree: int, order: int) -> "TruncatedSeries":
-        coeffs = [0] * (order + 1)
-        if degree <= order:
-            coeffs[degree] = c
-        return cls(coeffs, order)
-
     # -- basic queries -----------------------------------------------
 
     def coeff(self, j: int) -> Coeff:

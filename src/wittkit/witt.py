@@ -14,7 +14,10 @@ asked for only up to z^(N//d), the part that survives inflation by d.
 verify_identity evaluates both sides of the classical identities for the
 transform (product rule, power rule, sign rule, Moebius inversion, and the
 necklace-polynomial specializations) at a shared truncation and reports
-the first differing coefficient, if any.  monotonicity_scan checks the
+the first differing coefficient, if any.  One kernel, _mixed_power_rule,
+evaluates the five product and power rules (T3.4, T3.5, T3.6, T1.1, T1.2):
+each is the mixed-power sum at particular arguments, the necklace rules
+on constant series.  monotonicity_scan checks the
 coefficient-monotonicity families on finite windows; it certifies the
 claims on the scanned window only.
 """
@@ -259,96 +262,73 @@ def _verify_t33(f, r):
     return lhs, rhs
 
 
-def _inflated_transforms(f: TruncatedSeries, n: int) -> Dict[int, TruncatedSeries]:
-    """W_i(f)(z^(n/i)) for every divisor i of n, each transform computed once."""
-    return {i: witt_transform(f, i).inflate(n // i) for i in divisors(n)}
+def _mixed_power_rule(ident: str, f: TruncatedSeries, g: Optional[TruncatedSeries],
+                      r: int, v: int, w: int):
+    """Both sides of W_r(f^w' g^v') = sum (d/(v,w)) W_i(f)(z^(r w'/i)) W_j(g)(z^(r v'/j)).
 
-
-def _verify_t34(f, g, r):
-    _require_order("T3.4", f, r)
-    _require_order("T3.4", g, r)
-    lhs = witt_transform(f * g, r)
-    wf, wg = _inflated_transforms(f, r), _inflated_transforms(g, r)
-    rhs = TruncatedSeries.zero(lhs.order)
-    for i in wf:
-        for j in wg:
-            if math.lcm(i, j) != r:
-                continue
-            rhs = rhs + wf[i] * wg[j] * math.gcd(i, j)
-    return lhs, rhs
-
-
-def _verify_t35(f, r, k):
-    _require_order("T3.5", f, r * k)
-    lhs = witt_transform(f**k, r)
-    rhs = TruncatedSeries.zero(lhs.order)
-    for j in divisors(r * k):
-        if math.lcm(j, k) != r * k:
-            continue
-        if j % r:
-            raise IntegralityError(
-                f"T3.5: index j={j} in the summation set is not a multiple of r={r}"
-            )
-        rhs = rhs + witt_transform(f, j).inflate(r * k // j) * (j // r)
-    return lhs, rhs
-
-
-def _verify_t36(f, g, r, v, w):
-    # Composing the product and power rules gives the two-series mixed-power
-    # identity with arguments z^(r*w'/i) and z^(r*v'/j), w' = w/(v,w),
-    # v' = v/(v,w); the summation-set condition then forces i | r*w' and
-    # j | r*v', which is asserted rather than assumed.
+    w' = w/(v,w), v' = v/(v,w), d = gcd(v i, w j), and (i, j) runs over the
+    pairs with i j (v,w) = d r; that condition forces i | r w' and j | r v',
+    which is asserted rather than assumed.  g=None stands for g = 1, whose
+    transforms are W_1(1) = 1 and W_j(1) = M(1; j) = 0 for j >= 2, so only
+    j = 1 is visited.  The product rule is v = w = 1, the power rule is
+    g = 1, v = 1, w = k, and constant series give the necklace rules.
+    """
     gg = math.gcd(v, w)
     w1, v1 = w // gg, v // gg
-    _require_order("T3.6", f, r * max(w1, v1))
-    _require_order("T3.6", g, r * max(w1, v1))
-    lhs = witt_transform((f**w1) * (g**v1), r)
-    wf, wg = _inflated_transforms(f, r * w1), _inflated_transforms(g, r * v1)
+    lhs = witt_transform(f**w1 if g is None else (f**w1) * (g**v1), r)
+    wf: Dict[int, TruncatedSeries] = {}
+    wg: Dict[int, TruncatedSeries] = {}
     rhs = TruncatedSeries.zero(lhs.order)
     for i in range(1, r * w1 + 1):
-        for j in range(1, r * v1 + 1):
+        for j in range(1, r * v1 + 1) if g is not None else (1,):
             d = math.gcd(v * i, w * j)
             if i * j * gg != d * r:
                 continue
             if (r * w1) % i or (r * v1) % j:
                 raise IntegralityError(
-                    f"T3.6: set member (i,j)=({i},{j}) violates "
+                    f"{ident}: set member (i,j)=({i},{j}) violates "
                     f"i | {r * w1}, j | {r * v1}"
                 )
-            rhs = rhs + wf[i] * wg[j] * (d // gg)
+            if i not in wf:
+                wf[i] = witt_transform(f, i).inflate(r * w1 // i)
+            term = wf[i] * (d // gg)
+            if g is not None:
+                if j not in wg:
+                    wg[j] = witt_transform(g, j).inflate(r * v1 // j)
+                term = term * wg[j]
+            rhs = rhs + term
     return lhs, rhs
 
 
-def _verify_t11(alpha, beta, n):
-    # necklace-polynomial product rule, evaluated through constant series
-    lhs = witt_transform(TruncatedSeries.constant(alpha * beta, 0), n)
-    acc = 0
-    for i in divisors(n):
-        for j in divisors(n):
-            if math.lcm(i, j) != n:
-                continue
-            wa = witt_transform(TruncatedSeries.constant(alpha, 0), i).coeff(0)
-            wb = witt_transform(TruncatedSeries.constant(beta, 0), j).coeff(0)
-            acc += math.gcd(i, j) * wa * wb
-    return lhs, TruncatedSeries.constant(acc, 0)
+def _series_rule(ident, f, g, r, v, w):
+    # every inflated transform must be known up to z^(r * max(w', v'))
+    needed = r * max(v, w) // math.gcd(v, w)
+    _require_order(ident, f, needed)
+    if g is not None:
+        _require_order(ident, g, needed)
+    return _mixed_power_rule(ident, f, g, r, v, w)
 
 
-def _verify_t12(beta, r, n):
-    # necklace-polynomial power rule, evaluated through constant series
-    lhs = witt_transform(TruncatedSeries.constant(beta**r, 0), n)
-    acc = 0
-    for j in divisors(n * r):
-        if math.lcm(j, r) != n * r:
-            continue
-        if j % n:
-            raise IntegralityError(
-                f"T1.2: index j={j} in the summation set is not a multiple of n={n}"
-            )
-        acc += (j // n) * witt_transform(TruncatedSeries.constant(beta, 0), j).coeff(0)
-    return lhs, TruncatedSeries.constant(acc, 0)
+def _constant(c) -> TruncatedSeries:
+    return TruncatedSeries.constant(c, 0)
 
 
-IDENTITY_IDS = ("T1.1", "T1.2", "T3.1", "T3.2", "T3.3", "T3.4", "T3.5", "T3.6")
+# id -> (function giving both sides, its parameter names in order)
+_IDENTITIES = {
+    "T1.1": (lambda alpha, beta, n: _mixed_power_rule(
+        "T1.1", _constant(alpha), _constant(beta), n, 1, 1), ("alpha", "beta", "n")),
+    "T1.2": (lambda beta, r, n: _mixed_power_rule(
+        "T1.2", _constant(beta), None, n, 1, r), ("beta", "r", "n")),
+    "T3.1": (_verify_t31, ("f", "r", "k")),
+    "T3.2": (_verify_t32, ("f", "r")),
+    "T3.3": (_verify_t33, ("f", "r")),
+    "T3.4": (lambda f, g, r: _series_rule("T3.4", f, g, r, 1, 1), ("f", "g", "r")),
+    "T3.5": (lambda f, r, k: _series_rule("T3.5", f, None, r, 1, k), ("f", "r", "k")),
+    "T3.6": (lambda f, g, r, v, w: _series_rule("T3.6", f, g, r, v, w),
+             ("f", "g", "r", "v", "w")),
+}
+IDENTITY_IDS = tuple(_IDENTITIES)
+_SIZES = ("r", "k", "v", "w", "n")
 
 
 def verify_identity(
@@ -364,47 +344,25 @@ def verify_identity(
     beta: Optional[int] = None,
     n: Optional[int] = None,
 ) -> IdentityReport:
-    """Evaluate both sides of the named identity exactly and compare."""
+    """Evaluate both sides of the named identity exactly and compare.
 
-    def need(**kwargs):
-        missing = [name for name, val in kwargs.items() if val is None]
-        if missing:
-            raise ValueError(f"{ident} requires parameters: {', '.join(missing)}")
-
-    if ident == "T3.1":
-        need(f=f, r=r, k=k)
-        lhs, rhs = _verify_t31(f, r, k)
-        params = {"r": r, "k": k}
-    elif ident == "T3.2":
-        need(f=f, r=r)
-        lhs, rhs = _verify_t32(f, r)
-        params = {"r": r}
-    elif ident == "T3.3":
-        need(f=f, r=r)
-        lhs, rhs = _verify_t33(f, r)
-        params = {"r": r}
-    elif ident == "T3.4":
-        need(f=f, g=g, r=r)
-        lhs, rhs = _verify_t34(f, g, r)
-        params = {"r": r}
-    elif ident == "T3.5":
-        need(f=f, r=r, k=k)
-        lhs, rhs = _verify_t35(f, r, k)
-        params = {"r": r, "k": k}
-    elif ident == "T3.6":
-        need(f=f, g=g, r=r, v=v, w=w)
-        lhs, rhs = _verify_t36(f, g, r, v, w)
-        params = {"r": r, "v": v, "w": w}
-    elif ident == "T1.1":
-        need(alpha=alpha, beta=beta, n=n)
-        lhs, rhs = _verify_t11(alpha, beta, n)
-        params = {"alpha": alpha, "beta": beta, "n": n}
-    elif ident == "T1.2":
-        need(beta=beta, r=r, n=n)
-        lhs, rhs = _verify_t12(beta, r, n)
-        params = {"beta": beta, "r": r, "n": n}
-    else:
+    Each id takes the parameters listed for it in the README; the orders
+    and exponents r, k, v, w and n must be at least 1.
+    """
+    if ident not in _IDENTITIES:
         raise ValueError(f"unknown identity id {ident!r}; known: {IDENTITY_IDS}")
+    sides, names = _IDENTITIES[ident]
+    given = {"f": f, "g": g, "r": r, "k": k, "v": v, "w": w,
+             "alpha": alpha, "beta": beta, "n": n}
+    args = {name: given[name] for name in names}
+    missing = [name for name, val in args.items() if val is None]
+    if missing:
+        raise ValueError(f"{ident} requires parameters: {', '.join(missing)}")
+    for name in names:
+        if name in _SIZES and args[name] < 1:
+            raise ValueError(f"{ident}: parameter {name} must be >= 1, got {args[name]}")
+    lhs, rhs = sides(**args)
+    params = {name: val for name, val in args.items() if name not in ("f", "g")}
     return _compare(ident, params, lhs, rhs)
 
 

@@ -285,6 +285,13 @@ def test_b_chi_cross_route():
     assert rep.difference <= budget
 
 
+@pytest.mark.parametrize("limit", [1, 0, -5])
+def test_b_chi_refuses_a_cross_check_limit_below_two(limit):
+    # the direct product's tail estimate divides by limit * log(limit)
+    with pytest.raises(ValueError, match="cross_check_limit must be >= 2"):
+        b_chi(RealDirichletCharacter.from_kronecker(-4), 4, cross_check_limit=limit)
+
+
 FIB_RATFUN = RationalFunction([-1], [1, -1, -1])  # -1/(1 - z - z^2)
 
 

@@ -3,9 +3,11 @@ from the environment, and the import boundaries the design relies on."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import wittkit
+from wittkit import suites, witt
 
 SRC = Path(wittkit.__file__).parent
 
@@ -61,3 +63,19 @@ def test_dirichlet_sums_come_from_the_l_value_kernel_and_hurwitz_zeta():
             callers |= {node.name for call in ast.walk(node) if isinstance(call, ast.Call)
                         and getattr(call.func, "id", None) == "_dirichlet_sum"}
     assert callers == {"_l_minus_1", "hurwitz_zeta"}
+
+
+def test_readme_lists_match_the_code():
+    readme = (SRC.parent.parent / "README.md").read_text()
+
+    def listed(label):
+        match = re.search(re.escape(label) + r": `([^`]*)`", readme)
+        assert match, label
+        return tuple(match[1].split())
+
+    assert listed("Identity ids for `verify`") == witt.IDENTITY_IDS
+    assert listed("Scan families") == witt.SCAN_FAMILIES
+    assert listed("`verify-all` scopes") == suites.SCOPES
+    options = {ident: tuple(opt.lstrip("-") for opt in opts.split()) for ident, opts
+               in re.findall(r"^\| (T\d\.\d) \| `([^`]*)` \|$", readme, re.M)}
+    assert options == {ident: names for ident, (_, names) in witt._IDENTITIES.items()}

@@ -10,6 +10,7 @@ from conftest import B_CHI_MINUS_4
 from wittkit.arith import divisors, moebius
 from wittkit.cli import _content, _int, _ratfun, _rational, _series, main
 from wittkit.series import RationalFunction
+from wittkit.witt import IDENTITY_IDS
 
 SERIES_1PZ = '{"order":4,"coeffs":["1","1","0","0","0"]}'
 
@@ -68,6 +69,27 @@ def test_verify_pass_and_params(capsys):
     code, out, _ = run(capsys, "verify", "--id", "T3.4", "--f", SERIES_1PZ,
                        "--g", SERIES_1PZ, "--r", "2")
     assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
+SERIES_F = '{"order":8,"coeffs":["1","2","-1"]}'
+SERIES_G = '{"order":8,"coeffs":["2","0","3"]}'
+VERIFY_ARGS = {
+    "T1.1": ("--alpha", "2", "--beta", "3", "--n", "6"),
+    "T1.2": ("--beta", "2", "--r", "3", "--n", "4"),
+    "T3.1": ("--f", SERIES_F, "--r", "2", "--k", "3"),
+    "T3.2": ("--f", SERIES_F, "--r", "6"),
+    "T3.3": ("--f", SERIES_F, "--r", "6"),
+    "T3.4": ("--f", SERIES_F, "--g", SERIES_G, "--r", "6"),
+    "T3.5": ("--f", SERIES_F, "--r", "4", "--k", "2"),
+    "T3.6": ("--f", SERIES_F, "--g", SERIES_G, "--r", "2", "--v", "2", "--w", "4"),
+}
+
+
+@pytest.mark.parametrize("ident", IDENTITY_IDS)
+def test_verify_every_identity(capsys, ident):
+    code, out, err = run(capsys, "verify", "--id", ident, *VERIFY_ARGS[ident])
+    assert (code, err) == (0, "")
     assert json.loads(out)["passed"] is True
 
 
@@ -316,11 +338,29 @@ GRID_1_1 = '{"J":1,"K":1,"rows":[["1","0"],["0","-1"]]}'
     ("verify-all", "--scope", "expansion", "--budget", "-1"),
     ("scan", "--family", "P6", "--cmax", "-1", "--rmax", "12"),
     ("scan", "--family", "P6", "--cmax", "6", "--rmax", "-3"),
+    # orders and exponents below 1 are refused before anything is evaluated
+    ("verify", "--id", "T3.6", "--f", SERIES_F, "--g", SERIES_G, "--r", "2",
+     "--v", "0", "--w", "0"),
+    ("verify", "--id", "T1.2", "--beta", "2", "--r", "-1", "--n", "2"),
+    ("verify", "--id", "T3.1", "--f", SERIES_F, "--r", "2", "--k", "-1"),
+    ("verify", "--id", "T3.1", "--f", SERIES_F, "--r", "2", "--k", "0"),
+    ("bchi", "--kronecker", "-4", "--digits", "4", "--cross-check", "--prime-limit", "1"),
 ], ids=["expand-N", "expand2d-J", "expand2d-K", "cyclotomic-K", "cyclotomic-J",
-        "verify-all-budget", "scan-P6-cmax", "scan-P6-rmax"])
+        "verify-all-budget", "scan-P6-cmax", "scan-P6-rmax", "verify-T3.6-v-w",
+        "verify-T1.2-r", "verify-T3.1-k-negative", "verify-T3.1-k-zero",
+        "bchi-prime-limit"])
 def test_negative_sizes_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("necklace", "--alpha", "2"), "necklace needs --content, or --alpha with --n"),
+    (("necklace", "--n", "6"), "necklace needs --content, or --alpha with --n"),
+    (("convergence",), "convergence needs --f or --ratfun"),
+], ids=["necklace-no-n", "necklace-no-alpha", "convergence-no-input"])
+def test_missing_inputs_are_usage_errors(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"usage error: {message}\n")
 
 
 coeff_values = st.integers(-10**6, 10**6) | st.fractions(max_denominator=50)

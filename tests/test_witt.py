@@ -10,6 +10,7 @@ from wittkit.errors import PreconditionError
 from wittkit.necklace import necklace_count, necklace_poly
 from wittkit.series import TruncatedSeries
 from wittkit.witt import (
+    IDENTITY_IDS,
     c_transform,
     moebius_invert_series,
     moebius_sum_series,
@@ -54,6 +55,43 @@ def literal_moebius_series(seq, signed):
             acc = acc + seq[r // d - 1].truncate(n).inflate(d) * weight
         out.append(acc)
     return out
+
+
+def literal_t34_rhs(f, g, r):
+    """Product rule: sum over divisor pairs with lcm(i, j) = r of
+    gcd(i, j) W_i(f)(z^(r/i)) W_j(g)(z^(r/j))."""
+    acc = TruncatedSeries.zero(min(f.order, g.order))
+    for i in divisors(r):
+        for j in divisors(r):
+            if math.lcm(i, j) == r:
+                acc = acc + (witt_transform(f, i).inflate(r // i)
+                             * witt_transform(g, j).inflate(r // j) * math.gcd(i, j))
+    return acc
+
+
+def literal_t35_rhs(f, r, k):
+    """Power rule: sum over j | rk with lcm(j, k) = rk of (j/r) W_j(f)(z^(rk/j))."""
+    acc = TruncatedSeries.zero(f.order)
+    for j in divisors(r * k):
+        if math.lcm(j, k) == r * k:
+            acc = acc + witt_transform(f, j).inflate(r * k // j) * (j // r)
+    return acc
+
+
+def constant_transform(c, n):
+    return witt_transform(TruncatedSeries.constant(c, 0), n).coeff(0)
+
+
+def literal_t11_rhs(alpha, beta, n):
+    """Necklace product rule: sum over lcm(i, j) = n of gcd(i, j) M(alpha; i) M(beta; j)."""
+    return sum(math.gcd(i, j) * constant_transform(alpha, i) * constant_transform(beta, j)
+               for i in divisors(n) for j in divisors(n) if math.lcm(i, j) == n)
+
+
+def literal_t12_rhs(beta, r, n):
+    """Necklace power rule: sum over j | nr with lcm(j, r) = nr of (j/n) M(beta; j)."""
+    return sum((j // n) * constant_transform(beta, j)
+               for j in divisors(n * r) if math.lcm(j, r) == n * r)
 
 
 def test_transform_of_constant_is_necklace_polynomial():
@@ -217,6 +255,37 @@ def test_identities_hold_for_random_series(xs, ys, r):
     assert verify_identity("T3.6", f, g, r=min(r, 4), v=2, w=3).passed
 
 
+@settings(max_examples=40, deadline=None)
+@given(int_series | rational_series, int_series | rational_series,
+       st.integers(1, 6), st.integers(1, 3), st.integers(0, 4))
+def test_product_and_power_rules_match_literal_sums(xs, ys, r, k, extra):
+    f, g = S(xs, r * k + extra), S(ys, r * k + extra)
+    rep = verify_identity("T3.4", f, g, r=r)
+    assert rep.passed and rep.rhs == literal_t34_rhs(f, g, r)
+    rep = verify_identity("T3.5", f, r=r, k=k)
+    assert rep.passed and rep.rhs == literal_t35_rhs(f, r, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-5, 5), st.integers(-5, 5), st.integers(1, 4), st.integers(1, 10))
+def test_necklace_rules_match_literal_sums(alpha, beta, r, n):
+    rep = verify_identity("T1.1", alpha=alpha, beta=beta, n=n)
+    assert rep.passed and rep.rhs == S([literal_t11_rhs(alpha, beta, n)], 0)
+    rep = verify_identity("T1.2", beta=beta, r=r, n=n)
+    assert rep.passed and rep.rhs == S([literal_t12_rhs(beta, r, n)], 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(int_series | rational_series, int_series | rational_series,
+       st.integers(1, 4), st.integers(1, 4), st.integers(1, 3))
+def test_mixed_power_rule_with_common_factors(xs, ys, v, w, r):
+    # gcd(v, w) > 1 is the only case where the weight d/(v,w) differs from d
+    gg = math.gcd(v, w)
+    f, g = S(xs, r * max(v, w) // gg), S(ys, r * max(v, w) // gg)
+    assert verify_identity("T3.6", f, g, r=r, v=v, w=w).passed
+    assert verify_identity("T3.6", f, g, r=r, v=2 * v, w=2 * w).passed
+
+
 def test_simplified_product_rule_for_normalized_transform():
     f, g = S([1, 2, -1], 12), S([2, 0, 3], 12)
     for r in (2, 4, 6):
@@ -239,6 +308,30 @@ def test_verify_rejects_bad_input():
         verify_identity("T3.4", f, r=2)  # missing g
     with pytest.raises(ValueError):
         verify_identity("T3.5", f, r=4, k=3)  # truncation 4 < r*k
+
+
+F12, G12 = S([1, 2, -1], 12), S([2, 0, 3], 12)
+ID_PARAMS = {
+    "T1.1": {"alpha": 2, "beta": 3, "n": 4},
+    "T1.2": {"beta": 2, "r": 3, "n": 2},
+    "T3.1": {"f": F12, "r": 2, "k": 2},
+    "T3.2": {"f": F12, "r": 3},
+    "T3.3": {"f": F12, "r": 2},
+    "T3.4": {"f": F12, "g": G12, "r": 4},
+    "T3.5": {"f": F12, "r": 2, "k": 3},
+    "T3.6": {"f": F12, "g": G12, "r": 2, "v": 2, "w": 4},
+}
+
+
+@pytest.mark.parametrize("ident", IDENTITY_IDS)
+@pytest.mark.parametrize("bad", [0, -1])
+def test_verify_refuses_orders_and_exponents_below_one(ident, bad):
+    assert verify_identity(ident, **ID_PARAMS[ident]).passed
+    sizes = [name for name in ID_PARAMS[ident] if name in ("r", "k", "v", "w", "n")]
+    assert sizes
+    for name in sizes:
+        with pytest.raises(ValueError, match=f"{ident}: parameter {name} must be >= 1"):
+            verify_identity(ident, **{**ID_PARAMS[ident], name: bad})
 
 
 def test_scan_fixture_windows():

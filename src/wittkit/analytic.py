@@ -4,31 +4,51 @@ Euler-product constants, on stdlib Decimal arithmetic.
 Precision convention: a public operation taking `digits` = D returns a
 Decimal within 10^-D of the true value (absolute), quantized to D+4
 decimal places.  Internally everything runs at D plus GUARD_DIGITS extra
-digits, and the Euler-Maclaurin truncation remainder is bounded
-rigorously (by the first omitted correction term, valid because all
-derivatives of x -> (qx+a)^-s keep a fixed sign), and so are the tails
-of infinite products: a bound on the reciprocal roots of h bounds every
-exponent and fixes the cutoff before any zeta or L value is computed.
+digits, and every truncation is bounded rigorously: the tail of an
+infinite product by a bound on the reciprocal roots of h, which fixes
+the cutoff before any zeta or L value is computed, and each L-value as
+described below.
 
-Euler-Maclaurin sums cut the direct summation at
-K = min(max(12, 2 prec / 5), first K >= 1 whose integral tail is below
-target), so large exponents need only a few direct terms; the cut
-doubles if the correction terms diverge first.  Corrections run in
-Decimal: x_j = q^(2j-1) (s)_(2j-1) / base^(s+2j-1) is stepped by one
-rational factor per j and multiplied by B_2j/(2j)!, rounded once per
-working precision and cached.  The stop test compares the computed term
-with target (1 - 10^-6); that margin exceeds the few roundings in each
-term by many orders of magnitude, so the remainder bound is still a
-proof.
+Per-exponent precision.  An Euler product is exp(sum e ln L_m(n, psi))
+over integer exponents e keyed by (n, psi).  Each L_m(n, psi) - 1 is
+computed to its own p = D + 6 + ceil(log10 |e|) + GUARD_DIGITS digits,
+so |e| times its error stays below 10^-(D+16) whatever the other
+exponents are; the reported working precision is the largest p.
 
-The core summation primitive is S(s, q, a) = sum_{k>=0} (qk+a)^-s, from
-which Hurwitz zeta and the one L-value kernel behind every other value
-are assembled without large intermediate magnitudes:
+One kernel, _l_minus_1, returns L_m(s, chi) - 1 within 10^-prec, for chi
+mod q and the Euler factors of the first m primes removed, by one of two
+routes.  Let K be the least integer with K^(1-s) / (s-1) <= 10^-(prec+1),
+a bound on sum_{k>K} k^-s.
 
-    zeta(s, a=p/q)       = q^s * S(s, q, p)
-    L(s, chi mod q) - 1  = S(s, q, q+1) + sum_{a=2..q} chi(a) S(s, q, a)
-    L_m(s, chi) - 1      = (P - 1) + P (L - 1), P = prod_{p<=p_m} (1 - chi(p) p^-s)
-    zeta(s)              = 1 + (L(s, 1) - 1), at the trivial character
+- Direct rough sum, when K <= q max(12, floor(2 prec / 5)), the direct
+  part Euler-Maclaurin would sum anyway: sum chi(k) k^-s over the
+  p_m-rough k (coprime to every p <= p_m) with p_(m+1) <= k <= K.  No
+  Euler-Maclaurin and no product over the removed primes; large s needs
+  only a handful of terms.
+- Euler-Maclaurin otherwise, from S(s, q, a) = sum_{k>=0} (qk+a)^-s,
+  without large intermediate magnitudes:
+
+      L(s, chi mod q) - 1  = S(s, q, q+1) + sum_{a=2..q} chi(a) S(s, q, a)
+      L_m(s, chi) - 1      = (P - 1) + P (L - 1), P = prod_{p<=p_m} (1 - chi(p) p^-s)
+
+  with P exact.  Hurwitz zeta is zeta(s, p/q) = q^s S(s, q, p).
+
+Euler-Maclaurin sums cut the direct summation at min(max(12, 2 prec / 5),
+the first cut >= 1 whose integral tail is below target), and the cut
+doubles if the correction terms diverge first.
+Corrections run in Decimal: x_j = q^(2j-1) (s)_(2j-1) / base^(s+2j-1) is
+stepped by one rational factor per j and multiplied by B_2j/(2j)!, taken
+from one cached table rounded to at least the working precision.  The
+stop test compares the computed term with target (1 - 10^-6); that
+margin exceeds the few roundings in each term by many orders of
+magnitude, so the remainder bound is still a proof.
+
+Fixed point.  Every direct power sum, the rough sum and the k < cut part
+of Euler-Maclaurin alike, adds floor(10^W / k^s) as Python ints, with
+W = prec + 2 + the number of digits of the term count T.  Each floor errs
+by less than one unit of 10^-W, so the sum errs by less than
+T 10^-W < 10^-(prec+2), and it converts to Decimal exactly.  The rough
+sum thus errs by under 10^-(prec+1) + 10^-(prec+2) < 10^-prec.
 """
 
 from __future__ import annotations
@@ -75,24 +95,45 @@ def _dec_frac(x: Fraction) -> Decimal:
     return Decimal(x.numerator) / Decimal(x.denominator)
 
 
-# context precision -> (B_2/2!, B_4/4!, ...) as Decimals at that precision;
-# grown by replacing the tuple, so concurrent callers never see a
-# half-built entry
-_em_coeffs: Dict[int, Tuple[Decimal, ...]] = {}
+# (precision, (B_2/2!, B_4/4!, ...) each rounded once to that precision):
+# one table at the widest working precision asked for so far, widened to
+# at least twice its old precision, so precisions that differ per exponent
+# rebuild it only a few times; replaced whole, so concurrent callers never
+# see a half-built table
+_em_coeffs: Tuple[int, Tuple[Decimal, ...]] = (0, ())
 
 
 def _em_coeff(j: int, prec: int) -> Decimal:
-    """B_2j / (2j)! rounded once to `prec` digits (current context)."""
-    coeffs = _em_coeffs.get(prec, ())
+    """B_2j / (2j)! rounded once to a precision of at least `prec` digits."""
+    global _em_coeffs
+    have, coeffs = _em_coeffs
+    if have < prec:
+        have, coeffs = max(prec, 2 * have), ()
     if len(coeffs) < j:
-        more = []
-        for i in range(2 * len(coeffs) + 2, 2 * j + 1, 2):
-            b = bernoulli(i)
-            more.append(Decimal(b.numerator)
-                        / Decimal(b.denominator * math.factorial(i)))
-        coeffs += tuple(more)
-        _em_coeffs[prec] = coeffs
+        with localcontext() as ctx:
+            ctx.prec = have
+            for i in range(2 * len(coeffs) + 2, 2 * j + 1, 2):
+                b = bernoulli(i)
+                coeffs += (Decimal(b.numerator) / Decimal(b.denominator * math.factorial(i)),)
+        _em_coeffs = (have, coeffs)
     return coeffs[j - 1]
+
+
+def _power_sum(s: int, terms: Sequence[Tuple[int, int]], prec: int) -> Decimal:
+    """sum sign k^-s over (k, sign) in terms, sign = +-1 and k >= 1, within
+    10^-(prec+2) in integer fixed point: each of the T terms is floor(10^W
+    / k^s), W = prec + 2 + len(str(T)), and errs by less than 10^-W.  Every
+    sum here is at most zeta(2) < 2 in size, so W + 1 digits hold it and
+    the conversion to Decimal is exact."""
+    width = prec + 2 + len(str(len(terms)))
+    one = 10**width
+    total = 0
+    for k, sign in terms:
+        t = one // k**s
+        total += t if sign > 0 else -t
+    with localcontext() as ctx:
+        ctx.prec = width + 1
+        return Decimal(total).scaleb(-width)
 
 
 _STOP_MARGIN = Decimal("0.999999")  # 1 - 10^-6
@@ -104,6 +145,7 @@ def _em_attempt(s: int, q: int, a: int, cut: int, prec: int,
     `cut`.  Returns (value, ok); ok is False when the correction terms start
     growing before the remainder bound drops below target.
 
+    The terms k < cut come from _power_sum, within 10^-(prec+2).
     Correction j is c_j x_j with c_j = B_2j/(2j)! and
     x_j = q^(2j-1) (s)_(2j-1) / base^(s+2j-1), base = q cut + a; x_1 is
     q s base^-(s+1) and each step multiplies by q^2 (s+2j-1)(s+2j) and
@@ -112,14 +154,13 @@ def _em_attempt(s: int, q: int, a: int, cut: int, prec: int,
     x -> (qx+a)^-s keep a fixed sign), so we stop once the computed term
     is <= target (1 - 10^-6).  The computed term is the exact one times
     (1 + eps) with |eps| <= (2j+4) 10^-(prec+11): at most 2j+4 roundings
-    at the caller's prec+12 digits (two allowed for the power, two for
-    x_1 and for each later step of x_j, one each for c_j and the
+    at the caller's prec+12 digits or finer (two allowed for the power,
+    two for x_1 and for each later step of x_j, one for c_j, rounded once
+    to the table's precision of at least prec+12, and one for the
     product), and j <= 4 prec.  That is far below 10^-6, so the true term
     is below target too and the bound stays a proof.
     """
-    total = Decimal(0)
-    for k in range(cut):
-        total += Decimal(q * k + a) ** -s
+    total = _power_sum(s, [(q * k + a, 1) for k in range(cut)], prec)
     base = q * cut + a
     base2 = base * base
     p = Decimal(base) ** -s
@@ -269,15 +310,45 @@ def _ln1p(t: Decimal) -> Decimal:
     return +acc
 
 
+def _rough_end(s: int, prec: int, cap: int) -> Optional[int]:
+    """The least K >= 1 with K^(1-s) / (s-1) <= 10^-(prec+1), which bounds
+    sum_{k>K} k^-s, if K <= cap; else None.  A float guess within a decade
+    of cap is settled by exact integer comparisons."""
+    guess = (prec + 1 - math.log10(s - 1)) / (s - 1)  # log10 of the real root
+    if guess > math.log10(cap) + 1:
+        return None
+    goal = 10 ** (prec + 1)
+    end = max(1, math.ceil(10.0**guess))
+    while end > 1 and (s - 1) * (end - 1) ** (s - 1) >= goal:
+        end -= 1
+    while (s - 1) * end ** (s - 1) < goal:
+        end += 1
+    return end if end <= cap else None
+
+
 def _l_minus_1(s: int, chi: RealDirichletCharacter, prec: int, m: int = 0) -> Decimal:
-    """L_m(s, chi) - 1 = (P - 1) + P (L(s, chi) - 1) within 10^-prec, with the
-    Euler factors P = prod_{p <= p_m} (1 - chi(p) p^-s) exact and L's n = 1
-    term left out symbolically, so nothing cancels.  Each S sum at w digits
-    errs by under 2 10^-(w+1).  For q = 1, one sum and 0 < P <= 1 allow
-    w = prec.  For q > 1, w = prec + len(str(q)) + 1 (prec + 2 for q <= 9):
-    the phi(q) < 10^len(str(q)) sums err by under 2 10^-(prec+2) and |P| <=
-    zeta(2)/zeta(4) < 1.52, so the error stays below 10^-prec for any q."""
+    """L_m(s, chi) - 1 within 10^-prec, with the Euler factors of the first
+    m primes removed.
+
+    When the tail bound K of _rough_end is at most q max(12, 2 prec / 5),
+    the direct part of the default Euler-Maclaurin cut, the value is the
+    fixed-point sum of chi(k) k^-s over the p_m-rough k in [p_(m+1), K]:
+    under 10^-(prec+1) of tail plus 10^-(prec+2) of floors.
+
+    Otherwise it is (P - 1) + P (L(s, chi) - 1), with the Euler factors
+    P = prod_{p <= p_m} (1 - chi(p) p^-s) exact and L's n = 1 term left out
+    symbolically, so nothing cancels.  Each S sum at w digits errs by under
+    2 10^-(w+1).  For q = 1, one sum and 0 < P <= 1 allow w = prec.  For
+    q > 1, w = prec + len(str(q)) + 1 (prec + 2 for q <= 9): the phi(q) <
+    10^len(str(q)) sums err by under 2 10^-(prec+2) and |P| <= zeta(2)/zeta(4)
+    < 1.52, so the error stays below 10^-prec for any q."""
     q = chi.modulus
+    end = _rough_end(s, prec, q * max(12, (2 * prec) // 5))
+    if end is not None:
+        primes = primes_up_to(nth_prime(m + 1))  # p_1, ..., p_(m+1)
+        removed = math.prod(primes[:m])
+        return _power_sum(s, [(k, chi(k)) for k in range(primes[m], end + 1)
+                              if chi(k) and math.gcd(k, removed) == 1], prec)
     work = prec if q == 1 else prec + len(str(q)) + 1
     with localcontext() as ctx:
         ctx.prec = prec + 12
@@ -439,15 +510,18 @@ def _plan_cutoff(spec: EulerProductSpec):
 
 def _exp_log_sum(exponents: Dict[Tuple[int, RealDirichletCharacter], int], m: int,
                  digits: int) -> Tuple[Decimal, int]:
-    """(exp(sum e ln L_m(n, psi)), prec) over exponents e keyed by (n, psi),
-    each L_m - 1 within 10^-prec; prec absorbs the size of the largest e."""
-    max_log_e = max((_log10_int(e) for e in exponents.values()), default=0.0)
-    prec = digits + 6 + math.ceil(max_log_e) + GUARD_DIGITS
+    """(exp(sum e ln L_m(n, psi)), prec) over exponents e keyed by (n, psi).
+    Each L_m - 1 is computed within 10^-p at its own p = digits + 6 +
+    ceil(log10 |e|) + GUARD_DIGITS, so |e| 10^-p <= 10^-(digits+16) for every
+    term; prec, the working precision reported, is the largest p."""
+    precs = {key: digits + 6 + math.ceil(_log10_int(e)) + GUARD_DIGITS
+             for key, e in exponents.items()}
+    prec = max(precs.values(), default=digits + 6 + GUARD_DIGITS)
     with localcontext() as ctx:
         ctx.prec = prec + 12
         total = Decimal(0)
         for (n, psi), e in exponents.items():
-            total += e * _ln1p(_l_minus_1(n, psi, prec, m))
+            total += e * _ln1p(_l_minus_1(n, psi, precs[n, psi], m))
         return total.exp(), prec
 
 
@@ -456,8 +530,8 @@ def euler_product(spec: EulerProductSpec) -> ConstantResult:
 
     The exponents come from the unique product expansion of h, up to the
     cutoff that a bound on the reciprocal roots of h proves (_cutoff); each
-    contributes e_n * ln(1 + (zeta_m(n) - 1)) at a working precision wide
-    enough to absorb the size of e_n.  The reported tail is that proven
+    contributes e_n * ln(1 + (zeta_m(n) - 1)) at its own working precision,
+    wide enough to absorb the size of e_n.  The reported tail is that proven
     bound, or 0 for a product that terminates.
     """
     exps, cutoff, tail = _plan_cutoff(spec)
@@ -641,8 +715,8 @@ def _b_chi_direct(chi: RealDirichletCharacter, digits: int,
             c = chi(p)
             if c == 1:
                 continue
-            f = 1 + Fraction((c - 1) * p, (p * p - c) * (p - 1))
-            value *= _dec_frac(f)
+            den = (p * p - c) * (p - 1)
+            value *= Decimal(den + (c - 1) * p) / Decimal(den)
         value = +value
     tail = 2.6 / (prime_limit * math.log(prime_limit))
     return _quantize(value, digits), tail

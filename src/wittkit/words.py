@@ -65,6 +65,8 @@ def _fixed_content_lyndon(content: Sequence[int], budget: int) -> Iterator[Word]
     n = sum(content)
     if n < 1:
         raise ValueError("a Lyndon word needs a nonzero content")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     if n > budget:
         raise BudgetExceededError(
             f"total {n} exceeds enumeration budget {budget}; "

@@ -65,8 +65,9 @@ def test_hurwitz_high_precision_against_mpmath():
 
 
 def test_em_cut_doubling_path(monkeypatch):
-    # zeta(100) at 50 digits: the first cut leaves the integral tail below
-    # target but the corrections diverge, so the cut has to double
+    # S(100, 1, 2) = zeta(100) - 1 at 60 digits: the first cut (2) leaves the
+    # integral tail below target but the corrections diverge, so the cut has
+    # to double (zeta(100) itself takes the direct rough sum, without EM)
     cuts = []
     attempt = analytic._em_attempt
 
@@ -76,11 +77,11 @@ def test_em_cut_doubling_path(monkeypatch):
         return value, ok
 
     monkeypatch.setattr(analytic, "_em_attempt", counting)
-    value = zeta(100, 50)
+    value = analytic._dirichlet_sum(100, 1, 2, 60)
     assert len(cuts) >= 2 and not cuts[0][1] and cuts[-1][1]
     assert cuts[1][0] == 2 * cuts[0][0]
-    mpmath.mp.dps = 70
-    assert abs(value - mp_ref(mpmath.zeta(100), 50)) < Decimal("1e-50")
+    mpmath.mp.dps = 80
+    assert abs(mpmath.mpf(str(value)) - (mpmath.zeta(100) - 1)) < mpmath.mpf(10) ** -60
 
 
 def test_log10_int_beyond_str_limit():
@@ -163,13 +164,26 @@ def _l_m_reference(s, chi, m):
     return value - 1
 
 
+def _first_direct_s(q, prec):
+    """The least s whose L-value mod q the kernel sums directly at prec: the
+    first s where K = q max(12, 2 prec / 5) has K^(1-s) / (s-1) <= 10^-(prec+1)."""
+    cap = q * max(12, 2 * prec // 5)
+    return next(s for s in range(2, 1000) if (s - 1) * cap ** (s - 1) >= 10 ** (prec + 1))
+
+
 @pytest.mark.parametrize("d", [1, -4, -3, 5])
-@pytest.mark.parametrize("m", [0, 1, 3])
-@pytest.mark.parametrize("s", [2, 3, 7])
-def test_l_minus_1_with_removed_factors_against_mpmath(d, m, s):
+@pytest.mark.parametrize("m", [0, 1, 3, 25])
+@pytest.mark.parametrize("s", [2, 3, 7, "below-switch", "switch", 60, 150])
+def test_l_minus_1_with_removed_factors_against_mpmath(monkeypatch, d, m, s):
+    # s = 2, 3, 7 take Euler-Maclaurin; from the switch on, the direct sum
+    # over the p_m-rough k, which calls no S(s, q, a)
     chi = RealDirichletCharacter.from_kronecker(d)
-    mpmath.mp.dps = 60
+    switch = _first_direct_s(chi.modulus, 40)
+    s = {"below-switch": switch - 1, "switch": switch}.get(s, s)
+    sums = _counting(monkeypatch, "_dirichlet_sum")
     got = analytic._l_minus_1(s, chi, 40, m)
+    assert bool(sums) == (s < switch)
+    mpmath.mp.dps = 60
     ref = _l_m_reference(s, chi, m)
     assert abs(mpmath.mpf(str(got)) - ref) < mpmath.mpf(10) ** -40
 
@@ -528,6 +542,40 @@ def test_b_chi_trivial_is_exactly_one_without_l_values(monkeypatch, digits):
 def test_bchi_terms_vanish_for_the_trivial_character():
     # Artin e_n + [n=2] + [n=3] - [n=6] - A(n) - B(n) = 0 for every n
     assert analytic._bchi_terms(RealDirichletCharacter.trivial(), 200, 200) == {}
+
+
+def test_l_values_take_the_direct_sum_where_it_is_shorter(monkeypatch):
+    # with Euler-Maclaurin for every exponent these made 714 and 487 attempts
+    attempts = _counting(monkeypatch, "_em_attempt")
+    euler_product(EulerProductSpec(ARTIN_H, 0, 60))
+    assert len(attempts) < 100
+    attempts.clear()
+    b_chi(RealDirichletCharacter.from_kronecker(-4), 12)
+    assert len(attempts) < 150
+
+
+@pytest.mark.parametrize("run, digits", [
+    (lambda digits: euler_product(EulerProductSpec(ARTIN_H, 0, digits)).value, 200),
+    (lambda digits: euler_product(EulerProductSpec(TWIN_H, 1, digits)).value, 150),
+    (lambda digits: b_chi(RealDirichletCharacter.from_kronecker(5), digits).value, 30),
+    (lambda digits: b_chi(RealDirichletCharacter.from_kronecker(-3), digits).value, 30),
+], ids=["artin-m0-D200", "twin-m1-D150", "b_chi-kronecker5-D30", "b_chi-kronecker-3-D30"])
+def test_values_agree_with_ten_more_digits(run, digits):
+    assert abs(run(digits) - run(digits + 10)) <= Decimal(10) ** -digits
+
+
+@pytest.mark.parametrize("d", [-4, -3, 5, 8])
+@pytest.mark.parametrize("limit", [2, 97, 5000])
+def test_b_chi_direct_matches_the_fraction_formula(d, limit):
+    chi = RealDirichletCharacter.from_kronecker(d)
+    with localcontext() as ctx:
+        ctx.prec = 20 + analytic.GUARD_DIGITS + 12
+        value = Decimal(1)
+        for p in primes_up_to(limit):
+            f = 1 + Fraction((chi(p) - 1) * p, (p * p - chi(p)) * (p - 1))
+            value *= Decimal(f.numerator) / Decimal(f.denominator)
+        value = +value
+    assert analytic._b_chi_direct(chi, 20, limit)[0] == analytic._quantize(value, 20)
 
 
 def test_b_chi_computes_each_l_value_once(monkeypatch):

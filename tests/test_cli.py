@@ -336,6 +336,8 @@ GRID_1_1 = '{"J":1,"K":1,"rows":[["1","0"],["0","-1"]]}'
     ("cyclotomic", "--f", '{"order":3,"coeffs":[1,1]}', "--J", "-1", "--K", "2"),
     # empty check windows, which would otherwise report a pass with 0 checks
     ("verify-all", "--scope", "expansion", "--budget", "-1"),
+    ("words", "--content", "2,3", "--budget", "-1"),
+    ("words", "--content", "2,3", "--list", "--budget", "-1"),
     ("scan", "--family", "P6", "--cmax", "-1", "--rmax", "12"),
     ("scan", "--family", "P6", "--cmax", "6", "--rmax", "-3"),
     # orders and exponents below 1 are refused before anything is evaluated
@@ -346,9 +348,9 @@ GRID_1_1 = '{"J":1,"K":1,"rows":[["1","0"],["0","-1"]]}'
     ("verify", "--id", "T3.1", "--f", SERIES_F, "--r", "2", "--k", "0"),
     ("bchi", "--kronecker", "-4", "--digits", "4", "--cross-check", "--prime-limit", "1"),
 ], ids=["expand-N", "expand2d-J", "expand2d-K", "cyclotomic-K", "cyclotomic-J",
-        "verify-all-budget", "scan-P6-cmax", "scan-P6-rmax", "verify-T3.6-v-w",
-        "verify-T1.2-r", "verify-T3.1-k-negative", "verify-T3.1-k-zero",
-        "bchi-prime-limit"])
+        "verify-all-budget", "words-budget", "words-list-budget", "scan-P6-cmax",
+        "scan-P6-rmax", "verify-T3.6-v-w", "verify-T1.2-r", "verify-T3.1-k-negative",
+        "verify-T3.1-k-zero", "bchi-prime-limit"])
 def test_negative_sizes_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("usage error: ")

@@ -88,6 +88,10 @@ def test_aperiodic_budget():
     with pytest.raises(BudgetExceededError, match="budget 14"):
         lyndon_words([20, 20])
     assert len(lyndon_words([8, 8], budget=16)) == necklace_count([8, 8])
+    # a negative budget is a usage error, not an exceeded budget
+    for enumerate_words in (aperiodic_count, lyndon_words):
+        with pytest.raises(ValueError, match="budget must be >= 0"):
+            enumerate_words([2, 3], budget=-1)
 
 
 def test_long_words_do_not_recurse():

@@ -9,8 +9,16 @@ infinite product by a bound on the reciprocal roots of h, which fixes
 the cutoff before any zeta or L value is computed, and each L-value as
 described below.
 
-Per-exponent precision.  An Euler product is exp(sum e ln L_m(n, psi))
-over integer exponents e keyed by (n, psi).  Each L_m(n, psi) - 1 is
+Euler products.  Every constant here is prod_{p > p_m} h(chi(p), 1/p) for
+a real character chi mod q and an h(x, z) rational in z for each x in
+{-1, 0, 1}: euler_product is chi = 1, b_chi is h(x, z) = 1 + (x-1) z^2 /
+((1 - x z^2)(1 - z)).  One planner, _twisted_product, takes the p | q as
+the exact rational prod h(0, 1/p) and the others as
+prod_n L_m(n, chi^2)^Ev(n) L_m(n, chi)^Od(n), with Ev and Od from the
+product expansions of h(1, z) and h(-1, z), cut at one proven order.
+
+Per-exponent precision.  The product is exp(sum e ln L_m(n, psi)) over
+integer exponents e keyed by (n, psi).  Each L_m(n, psi) - 1 is
 computed to its own p = D + 6 + ceil(log10 |e|) + GUARD_DIGITS digits,
 so |e| times its error stays below 10^-(D+16) whatever the other
 exponents are; the reported working precision is the largest p.
@@ -59,14 +67,14 @@ from collections import defaultdict
 from dataclasses import dataclass
 from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from itertools import count
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .arith import bernoulli, nth_prime, primes_up_to
 from .characters import RealDirichletCharacter
 from .errors import DivergenceError, IntegralityError
 # peel_1d is unused here but stays bound: perfbench's span tests rebind it
 from .expansion import _mul_factor, _rational_exponents, peel_1d  # noqa: F401
-from .necklace import necklace_poly
 from .series import RationalFunction, TruncatedSeries, _decimal
 
 __all__ = [
@@ -493,40 +501,87 @@ def _cutoff(deg: int, rho: Fraction, base: int, digits: int) -> Tuple[int, Decim
     return n, Decimal(math.exp(ln_tail(n))).scaleb(-(digits + 4))
 
 
-def _ratfun_cutoff(h: RationalFunction, base: int, digits: int) -> Tuple[int, Decimal]:
-    """_cutoff for h, with at most len(num) + len(den) - 2 reciprocal roots."""
-    return _cutoff(len(h.num) + len(h.den) - 2, max(map(_root_bound, (h.num, h.den))),
-                   base, digits)
+def _roots(h: RationalFunction) -> Tuple[int, Fraction]:
+    """(d, rho): h has at most d = len(num) + len(den) - 2 reciprocal roots,
+    each at most rho in size."""
+    return len(h.num) + len(h.den) - 2, max(map(_root_bound, (h.num, h.den)))
 
 
-def _plan_cutoff(spec: EulerProductSpec):
-    """(exponents, cutoff, proven tail) of h; 0 for a product that ends."""
-    cutoff, tail = _ratfun_cutoff(spec.h, nth_prime(spec.m + 1), spec.digits)
-    exps = _rational_exponents(spec.h, cutoff).items()
-    if _is_exact_factorization(spec.h, exps):
-        return exps, exps[-1][0] if exps else 1, Decimal(0)
-    return exps, cutoff, tail
+def _twisted_exponents(h: Dict[int, RationalFunction], chi: RealDirichletCharacter,
+                       order: int) -> Dict[Tuple[int, RealDirichletCharacter], int]:
+    """The nonzero exponents, keyed by (n, psi) with n <= order, of
+    prod_{p not dividing q} h(chi(p), 1/p) = prod_n L(n, chi^2)^Ev(n)
+    L(n, chi)^Od(n).  With E+- the exponents of h(+-1, z), Od(n) = (E+(n) -
+    E-(n) + Od(n/2)) / 2 (Od(n/2) = 0 for odd n), checked to be exact, and
+    Ev = E+ - Od: chi(p) = 1 gets prod (1 - z^n)^-(Ev + Od) = h(1, z), and
+    chi(p) = -1 gets prod (1 - z^n)^-Ev (1 + z^n)^-Od = h(-1, z), as
+    (1 + z^n) = (1 - z^2n) / (1 - z^n) makes its exponent at n
+    Ev(n) - Od(n) + Od(n/2) = E-(n)."""
+    plus = _rational_exponents(h[1], order).exponents
+    minus = plus if h[-1] == h[1] else _rational_exponents(h[-1], order).exponents
+    odd, chi0 = [0] * (order + 1), chi.square()
+    terms = defaultdict(int)
+    for n in range(1, order + 1):
+        odd[n], rem = divmod(plus[n - 1] - minus[n - 1] + (0 if n % 2 else odd[n // 2]), 2)
+        if rem:
+            raise IntegralityError(f"the odd-part exponent at n={n} is not an integer")
+        terms[n, chi0] += plus[n - 1] - odd[n]
+        terms[n, chi] += odd[n]
+    return {key: e for key, e in terms.items() if e}
 
 
-def _exp_log_sum(exponents: Dict[Tuple[int, RealDirichletCharacter], int], m: int,
-                 digits: int) -> Tuple[Decimal, int]:
-    """(exp(sum e ln L_m(n, psi)), prec) over exponents e keyed by (n, psi).
-    Each L_m - 1 is computed within 10^-p at its own p = digits + 6 +
-    ceil(log10 |e|) + GUARD_DIGITS, so |e| 10^-p <= 10^-(digits+16) for every
-    term; prec, the working precision reported, is the largest p."""
+def _twisted_product(h: Dict[int, RationalFunction], chi: RealDirichletCharacter, m: int,
+                     digits: int) -> Tuple[Decimal, int, Decimal, int]:
+    """(value, cutoff, proven tail, working digits) of prod_{p > p_m}
+    h(chi(p), 1/p), for a real character chi mod q and h mapping x in
+    {-1, 0, 1} to the rational function h(x, z).
+
+    The finitely many p | q give the exact rational prod h(0, 1/p), the
+    others exp(sum e ln L_m(n, psi)) over _twisted_exponents cut at one
+    order N, which _cutoff proves with base b, the least k >= 2 with
+    chi(k) != 0 coprime to every p <= p_m (no L_m(n, psi) - 1 here has a term
+    below b).  If h(1) == h(-1), as for a principal chi, where h(-1) never
+    enters, Od = 0 and Ev = E+: the weight is that of h(1), and a product
+    that terminates has tail 0.  Otherwise, with d+- reciprocal roots of
+    h(+-1, z), R = max(3/2, rho+, rho-) bounding them and s(n) =
+    sum_{d|n} R^d, |E+-(n)| <= d+- s(n)/n; by induction over the halvings
+    |Od(n)| <= (d+ + d-)(s(n) + 3 s(n/2))/(2n) <= 3 (d+ + d-) s(n)/(2n), as
+    s(n/2) <= s(n) - R^n < 2 s(n)/3 for R >= 3/2; so the weight |Ev| + |Od|
+    is at most (d+ + 3 (d+ + d-)) s(n)/n.  Each L-value has its own
+    precision (module docstring); the working digits are the largest."""
+    if chi == chi.square():
+        h = {**h, -1: h[1]}
+    removed = math.prod(primes_up_to(nth_prime(m + 1))[:m])  # p_1 ... p_m
+    base = next(k for k in count(2) if chi(k) and math.gcd(k, removed) == 1)
+    deg, rho = _roots(h[1])
+    if h[1] != h[-1]:
+        d, r = _roots(h[-1])
+        deg, rho = deg + 3 * (deg + d), max(Fraction(3, 2), rho, r)
+    cutoff, tail = _cutoff(deg, rho, base, digits)
+    terms = _twisted_exponents(h, chi, cutoff)
+    exps = [(n, e) for (n, _), e in terms.items()]
+    if h[1] == h[-1] and _is_exact_factorization(h[1], exps):
+        cutoff, tail = exps[-1][0] if exps else 1, Decimal(0)
+    exact = Fraction(1)
+    for p in primes_up_to(chi.modulus):
+        if chi(p) == 0 and removed % p:
+            z = Fraction(1, p)
+            exact *= (sum(c * z**i for i, c in enumerate(h[0].num))
+                      / sum(c * z**i for i, c in enumerate(h[0].den)))
     precs = {key: digits + 6 + math.ceil(_log10_int(e)) + GUARD_DIGITS
-             for key, e in exponents.items()}
+             for key, e in terms.items()}
     prec = max(precs.values(), default=digits + 6 + GUARD_DIGITS)
     with localcontext() as ctx:
         ctx.prec = prec + 12
         total = Decimal(0)
-        for (n, psi), e in exponents.items():
+        for (n, psi), e in terms.items():
             total += e * _ln1p(_l_minus_1(n, psi, precs[n, psi], m))
-        return total.exp(), prec
+        return total.exp() * _dec_frac(exact), cutoff, tail, prec
 
 
 def euler_product(spec: EulerProductSpec) -> ConstantResult:
-    """prod_{p > p_m} h(1/p) as prod_{n >= 2} zeta_m(n)^(e_n).
+    """prod_{p > p_m} h(1/p) as prod_{n >= 2} zeta_m(n)^(e_n): the twisted
+    product with the trivial character and h independent of x.
 
     The exponents come from the unique product expansion of h, up to the
     cutoff that a bound on the reciprocal roots of h proves (_cutoff); each
@@ -534,17 +589,10 @@ def euler_product(spec: EulerProductSpec) -> ConstantResult:
     wide enough to absorb the size of e_n.  The reported tail is that proven
     bound, or 0 for a product that terminates.
     """
-    exps, cutoff, tail = _plan_cutoff(spec)
-    trivial = RealDirichletCharacter.trivial()
-    value, prec = _exp_log_sum({(n, trivial): e for n, e in exps}, spec.m, spec.digits)
-    return ConstantResult(
-        value=_quantize(value, spec.digits),
-        digits=spec.digits,
-        cutoff=cutoff,
-        tail_estimate=tail,
-        heuristic_tail=False,
-        working_digits=prec,
-    )
+    h = dict.fromkeys((-1, 0, 1), spec.h)
+    value, cutoff, tail, prec = _twisted_product(h, RealDirichletCharacter.trivial(),
+                                                 spec.m, spec.digits)
+    return ConstantResult(_quantize(value, spec.digits), spec.digits, cutoff, tail, False, prec)
 
 
 def euler_product_direct(spec: EulerProductSpec, prime_limit: int) -> ConstantResult:
@@ -590,10 +638,12 @@ def euler_product_direct(spec: EulerProductSpec, prime_limit: int) -> ConstantRe
 
 # -- the order-constant family B_chi ------------------------------------
 
-_ARTIN_H = RationalFunction([1, -1, -1], [1, -1])
-# 1/(1 - y f(z)) at y = +z^3 and y = -z^3, for f = -1/(1 - z - z^2)
-_G_PLUS = RationalFunction([1, -1, -1], [1, -1, -1, 1])
-_G_MINUS = RationalFunction([1, -1, -1], [1, -1, -1, -1])
+# h(x, z) = 1 + (x-1) z^2 / ((1 - x z^2)(1 - z)) at x = 0 (Artin's h), 1 and -1
+_BCHI_H = {
+    0: RationalFunction([1, -1, -1], [1, -1]),
+    1: RationalFunction([1], [1]),
+    -1: RationalFunction([1, -1, -1, -1], [1, -1, 1, -1]),
+}
 
 
 @dataclass(frozen=True)
@@ -601,6 +651,8 @@ class BChiResult:
     value: Decimal
     digits: int
     tail_estimate: Decimal
+    cutoff: int
+    working_digits: int
     direct_value: Optional[Decimal] = None
     direct_tail_estimate: Optional[float] = None
     difference: Optional[float] = None
@@ -609,8 +661,10 @@ class BChiResult:
         out = {
             "value": str(self.value),
             "digits": self.digits,
+            "cutoff": self.cutoff,
             "tail_estimate": _sci(self.tail_estimate),
             "heuristic_tail": False,
+            "working_digits": self.working_digits,
         }
         if self.direct_value is not None:
             out["direct_value"] = str(self.direct_value)
@@ -619,91 +673,33 @@ class BChiResult:
         return out
 
 
-def _bchi_exponents(order: int) -> Tuple[List[int], List[int]]:
-    """A(n), B(n) for n <= order: the sums of the Witt coefficients m(k, r)
-    of -1/(1-z-z^2) over k, r >= 1 with k + 3r = n, even r in A, odd in B.
-    Over all k >= 0 the sums give e+_n = A + B and e-_n = A - B + B(n/2)
-    (even n), the exponents of _G_PLUS and _G_MINUS, by the cyclotomic
-    identity and (1 + z^n)^(-m) = (1 - z^n)^m (1 - z^(2n))^(-m); the k = 0
-    terms m(0, r) = M(-1; r) in {-1, 0, 1} at n = 3r are then removed.
-    For R >= 3/2 bounding the roots of G+ and G- and s(n) = sum_{d|n} R^d,
-    |e+-_n| <= 5 s(n)/n, so |B(n)| <= 15 s(n)/n over k >= 0 (induction: s(n/2)
-    <= s(n) - R^n < 2 s(n)/3) and |A(n)|, |B(n)| <= 16 s(n)/n without k = 0."""
-    plus = _rational_exponents(_G_PLUS, order).exponents
-    minus = _rational_exponents(_G_MINUS, order).exponents
-    A, B = [0] * (order + 1), [0] * (order + 1)
-    for n in range(1, order + 1):
-        half = 0 if n % 2 else B[n // 2]
-        A[n], rem_a = divmod(plus[n - 1] + minus[n - 1] - half, 2)
-        B[n], rem_b = divmod(plus[n - 1] - minus[n - 1] + half, 2)
-        if rem_a or rem_b:
-            raise IntegralityError(f"b_chi exponent sums at n={n} are not integers")
-    for r in range(1, order // 3 + 1):
-        (B if r % 2 else A)[3 * r] -= necklace_poly(-1, r)
-    return A, B
-
-
-def _bchi_cutoffs(chi: RealDirichletCharacter, digits: int) -> Tuple[int, int, Decimal]:
-    """Orders of the Artin exponents (trivial character, base 2) and of A, B
-    (chi^2 and chi, base the least k >= 2 with chi(k) != 0, weight 2 * 16),
-    and the summed tails; for trivial chi all cancel, so share one order."""
-    base = next(k for k in range(2, chi.modulus + 2) if chi(k))
-    n_artin, tail_artin = _ratfun_cutoff(_ARTIN_H, 2, digits)
-    rho = max(Fraction(3, 2), *map(_root_bound, (_G_PLUS.num, _G_PLUS.den, _G_MINUS.den)))
-    n_ab, tail_ab = _cutoff(32, rho, base, digits)
-    if chi.is_trivial:
-        n_artin = n_ab = max(n_artin, n_ab)
-    return n_artin, n_ab, tail_artin + tail_ab
-
-
-def _bchi_terms(chi: RealDirichletCharacter, n_artin: int, n_ab: int) -> dict:
-    """The nonzero exponents E of b_chi = prod L(n, psi)^E(n, psi): Artin's
-    e_n at (n, 1), +1 at (2, chi) and (3, chi), -1 at (6, chi^2), -A(n) at
-    (n, chi^2) and -B(n) at (n, chi)."""
-    chi2 = chi.square()
-    terms = defaultdict(int, {(2, chi): 1, (3, chi): 1, (6, chi2): -1})
-    for n, e in _rational_exponents(_ARTIN_H, n_artin).items():
-        terms[n, RealDirichletCharacter.trivial()] += e
-    A, B = _bchi_exponents(n_ab)
-    for n in range(1, n_ab + 1):
-        terms[n, chi2] -= A[n]
-        terms[n, chi] -= B[n]
-    return {key: e for key, e in terms.items() if e}
-
-
 def b_chi(
     chi: RealDirichletCharacter,
     digits: int,
     cross_check_limit: Optional[int] = None,
 ) -> BChiResult:
-    """The Euler product prod_p (1 + (chi(p)-1) p / ((p^2 - chi(p)) (p-1)))
-    evaluated through Dirichlet L-series.
+    """The Euler product prod_p h(chi(p), 1/p) with h(x, z) = 1 + (x-1) z^2 /
+    ((1 - x z^2)(1 - z)), that is prod_p (1 + (chi(p)-1) p / ((p^2 - chi(p))
+    (p-1))), evaluated through Dirichlet L-series.
 
-    The L-series route is the Artin constant times L(2,chi) L(3,chi) /
-    L(6,chi^2) prod_n L(n,chi^2)^-A(n) L(n,chi)^-B(n), as one map of
-    exponents keyed by (n, character) cut at proven orders, so each L-value
-    is computed once (none for the trivial character, where all cancel).
+    One call to _twisted_product: the exact factors h(0, 1/p) = (p^2 - p - 1)
+    / (p^2 - p) for the p | q, times prod_n L(n, chi^2)^Ev(n) L(n, chi)^Od(n)
+    with the exponents of h(1, z) = 1 and h(-1, z) = (1 - z - z^2 - z^3) /
+    (1 - z + z^2 - z^3), cut at one proven order, so each L-value is computed
+    once (none for a principal chi, where the value is the exact rational).
     With cross_check_limit set (at least 2), the defining product over
     primes up to that limit is computed as well and the difference reported.
     """
     _check_digits(digits)
     if cross_check_limit is not None and cross_check_limit < 2:
         raise ValueError(f"cross_check_limit must be >= 2, got {cross_check_limit}")
-    n_artin, n_ab, tail = _bchi_cutoffs(chi, digits)
-    terms = _bchi_terms(chi, n_artin, n_ab)
-    value, _ = _exp_log_sum(terms, 0, digits)
-    result_value = _quantize(value, digits)
-    if cross_check_limit is None:
-        return BChiResult(result_value, digits, tail)
-    direct, direct_tail = _b_chi_direct(chi, digits, cross_check_limit)
-    return BChiResult(
-        result_value,
-        digits,
-        tail,
-        direct_value=direct,
-        direct_tail_estimate=direct_tail,
-        difference=abs(float(result_value - direct)),
-    )
+    value, cutoff, tail, prec = _twisted_product(_BCHI_H, chi, 0, digits)
+    value = _quantize(value, digits)
+    direct = direct_tail = difference = None
+    if cross_check_limit is not None:
+        direct, direct_tail = _b_chi_direct(chi, digits, cross_check_limit)
+        difference = abs(float(value - direct))
+    return BChiResult(value, digits, tail, cutoff, prec, direct, direct_tail, difference)
 
 
 def _b_chi_direct(chi: RealDirichletCharacter, digits: int,

@@ -157,7 +157,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", type=_content)
     p.add_argument("--digits", type=_int, default=8)
     p.add_argument("--cross-check", action="store_true")
-    p.add_argument("--prime-limit", type=_int, default=10**6)
+    p.add_argument("--prime-limit", type=_int,
+                   help="primes of --cross-check's direct product (default 10^6)")
 
     p = sub.add_parser("convergence", help="report product-to-L-series hypotheses")
     p.add_argument("--f", type=_series)
@@ -245,15 +246,17 @@ def _run(args) -> int:
         spec = EulerProductSpec(args.h, args.m, args.digits)
         result = euler_product(spec)
         out = result.to_json_dict()
-        if args.direct_limit:
+        if args.direct_limit is not None:
             direct = euler_product_direct(spec, args.direct_limit)
             out["direct"] = direct.to_json_dict()
         _emit(out)
         return 0
     if cmd == "bchi":
-        chi = _character(args)
-        rep = b_chi(chi, args.digits,
-                    cross_check_limit=args.prime_limit if args.cross_check else None)
+        if args.prime_limit is not None and not args.cross_check:
+            raise ValueError("bchi --prime-limit needs --cross-check")
+        limit = 10**6 if args.prime_limit is None else args.prime_limit
+        rep = b_chi(_character(args), args.digits,
+                    cross_check_limit=limit if args.cross_check else None)
         _emit(rep.to_json_dict())
         return 0
     if cmd == "convergence":

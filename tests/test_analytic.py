@@ -23,7 +23,7 @@ from wittkit.analytic import (
 from wittkit.arith import divisors, nth_prime, primes_up_to
 from wittkit.characters import RealDirichletCharacter
 from wittkit.errors import DivergenceError
-from wittkit.expansion import _rational_exponents, peel_1d
+from wittkit.expansion import _mul_factor, _rational_exponents, peel_1d
 from wittkit.series import RationalFunction, TruncatedSeries
 from wittkit.witt import witt_table
 
@@ -309,16 +309,31 @@ def test_b_chi_refuses_a_cross_check_limit_below_two(limit):
 FIB_RATFUN = RationalFunction([-1], [1, -1, -1])  # -1/(1 - z - z^2)
 
 
-def test_bchi_exponents_match_witt_table_sums():
-    N = 60
-    table = witt_table(FIB_RATFUN.expand(N), N // 3)
-    A, B = analytic._bchi_exponents(N)
+# h(x, z) = 1 - x z^2, whose twisted product over p not dividing q is 1/L(2, chi)
+INVERSE_L2_H = {0: RationalFunction([1], [1]), 1: RationalFunction([1, 0, -1], [1]),
+                -1: RationalFunction([1, 0, 1], [1])}
+
+
+@pytest.mark.parametrize("h", [analytic._BCHI_H, INVERSE_L2_H], ids=["b_chi", "inverse-l2"])
+def test_twisted_exponents_rebuild_h_at_plus_and_minus_one(h):
+    # prod (1-z^n)^-(Ev+Od) = h(1, z) and prod (1-z^n)^-Ev (1+z^n)^-Od = h(-1, z),
+    # with (1+z^n)^-Od = (1-z^n)^Od (1-z^2n)^-Od, exactly to order N
+    N = 200
+    chi = RealDirichletCharacter.from_kronecker(-4)
+    terms = analytic._twisted_exponents(h, chi, N)
+    assert {psi for _, psi in terms} <= {chi, chi.square()}
+    plus = minus = [[1] + [0] * N]
     for n in range(1, N + 1):
-        sums = [0, 0]
-        for r in range(1, n // 3 + 1):
-            if n - 3 * r >= 1:
-                sums[r % 2] += table.m(n - 3 * r, r)
-        assert [A[n], B[n]] == sums, n
+        ev, od = terms.get((n, chi.square()), 0), terms.get((n, chi), 0)
+        plus = _mul_factor(plus, n, 0, -ev - od)
+        minus = _mul_factor(_mul_factor(minus, n, 0, od - ev), 2 * n, 0, -od)
+    assert plus[0] == list(h[1].expand(N).coeffs)
+    assert minus[0] == list(h[-1].expand(N).coeffs)
+
+
+def test_twisted_exponents_of_one_minus_x_z_squared():
+    chi = RealDirichletCharacter.from_kronecker(5)
+    assert analytic._twisted_exponents(INVERSE_L2_H, chi, 100) == {(2, chi): -1}
 
 
 def table_route_b_chi(chis, digits):
@@ -382,7 +397,8 @@ def test_non_integral_h_is_refused_by_the_kernel_and_the_planner():
     with pytest.raises(ValueError, match=message):
         _rational_exponents(h, 64)
     with pytest.raises(ValueError, match=message):
-        analytic._plan_cutoff(EulerProductSpec(h, 0, 10))
+        analytic._twisted_product(dict.fromkeys((-1, 0, 1), h),
+                                  RealDirichletCharacter.trivial(), 0, 10)
     # at order 2 the c_n are still integers; the Moebius step finds e_2 = -1/2
     with pytest.raises(ValueError, match=message):
         _rational_exponents(h, 2)
@@ -466,10 +482,11 @@ def _bound_terms(deg, rho, base, upto):
 @pytest.mark.parametrize("deg, rho, base, digits", [
     (3, Fraction(1618034, 1000000), 2, 10),    # Artin, m = 0
     (3, Fraction(2), 3, 20),                   # twin prime, m = 1
-    (32, Fraction(1839287, 1000000), 3, 12),   # A, B of b_chi for chi_-4
+    (32, Fraction(1839287, 1000000), 3, 12),   # a heavier weight, same roots
+    (18, Fraction(1839287, 1000000), 3, 12),   # b_chi for chi_-4: 3 (0 + 6)
     (2, Fraction(1), 3, 15),                   # roots on the unit circle
     (3, Fraction(1618034, 1000000), 17, 200),  # Artin, m = 6
-], ids=["artin", "twin", "b_chi", "unit-circle", "artin-m6"])
+], ids=["artin", "twin", "b_chi", "b_chi-twisted", "unit-circle", "artin-m6"])
 def test_cutoff_bounds_the_exact_tail_sum(deg, rho, base, digits):
     # _cutoff's closed form against the sum it bounds, term by term
     N, tail = analytic._cutoff(deg, rho, base, digits)
@@ -491,7 +508,7 @@ def test_cutoff_refuses_divergence_and_impractical_orders():
 
 @pytest.mark.parametrize("digits", [310, 400])
 def test_cutoff_tail_stays_positive_below_the_float_range(digits):
-    _, tail = analytic._ratfun_cutoff(ARTIN_H, 2, digits)
+    _, tail = analytic._cutoff(*analytic._roots(ARTIN_H), 2, digits)
     assert 0 < tail <= Decimal(10) ** -(digits + 4)
 
 
@@ -540,8 +557,19 @@ def test_b_chi_trivial_is_exactly_one_without_l_values(monkeypatch, digits):
 
 
 def test_bchi_terms_vanish_for_the_trivial_character():
-    # Artin e_n + [n=2] + [n=3] - [n=6] - A(n) - B(n) = 0 for every n
-    assert analytic._bchi_terms(RealDirichletCharacter.trivial(), 200, 200) == {}
+    # Ev(n) + Od(n) = E+(n) = 0 for every n, since h(1, z) = 1
+    assert analytic._twisted_exponents(analytic._BCHI_H, RealDirichletCharacter.trivial(),
+                                       200) == {}
+
+
+@pytest.mark.parametrize("values, exact", [((0, 1, 0, 1), "0.5"), ((0, 1, 0, 0, 0, 1), "5/12")],
+                         ids=["mod-4", "mod-6"])
+def test_b_chi_of_a_principal_character_is_exact(monkeypatch, values, exact):
+    # h(1, z) = 1 leaves only the exact factors h(0, 1/p) = 1 - 1/(p^2 - p), p | q
+    calls = _counting(monkeypatch, "_l_minus_1")
+    rep = b_chi(RealDirichletCharacter.from_values(values), 12)
+    assert rep.value == analytic._quantize(analytic._dec_frac(Fraction(exact)), 12)
+    assert calls == [] and rep.tail_estimate == 0
 
 
 def test_l_values_take_the_direct_sum_where_it_is_shorter(monkeypatch):
@@ -580,11 +608,10 @@ def test_b_chi_direct_matches_the_fraction_formula(d, limit):
 
 def test_b_chi_computes_each_l_value_once(monkeypatch):
     chi = RealDirichletCharacter.from_kronecker(-4)
-    n_artin, n_ab, _ = analytic._bchi_cutoffs(chi, 30)
     calls = _counting(monkeypatch, "_l_minus_1")
-    b_chi(chi, 30)
+    cutoff = b_chi(chi, 30).cutoff
     keys = [(s, character) for s, character, *_ in calls]
-    assert len(set(keys)) == len(keys) <= 2 * (max(n_artin, n_ab) + 1)
+    assert len(set(keys)) == len(keys) <= 2 * (cutoff + 1)
 
 
 def _minus_one(n, allowed, limit=60):
@@ -617,10 +644,9 @@ def test_proven_tail_bounds_the_omitted_factors(h, m, digits):
 def test_proven_b_chi_tail_bounds_the_omitted_factors():
     chi = RealDirichletCharacter.from_kronecker(-4)
     rep = b_chi(chi, 12)
-    n_artin, n_ab, tail = analytic._bchi_cutoffs(chi, 12)
-    assert rep.tail_estimate == tail
-    trivial = RealDirichletCharacter.trivial()
+    _, cutoff, tail, _ = analytic._twisted_product(analytic._BCHI_H, chi, 0, 12)
+    assert rep.tail_estimate == tail and rep.cutoff == cutoff
     omitted = [(e, n, psi) for (n, psi), e in
-               analytic._bchi_terms(chi, n_artin + 400, n_ab + 400).items()
-               if n > (n_artin if psi == trivial else n_ab)]
+               analytic._twisted_exponents(analytic._BCHI_H, chi, cutoff + 400).items()
+               if n > cutoff]
     assert _log_sum(omitted) <= mpmath.mpf(str(tail))

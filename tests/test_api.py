@@ -42,8 +42,9 @@ def test_no_module_reads_the_environment():
 
 
 def test_analytic_does_not_import_witt():
-    # b_chi takes its exponents from one-variable rational functions; the
-    # two-variable Witt table must not come back into the constants path
+    # b_chi takes its exponents from one-variable rational functions; neither
+    # the two-variable Witt table nor a necklace correction may come back
+    # into the constants path
     imported = []
     for node in ast.walk(ast.parse((SRC / "analytic.py").read_text())):
         if isinstance(node, ast.ImportFrom):
@@ -51,7 +52,7 @@ def test_analytic_does_not_import_witt():
             imported += ["." * node.level + alias.name for alias in node.names]
         elif isinstance(node, ast.Import):
             imported += [alias.name for alias in node.names]
-    assert not [name for name in imported if name.split(".")[-1] == "witt"]
+    assert not [name for name in imported if name.split(".")[-1] in ("witt", "necklace")]
 
 
 def test_dirichlet_sums_come_from_the_l_value_kernel_and_hurwitz_zeta():

@@ -211,6 +211,14 @@ def test_bchi_twenty_digits(capsys):
     assert abs(Decimal(json.loads(out)["value"]) - B_CHI_MINUS_4) < Decimal("1e-20")
 
 
+def test_bchi_reports_its_cutoff_and_working_digits(capsys):
+    code, out, _ = run(capsys, "bchi", "--kronecker", "-4", "--digits", "8", "--cross-check")
+    data = json.loads(out)
+    assert code == 0 and data["direct_value"] and data["heuristic_tail"] is False
+    assert data["direct_tail_estimate"] == "1.882e-07"  # 2.6 / (x ln x) at x = 10^6
+    assert data["cutoff"] > 1 and data["working_digits"] > 8 + 10
+
+
 def test_bchi_trivial(capsys):
     from decimal import Decimal
 
@@ -347,10 +355,14 @@ GRID_1_1 = '{"J":1,"K":1,"rows":[["1","0"],["0","-1"]]}'
     ("verify", "--id", "T3.1", "--f", SERIES_F, "--r", "2", "--k", "-1"),
     ("verify", "--id", "T3.1", "--f", SERIES_F, "--r", "2", "--k", "0"),
     ("bchi", "--kronecker", "-4", "--digits", "4", "--cross-check", "--prime-limit", "1"),
+    # a limit that would otherwise be ignored or read as "no cross-check"
+    ("constant", "--h", '{"num":[1,-1,-1],"den":[1,-1]}', "--direct-limit", "0"),
+    ("bchi", "--kronecker", "-4", "--digits", "4", "--prime-limit", "1000"),
 ], ids=["expand-N", "expand2d-J", "expand2d-K", "cyclotomic-K", "cyclotomic-J",
         "verify-all-budget", "words-budget", "words-list-budget", "scan-P6-cmax",
         "scan-P6-rmax", "verify-T3.6-v-w", "verify-T1.2-r", "verify-T3.1-k-negative",
-        "verify-T3.1-k-zero", "bchi-prime-limit"])
+        "verify-T3.1-k-zero", "bchi-prime-limit", "constant-direct-limit-zero",
+        "bchi-prime-limit-without-cross-check"])
 def test_negative_sizes_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("usage error: ")

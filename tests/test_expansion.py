@@ -131,8 +131,9 @@ def test_rational_exponents_match_peel_of_the_expansion(u, num, den, N):
     RationalFunction([1, -1, -1], [1, -1]),          # Artin
     RationalFunction([1, -2], [1, -2, 1]),           # twin prime
     RationalFunction([1], [1, -2]),                  # 1/(1-2z)
-    RationalFunction([1, -1, -1], [1, -1, -1, 1]),   # G+ of b_chi
-    RationalFunction([1, -1, -1], [1, -1, -1, -1]),  # G- of b_chi
+    RationalFunction([1, -1, -1], [1, -1, -1, 1]),   # 1/(1 - y f), f = -1/(1-z-z^2), y = z^3
+    RationalFunction([1, -1, -1], [1, -1, -1, -1]),  # the same at y = -z^3
+    RationalFunction([1, -1, -1, -1], [1, -1, 1, -1]),  # h(-1, z) of b_chi
 ])
 def test_rational_exponents_fixed_cases(h):
     assert _rational_exponents(h, 300) == peel_1d(h.expand(300))

@@ -64,12 +64,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass
 from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 from itertools import count
 from typing import Dict, Optional, Sequence, Tuple, Union
 
+from ._record import record
 from .arith import bernoulli, nth_prime, primes_up_to
 from .characters import RealDirichletCharacter
 from .errors import DivergenceError, IntegralityError
@@ -377,7 +377,7 @@ def _l_minus_1(s: int, chi: RealDirichletCharacter, prec: int, m: int = 0) -> De
 # -- Euler products over exponent expansions ---------------------------
 
 
-@dataclass(frozen=True)
+@record
 class EulerProductSpec:
     """A constant prod_{p > p_m} h(1/p) with h unital and h = 1 + O(z^2)."""
 
@@ -397,7 +397,7 @@ class EulerProductSpec:
             raise ValueError("h must be 1 + O(z^2) (zero linear coefficient)")
 
 
-@dataclass(frozen=True)
+@record
 class ConstantResult:
     value: Decimal
     digits: int
@@ -595,12 +595,23 @@ def euler_product(spec: EulerProductSpec) -> ConstantResult:
     return ConstantResult(_quantize(value, spec.digits), spec.digits, cutoff, tail, False, prec)
 
 
+def _check_prime_limit(name: str, limit: int, m: int) -> int:
+    """p_m (1 for m = 0) after checking that the prime limit called `name`
+    exceeds it, so that a direct product has a prime to multiply."""
+    if m < 1:
+        if limit < 2:
+            raise ValueError(f"{name} must be >= 2, got {limit}")
+        return 1
+    last = nth_prime(m)
+    if limit <= last:
+        raise ValueError(f"{name} {limit} must exceed p_{m} = {last}, the last removed prime")
+    return last
+
+
 def euler_product_direct(spec: EulerProductSpec, prime_limit: int) -> ConstantResult:
     """Reference evaluation prod_{p_m < p <= prime_limit} h(1/p) with a
     first-order prime-tail estimate; used to validate euler_product."""
-    lower = nth_prime(spec.m) if spec.m >= 1 else 1
-    if prime_limit <= lower:
-        raise ValueError("prime_limit must exceed the last removed prime")
+    lower = _check_prime_limit("prime_limit", prime_limit, spec.m)
     num, den = list(spec.h.num), list(spec.h.den)
     deg = max(len(num), len(den)) - 1
     num += [0] * (deg + 1 - len(num))
@@ -646,7 +657,7 @@ _BCHI_H = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class BChiResult:
     value: Decimal
     digits: int
@@ -691,8 +702,8 @@ def b_chi(
     primes up to that limit is computed as well and the difference reported.
     """
     _check_digits(digits)
-    if cross_check_limit is not None and cross_check_limit < 2:
-        raise ValueError(f"cross_check_limit must be >= 2, got {cross_check_limit}")
+    if cross_check_limit is not None:
+        _check_prime_limit("cross_check_limit", cross_check_limit, 0)
     value, cutoff, tail, prec = _twisted_product(_BCHI_H, chi, 0, digits)
     value = _quantize(value, digits)
     direct = direct_tail = difference = None
@@ -721,7 +732,7 @@ def _b_chi_direct(chi: RealDirichletCharacter, digits: int,
 # -- convergence-hypothesis reporting -----------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ConvergenceReport:
     radius: float
     radius_method: str

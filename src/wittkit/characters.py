@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence, Tuple
 
+from ._record import record
 from .series import _exact_int
 
 __all__ = ["kronecker", "RealDirichletCharacter"]
@@ -43,7 +43,7 @@ def kronecker(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-@dataclass(frozen=True)
+@record
 class RealDirichletCharacter:
     """Completely multiplicative period-q map Z -> {-1, 0, +1} with
     chi(a) == 0 exactly when gcd(a, q) > 1."""

@@ -17,6 +17,7 @@ from typing import List, Optional
 from . import suites
 from .analytic import (
     EulerProductSpec,
+    _check_prime_limit,
     b_chi,
     check_convergence_hypotheses,
     euler_product,
@@ -244,6 +245,8 @@ def _run(args) -> int:
         return 0
     if cmd == "constant":
         spec = EulerProductSpec(args.h, args.m, args.digits)
+        if args.direct_limit is not None:
+            _check_prime_limit("--direct-limit", args.direct_limit, spec.m)
         result = euler_product(spec)
         out = result.to_json_dict()
         if args.direct_limit is not None:
@@ -255,6 +258,7 @@ def _run(args) -> int:
         if args.prime_limit is not None and not args.cross_check:
             raise ValueError("bchi --prime-limit needs --cross-check")
         limit = 10**6 if args.prime_limit is None else args.prime_limit
+        _check_prime_limit("--prime-limit", limit, 0)
         rep = b_chi(_character(args), args.digits,
                     cross_check_limit=limit if args.cross_check else None)
         _emit(rep.to_json_dict())

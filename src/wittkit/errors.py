@@ -11,7 +11,7 @@ class IntegralityError(ArithmeticError):
 
 
 class BudgetExceededError(RuntimeError):
-    """A brute-force enumeration would exceed its configured budget."""
+    """A brute-force enumeration or a table would exceed its size budget."""
 
 
 class DivergenceError(ArithmeticError):

@@ -17,9 +17,9 @@ algorithm against another.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ._record import record
 from .arith import moebius
 from .errors import IntegralityError
 from .series import (RationalFunction, TruncatedSeries, _decimal, _exact_int, _json_array,
@@ -73,7 +73,7 @@ def _mul_factor(rows: Sequence[Sequence[int]], j: int, k: int, e: int) -> List[L
     return out
 
 
-@dataclass(frozen=True)
+@record
 class Expansion1D:
     """Exponents e_n of f = prod_{n=1}^{order} (1 - z^n)^(-e_n)."""
 
@@ -187,7 +187,7 @@ def reconstruct_1d(expansion: Expansion1D, order: int) -> TruncatedSeries:
 # -- two-variable grids ------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class BiSeries:
     """Integer coefficient grid c(j, k) for 0 <= j <= J, 0 <= k <= K;
     grid[k][j] holds the coefficient of z^j y^k."""
@@ -285,7 +285,7 @@ class BiSeries:
         return bs
 
 
-@dataclass(frozen=True)
+@record
 class Expansion2D:
     """Nonzero exponents e(j, k) of F = prod (1 - z^j y^k)^(e(j,k))."""
 
@@ -329,7 +329,7 @@ def reconstruct_2d(expansion: Expansion2D, deg_z: int, deg_y: int) -> BiSeries:
     return BiSeries.from_rows(rows)
 
 
-@dataclass(frozen=True)
+@record
 class CyclotomicReport:
     passed: bool
     first_mismatch: Optional[Tuple[int, int]]
@@ -352,8 +352,8 @@ def cyclotomic_check(f: TruncatedSeries, deg_z: int, deg_y: int) -> CyclotomicRe
         raise ValueError(
             f"series truncation {f.order} is insufficient for z-degree {deg_z}"
         )
+    table = witt_table(f.truncate(deg_z), deg_y)  # first: it checks the size budget
     lhs = BiSeries.geometric(f, deg_z, deg_y)
-    table = witt_table(f.truncate(deg_z), deg_y)
     minus_m = tuple(((j, k), -m) for k, row in enumerate(table.rows, 1)
                     for j, m in enumerate(row.coeffs) if m)
     rhs = reconstruct_2d(Expansion2D(deg_z, deg_y, minus_m), deg_z, deg_y)

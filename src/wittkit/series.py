@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from typing import Sequence, Tuple, Union
 
+from ._record import record
 from .errors import IntegralityError
 
 __all__ = [
@@ -314,7 +314,7 @@ class TruncatedSeries:
         return cls(coeffs, _json_int(_json_field(obj, "order"), "order"))
 
 
-@dataclass(frozen=True)
+@record
 class RationalFunction:
     """Quotient of integer polynomials, ascending coefficients, den[0] != 0."""
 

@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product as iproduct
 from typing import List
 
+from ._record import record
 from .analytic import (
     EulerProductSpec,
     b_chi,
@@ -46,11 +46,11 @@ _CYCLOTOMIC_BIDEGREE, _BRIDGE_BIDEGREE = (8, 8), (10, 10)
 _UNIQUENESS_ORDER = 24
 
 
-@dataclass
+@record(frozen=False)
 class SuiteResult:
     suite: str
     checks: int = 0
-    failures: List[str] = field(default_factory=list)
+    failures: List[str] = []  # copied for each instance
     runtime_s: float = 0.0
 
     @property

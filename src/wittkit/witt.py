@@ -25,12 +25,12 @@ claims on the scanned window only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ._record import record
 from .arith import divisors, moebius
-from .errors import IntegralityError, PreconditionError
+from .errors import BudgetExceededError, IntegralityError, PreconditionError
 from .necklace import necklace_poly
 from .series import Coeff, TruncatedSeries, coeff_str
 
@@ -100,7 +100,7 @@ def witt_transform(f: TruncatedSeries, r: int) -> TruncatedSeries:
     return _divide_by_order(c_transform(f, r), r, f.is_integral())
 
 
-@dataclass(frozen=True)
+@record
 class WittTable:
     """Coefficient table m(j, r) for 0 <= j <= degree, 1 <= r <= order."""
 
@@ -128,12 +128,18 @@ class WittTable:
         }
 
 
+# largest table, order x (degree + 1) cells, that witt_table builds; the
+# largest documented table, (900, 70), has 63070
+TABLE_CELL_BUDGET = 100_000
+
+
 def witt_table(f: TruncatedSeries, order: int, degree: int | None = None) -> WittTable:
     """Rows 1..order of Witt transforms of f, truncated to `degree`.
 
     f is cut to `degree` first and its powers f, f^2, ..., f^order are
     built once at that degree; every row is the Witt kernel over those
     shared powers, so row r equals witt_transform(f, r).truncate(degree).
+    A table of more than TABLE_CELL_BUDGET cells raises BudgetExceededError.
     """
     if order < 1:
         raise ValueError(f"table order must be >= 1, got {order}")
@@ -142,6 +148,12 @@ def witt_table(f: TruncatedSeries, order: int, degree: int | None = None) -> Wit
     if not 0 <= degree <= f.order:
         raise ValueError(
             f"requested degree {degree} is outside the input truncation 0..{f.order}"
+        )
+    cells = order * (degree + 1)
+    if cells > TABLE_CELL_BUDGET:
+        raise BudgetExceededError(
+            f"a Witt table of {order} rows x {degree + 1} coefficients is {cells} "
+            f"cells, over the budget of {TABLE_CELL_BUDGET} cells"
         )
     f = f.truncate(degree)
     powers = [f]
@@ -192,7 +204,7 @@ def moebius_sum_series(seq: Sequence[TruncatedSeries]) -> List[TruncatedSeries]:
 # -- identity verification --------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class IdentityReport:
     ident: str
     params: Dict[str, int]
@@ -381,13 +393,13 @@ SCAN_FAMILIES = (
 )
 
 
-@dataclass(frozen=True)
+@record
 class ScanReport:
     family: str
     params: Dict[str, int]
     passed: bool
     checked: int
-    violations: Tuple[str, ...] = field(default_factory=tuple)
+    violations: Tuple[str, ...] = ()
     note: str = "finite-window check; certifies the claim on this window only"
 
     def __post_init__(self):

@@ -306,6 +306,15 @@ def test_b_chi_refuses_a_cross_check_limit_below_two(limit):
         b_chi(RealDirichletCharacter.from_kronecker(-4), 4, cross_check_limit=limit)
 
 
+@pytest.mark.parametrize("m, limit, message", [
+    (0, 1, "prime_limit must be >= 2, got 1"),
+    (3, 5, "prime_limit 5 must exceed p_3 = 5, the last removed prime"),
+])
+def test_euler_product_direct_refuses_a_limit_without_primes(m, limit, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        euler_product_direct(EulerProductSpec(ARTIN_H, m, 6), limit)
+
+
 FIB_RATFUN = RationalFunction([-1], [1, -1, -1])  # -1/(1 - z - z^2)
 
 

@@ -3,7 +3,10 @@ from the environment, and the import boundaries the design relies on."""
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import wittkit
@@ -39,6 +42,39 @@ def test_no_module_reads_the_environment():
             if name in ("environ", "getenv", "environb", "getenvb"):
                 readers.append(f"{path.name}:{node.lineno}")
     assert readers == []
+
+
+def test_no_module_imports_dataclasses():
+    # the records come from wittkit._record; dataclasses would pull in
+    # inspect and exec-compile every method at import time
+    importers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                importers.append(f"{path.name}:{node.lineno}")
+    assert importers == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # compared with a bare interpreter, so that modules a site hook loads
+    # in every interpreter do not count against the package
+    probe = "import sys; {}print(sorted(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+
+    def loaded(statement):
+        out = subprocess.run([sys.executable, "-c", probe.format(statement)], env=env,
+                             capture_output=True, text=True, check=True, timeout=60).stdout
+        return set(ast.literal_eval(out))
+
+    added = loaded("import wittkit.cli; ") - loaded("")
+    assert "wittkit.cli" in added
+    assert {"dataclasses", "inspect"} & added == set()
 
 
 def test_analytic_does_not_import_witt():

@@ -65,6 +65,18 @@ def test_witt_table(capsys):
     assert data["m"][2] == ["0", "1", "1", "0", "0"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("witt-table", "--f", '{"order":10,"coeffs":[1,1]}', "--R", "100000000", "--J", "10"),
+    ("scan", "--family", "T5.1", "--f", '{"order":10,"coeffs":[1,1]}', "--kmax", "8",
+     "--rmax", "100000000"),
+    ("cyclotomic", "--f", '{"order":10,"coeffs":[1,1]}', "--J", "10", "--K", "100000000"),
+], ids=["witt-table", "scan", "cyclotomic"])
+def test_witt_tables_over_the_cell_budget_fail_fast(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and err.startswith("budget exceeded: ")
+    assert "budget of 100000 cells" in json.loads(out)["error"]
+
+
 def test_verify_pass_and_params(capsys):
     code, out, _ = run(capsys, "verify", "--id", "T3.4", "--f", SERIES_1PZ,
                        "--g", SERIES_1PZ, "--r", "2")
@@ -366,6 +378,30 @@ GRID_1_1 = '{"J":1,"K":1,"rows":[["1","0"],["0","-1"]]}'
 def test_negative_sizes_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("usage error: ")
+
+
+ARTIN_H = '{"num":[1,-1,-1],"den":[1,-1]}'
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("constant", "--h", ARTIN_H, "--direct-limit", "0"), "--direct-limit must be >= 2, got 0"),
+    (("constant", "--h", ARTIN_H, "--direct-limit", "1"), "--direct-limit must be >= 2, got 1"),
+    (("constant", "--h", ARTIN_H, "--direct-limit", "-5"),
+     "--direct-limit must be >= 2, got -5"),
+    (("constant", "--h", ARTIN_H, "--m", "3", "--direct-limit", "5"),
+     "--direct-limit 5 must exceed p_3 = 5, the last removed prime"),
+    (("bchi", "--kronecker", "-4", "--digits", "4", "--cross-check", "--prime-limit", "1"),
+     "--prime-limit must be >= 2, got 1"),
+], ids=["direct-limit-0", "direct-limit-1", "direct-limit-negative",
+        "direct-limit-at-removed-prime", "bchi-prime-limit-1"])
+def test_prime_limits_are_usage_errors_naming_the_option(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"usage error: {message}\n")
+
+
+def test_direct_limit_just_past_the_removed_primes_is_accepted(capsys):
+    code, out, _ = run(capsys, "constant", "--h", ARTIN_H, "--m", "3", "--digits", "6",
+                       "--direct-limit", "7")
+    assert code == 0 and json.loads(out)["direct"]["cutoff"] == 7
 
 
 @pytest.mark.parametrize("argv, message", [

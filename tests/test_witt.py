@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittkit.arith import divisors, moebius
-from wittkit.errors import PreconditionError
+from wittkit.errors import BudgetExceededError, PreconditionError
 from wittkit.necklace import necklace_count, necklace_poly
 from wittkit.series import TruncatedSeries
 from wittkit.witt import (
     IDENTITY_IDS,
+    TABLE_CELL_BUDGET,
     c_transform,
     moebius_invert_series,
     moebius_sum_series,
@@ -185,6 +186,14 @@ def test_table_degree_truncation():
     assert table.rows[2] == witt_transform(f, 3).truncate(4)
     with pytest.raises(ValueError):
         witt_table(f, 5, degree=20)
+
+
+def test_table_over_the_cell_budget_is_refused_before_any_work():
+    f = S([1, 1], 10)
+    with pytest.raises(BudgetExceededError, match="budget of 100000 cells"):
+        witt_table(f, 10**8)
+    assert TABLE_CELL_BUDGET >= 900 * 70  # the largest table the docs name
+    assert witt_table(f, TABLE_CELL_BUDGET // 11).order == TABLE_CELL_BUDGET // 11
 
 
 def test_moebius_inversion_round_trip():

@@ -10,8 +10,10 @@ peel_1d and peel_2d take that route; for rational h = num/den,
 _rational_exponents takes it without expanding h, from the recurrence
 (num den) z h'/h = z (num' den - num den') in O(N deg).  One factor kernel,
 _mul_factor, multiplies the products back out (reconstruct_1d,
-reconstruct_2d, cyclotomic_check), so comparing the two checks one
-algorithm against another.
+reconstruct_2d).  cyclotomic_check needs no product: by unique
+factorization, 1/(1 - y f) = prod (1 - z^j y^k)^(-m(j,k)) holds exactly
+when the peeled exponents of 1 - y f are the Witt table m(j, k), so it
+compares the log-derivative kernel with the Moebius-sum table.
 """
 
 from __future__ import annotations
@@ -235,21 +237,6 @@ class BiSeries:
                 rows[1][j] = -f.coeff(j)
         return cls.from_rows(rows)
 
-    @classmethod
-    def geometric(cls, f: TruncatedSeries, deg_z: int, deg_y: int) -> "BiSeries":
-        """The grid of 1 / (1 - y*f(z)): row k holds f(z)^k."""
-        if f.order < deg_z:
-            raise ValueError(f"series order {f.order} below grid degree {deg_z}")
-        if not f.is_integral():
-            raise ValueError("integer coefficients required")
-        fz = f.truncate(deg_z)
-        rows = []
-        power = TruncatedSeries.one(deg_z)
-        for _ in range(deg_y + 1):
-            rows.append(list(power.coeffs))
-            power = power * fz
-        return cls.from_rows(rows)
-
     def mul_factor(self, j: int, k: int, e: int) -> "BiSeries":
         """Multiply by (1 - z^j y^k)^e, truncated to the grid degrees."""
         return BiSeries.from_rows(_mul_factor(self.grid, j, k, e))
@@ -331,6 +318,9 @@ def reconstruct_2d(expansion: Expansion2D, deg_z: int, deg_y: int) -> BiSeries:
 
 @record
 class CyclotomicReport:
+    """The two exponent grids that cyclotomic_check compares: lhs peeled
+    from 1 - y f, rhs the Witt table m(j, k) with row k = 0 zero."""
+
     passed: bool
     first_mismatch: Optional[Tuple[int, int]]
     lhs: BiSeries
@@ -344,8 +334,20 @@ class CyclotomicReport:
 
 
 def cyclotomic_check(f: TruncatedSeries, deg_z: int, deg_y: int) -> CyclotomicReport:
-    """Compare 1/(1 - y f(z)) with prod (1 - z^j y^k)^(-m(j,k)) exactly,
-    where m(j,k) is the Witt coefficient table of f."""
+    """Check 1/(1 - y f(z)) = prod (1 - z^j y^k)^(-m(j,k)) exactly for
+    j <= deg_z, k <= deg_y, where m(j, k) is the Witt coefficient table of f.
+
+    Product expansions are unique, so the identity holds exactly when the
+    exponents peeled from 1 - y f (the log-derivative kernel) equal the
+    table (the Moebius sum of powers of f), with row k = 0 all zero.  The
+    product's coefficient at (a, b) depends only on exponents at cells
+    (j, k) <= (a, b), so the first differing exponent in k-major order is
+    also the first differing product coefficient: first_mismatch.
+    """
+    if deg_z < 0:
+        raise ValueError(f"cyclotomic_check needs deg_z (J) >= 0, got {deg_z}")
+    if deg_y < 1:
+        raise ValueError(f"cyclotomic_check needs deg_y (K) >= 1, got {deg_y}")
     if not f.is_integral():
         raise ValueError("cyclotomic_check requires integer coefficients")
     if f.order < deg_z:
@@ -353,10 +355,10 @@ def cyclotomic_check(f: TruncatedSeries, deg_z: int, deg_y: int) -> CyclotomicRe
             f"series truncation {f.order} is insufficient for z-degree {deg_z}"
         )
     table = witt_table(f.truncate(deg_z), deg_y)  # first: it checks the size budget
-    lhs = BiSeries.geometric(f, deg_z, deg_y)
-    minus_m = tuple(((j, k), -m) for k, row in enumerate(table.rows, 1)
-                    for j, m in enumerate(row.coeffs) if m)
-    rhs = reconstruct_2d(Expansion2D(deg_z, deg_y, minus_m), deg_z, deg_y)
-    mismatch = next(((j, k) for k in range(deg_y + 1) for j in range(deg_z + 1)
-                     if lhs.coeff(j, k) != rhs.coeff(j, k)), None)
+    peeled = peel_2d(BiSeries.one_minus_y_times(f, deg_z, deg_y)).as_dict()
+    lhs = BiSeries.from_rows([[peeled.get((j, k), 0) for j in range(deg_z + 1)]
+                              for k in range(deg_y + 1)])
+    rhs = BiSeries.from_rows([[0] * (deg_z + 1)] + [row.coeffs for row in table.rows])
+    mismatch = next(((j, k) for k, (lrow, rrow) in enumerate(zip(lhs.grid, rhs.grid))
+                     for j in range(deg_z + 1) if lrow[j] != rrow[j]), None)
     return CyclotomicReport(mismatch is None, mismatch, lhs, rhs)

@@ -3,12 +3,17 @@
 Each oracle here deliberately uses a different algorithm from the code
 under test: classical long division for series expansion, an accelerated
 alternating sum for Catalan's constant, and Euler's criterion for
-quadratic residues.
+quadratic residues.  perturb_witt_table injects one known fault, so that a
+check's failing path can be tested.
 """
 
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import List, Sequence
+
+import wittkit.expansion
+from wittkit.series import TruncatedSeries
+from wittkit.witt import WittTable
 
 
 def longdiv_series(num: Sequence[int], den: Sequence[int], order: int) -> List[Fraction]:
@@ -63,3 +68,18 @@ def legendre_symbol(a: int, p: int) -> int:
 # perfbench/make_refs.py (b_chi_mpmath), which agrees with the same
 # evaluation at 42 digits and shares no code with wittkit's L-series route
 B_CHI_MINUS_4 = Decimal("0.3218253398312629869864361045102871")
+
+
+def perturb_witt_table(monkeypatch, j: int, k: int) -> None:
+    """Make the Witt table that wittkit.expansion reads off by one at m(j, k)."""
+    real = wittkit.expansion.witt_table
+
+    def faulty(f, order, degree=None):
+        table = real(f, order, degree)
+        rows = list(table.rows)
+        row = rows[k - 1]
+        rows[k - 1] = TruncatedSeries([c + (i == j) for i, c in enumerate(row.coeffs)],
+                                      row.order)
+        return WittTable(table.f, tuple(rows))
+
+    monkeypatch.setattr(wittkit.expansion, "witt_table", faulty)

@@ -58,9 +58,9 @@ def test_criterion_5_monotonicity_windows():
 
 
 def test_criterion_6_cyclotomic_identities():
-    # cyclotomic checks at bidegree (8, 8); the bridge at (10, 10)
+    # three series at bidegree (8, 8), thirteen at (10, 10)
     result = expansion_identity_battery()
-    _report(6, "two-variable product identities and the peel/table bridge",
+    _report(6, "cyclotomic identity: Witt table = peeled exponents of 1 - y f",
             result)
 
 

@@ -102,6 +102,19 @@ def test_dirichlet_sums_come_from_the_l_value_kernel_and_hurwitz_zeta():
     assert callers == {"_l_minus_1", "hurwitz_zeta"}
 
 
+def test_cyclotomic_check_compares_exponents_and_rebuilds_no_product():
+    # by unique factorization the identity is checked on exponents, the
+    # Witt table against the peel of 1 - y f; multiplying the product back
+    # out (8002 full-grid factor copies at (200, 40)) must not come back
+    called = set()
+    for node in ast.walk(ast.parse((SRC / "expansion.py").read_text())):
+        if isinstance(node, ast.FunctionDef) and node.name == "cyclotomic_check":
+            called = {getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+                      for call in ast.walk(node) if isinstance(call, ast.Call)}
+    assert {"witt_table", "peel_2d"} <= called
+    assert {"reconstruct_2d", "_mul_factor", "mul_factor"} & called == set()
+
+
 def test_readme_lists_match_the_code():
     readme = (SRC.parent.parent / "README.md").read_text()
 

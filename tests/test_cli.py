@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import B_CHI_MINUS_4
+from conftest import B_CHI_MINUS_4, perturb_witt_table
 from wittkit.arith import divisors, moebius
 from wittkit.cli import _content, _int, _ratfun, _rational, _series, main
 from wittkit.series import RationalFunction
@@ -144,6 +144,23 @@ def test_cyclotomic(capsys):
     assert code == 0 and json.loads(out)["passed"] is True
 
 
+def test_cyclotomic_failure_exits_1_with_the_mismatch(capsys, monkeypatch):
+    perturb_witt_table(monkeypatch, 2, 3)
+    code, out, _ = run(capsys, "cyclotomic",
+                       "--f", '{"order":8,"coeffs":["1","1"]}', "--J", "8", "--K", "8")
+    assert code == 1
+    assert json.loads(out) == {"passed": False, "first_mismatch": [2, 3]}
+
+
+@pytest.mark.parametrize("J, K, message", [
+    ("-1", "2", "cyclotomic_check needs deg_z (J) >= 0, got -1"),
+    ("2", "0", "cyclotomic_check needs deg_y (K) >= 1, got 0"),
+], ids=["J", "K"])
+def test_cyclotomic_sizes_are_usage_errors_naming_the_parameter(capsys, J, K, message):
+    assert run(capsys, "cyclotomic", "--f", '{"order":3,"coeffs":[1,1]}', "--J", J,
+               "--K", K) == (2, "", f"usage error: {message}\n")
+
+
 def test_zeta_variants(capsys):
     code, out, _ = run(capsys, "zeta", "--s", "2", "--digits", "12")
     assert code == 0
@@ -264,6 +281,13 @@ def test_verify_all_combinatorial_budgets(capsys, budget):
 
 def test_verify_all_small_budget(capsys):
     code, out, _ = run(capsys, "verify-all", "--scope", "expansion", "--budget", "5")
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
+def test_verify_all_analytic_at_thirty_digits(capsys):
+    # the pi^2 closed forms must be exact beyond the battery's 30 digits
+    code, out, _ = run(capsys, "verify-all", "--scope", "analytic", "--budget", "30")
     assert code == 0
     assert json.loads(out)["passed"] is True
 

@@ -1,4 +1,5 @@
 import pytest
+from conftest import perturb_witt_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -226,6 +227,37 @@ def test_cyclotomic_rejects_insufficient_truncation():
         cyclotomic_check(S([1, 1], 4), 8, 8)
     with pytest.raises(ValueError):
         cyclotomic_check(S(["1/2"], 8), 8, 8)
+
+
+def test_cyclotomic_grids_are_the_peeled_exponents_and_the_table():
+    f = S([0, 1, 2, -1], 6)
+    rep = cyclotomic_check(f, 6, 5)
+    table = witt_table(f, 5)
+    assert rep.passed and rep.first_mismatch is None
+    assert rep.rhs.grid[0] == (0,) * 7
+    assert all(rep.rhs.coeff(j, k) == table.m(j, k) for k in range(1, 6) for j in range(7))
+    assert rep.lhs == rep.rhs
+
+
+@pytest.mark.parametrize("j, k", [(0, 1), (3, 1), (0, 4), (5, 2), (6, 6)])
+def test_cyclotomic_reports_the_first_faulty_table_cell(monkeypatch, j, k):
+    perturb_witt_table(monkeypatch, j, k)
+    rep = cyclotomic_check(S([1, 1], 6), 6, 6)
+    assert rep.passed is False and rep.first_mismatch == (j, k)
+    assert rep.rhs.coeff(j, k) == rep.lhs.coeff(j, k) + 1
+
+
+@pytest.mark.parametrize("deg_z, deg_y, message", [
+    (-1, 3, "cyclotomic_check needs deg_z (J) >= 0, got -1"),
+    (3, 0, "cyclotomic_check needs deg_y (K) >= 1, got 0"),
+    (3, -2, "cyclotomic_check needs deg_y (K) >= 1, got -2"),
+])
+def test_cyclotomic_checks_its_sizes_first(deg_z, deg_y, message):
+    # before the coefficient and truncation checks, so a fractional or
+    # short series still gets the size error
+    with pytest.raises(ValueError) as exc:
+        cyclotomic_check(S(["1/2"], 1), deg_z, deg_y)
+    assert str(exc.value) == message
 
 
 def test_biseries_json_round_trip():

@@ -17,6 +17,13 @@ the exact rational prod h(0, 1/p) and the others as
 prod_n L_m(n, chi^2)^Ev(n) L_m(n, chi)^Od(n), with Ev and Od from the
 product expansions of h(1, z) and h(-1, z), cut at one proven order.
 
+Direct products.  euler_product_direct and b_chi's cross-check share one
+prime-by-prime product, _twisted_direct, of h(chi(p), 1/p) over p_m < p
+<= limit at D + GUARD_DIGITS + 12 digits: each factor is one correctly
+rounded division of the integers p^(w-1) num(1/p) and p^(w-1) den(1/p),
+by Horner's rule with num and den padded to one length w, and h(x) = 1
+is skipped.  Only the tails that the callers add are heuristic.
+
 Per-exponent precision.  The product is exp(sum e ln L_m(n, psi)) over
 integer exponents e keyed by (n, psi).  Each L_m(n, psi) - 1 is
 computed to its own p = D + 6 + ceil(log10 |e|) + GUARD_DIGITS digits,
@@ -549,7 +556,7 @@ def _twisted_product(h: Dict[int, RationalFunction], chi: RealDirichletCharacter
     s(n/2) <= s(n) - R^n < 2 s(n)/3 for R >= 3/2; so the weight |Ev| + |Od|
     is at most (d+ + 3 (d+ + d-)) s(n)/n.  Each L-value has its own
     precision (module docstring); the working digits are the largest."""
-    if chi == chi.square():
+    if -1 not in chi.values:  # chi == chi^2, without building chi^2
         h = {**h, -1: h[1]}
     removed = math.prod(primes_up_to(nth_prime(m + 1))[:m])  # p_1 ... p_m
     base = next(k for k in count(2) if chi(k) and math.gcd(k, removed) == 1)
@@ -595,40 +602,53 @@ def euler_product(spec: EulerProductSpec) -> ConstantResult:
     return ConstantResult(_quantize(value, spec.digits), spec.digits, cutoff, tail, False, prec)
 
 
-def _check_prime_limit(name: str, limit: int, m: int) -> int:
-    """p_m (1 for m = 0) after checking that the prime limit called `name`
-    exceeds it, so that a direct product has a prime to multiply."""
+def _check_prime_limit(name: str, limit: int, m: int) -> None:
+    """Check that the prime limit called `name` exceeds p_m (1 for m = 0),
+    so that a direct product has a prime to multiply."""
     if m < 1:
         if limit < 2:
             raise ValueError(f"{name} must be >= 2, got {limit}")
-        return 1
+        return
     last = nth_prime(m)
     if limit <= last:
         raise ValueError(f"{name} {limit} must exceed p_{m} = {last}, the last removed prime")
-    return last
+
+
+def _twisted_direct(h: Dict[int, RationalFunction], chi: RealDirichletCharacter, m: int,
+                    limit: int, digits: int) -> Decimal:
+    """prod h(chi(p), 1/p) over the primes p_m < p <= limit, for h as in
+    _twisted_product, quantized to `digits` (module docstring, "Direct
+    products"); DivergenceError names a prime at a pole."""
+    rows = {}
+    for x in set(chi.values):
+        num, den = h[x].num, h[x].den
+        w = max(len(num), len(den))
+        pairs = tuple(zip(num + (0,) * (w - len(num)), den + (0,) * (w - len(den))))
+        rows[x] = None if all(c == d for c, d in pairs) else pairs  # None: h(x) = 1
+    table, q = [rows[x] for x in chi.values], chi.modulus  # indexed by p mod q
+    with localcontext() as ctx:
+        ctx.prec = digits + GUARD_DIGITS + 12
+        value = Decimal(1)
+        for p in primes_up_to(limit)[m:]:
+            pairs = table[p % q]
+            if pairs is None:
+                continue
+            a = b = 0  # p^(w-1) num(1/p) and p^(w-1) den(1/p) by Horner's rule
+            for c, d in pairs:
+                a, b = a * p + c, b * p + d
+            if not b:
+                raise DivergenceError(f"h(chi(p), 1/p) has a pole at p = {p}")
+            value *= Decimal(a) / Decimal(b)
+        value = +value
+    return _quantize(value, digits)
 
 
 def euler_product_direct(spec: EulerProductSpec, prime_limit: int) -> ConstantResult:
     """Reference evaluation prod_{p_m < p <= prime_limit} h(1/p) with a
     first-order prime-tail estimate; used to validate euler_product."""
-    lower = _check_prime_limit("prime_limit", prime_limit, spec.m)
-    num, den = list(spec.h.num), list(spec.h.den)
-    deg = max(len(num), len(den)) - 1
-    num += [0] * (deg + 1 - len(num))
-    den += [0] * (deg + 1 - len(den))
-    prec = spec.digits + GUARD_DIGITS
-    with localcontext() as ctx:
-        ctx.prec = prec + 12
-        value = Decimal(1)
-        for p in primes_up_to(prime_limit):
-            if p <= lower:
-                continue
-            # h(1/p) = (sum num_i p^(deg-i)) / (sum den_i p^(deg-i))
-            powers = [p ** (deg - i) for i in range(deg + 1)]
-            a = sum(c * w for c, w in zip(num, powers))
-            b = sum(c * w for c, w in zip(den, powers))
-            value *= Decimal(a) / Decimal(b)
-        value = +value
+    _check_prime_limit("prime_limit", prime_limit, spec.m)
+    value = _twisted_direct(dict.fromkeys((-1, 0, 1), spec.h), RealDirichletCharacter.trivial(),
+                            spec.m, prime_limit, spec.digits)
     # first-order tail from the series coefficients of log h ~ h - 1
     probe = spec.h.expand(8)
     tail = 0.0
@@ -638,12 +658,12 @@ def euler_product_direct(spec: EulerProductSpec, prime_limit: int) -> ConstantRe
         if ck:
             tail += 1.5 * ck * prime_limit ** (1 - k) / ((k - 1) * logl)
     return ConstantResult(
-        value=_quantize(value, spec.digits),
+        value=value,
         digits=spec.digits,
         cutoff=prime_limit,
         tail_estimate=Decimal(tail),
         heuristic_tail=True,
-        working_digits=prec,
+        working_digits=spec.digits + GUARD_DIGITS,
     )
 
 
@@ -708,25 +728,10 @@ def b_chi(
     value = _quantize(value, digits)
     direct = direct_tail = difference = None
     if cross_check_limit is not None:
-        direct, direct_tail = _b_chi_direct(chi, digits, cross_check_limit)
+        direct = _twisted_direct(_BCHI_H, chi, 0, cross_check_limit, digits)
+        direct_tail = 2.6 / (cross_check_limit * math.log(cross_check_limit))
         difference = abs(float(value - direct))
     return BChiResult(value, digits, tail, cutoff, prec, direct, direct_tail, difference)
-
-
-def _b_chi_direct(chi: RealDirichletCharacter, digits: int,
-                  prime_limit: int) -> Tuple[Decimal, float]:
-    with localcontext() as ctx:
-        ctx.prec = digits + GUARD_DIGITS + 12
-        value = Decimal(1)
-        for p in primes_up_to(prime_limit):
-            c = chi(p)
-            if c == 1:
-                continue
-            den = (p * p - c) * (p - 1)
-            value *= Decimal(den + (c - 1) * p) / Decimal(den)
-        value = +value
-    tail = 2.6 / (prime_limit * math.log(prime_limit))
-    return _quantize(value, digits), tail
 
 
 # -- convergence-hypothesis reporting -----------------------------------

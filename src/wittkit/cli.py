@@ -71,6 +71,8 @@ def _content(arg: str) -> List[int]:
 
 
 def _character(args) -> RealDirichletCharacter:
+    if args.kronecker is not None and args.table is not None:
+        raise ValueError(f"{args.command} takes --kronecker or --table, not both")
     if args.kronecker is not None:
         return RealDirichletCharacter.from_kronecker(args.kronecker)
     if args.table:
@@ -174,6 +176,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _run(args) -> int:
     cmd = args.command
     if cmd == "necklace":
+        if args.content is not None and (args.alpha is not None or args.n is not None):
+            raise ValueError("necklace takes --content or --alpha with --n, not both")
+        if args.vk is not None and args.content is None:
+            raise ValueError("necklace --vk needs --content")
         if args.content:
             if args.vk is not None:
                 _emit({"value": coeff_str(v_count(args.content, args.vk))})
@@ -228,6 +234,8 @@ def _run(args) -> int:
         _emit(rep.to_json_dict())
         return 0 if rep.passed else 1
     if cmd == "zeta":
+        if args.m is not None and args.a is not None:
+            raise ValueError("zeta takes --m or --a, not both")
         if args.m is not None:
             value = partial_zeta(args.m, args.s, args.digits)
         elif args.a is not None:
@@ -264,6 +272,8 @@ def _run(args) -> int:
         _emit(rep.to_json_dict())
         return 0
     if cmd == "convergence":
+        if args.ratfun is not None and args.f is not None:
+            raise ValueError("convergence takes --f or --ratfun, not both")
         target = args.ratfun if args.ratfun is not None else args.f
         if target is None:
             raise ValueError("convergence needs --f or --ratfun")

@@ -190,13 +190,12 @@ def identity_battery(seeds: int = 200, seed0: int = 20240917) -> SuiteResult:
     rng2 = random.Random(seed0 + 1)
     for _ in range(40):
         a, b, n = rng2.randint(1, 5), rng2.randint(1, 5), rng2.randint(1, 8)
-        rep = verify_identity("T1.1", alpha=a, beta=b, n=n)
-        res.check(rep.passed, f"T1.1 {rep.params}")
+        t11 = verify_identity("T1.1", alpha=a, beta=b, n=n)
+        res.check(t11.passed, f"T1.1 {t11.params}")
         rep = verify_identity("T1.2", beta=b, r=rng2.randint(1, 3), n=rng2.randint(1, 4))
         res.check(rep.passed, f"T1.2 {rep.params}")
         res.check(
-            verify_identity("T1.1", alpha=a, beta=b, n=n).rhs.coeff(0)
-            == necklace_poly(a * b, n),
+            t11.rhs.coeff(0) == necklace_poly(a * b, n),
             f"T1.1 disagrees with necklace_poly({a * b},{n})",
         )
     return res

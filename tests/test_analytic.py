@@ -612,7 +612,48 @@ def test_b_chi_direct_matches_the_fraction_formula(d, limit):
             f = 1 + Fraction((chi(p) - 1) * p, (p * p - chi(p)) * (p - 1))
             value *= Decimal(f.numerator) / Decimal(f.denominator)
         value = +value
-    assert analytic._b_chi_direct(chi, 20, limit)[0] == analytic._quantize(value, 20)
+    assert analytic._twisted_direct(analytic._BCHI_H, chi, 0, limit, 20) \
+        == analytic._quantize(value, 20)
+
+
+@pytest.mark.parametrize("h, m", [(ARTIN_H, 0), (ARTIN_H, 6), (TWIN_H, 1), (QUAD_H, 1)],
+                         ids=["artin-m0", "artin-m6", "twin-m1", "quad-m1"])
+@pytest.mark.parametrize("limit", [None, 97, 5000], ids=["smallest", "97", "5000"])
+def test_euler_product_direct_matches_the_literal_product(h, m, limit):
+    limit = limit or (nth_prime(m) + 1 if m else 2)
+    with localcontext() as ctx:
+        ctx.prec = 12 + analytic.GUARD_DIGITS + 12
+        value = Decimal(1)
+        for p in primes_up_to(limit)[m:]:
+            f = (sum(Fraction(c, p**i) for i, c in enumerate(h.num))
+                 / sum(Fraction(c, p**i) for i, c in enumerate(h.den)))
+            value *= Decimal(f.numerator) / Decimal(f.denominator)
+        value = +value
+    result = euler_product_direct(EulerProductSpec(h, m, 12), limit)
+    assert str(result.value) == str(analytic._quantize(value, 12))
+
+
+def test_euler_product_direct_names_a_prime_at_a_pole():
+    # (1 - z^2) / (1 - 4 z^2) has a pole at z = 1/2
+    spec = EulerProductSpec(RationalFunction([1, 0, -1], [1, 0, -4]), 0, 10)
+    with pytest.raises(DivergenceError, match="pole at p = 2$"):
+        euler_product_direct(spec, 10)
+
+
+def test_b_chi_builds_chi_squared_once(monkeypatch):
+    # every construction of a character reruns its O(q^2) multiplicativity check
+    calls = []
+    square = RealDirichletCharacter.square
+
+    def counted(chi):
+        calls.append(chi)
+        return square(chi)
+
+    monkeypatch.setattr(RealDirichletCharacter, "square", counted)
+    for d in (-4, 5, 1):
+        calls.clear()
+        b_chi(RealDirichletCharacter.from_kronecker(d), 8, cross_check_limit=97)
+        assert len(calls) == 1, d
 
 
 def test_b_chi_computes_each_l_value_once(monkeypatch):

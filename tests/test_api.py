@@ -102,6 +102,19 @@ def test_dirichlet_sums_come_from_the_l_value_kernel_and_hurwitz_zeta():
     assert callers == {"_l_minus_1", "hurwitz_zeta"}
 
 
+def test_both_cross_checks_take_the_one_direct_product():
+    # euler_product_direct and b_chi's cross-check multiply h(chi(p), 1/p)
+    # prime by prime in _twisted_direct; a second such loop must not return
+    callers, defined = set(), set()
+    for node in ast.walk(ast.parse((SRC / "analytic.py").read_text())):
+        if isinstance(node, ast.FunctionDef):
+            defined.add(node.name)
+            callers |= {node.name for call in ast.walk(node) if isinstance(call, ast.Call)
+                        and getattr(call.func, "id", None) == "_twisted_direct"}
+    assert callers == {"euler_product_direct", "b_chi"}
+    assert "_b_chi_direct" not in defined
+
+
 def test_cyclotomic_check_compares_exponents_and_rebuilds_no_product():
     # by unique factorization the identity is checked on exponents, the
     # Witt table against the peel of 1 - y f; multiplying the product back

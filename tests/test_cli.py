@@ -432,7 +432,19 @@ def test_direct_limit_just_past_the_removed_primes_is_accepted(capsys):
     (("necklace", "--alpha", "2"), "necklace needs --content, or --alpha with --n"),
     (("necklace", "--n", "6"), "necklace needs --content, or --alpha with --n"),
     (("convergence",), "convergence needs --f or --ratfun"),
-], ids=["necklace-no-n", "necklace-no-alpha", "convergence-no-input"])
+    (("zeta", "--s", "2", "--m", "1", "--a", "1/4"), "zeta takes --m or --a, not both"),
+    (("lseries", "--s", "2", "--kronecker", "-4", "--table", "0,1,0,-1"),
+     "lseries takes --kronecker or --table, not both"),
+    (("bchi", "--kronecker", "-4", "--table", "0,1,0,-1"),
+     "bchi takes --kronecker or --table, not both"),
+    (("convergence", "--f", '{"order":2,"coeffs":["0","1","0"]}', "--ratfun",
+      '{"num":[0,1],"den":[1]}'), "convergence takes --f or --ratfun, not both"),
+    (("necklace", "--content", "2,3", "--alpha", "2", "--n", "6"),
+     "necklace takes --content or --alpha with --n, not both"),
+    (("necklace", "--alpha", "2", "--n", "6", "--vk", "1"), "necklace --vk needs --content"),
+], ids=["necklace-no-n", "necklace-no-alpha", "convergence-no-input", "zeta-m-and-a",
+        "lseries-kronecker-and-table", "bchi-kronecker-and-table", "convergence-f-and-ratfun",
+        "necklace-content-and-alpha", "necklace-vk-without-content"])
 def test_missing_inputs_are_usage_errors(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"usage error: {message}\n")
 

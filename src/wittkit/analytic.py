@@ -46,7 +46,7 @@ a bound on sum_{k>K} k^-s.
       L(s, chi mod q) - 1  = S(s, q, q+1) + sum_{a=2..q} chi(a) S(s, q, a)
       L_m(s, chi) - 1      = (P - 1) + P (L - 1), P = prod_{p<=p_m} (1 - chi(p) p^-s)
 
-  with P exact.  Hurwitz zeta is zeta(s, p/q) = q^s S(s, q, p).
+  with P in fixed point (below).  Hurwitz zeta is zeta(s, p/q) = q^s S(s, q, p).
 
 Euler-Maclaurin sums cut the direct summation at min(max(12, 2 prec / 5),
 the first cut >= 1 whose integral tail is below target), and the cut
@@ -58,12 +58,9 @@ stop test compares the computed term with target (1 - 10^-6); that
 margin exceeds the few roundings in each term by many orders of
 magnitude, so the remainder bound is still a proof.
 
-Fixed point.  Every direct power sum, the rough sum and the k < cut part
-of Euler-Maclaurin alike, adds floor(10^W / k^s) as Python ints, with
-W = prec + 2 + the number of digits of the term count T.  Each floor errs
-by less than one unit of 10^-W, so the sum errs by less than
-T 10^-W < 10^-(prec+2), and it converts to Decimal exactly.  The rough
-sum thus errs by under 10^-(prec+1) + 10^-(prec+2) < 10^-prec.
+Fixed point.  _power_sum (the rough sum and the k < cut part of
+Euler-Maclaurin) and the removed Euler factors P in _l_minus_1 run on ints
+scaled by 10^W, each floor erring by under 10^-W, and convert exactly.
 """
 
 from __future__ import annotations
@@ -350,21 +347,28 @@ def _l_minus_1(s: int, chi: RealDirichletCharacter, prec: int, m: int = 0) -> De
     fixed-point sum of chi(k) k^-s over the p_m-rough k in [p_(m+1), K]:
     under 10^-(prec+1) of tail plus 10^-(prec+2) of floors.
 
-    Otherwise it is (P - 1) + P (L(s, chi) - 1), with the Euler factors
-    P = prod_{p <= p_m} (1 - chi(p) p^-s) exact and L's n = 1 term left out
-    symbolically, so nothing cancels.  Each S sum at w digits errs by under
-    2 10^-(w+1).  For q = 1, one sum and 0 < P <= 1 allow w = prec.  For
-    q > 1, w = prec + len(str(q)) + 1 (prec + 2 for q <= 9): the phi(q) <
-    10^len(str(q)) sums err by under 2 10^-(prec+2) and |P| <= zeta(2)/zeta(4)
-    < 1.52, so the error stays below 10^-prec for any q."""
+    Otherwise it is (P - 1) + P (L(s, chi) - 1), with no n = 1 term in L - 1
+    to cancel, and P = t 10^-W by t -= chi(p) floor(t / p^s) per removed p
+    from t = 10^W, W = prec + 3 + len(str(m)).  Each floor errs by under 10^-W
+    and later factors scale that by at most 1 + p^-s, with prod (1 + p^-s) <=
+    zeta(2)/zeta(4) < 1.52: P errs by under 1.52 m 10^-W < 1.52 10^-(prec+3),
+    and t has W + 1 <= prec + 12 digits for m < 10^8, so converts exactly.
+    Each S sum at w digits errs by under 2 10^-(w+1), times P < 1 + 10^-prec
+    for q = 1 (one sum, w = prec) and times |P| < 1.52 for the phi(q) <
+    10^len(str(q)) sums of q > 1 (w = prec + len(str(q)) + 1); with P's error
+    times |L| <= zeta(2) < 1.65, the error stays below 10^-prec for any q."""
     q = chi.modulus
+    primes = primes_up_to(nth_prime(m + 1))  # p_1, ..., p_(m+1)
     end = _rough_end(s, prec, q * max(12, (2 * prec) // 5))
     if end is not None:
-        primes = primes_up_to(nth_prime(m + 1))  # p_1, ..., p_(m+1)
         removed = math.prod(primes[:m])
         return _power_sum(s, [(k, chi(k)) for k in range(primes[m], end + 1)
                               if chi(k) and math.gcd(k, removed) == 1], prec)
     work = prec if q == 1 else prec + len(str(q)) + 1
+    width = prec + 3 + len(str(m))
+    t = 10**width
+    for p in primes[:m]:
+        t -= chi(p) * (t // p**s)
     with localcontext() as ctx:
         ctx.prec = prec + 12
         total = _dirichlet_sum(s, q, q + 1, work)  # n = 1+q, 1+2q, ...
@@ -373,12 +377,8 @@ def _l_minus_1(s: int, chi: RealDirichletCharacter, prec: int, m: int = 0) -> De
             if v:
                 term = _dirichlet_sum(s, q, a, work)
                 total += term if v == 1 else -term
-        if m == 0:
-            return total
-        factors = Fraction(1)
-        for p in primes_up_to(nth_prime(m)):
-            factors *= 1 - Fraction(chi(p), p**s)
-        return _dec_frac(factors - 1) + _dec_frac(factors) * total
+        factors = Decimal(t).scaleb(-width)
+        return (factors - 1) + factors * total
 
 
 # -- Euler products over exponent expansions ---------------------------

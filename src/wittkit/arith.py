@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, List, Sequence
 
 __all__ = [
@@ -85,7 +86,7 @@ def primes_up_to(limit: int) -> List[int]:
     for i in range(2, math.isqrt(limit) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(range(i * i, limit + 1, i)))
-    return [i for i in range(2, limit + 1) if sieve[i]]
+    return list(compress(range(limit + 1), sieve))
 
 
 def nth_prime(m: int) -> int:

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import math
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ._record import record
+from .arith import primes_up_to
 from .series import _exact_int
 
 __all__ = ["kronecker", "RealDirichletCharacter"]
@@ -43,6 +44,24 @@ def kronecker(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
+def _unit_generators(q: int) -> List[int]:
+    """Primes that generate the units mod q, at most log2 phi(q) of them.
+
+    The primes p < q not dividing q generate the units, since every unit
+    below q factors into them.  Each p not yet in the subgroup H generated so
+    far is kept, and H grows to H <p> by multiplying its newest coset by p
+    until no new element appears."""
+    generated, generators = {1 % q}, []
+    for p in primes_up_to(q - 1):
+        if q % p and p not in generated:
+            generators.append(p)
+            coset = generated
+            while coset:
+                coset = {h * p % q for h in coset} - generated
+                generated |= coset
+    return generators
+
+
 @record
 class RealDirichletCharacter:
     """Completely multiplicative period-q map Z -> {-1, 0, +1} with
@@ -63,11 +82,14 @@ class RealDirichletCharacter:
         for a in range(q):
             if (vals[a] == 0) != (math.gcd(a, q) > 1):
                 raise ValueError(f"chi({a}) must vanish iff gcd({a},{q}) > 1")
-        for a in range(q):
-            for b in range(a, q):
-                if vals[a * b % q] != vals[a] * vals[b]:
+        # with the zero pattern above, chi(a g) = chi(a) chi(g) for every a
+        # and every g of a generating set of the units makes chi completely
+        # multiplicative: each unit is a product of generators
+        for g in _unit_generators(q):
+            for a in range(q):
+                if vals[a * g % q] != vals[a] * vals[g]:
                     raise ValueError(
-                        f"values are not completely multiplicative at ({a},{b})"
+                        f"values are not completely multiplicative at ({a},{g})"
                     )
 
     def __call__(self, n: int) -> int:

@@ -242,6 +242,10 @@ class BiSeries:
         return BiSeries.from_rows(_mul_factor(self.grid, j, k, e))
 
     def truncate(self, deg_z: int, deg_y: int) -> "BiSeries":
+        if deg_z < 0:
+            raise ValueError(f"truncate needs deg_z (J) >= 0, got {deg_z}")
+        if deg_y < 0:
+            raise ValueError(f"truncate needs deg_y (K) >= 0, got {deg_y}")
         if deg_z > self.deg_z or deg_y > self.deg_y:
             raise ValueError("cannot extend a grid; higher coefficients unknown")
         return BiSeries.from_rows(

@@ -188,6 +188,25 @@ def test_l_minus_1_with_removed_factors_against_mpmath(monkeypatch, d, m, s):
     assert abs(mpmath.mpf(str(got)) - ref) < mpmath.mpf(10) ** -40
 
 
+@pytest.mark.parametrize("d", [1, -3, 5])
+@pytest.mark.parametrize("s", [2, 3])
+@pytest.mark.parametrize("prec", [40, 300])
+def test_l_minus_1_fixed_point_factors_match_the_exact_product(d, s, prec):
+    # the removed Euler factors P as an exact Fraction, (P - 1) + P (L - 1);
+    # the fixed-point P errs by under 1.52 10^-(prec+3), so they agree to
+    # 10^-(prec+2), well inside the kernel's 10^-prec
+    chi = RealDirichletCharacter.from_kronecker(d)
+    total = analytic._l_minus_1(s, chi, prec)
+    for m in (25, 100, 400):
+        factors = Fraction(1)
+        for p in primes_up_to(nth_prime(m)):
+            factors *= 1 - Fraction(chi(p), p**s)
+        with localcontext() as ctx:
+            ctx.prec = prec + 12
+            want = analytic._dec_frac(factors - 1) + analytic._dec_frac(factors) * total
+        assert abs(analytic._l_minus_1(s, chi, prec, m) - want) < Decimal(10) ** -(prec + 2), m
+
+
 def test_euler_product_quadratic_fixture():
     mpmath.mp.dps = 40
     spec = EulerProductSpec(QUAD_H, 1, 15)

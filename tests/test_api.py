@@ -102,6 +102,18 @@ def test_dirichlet_sums_come_from_the_l_value_kernel_and_hurwitz_zeta():
     assert callers == {"_l_minus_1", "hurwitz_zeta"}
 
 
+def test_l_value_kernel_keeps_its_euler_factors_in_fixed_point():
+    # the removed Euler factors P are an integer product converted once, and
+    # the primes p_1, ..., p_(m+1) are sieved once for both routes
+    called = []
+    for node in ast.walk(ast.parse((SRC / "analytic.py").read_text())):
+        if isinstance(node, ast.FunctionDef) and node.name == "_l_minus_1":
+            called = [getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+                      for call in ast.walk(node) if isinstance(call, ast.Call)]
+    assert called and {"Fraction", "_dec_frac"} & set(called) == set()
+    assert called.count("primes_up_to") == 1
+
+
 def test_both_cross_checks_take_the_one_direct_product():
     # euler_product_direct and b_chi's cross-check multiply h(chi(p), 1/p)
     # prime by prime in _twisted_direct; a second such loop must not return

@@ -70,6 +70,13 @@ def test_primes_up_to():
     assert len(primes_up_to(10**6)) == 78498
 
 
+def test_primes_up_to_matches_trial_division():
+    for limit in range(501):
+        assert primes_up_to(limit) == [
+            n for n in range(2, limit + 1) if all(n % d for d in range(2, math.isqrt(n) + 1))
+        ], limit
+
+
 def test_nth_prime():
     assert nth_prime(1) == 2
     assert nth_prime(4) == 7

@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import pytest
 
 from conftest import legendre_symbol
 from wittkit.arith import primes_up_to
-from wittkit.characters import RealDirichletCharacter, kronecker
+from wittkit.characters import RealDirichletCharacter, _unit_generators, kronecker
 
 
 def test_kronecker_matches_legendre_on_odd_primes():
@@ -71,6 +72,63 @@ def test_character_validation():
         RealDirichletCharacter.from_values([0, 1, 0, 1, 0])  # not multiplicative mod 5
     chi = RealDirichletCharacter.from_values([0, 1, 0, -1])
     assert chi == RealDirichletCharacter.from_kronecker(-4)
+
+
+def _multiplicative_on_all_pairs(values):
+    q = len(values)
+    return all(values[a * b % q] == values[a] * values[b] for a in range(q) for b in range(a, q))
+
+
+def _accepted(values):
+    try:
+        RealDirichletCharacter.from_values(values)
+    except ValueError:
+        return False
+    return True
+
+
+def _unit_tables():
+    """Every Kronecker table with |d| <= 300, each with the sign at its
+    second and its last unit flipped, and every +-1 table with q <= 17 (the
+    zero pattern and chi(1) = 1 always right, so only multiplicativity can
+    fail).  Mod 17 the first generator, 2, spans half the units, and some
+    tables pass the check on 2 alone without being characters."""
+    for d in range(-300, 301):
+        if d % 4 in (0, 1) and d not in (0, 1):
+            values = RealDirichletCharacter.from_kronecker(d).values
+            yield values
+            units = [a for a in range(2, abs(d)) if values[a]]
+            for a in units[:1] + units[-1:]:
+                yield values[:a] + (-values[a],) + values[a + 1:]
+    for q in range(2, 18):
+        units = [a for a in range(2, q) if math.gcd(a, q) == 1]
+        for signs in itertools.product((1, -1), repeat=len(units)):
+            values = [1 if math.gcd(a, q) == 1 else 0 for a in range(q)]
+            for a, sign in zip(units, signs):
+                values[a] = sign
+            yield tuple(values)
+
+
+def test_multiplicativity_on_generators_agrees_with_all_pairs():
+    tables = list(_unit_tables())
+    verdicts = [(_accepted(v), _multiplicative_on_all_pairs(v)) for v in tables]
+    assert all(new == old for new, old in verdicts)
+    # both verdicts occur
+    assert {True, False} <= {old for _, old in verdicts}
+
+
+def test_unit_generators_generate_the_units():
+    for q in list(range(1, 200)) + [4001]:
+        gens = _unit_generators(q)
+        units = {a % q for a in range(1, q + 1) if math.gcd(a, q) == 1}
+        group = {1 % q}
+        while True:
+            grown = group | {h * g % q for h in group for g in gens}
+            if grown == group:
+                break
+            group = grown
+        assert group == units, q
+        assert 2 ** len(gens) <= len(units), q
 
 
 def test_character_square_and_power():

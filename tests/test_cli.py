@@ -161,6 +161,12 @@ def test_cyclotomic_sizes_are_usage_errors_naming_the_parameter(capsys, J, K, me
                "--K", K) == (2, "", f"usage error: {message}\n")
 
 
+@pytest.mark.parametrize("option, degree", [("--J", "deg_z (J)"), ("--K", "deg_y (K)")])
+def test_expand2d_negative_degrees_are_usage_errors_naming_the_degree(capsys, option, degree):
+    assert run(capsys, "expand2d", "--F", GRID_1_1, option, "-1") == (
+        2, "", f"usage error: truncate needs {degree} >= 0, got -1\n")
+
+
 def test_zeta_variants(capsys):
     code, out, _ = run(capsys, "zeta", "--s", "2", "--digits", "12")
     assert code == 0

@@ -7,22 +7,26 @@ decimal places.  Internally everything runs at D plus GUARD_DIGITS extra
 digits, and every truncation is bounded rigorously: the tail of an
 infinite product by a bound on the reciprocal roots of h, which fixes
 the cutoff before any zeta or L value is computed, and each L-value as
-described below.
+described below.  zeta, partial_zeta, l_series and hurwitz_zeta refuse D
+above DIGIT_BUDGET with BudgetExceededError.
 
 Euler products.  Every constant here is prod_{p > p_m} h(chi(p), 1/p) for
 a real character chi mod q and an h(x, z) rational in z for each x in
 {-1, 0, 1}: euler_product is chi = 1, b_chi is h(x, z) = 1 + (x-1) z^2 /
 ((1 - x z^2)(1 - z)).  One planner, _twisted_product, takes the p | q as
-the exact rational prod h(0, 1/p) and the others as
+prod h(0, 1/p) from the direct product below and the others as
 prod_n L_m(n, chi^2)^Ev(n) L_m(n, chi)^Od(n), with Ev and Od from the
 product expansions of h(1, z) and h(-1, z), cut at one proven order.
 
-Direct products.  euler_product_direct and b_chi's cross-check share one
-prime-by-prime product, _twisted_direct, of h(chi(p), 1/p) over p_m < p
-<= limit at D + GUARD_DIGITS + 12 digits: each factor is one correctly
-rounded division of the integers p^(w-1) num(1/p) and p^(w-1) den(1/p),
-by Horner's rule with num and den padded to one length w, and h(x) = 1
-is skipped.  Only the tails that the callers add are heuristic.
+Direct products.  Every finite product of factors h(chi(p), 1/p) is one
+prime-by-prime product, _twisted_direct, over p_m < p <= limit: the
+planner's p | q (limit q, tail 0), euler_product_direct and b_chi's
+cross-check.  Each factor is one correctly rounded division of the
+integers p^(w-1) num(1/p) and p^(w-1) den(1/p), by Horner's rule with num
+and den padded to one length w, at D + GUARD_DIGITS + 12 digits, skipping
+h(x) = 1.  Its tail, how far the primes above the limit can move the
+value, is proven in its docstring from |h(x, t) - 1| <= A t^2 and
+sum_{odd n > limit} n^-2 <= 1/(2 (limit - 1)).
 
 Per-exponent precision.  The product is exp(sum e ln L_m(n, psi)) over
 integer exponents e keyed by (n, psi).  Each L_m(n, psi) - 1 is
@@ -35,9 +39,9 @@ mod q and the Euler factors of the first m primes removed, by one of two
 routes.  Let K be the least integer with K^(1-s) / (s-1) <= 10^-(prec+1),
 a bound on sum_{k>K} k^-s.
 
-- Direct rough sum, when K <= q max(12, floor(2 prec / 5)), the direct
-  part Euler-Maclaurin would sum anyway: sum chi(k) k^-s over the
-  p_m-rough k (coprime to every p <= p_m) with p_(m+1) <= k <= K.  No
+- Direct rough sum, when K <= q _em_cut(prec) = q max(12, floor(2 prec /
+  5)), the direct part Euler-Maclaurin would sum anyway: sum chi(k) k^-s
+  over the p_m-rough k (coprime to every p <= p_m) with p_(m+1) <= k <= K.  No
   Euler-Maclaurin and no product over the removed primes; large s needs
   only a handful of terms.
 - Euler-Maclaurin otherwise, from S(s, q, a) = sum_{k>=0} (qk+a)^-s,
@@ -48,8 +52,8 @@ a bound on sum_{k>K} k^-s.
 
   with P in fixed point (below).  Hurwitz zeta is zeta(s, p/q) = q^s S(s, q, p).
 
-Euler-Maclaurin sums cut the direct summation at min(max(12, 2 prec / 5),
-the first cut >= 1 whose integral tail is below target), and the cut
+Euler-Maclaurin sums cut the direct summation at min(_em_cut(prec), the
+first cut >= 1 whose integral tail is below target), and the cut
 doubles if the correction terms diverge first.
 Corrections run in Decimal: x_j = q^(2j-1) (s)_(2j-1) / base^(s+2j-1) is
 stepped by one rational factor per j and multiplied by B_2j/(2j)!, taken
@@ -76,7 +80,7 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 from ._record import record
 from .arith import bernoulli, nth_prime, primes_up_to
 from .characters import RealDirichletCharacter
-from .errors import DivergenceError, IntegralityError
+from .errors import BudgetExceededError, DivergenceError, IntegralityError
 # peel_1d is unused here but stays bound: perfbench's span tests rebind it
 from .expansion import _mul_factor, _rational_exponents, peel_1d  # noqa: F401
 from .series import RationalFunction, TruncatedSeries, _decimal
@@ -99,12 +103,12 @@ __all__ = [
 
 GUARD_DIGITS = 10
 
+# largest `digits` that zeta, partial_zeta, l_series and hurwitz_zeta take;
+# a cold zeta(2, D) took 15 s at D = 2000 and 106 s at D = 3000 (Python 3.11)
+DIGIT_BUDGET = 2000
+
 
 # -- Euler-Maclaurin core ----------------------------------------------
-
-
-def _dec_frac(x: Fraction) -> Decimal:
-    return Decimal(x.numerator) / Decimal(x.denominator)
 
 
 # (precision, (B_2/2!, B_4/4!, ...) each rounded once to that precision):
@@ -149,6 +153,12 @@ def _power_sum(s: int, terms: Sequence[Tuple[int, int]], prec: int) -> Decimal:
 
 
 _STOP_MARGIN = Decimal("0.999999")  # 1 - 10^-6
+
+
+def _em_cut(prec: int) -> int:
+    """The default Euler-Maclaurin cut max(12, floor(2 prec / 5)): the
+    direct terms of _dirichlet_sum and, times q, _l_minus_1's rough-sum cap."""
+    return max(12, (2 * prec) // 5)
 
 
 def _em_attempt(s: int, q: int, a: int, cut: int, prec: int,
@@ -205,7 +215,7 @@ def _dirichlet_sum(s: int, q: int, a: int, prec: int) -> Decimal:
 
     s >= 2; q >= 1; a >= 1.  Working precision carries 12 extra digits so
     per-operation rounding stays far below the truncation target.  The
-    cut is the default max(12, 2 prec / 5), lowered to the first K >= 1
+    cut is the default _em_cut(prec), lowered to the first K >= 1
     whose integral tail (qK+a)^(1-s) / (q(s-1)) is already below target
     (large s needs only a few direct terms).  Floats only choose the cut;
     the remainder bound is checked in _em_attempt, and the cut doubles
@@ -216,7 +226,7 @@ def _dirichlet_sum(s: int, q: int, a: int, prec: int) -> Decimal:
     if q < 1 or a < 1:
         raise ValueError("q and a must be >= 1")
     target = Decimal(1).scaleb(-(prec + 1))
-    cut = max(12, (2 * prec) // 5)
+    cut = _em_cut(prec)
     # (qK+a)^(1-s) / (q(s-1)) < 10^-(prec+1)  <=>  log10(qK+a) > bound
     bound = (prec + 1 - math.log10(q * (s - 1))) / (s - 1)
     if bound < math.log10(q * cut + a):
@@ -247,9 +257,12 @@ def _quantize(value: Decimal, digits: int) -> Decimal:
         return value.quantize(Decimal(1).scaleb(-places))
 
 
-def _check_digits(digits: int) -> None:
+def _check_digits(digits: int, budget: bool = False) -> None:
+    """digits >= 1, and with `budget` at most DIGIT_BUDGET."""
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
+    if budget and digits > DIGIT_BUDGET:
+        raise BudgetExceededError(f"digits {digits} exceed the budget of {DIGIT_BUDGET} digits")
 
 
 def _l_value(name: str, s: int, chi: RealDirichletCharacter, digits: int,
@@ -259,7 +272,7 @@ def _l_value(name: str, s: int, chi: RealDirichletCharacter, digits: int,
         raise ValueError(f"m must be >= 0, got {m}")
     if s < 2:
         raise ValueError(f"{name} requires s >= 2, got {s}")
-    _check_digits(digits)
+    _check_digits(digits, budget=True)
     with localcontext() as ctx:
         ctx.prec = digits + GUARD_DIGITS + 14
         return _quantize(1 + _l_minus_1(s, chi, digits + GUARD_DIGITS, m), digits)
@@ -274,7 +287,7 @@ def hurwitz_zeta(s: int, a: Union[int, str, Fraction], digits: int) -> Decimal:
     """Hurwitz zeta(s, a) for rational a in (0, 1], within 10^-digits."""
     if s < 2:
         raise ValueError(f"hurwitz_zeta requires s >= 2, got {s}")
-    _check_digits(digits)
+    _check_digits(digits, budget=True)
     if isinstance(a, float):
         raise TypeError(f"a must be exact, got the float {a!r}")
     a = Fraction(_decimal(a, "a") if isinstance(a, str) else a)
@@ -342,8 +355,8 @@ def _l_minus_1(s: int, chi: RealDirichletCharacter, prec: int, m: int = 0) -> De
     """L_m(s, chi) - 1 within 10^-prec, with the Euler factors of the first
     m primes removed.
 
-    When the tail bound K of _rough_end is at most q max(12, 2 prec / 5),
-    the direct part of the default Euler-Maclaurin cut, the value is the
+    When the tail bound K of _rough_end is at most q _em_cut(prec), the
+    direct part of the default Euler-Maclaurin cut, the value is the
     fixed-point sum of chi(k) k^-s over the p_m-rough k in [p_(m+1), K]:
     under 10^-(prec+1) of tail plus 10^-(prec+2) of floors.
 
@@ -359,7 +372,7 @@ def _l_minus_1(s: int, chi: RealDirichletCharacter, prec: int, m: int = 0) -> De
     times |L| <= zeta(2) < 1.65, the error stays below 10^-prec for any q."""
     q = chi.modulus
     primes = primes_up_to(nth_prime(m + 1))  # p_1, ..., p_(m+1)
-    end = _rough_end(s, prec, q * max(12, (2 * prec) // 5))
+    end = _rough_end(s, prec, q * _em_cut(prec))
     if end is not None:
         removed = math.prod(primes[:m])
         return _power_sum(s, [(k, chi(k)) for k in range(primes[m], end + 1)
@@ -382,6 +395,8 @@ def _l_minus_1(s: int, chi: RealDirichletCharacter, prec: int, m: int = 0) -> De
 
 
 # -- Euler products over exponent expansions ---------------------------
+
+_ONE = RationalFunction([1], [1])
 
 
 @record
@@ -427,6 +442,8 @@ class ConstantResult:
 def _sci(x: Decimal) -> str:
     """x to four significant digits, as f"{x:.3e}" prints a float, also
     below the float range (where a float would print 0.000e+00)."""
+    if x.is_infinite():
+        return "inf"
     mantissa, exponent = f"{x:.3e}".split("e") if x else ("0.000", "0")
     return f"{mantissa}e{int(exponent):+03d}"
 
@@ -543,7 +560,7 @@ def _twisted_product(h: Dict[int, RationalFunction], chi: RealDirichletCharacter
     h(chi(p), 1/p), for a real character chi mod q and h mapping x in
     {-1, 0, 1} to the rational function h(x, z).
 
-    The finitely many p | q give the exact rational prod h(0, 1/p), the
+    The finitely many p | q give prod h(0, 1/p) from _twisted_direct, the
     others exp(sum e ln L_m(n, psi)) over _twisted_exponents cut at one
     order N, which _cutoff proves with base b, the least k >= 2 with
     chi(k) != 0 coprime to every p <= p_m (no L_m(n, psi) - 1 here has a term
@@ -569,21 +586,16 @@ def _twisted_product(h: Dict[int, RationalFunction], chi: RealDirichletCharacter
     exps = [(n, e) for (n, _), e in terms.items()]
     if h[1] == h[-1] and _is_exact_factorization(h[1], exps):
         cutoff, tail = exps[-1][0] if exps else 1, Decimal(0)
-    exact = Fraction(1)
-    for p in primes_up_to(chi.modulus):
-        if chi(p) == 0 and removed % p:
-            z = Fraction(1, p)
-            exact *= (sum(c * z**i for i, c in enumerate(h[0].num))
-                      / sum(c * z**i for i, c in enumerate(h[0].den)))
     precs = {key: digits + 6 + math.ceil(_log10_int(e)) + GUARD_DIGITS
              for key, e in terms.items()}
     prec = max(precs.values(), default=digits + 6 + GUARD_DIGITS)
+    exact = _twisted_direct({-1: _ONE, 0: h[0], 1: _ONE}, chi, m, chi.modulus, prec)[0]
     with localcontext() as ctx:
         ctx.prec = prec + 12
         total = Decimal(0)
         for (n, psi), e in terms.items():
             total += e * _ln1p(_l_minus_1(n, psi, precs[n, psi], m))
-        return total.exp() * _dec_frac(exact), cutoff, tail, prec
+        return total.exp() * exact, cutoff, tail, prec
 
 
 def euler_product(spec: EulerProductSpec) -> ConstantResult:
@@ -615,19 +627,36 @@ def _check_prime_limit(name: str, limit: int, m: int) -> None:
 
 
 def _twisted_direct(h: Dict[int, RationalFunction], chi: RealDirichletCharacter, m: int,
-                    limit: int, digits: int) -> Decimal:
-    """prod h(chi(p), 1/p) over the primes p_m < p <= limit, for h as in
-    _twisted_product, quantized to `digits` (module docstring, "Direct
-    products"); DivergenceError names a prime at a pole."""
-    rows = {}
+                    limit: int, digits: int) -> Tuple[Decimal, float, int]:
+    """(value, tail, working digits) of prod h(chi(p), 1/p) over the primes
+    p_m < p <= limit, for h as in _twisted_product, the value quantized to
+    `digits` (module docstring, "Direct products"); DivergenceError names a
+    prime at a pole.  The tail bounds how far the primes p > L = limit can
+    move the value; it is computed in floats, like _cutoff's T(N).
+
+    The omitted p > L have 1/p <= u = 1/(L + 1).  x runs over the nonzero
+    values of chi, and over 0 too when q > L, since a prime factor of q may
+    then exceed L; rows with h(x) = 1 add nothing, and with none left the
+    tail is 0 (so L = q = 1 is fine).  Otherwise L >= 2 and L > p_m, as
+    _check_prime_limit ensures.  For each row write num - den = z^2 r(z)
+    (ValueError if its z^0 or z^1 coefficient is nonzero).  For 0 < t <= u,
+    |h(x, t) - 1| <= A_x t^2 with A_x = sum |r_i| u^i / (|d_0| - sum_{i>=1}
+    |d_i| u^i), d = den, when that denominator is positive.  With A = max
+    A_x and A u^2 < 1, |ln h(chi(p), 1/p)| <= A p^-2 / (1 - A u^2).  The
+    primes above L >= 2 are odd, and each odd n^-2 is at most half the
+    integral of t^-2 over [n - 2, n], so sum_{odd n > L} n^-2 <= 1/(2(L - 1)).
+    The omitted log-sum is at most T = A / (2 (L - 1) (1 - A u^2)), and the
+    tail is |value| (e^T - 1); it is infinite when a majorant denominator
+    is not positive or A u^2 >= 1."""
+    rows, q, prec = {}, chi.modulus, digits + GUARD_DIGITS + 12
     for x in set(chi.values):
         num, den = h[x].num, h[x].den
         w = max(len(num), len(den))
         pairs = tuple(zip(num + (0,) * (w - len(num)), den + (0,) * (w - len(den))))
         rows[x] = None if all(c == d for c, d in pairs) else pairs  # None: h(x) = 1
-    table, q = [rows[x] for x in chi.values], chi.modulus  # indexed by p mod q
+    table = [rows[x] for x in chi.values]  # indexed by p mod q
     with localcontext() as ctx:
-        ctx.prec = digits + GUARD_DIGITS + 12
+        ctx.prec = prec
         value = Decimal(1)
         for p in primes_up_to(limit)[m:]:
             pairs = table[p % q]
@@ -639,32 +668,32 @@ def _twisted_direct(h: Dict[int, RationalFunction], chi: RealDirichletCharacter,
             if not b:
                 raise DivergenceError(f"h(chi(p), 1/p) has a pole at p = {p}")
             value *= Decimal(a) / Decimal(b)
-        value = +value
-    return _quantize(value, digits)
+        value = _quantize(+value, digits)
+    bound, u = 0.0, 1 / (limit + 1)  # A, and 1/p <= u above the limit
+    for x, pairs in rows.items():
+        if pairs and (x or q > limit):
+            diff = [c - d for c, d in pairs]
+            if any(diff[:2]):
+                raise ValueError("h(x, z) - 1 must be O(z^2)")
+            low = abs(pairs[0][1]) - sum(abs(d) * u**i for i, (_, d) in enumerate(pairs) if i)
+            top = sum(abs(r) * u**i for i, r in enumerate(diff[2:]))
+            bound = max(bound, top / low if low > 0 else math.inf)
+    if bound * u * u >= 1:
+        return value, math.inf, prec
+    log_sum = bound / (2 * (limit - 1) * (1 - bound * u * u)) if bound else 0.0  # T
+    return value, abs(float(value)) * math.expm1(log_sum), prec
 
 
 def euler_product_direct(spec: EulerProductSpec, prime_limit: int) -> ConstantResult:
-    """Reference evaluation prod_{p_m < p <= prime_limit} h(1/p) with a
-    first-order prime-tail estimate; used to validate euler_product."""
+    """Reference evaluation prod_{p_m < p <= prime_limit} h(1/p), used to
+    validate euler_product, with _twisted_direct's proven bound on the
+    primes above prime_limit as its tail (infinite where h's majorant
+    fails at that limit) and the precision it multiplied at."""
     _check_prime_limit("prime_limit", prime_limit, spec.m)
-    value = _twisted_direct(dict.fromkeys((-1, 0, 1), spec.h), RealDirichletCharacter.trivial(),
-                            spec.m, prime_limit, spec.digits)
-    # first-order tail from the series coefficients of log h ~ h - 1
-    probe = spec.h.expand(8)
-    tail = 0.0
-    logl = math.log(prime_limit)
-    for k in range(2, 9):
-        ck = abs(float(probe.coeff(k)))
-        if ck:
-            tail += 1.5 * ck * prime_limit ** (1 - k) / ((k - 1) * logl)
-    return ConstantResult(
-        value=value,
-        digits=spec.digits,
-        cutoff=prime_limit,
-        tail_estimate=Decimal(tail),
-        heuristic_tail=True,
-        working_digits=spec.digits + GUARD_DIGITS,
-    )
+    value, tail, prec = _twisted_direct(dict.fromkeys((-1, 0, 1), spec.h),
+                                        RealDirichletCharacter.trivial(), spec.m, prime_limit,
+                                        spec.digits)
+    return ConstantResult(value, spec.digits, prime_limit, Decimal(tail), False, prec)
 
 
 # -- the order-constant family B_chi ------------------------------------
@@ -672,7 +701,7 @@ def euler_product_direct(spec: EulerProductSpec, prime_limit: int) -> ConstantRe
 # h(x, z) = 1 + (x-1) z^2 / ((1 - x z^2)(1 - z)) at x = 0 (Artin's h), 1 and -1
 _BCHI_H = {
     0: RationalFunction([1, -1, -1], [1, -1]),
-    1: RationalFunction([1], [1]),
+    1: _ONE,
     -1: RationalFunction([1, -1, -1, -1], [1, -1, 1, -1]),
 }
 
@@ -719,7 +748,8 @@ def b_chi(
     (1 - z + z^2 - z^3), cut at one proven order, so each L-value is computed
     once (none for a principal chi, where the value is the exact rational).
     With cross_check_limit set (at least 2), the defining product over
-    primes up to that limit is computed as well and the difference reported.
+    primes up to that limit is computed as well, with _twisted_direct's
+    proven bound on the primes above it, and the difference reported.
     """
     _check_digits(digits)
     if cross_check_limit is not None:
@@ -728,8 +758,7 @@ def b_chi(
     value = _quantize(value, digits)
     direct = direct_tail = difference = None
     if cross_check_limit is not None:
-        direct = _twisted_direct(_BCHI_H, chi, 0, cross_check_limit, digits)
-        direct_tail = 2.6 / (cross_check_limit * math.log(cross_check_limit))
+        direct, direct_tail, _ = _twisted_direct(_BCHI_H, chi, 0, cross_check_limit, digits)
         difference = abs(float(value - direct))
     return BChiResult(value, digits, tail, cutoff, prec, direct, direct_tail, difference)
 

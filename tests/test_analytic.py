@@ -1,3 +1,4 @@
+import json
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -203,7 +204,8 @@ def test_l_minus_1_fixed_point_factors_match_the_exact_product(d, s, prec):
             factors *= 1 - Fraction(chi(p), p**s)
         with localcontext() as ctx:
             ctx.prec = prec + 12
-            want = analytic._dec_frac(factors - 1) + analytic._dec_frac(factors) * total
+            whole = Decimal(factors.numerator) / Decimal(factors.denominator)
+            want = (whole - 1) + whole * total
         assert abs(analytic._l_minus_1(s, chi, prec, m) - want) < Decimal(10) ** -(prec + 2), m
 
 
@@ -320,7 +322,7 @@ def test_b_chi_cross_route():
 
 @pytest.mark.parametrize("limit", [1, 0, -5])
 def test_b_chi_refuses_a_cross_check_limit_below_two(limit):
-    # the direct product's tail estimate divides by limit * log(limit)
+    # the direct product's proven tail sums n^-2 over odd n > limit >= 2
     with pytest.raises(ValueError, match="cross_check_limit must be >= 2"):
         b_chi(RealDirichletCharacter.from_kronecker(-4), 4, cross_check_limit=limit)
 
@@ -596,7 +598,8 @@ def test_b_chi_of_a_principal_character_is_exact(monkeypatch, values, exact):
     # h(1, z) = 1 leaves only the exact factors h(0, 1/p) = 1 - 1/(p^2 - p), p | q
     calls = _counting(monkeypatch, "_l_minus_1")
     rep = b_chi(RealDirichletCharacter.from_values(values), 12)
-    assert rep.value == analytic._quantize(analytic._dec_frac(Fraction(exact)), 12)
+    exact = Fraction(exact)
+    assert rep.value == analytic._quantize(Decimal(exact.numerator) / Decimal(exact.denominator), 12)
     assert calls == [] and rep.tail_estimate == 0
 
 
@@ -631,7 +634,7 @@ def test_b_chi_direct_matches_the_fraction_formula(d, limit):
             f = 1 + Fraction((chi(p) - 1) * p, (p * p - chi(p)) * (p - 1))
             value *= Decimal(f.numerator) / Decimal(f.denominator)
         value = +value
-    assert analytic._twisted_direct(analytic._BCHI_H, chi, 0, limit, 20) \
+    assert analytic._twisted_direct(analytic._BCHI_H, chi, 0, limit, 20)[0] \
         == analytic._quantize(value, 20)
 
 
@@ -657,6 +660,64 @@ def test_euler_product_direct_names_a_prime_at_a_pole():
     spec = EulerProductSpec(RationalFunction([1, 0, -1], [1, 0, -4]), 0, 10)
     with pytest.raises(DivergenceError, match="pole at p = 2$"):
         euler_product_direct(spec, 10)
+
+
+@pytest.mark.parametrize("h, m", [(ARTIN_H, 0), (ARTIN_H, 6), (TWIN_H, 1), (QUAD_H, 1)],
+                         ids=["artin-m0", "artin-m6", "twin-m1", "quad-m1"])
+@pytest.mark.parametrize("limit", [None, 97, 10**4], ids=["smallest", "97", "10000"])
+def test_direct_tail_bounds_the_gap_to_the_infinite_product(h, m, limit):
+    limit = limit or (nth_prime(m) + 1 if m else 2)
+    value = euler_product(EulerProductSpec(h, m, 30)).value
+    direct = euler_product_direct(EulerProductSpec(h, m, 30), limit)
+    assert direct.heuristic_tail is False and direct.tail_estimate.is_finite()
+    assert abs(value - direct.value) <= direct.tail_estimate
+
+
+@pytest.mark.parametrize("d", [-4, -3, 5, 8, 12])
+@pytest.mark.parametrize("limit", [2, 97, 10**4])
+def test_b_chi_direct_tail_bounds_the_gap_to_the_infinite_product(d, limit):
+    rep = b_chi(RealDirichletCharacter.from_kronecker(d), 30, cross_check_limit=limit)
+    assert rep.to_json_dict()["heuristic_tail"] is False
+    assert math.isfinite(rep.direct_tail_estimate)
+    assert abs(rep.value - rep.direct_value) <= Decimal(rep.direct_tail_estimate)
+
+
+def test_the_planners_direct_product_has_no_tail(monkeypatch):
+    # its limit is q, and every prime above q has chi(p) = +-1, where h = 1
+    calls = []
+    direct = analytic._twisted_direct
+
+    def recorded(h, chi, m, limit, digits):
+        calls.append((chi.modulus, limit, direct(h, chi, m, limit, digits)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(analytic, "_twisted_direct", recorded)
+    for d in (-4, 12, -20, 1):
+        b_chi(RealDirichletCharacter.from_kronecker(d), 12)
+    euler_product(EulerProductSpec(ARTIN_H, 6, 12))
+    assert len(calls) == 5
+    assert all(q == limit and tail == 0 for q, limit, (_, tail, _) in calls)
+
+
+def test_a_direct_tail_past_its_majorant_is_infinite():
+    # |1 - 3t| has no positive lower bound on 0 < t <= 1/3, the primes above 2
+    spec = EulerProductSpec(RationalFunction([1, -3, -1], [1, -3]), 0, 10)
+    result = euler_product_direct(spec, 2)
+    assert result.heuristic_tail is False and result.tail_estimate.is_infinite()
+    assert json.loads(json.dumps(result.to_json_dict()))["tail_estimate"] == "inf"
+
+
+def test_direct_tail_needs_h_minus_one_of_order_two():
+    h = dict.fromkeys((-1, 0, 1), RationalFunction([1, 1], [1]))
+    with pytest.raises(ValueError, match=r"must be O\(z\^2\)"):
+        analytic._twisted_direct(h, RealDirichletCharacter.trivial(), 0, 10, 8)
+
+
+def test_a_pole_at_a_prime_dividing_the_modulus_is_named():
+    # h(0, z) = 1 / (1 - 4 z^2) has a pole at z = 1/2, and 2 | 4
+    h = {-1: analytic._ONE, 0: RationalFunction([1], [1, 0, -4]), 1: analytic._ONE}
+    with pytest.raises(DivergenceError, match="pole at p = 2$"):
+        analytic._twisted_product(h, RealDirichletCharacter.from_kronecker(-4), 0, 8)
 
 
 def test_b_chi_builds_chi_squared_once(monkeypatch):

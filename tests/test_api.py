@@ -115,16 +115,21 @@ def test_l_value_kernel_keeps_its_euler_factors_in_fixed_point():
 
 
 def test_both_cross_checks_take_the_one_direct_product():
-    # euler_product_direct and b_chi's cross-check multiply h(chi(p), 1/p)
-    # prime by prime in _twisted_direct; a second such loop must not return
-    callers, defined = set(), set()
+    # euler_product_direct, b_chi's cross-check and the planner's p | q
+    # multiply h(chi(p), 1/p) prime by prime in _twisted_direct, which also
+    # gives both cross-checks their tail; a second such loop must not return
+    callers, defined, planner_loops = set(), set(), []
     for node in ast.walk(ast.parse((SRC / "analytic.py").read_text())):
         if isinstance(node, ast.FunctionDef):
             defined.add(node.name)
             callers |= {node.name for call in ast.walk(node) if isinstance(call, ast.Call)
                         and getattr(call.func, "id", None) == "_twisted_direct"}
-    assert callers == {"euler_product_direct", "b_chi"}
-    assert "_b_chi_direct" not in defined
+            if node.name == "_twisted_product":
+                planner_loops = [ast.unparse(loop.iter) for loop in ast.walk(node)
+                                 if isinstance(loop, ast.For)]
+    assert callers == {"euler_product_direct", "b_chi", "_twisted_product"}
+    assert {"_b_chi_direct", "_dec_frac"} & defined == set()
+    assert planner_loops == ["terms.items()"]  # the L-values, and no loop over primes
 
 
 def test_cyclotomic_check_compares_exponents_and_rebuilds_no_product():

@@ -1,12 +1,18 @@
 import json
+import re
+import shlex
 import sys
+import time
+from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import B_CHI_MINUS_4, perturb_witt_table
+from wittkit import analytic
 from wittkit.arith import divisors, moebius
 from wittkit.cli import _content, _int, _ratfun, _rational, _series, main
 from wittkit.series import RationalFunction
@@ -75,6 +81,53 @@ def test_witt_tables_over_the_cell_budget_fail_fast(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and err.startswith("budget exceeded: ")
     assert "budget of 100000 cells" in json.loads(out)["error"]
+
+
+L_VALUE_ARGV = [
+    ("zeta", "--s", "2"),
+    ("zeta", "--s", "2", "--m", "3"),
+    ("zeta", "--s", "2", "--a", "1/4"),
+    ("lseries", "--s", "2", "--kronecker", "-4"),
+]
+L_VALUE_IDS = ["zeta", "partial-zeta", "hurwitz-zeta", "lseries"]
+
+
+@pytest.mark.parametrize("argv", L_VALUE_ARGV, ids=L_VALUE_IDS)
+def test_l_values_over_the_digit_budget_fail_fast(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--digits", "100000")
+    assert time.perf_counter() - start < 1
+    assert code == 1 and err.startswith("budget exceeded: ")
+    assert "budget of 2000 digits" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("argv", L_VALUE_ARGV, ids=L_VALUE_IDS)
+def test_l_values_at_the_digit_budget_reach_the_kernel(capsys, monkeypatch, argv):
+    # the sums are stubbed out, so that nothing heavy runs at 2000 digits
+    calls = []
+
+    def stub(*args):
+        calls.append(args)
+        return Decimal(0)
+
+    monkeypatch.setattr(analytic, "_l_minus_1", stub)
+    monkeypatch.setattr(analytic, "_dirichlet_sum", stub)
+    code, out, _ = run(capsys, *argv, "--digits", "2000")
+    assert code == 0 and json.loads(out)["digits"] == 2000 and len(calls) == 1
+
+
+def test_the_readme_cli_block_runs(capsys):
+    # every line of the sh block under "## CLI" exits 0 and prints one object
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"^## CLI$.*?^```sh$(.*?)^```$", readme, re.M | re.S)[1]
+    commands = [shlex.split(line, comments=True)
+                for line in block.replace("\\\n", " ").splitlines()]
+    commands = [argv for argv in commands if argv]
+    assert commands and all(argv[0] == "wittkit" for argv in commands)
+    for argv in commands:
+        code, out, _ = run(capsys, *argv[1:])
+        assert code == 0, argv
+        assert out.count("\n") == 1 and isinstance(json.loads(out), dict), argv
 
 
 def test_verify_pass_and_params(capsys):
@@ -250,7 +303,7 @@ def test_bchi_reports_its_cutoff_and_working_digits(capsys):
     code, out, _ = run(capsys, "bchi", "--kronecker", "-4", "--digits", "8", "--cross-check")
     data = json.loads(out)
     assert code == 0 and data["direct_value"] and data["heuristic_tail"] is False
-    assert data["direct_tail_estimate"] == "1.882e-07"  # 2.6 / (x ln x) at x = 10^6
+    assert data["direct_tail_estimate"] == "3.218e-07"  # |value| (e^T - 1) at x = 10^6
     assert data["cutoff"] > 1 and data["working_digits"] > 8 + 10
 
 

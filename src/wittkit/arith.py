@@ -104,34 +104,24 @@ def nth_prime(m: int) -> int:
         bound *= 2
 
 
-# B_0, B_2, B_4, ...: the even-index Bernoulli numbers computed so far
-_bern_even: List[Fraction] = [Fraction(1)]
+# B_0, B_2, B_4, ...: the even-index Bernoulli numbers computed so far, and
+# column j = len(_bern_even) - 1 of the tangent-number triangle, whose last
+# entry is T_j
+_bern_even: List[Fraction] = [Fraction(1), Fraction(1, 6)]
+_bern_column: List[int] = [1]
 _bern_lock = threading.Lock()
-
-
-def _tangent_numbers(n: int) -> List[int]:
-    """Tangent numbers T_1..T_n, tan x = sum_k T_k x^(2k-1)/(2k-1)!.
-
-    Brent & Harvey's in-place integer recurrence (O(n^2) additions and
-    small multiplications; "Fast computation of Bernoulli, tangent and
-    secant numbers", 2013, Algorithm TangentNumbers).
-    """
-    t = [0] * (n + 1)
-    t[1] = 1
-    for k in range(2, n + 1):
-        t[k] = (k - 1) * t[k - 1]
-    for k in range(2, n + 1):
-        for j in range(k, n + 1):
-            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    return t[1:]
 
 
 def bernoulli(k: int) -> Fraction:
     """Bernoulli number B_k (convention B_1 = -1/2), memoized.
 
-    Even indices come from tangent numbers,
-    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)); the cache of even values
-    is rebuilt at (at least) twice its length whenever it runs out.
+    Even indices come from tangent numbers, tan x = sum_j T_j x^(2j-1)/(2j-1)!,
+    as B_2j = (-1)^(j-1) 2j T_j / (4^j (4^j - 1)).  The cache grows one T_j at
+    a time, exactly as far as asked: column j of Brent & Harvey's triangle
+    ("Fast computation of Bernoulli, tangent and secant numbers", 2013,
+    Algorithm TangentNumbers) becomes column j + 1 in place by c[0] *= j,
+    then c[i] = (j - i) c[i] + (j - i + 2) c[i - 1] for i = 1..j-1 in
+    ascending order, then appending 2 c[j - 1] = T_(j+1).
     """
     if k < 0:
         raise ValueError(f"bernoulli requires k >= 0, got {k}")
@@ -140,12 +130,15 @@ def bernoulli(k: int) -> Fraction:
     if k % 2 == 1:
         return Fraction(0)
     with _bern_lock:
-        if len(_bern_even) <= k // 2:
-            n = max(k // 2, 2 * len(_bern_even))
-            _bern_even[1:] = [
-                Fraction((-1) ** (i - 1) * 2 * i * t, 4**i * (4**i - 1))
-                for i, t in enumerate(_tangent_numbers(n), start=1)
-            ]
+        c = _bern_column
+        while len(_bern_even) <= k // 2:
+            j = len(c)
+            c[0] *= j
+            for i in range(1, j):
+                c[i] = (j - i) * c[i] + (j - i + 2) * c[i - 1]
+            c.append(2 * c[-1])
+            n = j + 1
+            _bern_even.append(Fraction((-1) ** j * 2 * n * c[-1], 4**n * (4**n - 1)))
         return _bern_even[k // 2]
 
 

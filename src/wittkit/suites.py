@@ -317,10 +317,10 @@ QUAD_H = RationalFunction([1, 0, -1], [1])
 
 @_timed
 def analytic_battery(digits: int = 12, prime_limit: int = 10**6,
-                     bchi_digits: int = 8,
-                     bchi_prime_limit: int = 10**6) -> SuiteResult:
+                     bchi_digits: int = 8) -> SuiteResult:
     """Zeta closed forms, product/direct cross-checks, precision stability,
-    and the order-constant family through both routes."""
+    and the order-constant family through both routes; both cross-checks
+    multiply the primes up to `prime_limit`."""
     res = SuiteResult("analytic")
     tol = Decimal(1).scaleb(-digits)
     with localcontext() as ctx:  # the closed forms, not rounded to 28 digits
@@ -371,7 +371,7 @@ def analytic_battery(digits: int = 12, prime_limit: int = 10**6,
     btol = Decimal(1).scaleb(-bchi_digits)
     for d in (1, -4, 5):
         chi = RealDirichletCharacter.from_kronecker(d)
-        rep = b_chi(chi, bchi_digits, cross_check_limit=bchi_prime_limit)
+        rep = b_chi(chi, bchi_digits, cross_check_limit=prime_limit)
         budget = float(rep.tail_estimate) + rep.direct_tail_estimate + 2 * float(btol)
         res.check(
             rep.difference <= budget and rep.difference < 1e-6,
@@ -417,6 +417,5 @@ def verify_all(scope: str, budget: int = 0) -> List[SuiteResult]:
             digits=max(6, min(budget, 30)),
             prime_limit=10**5,
             bchi_digits=max(6, min(budget, 10)),
-            bchi_prime_limit=10**5,
         )
     ]

@@ -19,7 +19,13 @@ evaluates the five product and power rules (T3.4, T3.5, T3.6, T1.1, T1.2):
 each is the mixed-power sum at particular arguments, the necklace rules
 on constant series.  monotonicity_scan checks the
 coefficient-monotonicity families on finite windows; it certifies the
-claims on the scanned window only.
+claims on the scanned window only.  One rise test, _drops, makes every
+comparison, over the lines of one table: for P6 the lines of M(c; r)
+along r (c >= 2) and then along c, each strict; for T5.1 and T5.2 the
+columns k >= 2 and k >= 3 along r; for T5.3b/T5.4b the rows along k from
+k = 0; for T5.3c/T5.4c the rows r >= 3 along k from k = 2, strict.
+T5.3a/T5.4a test m(k, r) >= 1 cell by cell.  T5.2 and T5.4* read the
+table of -f with its odd rows negated, row r being (-1)^r W_r(-f).
 """
 
 from __future__ import annotations
@@ -436,10 +442,12 @@ def _require_nondecreasing(f: TruncatedSeries, upto: int, family: str) -> None:
             )
 
 
-def _signed_neg_table(f: TruncatedSeries, rmax: int, kmax: int):
-    """Rows of (-1)^r * transform of -f, truncated to degree kmax."""
-    rows = witt_table(-f, rmax, kmax).rows
-    return [-row if r % 2 else row for r, row in enumerate(rows, 1)]
+def _drops(line: Sequence[int], first: int, strict: bool) -> List[int]:
+    """The indices first + i (i >= 1) where line[i] fails to rise from
+    line[i - 1]: a drop, or with `strict` also a tie; the one comparison
+    behind every monotonicity family."""
+    return [first + i for i in range(1, len(line))
+            if line[i] < line[i - 1] or strict and line[i] == line[i - 1]]
 
 
 def monotonicity_scan(
@@ -456,83 +464,63 @@ def monotonicity_scan(
     hypothesis raises PreconditionError naming it.  For T5.3*/T5.4* the
     non-decreasing hypothesis is checked on coefficients a_0..a_{kmax+1}
     (the window the conclusions depend on).
+
+    Every family but the positivity ones is a set of lines, each passed to
+    _drops, and `checked` counts the comparisons made:
+      P6           M(c; r), each computed once: strict along r for each
+                   c = 2..cmax, then strict along c for each r;
+      T5.1, T5.2   column k along r, non-strict, from k = 2 (T5.1) or 3;
+      T5.3b/T5.4b  row r along k from k = 0, non-strict;
+      T5.3c/T5.4c  row r along k from k = 2, strict, for r >= 3;
+      T5.3a/T5.4a  m(k, r) >= 1 for 1 <= k <= kmax, cell by cell.
+    T5.1 and T5.3* read the table of f; T5.2 and T5.4* read the table of
+    -f with its odd rows negated, so row r is (-1)^r W_r(-f).
     """
     if family not in SCAN_FAMILIES:
         raise ValueError(f"unknown family {family!r}; known: {SCAN_FAMILIES}")
-    violations: List[str] = []
-    checked = 0
+    # each line: (message taking the line's key and the failing index,
+    # key, values, index of the first value, strict)
+    lines: List[Tuple[str, int, List[int], int, bool]]
 
     if family == "P6":
-        beta = {2: 2, 3: 2}
-        for c in range(2, cmax + 1):
-            start = beta.get(c, 1)
-            prev = None
-            for r in range(start, rmax + 1):
-                val = necklace_poly(c, r)
-                if prev is not None:
-                    checked += 1
-                    if val <= prev:
-                        violations.append(f"M({c};r) not strict at r={r}")
-                prev = val
-        for r in range(1, rmax + 1):
-            prev = None
-            for c in range(1, cmax + 1):
-                val = necklace_poly(c, r)
-                if prev is not None:
-                    checked += 1
-                    if val <= prev:
-                        violations.append(f"M(c;{r}) not strict at c={c}")
-                prev = val
-        return ScanReport("P6", {"cmax": cmax, "rmax": rmax}, not violations, checked,
-                          tuple(violations))
-
-    if f is None:
-        raise ValueError(f"family {family} requires a series")
-    _require_nonneg_integral(f, family)
-    if f.order < kmax:
-        raise ValueError(f"series order {f.order} < kmax {kmax}")
-    params = {"kmax": kmax, "rmax": rmax}
-
-    if family in ("T5.1", "T5.2"):
-        kmin = 2 if family == "T5.1" else 3
-        if family == "T5.1":
-            rows = witt_table(f, rmax, kmax).rows
+        params = {"cmax": cmax, "rmax": rmax}
+        grid = [[necklace_poly(c, r) for r in range(1, rmax + 1)]
+                for c in range(1, cmax + 1)]
+        # M(2;1) = 2 > M(2;2) = 1 and M(3;1) = M(3;2) = 3, so the lines
+        # along r start at r = 2 for c = 2, 3 and at r = 1 otherwise
+        starts = {c: 2 if c in (2, 3) else 1 for c in range(2, cmax + 1)}
+        lines = [("M({};r) not strict at r={}", c, grid[c - 1][start - 1:], start, True)
+                 for c, start in starts.items()]
+        lines += [("M(c;{}) not strict at c={}", r, [row[r - 1] for row in grid], 1, True)
+                  for r in range(1, rmax + 1)]
+    else:
+        if f is None:
+            raise ValueError(f"family {family} requires a series")
+        _require_nonneg_integral(f, family)
+        if f.order < kmax:
+            raise ValueError(f"series order {f.order} < kmax {kmax}")
+        params = {"kmax": kmax, "rmax": rmax}
+        if family[:4] in ("T5.3", "T5.4"):
+            _require_nondecreasing(f, kmax + 1, family)
+        signed = family == "T5.2" or family[:4] == "T5.4"
+        table = witt_table(-f if signed else f, rmax, kmax)
+        rows = [[-x for x in row.coeffs] if signed and r % 2 else list(row.coeffs)
+                for r, row in enumerate(table.rows, 1)]
+        if family in ("T5.1", "T5.2"):
+            lines = [("k={}: decreases at r={}", k, [row[k] for row in rows], 1, False)
+                     for k in range(2 if family == "T5.1" else 3, kmax + 1)]
+        elif family[-1] == "a":
+            violations = [f"m({k},{r}) = {row[k]} < 1" for r, row in enumerate(rows, 1)
+                          for k in range(1, kmax + 1) if row[k] < 1]
+            return ScanReport(family, params, not violations, rmax * kmax, tuple(violations))
+        elif family[-1] == "b":
+            lines = [("r={}: decreases at k={}", r, row, 0, False)
+                     for r, row in enumerate(rows, 1)]
         else:
-            rows = _signed_neg_table(f, rmax, kmax)
-        for k in range(kmin, kmax + 1):
-            seq = [row.coeff(k) for row in rows]
-            for r in range(1, len(seq)):
-                checked += 1
-                if seq[r] < seq[r - 1]:
-                    violations.append(f"k={k}: decreases at r={r + 1}")
-        return ScanReport(family, params, not violations, checked, tuple(violations))
+            lines = [("r={}: not strict at k={}", r, row[2:], 2, True)
+                     for r, row in enumerate(rows[2:], 3)]
 
-    # T5.3* / T5.4* additionally need a non-decreasing coefficient window
-    _require_nondecreasing(f, kmax + 1, family)
-    signed = family.startswith("T5.4")
-    sub = family[-1]
-    rows = (
-        _signed_neg_table(f, rmax, kmax)
-        if signed
-        else witt_table(f, rmax, kmax).rows
-    )
-    for r in range(1, rmax + 1):
-        row = rows[r - 1]
-        if sub == "a":
-            for k in range(1, kmax + 1):
-                checked += 1
-                if row.coeff(k) < 1:
-                    violations.append(f"m({k},{r}) = {row.coeff(k)} < 1")
-        elif sub == "b":
-            for k in range(1, kmax + 1):
-                checked += 1
-                if row.coeff(k) < row.coeff(k - 1):
-                    violations.append(f"r={r}: decreases at k={k}")
-        elif sub == "c":
-            if r < 3:
-                continue
-            for k in range(3, kmax + 1):
-                checked += 1
-                if row.coeff(k) <= row.coeff(k - 1):
-                    violations.append(f"r={r}: not strict at k={k}")
+    violations = [message.format(key, i) for message, key, line, first, strict in lines
+                  for i in _drops(line, first, strict)]
+    checked = sum(len(line) - 1 for _, _, line, _, _ in lines if line)
     return ScanReport(family, params, not violations, checked, tuple(violations))

@@ -85,7 +85,6 @@ def test_criterion_8_artin_constant():
 
 
 def test_criterion_9_analytic_cross_checks():
-    result = analytic_battery(digits=12, prime_limit=10**6,
-                              bchi_digits=8, bchi_prime_limit=10**6)
+    result = analytic_battery(digits=12, prime_limit=10**6, bchi_digits=8)
     _report(9, "product/direct agreement, zeta closed form, D vs D+10 "
                "stability, both order-constant routes", result)

@@ -145,6 +145,31 @@ def test_cyclotomic_check_compares_exponents_and_rebuilds_no_product():
     assert {"reconstruct_2d", "_mul_factor", "mul_factor"} & called == set()
 
 
+def test_every_scan_family_takes_one_table_and_one_rise_test():
+    # the nine families are lines of one table (or of one grid of M(c; r))
+    # passed to _drops; the signed table of -f is built inline, not by a
+    # helper that picks a second table
+    defined, called = set(), []
+    for node in ast.walk(ast.parse((SRC / "witt.py").read_text())):
+        if isinstance(node, ast.FunctionDef):
+            defined.add(node.name)
+            if node.name == "monotonicity_scan":
+                called = [getattr(call.func, "id", None) for call in ast.walk(node)
+                          if isinstance(call, ast.Call)]
+    assert "_signed_neg_table" not in defined
+    assert called.count("witt_table") <= 1
+    assert called.count("_drops") == 1
+
+
+def test_bernoulli_numbers_grow_one_tangent_number_at_a_time():
+    # the tangent-number column is extended in place as far as asked; a
+    # rebuild of every T_j from T_1 must not come back
+    defined = {node.name for node in ast.walk(ast.parse((SRC / "arith.py").read_text()))
+               if isinstance(node, ast.FunctionDef)}
+    assert "bernoulli" in defined
+    assert "_tangent_numbers" not in defined
+
+
 def test_readme_lists_match_the_code():
     readme = (SRC.parent.parent / "README.md").read_text()
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wittkit import arith
+from wittkit import analytic, arith
 from wittkit.arith import (
     bernoulli,
     divisors,
@@ -125,15 +125,35 @@ def test_bernoulli_von_staudt_clausen():
         assert (b + sum(Fraction(1, p) for p in ps)).denominator == 1, k
 
 
+def _cold_bernoulli_cache(monkeypatch):
+    monkeypatch.setattr(arith, "_bern_even", [Fraction(1), Fraction(1, 6)])
+    monkeypatch.setattr(arith, "_bern_column", [1])
+
+
 def test_bernoulli_cache_fill_order(monkeypatch):
     ks = [2, 7, 1, 0, 88, 600, 3, 144, 598, 250]
-    monkeypatch.setattr(arith, "_bern_even", [Fraction(1)])
+    _cold_bernoulli_cache(monkeypatch)
     descending = {k: bernoulli(k) for k in sorted(ks, reverse=True)}
-    monkeypatch.setattr(arith, "_bern_even", [Fraction(1)])
+    _cold_bernoulli_cache(monkeypatch)
     ascending = {k: bernoulli(k) for k in sorted(ks)}
-    monkeypatch.setattr(arith, "_bern_even", [Fraction(1)])
+    _cold_bernoulli_cache(monkeypatch)
     mixed = {k: bernoulli(k) for k in ks}
     assert descending == ascending == mixed
+
+
+def test_bernoulli_cache_grows_exactly_as_far_as_asked(monkeypatch):
+    # B_2, B_4, ... asked one at a time leave B_0..B_200 and no more
+    _cold_bernoulli_cache(monkeypatch)
+    for k in range(2, 201, 2):
+        bernoulli(k)
+    assert len(arith._bern_even) == 101
+
+
+def test_cold_zeta_builds_only_the_bernoulli_numbers_it_uses(monkeypatch):
+    _cold_bernoulli_cache(monkeypatch)
+    monkeypatch.setattr(analytic, "_em_coeffs", (0, ()))
+    analytic.zeta(3, 300)
+    assert len(arith._bern_even) - 1 == len(analytic._em_coeffs[1]) == 237
 
 
 def test_gcd_all():

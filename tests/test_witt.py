@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wittkit import witt
 from wittkit.arith import divisors, moebius
 from wittkit.errors import BudgetExceededError, PreconditionError
 from wittkit.necklace import necklace_count, necklace_poly
@@ -383,6 +384,59 @@ def test_scan_precondition_failures_are_named():
 def test_scan_constant_row_is_trivially_monotone():
     rep = monotonicity_scan(S([1], 8), "T5.1", kmax=8, rmax=10)
     assert rep.passed
+
+
+# fixed faults, (r, j) -> added to m(j, r) as witt_table returns it and
+# (c, r) -> added to M(c; r), so that every family meets a violation
+_TABLE_FAULTS = {(2, 4): -3, (4, 2): 2, (5, 5): -20, (6, 3): -6, (7, 1): 1}
+_NECKLACE_FAULTS = {(2, 5): -4, (3, 4): 40, (4, 2): -3}
+
+
+@pytest.fixture
+def faulty_scan_inputs(monkeypatch):
+    real_table, real_poly = witt.witt_table, witt.necklace_poly
+    calls = []
+
+    def table(f, order, degree=None):
+        t = real_table(f, order, degree)
+        return witt.WittTable(f=t.f, rows=tuple(
+            S([c + _TABLE_FAULTS.get((r, j), 0) for j, c in enumerate(row.coeffs)], row.order)
+            for r, row in enumerate(t.rows, 1)))
+
+    def poly(c, r):
+        calls.append((c, r))
+        return real_poly(c, r) + _NECKLACE_FAULTS.get((c, r), 0)
+
+    monkeypatch.setattr(witt, "witt_table", table)
+    monkeypatch.setattr(witt, "necklace_poly", poly)
+    return calls
+
+
+@pytest.mark.parametrize("family, checked, violations", [
+    ("T5.1", 30, ["k=2: decreases at r=5", "k=3: decreases at r=6",
+                  "k=4: decreases at r=2", "k=5: decreases at r=5"]),
+    ("T5.2", 24, ["k=3: decreases at r=6", "k=4: decreases at r=2",
+                  "k=5: decreases at r=6"]),
+    ("T5.3a", 42, ["m(4,2) = -1 < 1"]),
+    ("T5.3b", 42, ["r=2: decreases at k=4", "r=5: decreases at k=5"]),
+    ("T5.3c", 20, ["r=5: not strict at k=5", "r=6: not strict at k=3"]),
+    ("T5.4a", 42, ["m(4,2) = 0 < 1", "m(1,7) = 0 < 1"]),
+    ("T5.4b", 42, ["r=2: decreases at k=4", "r=5: decreases at k=6",
+                   "r=6: decreases at k=3"]),
+    ("T5.4c", 20, ["r=5: not strict at k=6", "r=6: not strict at k=3"]),
+    ("P6", 37, ["M(2;r) not strict at r=5", "M(3;r) not strict at r=5",
+                "M(4;r) not strict at r=2", "M(c;2) not strict at c=4"]),
+])
+def test_scan_reports_every_violation_in_order(faulty_scan_inputs, family, checked,
+                                               violations):
+    rep = monotonicity_scan(S([1] * 9, 8), family, kmax=6, rmax=7, cmax=4)
+    assert (rep.passed, rep.checked, list(rep.violations)) == (False, checked, violations)
+
+
+def test_p6_computes_each_necklace_value_once(faulty_scan_inputs):
+    assert monotonicity_scan(None, "P6", cmax=6, rmax=12).checked == 113
+    assert len(faulty_scan_inputs) == 6 * 12
+    assert len(set(faulty_scan_inputs)) == 6 * 12
 
 
 def test_exploratory_search_for_necessity_of_nondecreasing_hypothesis():

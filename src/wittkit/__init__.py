@@ -24,11 +24,11 @@ from .expansion import (
 from .necklace import necklace_closed, necklace_count, necklace_poly, v_count
 from .series import RationalFunction, TruncatedSeries
 from .analytic import (
-    BChiResult,
     ConstantResult,
     ConvergenceReport,
     EulerProductSpec,
     b_chi,
+    b_chi_direct,
     check_convergence_hypotheses,
     euler_product,
     euler_product_direct,
@@ -68,7 +68,7 @@ __all__ = [
     "kronecker", "RealDirichletCharacter",
     "zeta", "hurwitz_zeta", "partial_zeta", "l_series",
     "EulerProductSpec", "ConstantResult", "euler_product",
-    "euler_product_direct", "b_chi", "BChiResult",
+    "euler_product_direct", "b_chi", "b_chi_direct",
     "check_convergence_hypotheses", "ConvergenceReport",
     "IntegralityError", "BudgetExceededError", "DivergenceError",
     "PreconditionError",

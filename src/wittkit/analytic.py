@@ -20,8 +20,8 @@ product expansions of h(1, z) and h(-1, z), cut at one proven order.
 
 Direct products.  Every finite product of factors h(chi(p), 1/p) is one
 prime-by-prime product, _twisted_direct, over p_m < p <= limit: the
-planner's p | q (limit q, tail 0), euler_product_direct and b_chi's
-cross-check.  Each factor is one correctly rounded division of the
+planner's p | q (limit q, tail 0), euler_product_direct and
+b_chi_direct.  Each factor is one correctly rounded division of the
 integers p^(w-1) num(1/p) and p^(w-1) den(1/p), by Horner's rule with num
 and den padded to one length w, at D + GUARD_DIGITS + 12 digits, skipping
 h(x) = 1.  Its tail, how far the primes above the limit can move the
@@ -95,8 +95,8 @@ __all__ = [
     "ConstantResult",
     "euler_product",
     "euler_product_direct",
-    "BChiResult",
     "b_chi",
+    "b_chi_direct",
     "ConvergenceReport",
     "check_convergence_hypotheses",
 ]
@@ -471,29 +471,29 @@ def _root_bound(poly: Sequence[int]) -> Fraction:
     """An exact rho >= |beta| for every reciprocal root beta of an integer
     polynomial a_0 + ... + a_d z^d, a_0 != 0: the least over k = 0..4 (a step
     can loosen it) of the Cauchy bound of the k-th Graeffe iterate raised to
-    1/2^k, by exact bisection (upper end) on |a_0| x^d - ... - |a_d|."""
+    1/2^k, by integer bisection (upper end) on |a_0| y^d - ... - |a_d|, y = n/2^s."""
     poly = list(poly)
     while len(poly) > 1 and poly[-1] == 0:
         poly.pop()
-    d, best = len(poly) - 1, None
+    d, bounds = len(poly) - 1, []
     for power in (1, 2, 4, 8, 16) if d else ():
-        def at_or_above(x: Fraction) -> bool:  # sign of q^d C(p/q), p/q = x^power
-            p, q, acc = x.numerator**power, x.denominator**power, abs(poly[0])
+        def at_or_above(n: int, s: int) -> bool:  # 2^(s power d) C(y^power) >= 0, y = n/2^s
+            p, acc = n**power, abs(poly[0])
             for i in range(1, d + 1):
-                acc = acc * p - abs(poly[i]) * q**i
+                acc = acc * p - (abs(poly[i]) << s * power * i)
             return acc >= 0
 
-        lo, hi = Fraction(0), Fraction(1)
-        while not at_or_above(hi):
-            lo, hi = hi, 2 * hi
+        hi = next(1 << j for j in count() if at_or_above(1 << j, 0))  # doubling from 1
+        s = max(0, 52 - hi.bit_length())  # [hi/2, hi] halves 50 times on multiples of 2^-s
+        lo, hi = (hi // 2) << s, hi << s
         for _ in range(50):
-            mid = (lo + hi) / 2
-            lo, hi = (lo, mid) if at_or_above(mid) else (mid, hi)
-        best = hi if best is None else min(best, hi)
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if at_or_above(mid, s) else (mid, hi)
+        bounds.append(Fraction(hi, 1 << s))
         # Graeffe's step Q(z^2) = P(z) P(-z) squares the reciprocal roots
         poly = [sum((-1) ** j * poly[j] * poly[i - j] for j in range(max(0, i - d), min(i, d) + 1))
                 for i in range(0, 2 * d + 1, 2)]
-    return best or Fraction(0)
+    return min(bounds, default=Fraction(0))
 
 
 def _cutoff(deg: int, rho: Fraction, base: int, digits: int) -> Tuple[int, Decimal]:
@@ -555,10 +555,10 @@ def _twisted_exponents(h: Dict[int, RationalFunction], chi: RealDirichletCharact
 
 
 def _twisted_product(h: Dict[int, RationalFunction], chi: RealDirichletCharacter, m: int,
-                     digits: int) -> Tuple[Decimal, int, Decimal, int]:
-    """(value, cutoff, proven tail, working digits) of prod_{p > p_m}
-    h(chi(p), 1/p), for a real character chi mod q and h mapping x in
-    {-1, 0, 1} to the rational function h(x, z).
+                     digits: int) -> ConstantResult:
+    """prod_{p > p_m} h(chi(p), 1/p), quantized to `digits`, with its cutoff,
+    proven tail and working digits, for a real character chi mod q and h
+    mapping x in {-1, 0, 1} to the rational function h(x, z).
 
     The finitely many p | q give prod h(0, 1/p) from _twisted_direct, the
     others exp(sum e ln L_m(n, psi)) over _twisted_exponents cut at one
@@ -589,13 +589,14 @@ def _twisted_product(h: Dict[int, RationalFunction], chi: RealDirichletCharacter
     precs = {key: digits + 6 + math.ceil(_log10_int(e)) + GUARD_DIGITS
              for key, e in terms.items()}
     prec = max(precs.values(), default=digits + 6 + GUARD_DIGITS)
-    exact = _twisted_direct({-1: _ONE, 0: h[0], 1: _ONE}, chi, m, chi.modulus, prec)[0]
+    exact = _twisted_direct({-1: _ONE, 0: h[0], 1: _ONE}, chi, m, chi.modulus, prec).value
     with localcontext() as ctx:
         ctx.prec = prec + 12
         total = Decimal(0)
         for (n, psi), e in terms.items():
             total += e * _ln1p(_l_minus_1(n, psi, precs[n, psi], m))
-        return total.exp() * exact, cutoff, tail, prec
+        value = _quantize(total.exp() * exact, digits)
+    return ConstantResult(value, digits, cutoff, tail, False, prec)
 
 
 def euler_product(spec: EulerProductSpec) -> ConstantResult:
@@ -608,10 +609,8 @@ def euler_product(spec: EulerProductSpec) -> ConstantResult:
     wide enough to absorb the size of e_n.  The reported tail is that proven
     bound, or 0 for a product that terminates.
     """
-    h = dict.fromkeys((-1, 0, 1), spec.h)
-    value, cutoff, tail, prec = _twisted_product(h, RealDirichletCharacter.trivial(),
-                                                 spec.m, spec.digits)
-    return ConstantResult(_quantize(value, spec.digits), spec.digits, cutoff, tail, False, prec)
+    return _twisted_product(dict.fromkeys((-1, 0, 1), spec.h), RealDirichletCharacter.trivial(),
+                            spec.m, spec.digits)
 
 
 def _check_prime_limit(name: str, limit: int, m: int) -> None:
@@ -627,12 +626,13 @@ def _check_prime_limit(name: str, limit: int, m: int) -> None:
 
 
 def _twisted_direct(h: Dict[int, RationalFunction], chi: RealDirichletCharacter, m: int,
-                    limit: int, digits: int) -> Tuple[Decimal, float, int]:
-    """(value, tail, working digits) of prod h(chi(p), 1/p) over the primes
-    p_m < p <= limit, for h as in _twisted_product, the value quantized to
-    `digits` (module docstring, "Direct products"); DivergenceError names a
-    prime at a pole.  The tail bounds how far the primes p > L = limit can
-    move the value; it is computed in floats, like _cutoff's T(N).
+                    limit: int, digits: int) -> ConstantResult:
+    """prod h(chi(p), 1/p) over the primes p_m < p <= limit, for h as in
+    _twisted_product, quantized to `digits` (module docstring, "Direct
+    products"), with the limit as its cutoff, its tail and its working
+    digits; DivergenceError names a prime at a pole.  The tail bounds how far
+    the primes p > L = limit can move the value; it is computed in floats,
+    like _cutoff's T(N).
 
     The omitted p > L have 1/p <= u = 1/(L + 1).  x runs over the nonzero
     values of chi, and over 0 too when q > L, since a prime factor of q may
@@ -679,9 +679,11 @@ def _twisted_direct(h: Dict[int, RationalFunction], chi: RealDirichletCharacter,
             top = sum(abs(r) * u**i for i, r in enumerate(diff[2:]))
             bound = max(bound, top / low if low > 0 else math.inf)
     if bound * u * u >= 1:
-        return value, math.inf, prec
-    log_sum = bound / (2 * (limit - 1) * (1 - bound * u * u)) if bound else 0.0  # T
-    return value, abs(float(value)) * math.expm1(log_sum), prec
+        tail = math.inf
+    else:
+        log_sum = bound / (2 * (limit - 1) * (1 - bound * u * u)) if bound else 0.0  # T
+        tail = abs(float(value)) * math.expm1(log_sum)
+    return ConstantResult(value, digits, limit, Decimal(tail), False, prec)
 
 
 def euler_product_direct(spec: EulerProductSpec, prime_limit: int) -> ConstantResult:
@@ -690,10 +692,8 @@ def euler_product_direct(spec: EulerProductSpec, prime_limit: int) -> ConstantRe
     primes above prime_limit as its tail (infinite where h's majorant
     fails at that limit) and the precision it multiplied at."""
     _check_prime_limit("prime_limit", prime_limit, spec.m)
-    value, tail, prec = _twisted_direct(dict.fromkeys((-1, 0, 1), spec.h),
-                                        RealDirichletCharacter.trivial(), spec.m, prime_limit,
-                                        spec.digits)
-    return ConstantResult(value, spec.digits, prime_limit, Decimal(tail), False, prec)
+    return _twisted_direct(dict.fromkeys((-1, 0, 1), spec.h), RealDirichletCharacter.trivial(),
+                           spec.m, prime_limit, spec.digits)
 
 
 # -- the order-constant family B_chi ------------------------------------
@@ -706,38 +706,7 @@ _BCHI_H = {
 }
 
 
-@record
-class BChiResult:
-    value: Decimal
-    digits: int
-    tail_estimate: Decimal
-    cutoff: int
-    working_digits: int
-    direct_value: Optional[Decimal] = None
-    direct_tail_estimate: Optional[float] = None
-    difference: Optional[float] = None
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "value": str(self.value),
-            "digits": self.digits,
-            "cutoff": self.cutoff,
-            "tail_estimate": _sci(self.tail_estimate),
-            "heuristic_tail": False,
-            "working_digits": self.working_digits,
-        }
-        if self.direct_value is not None:
-            out["direct_value"] = str(self.direct_value)
-            out["direct_tail_estimate"] = f"{self.direct_tail_estimate:.3e}"
-            out["difference"] = f"{self.difference:.3e}"
-        return out
-
-
-def b_chi(
-    chi: RealDirichletCharacter,
-    digits: int,
-    cross_check_limit: Optional[int] = None,
-) -> BChiResult:
+def b_chi(chi: RealDirichletCharacter, digits: int) -> ConstantResult:
     """The Euler product prod_p h(chi(p), 1/p) with h(x, z) = 1 + (x-1) z^2 /
     ((1 - x z^2)(1 - z)), that is prod_p (1 + (chi(p)-1) p / ((p^2 - chi(p))
     (p-1))), evaluated through Dirichlet L-series.
@@ -747,20 +716,20 @@ def b_chi(
     with the exponents of h(1, z) = 1 and h(-1, z) = (1 - z - z^2 - z^3) /
     (1 - z + z^2 - z^3), cut at one proven order, so each L-value is computed
     once (none for a principal chi, where the value is the exact rational).
-    With cross_check_limit set (at least 2), the defining product over
-    primes up to that limit is computed as well, with _twisted_direct's
-    proven bound on the primes above it, and the difference reported.
+    b_chi_direct is its cross-check.
     """
     _check_digits(digits)
-    if cross_check_limit is not None:
-        _check_prime_limit("cross_check_limit", cross_check_limit, 0)
-    value, cutoff, tail, prec = _twisted_product(_BCHI_H, chi, 0, digits)
-    value = _quantize(value, digits)
-    direct = direct_tail = difference = None
-    if cross_check_limit is not None:
-        direct, direct_tail, _ = _twisted_direct(_BCHI_H, chi, 0, cross_check_limit, digits)
-        difference = abs(float(value - direct))
-    return BChiResult(value, digits, tail, cutoff, prec, direct, direct_tail, difference)
+    return _twisted_product(_BCHI_H, chi, 0, digits)
+
+
+def b_chi_direct(chi: RealDirichletCharacter, digits: int, prime_limit: int) -> ConstantResult:
+    """Reference evaluation of b_chi's defining product over the primes
+    p <= prime_limit (at least 2), used to validate b_chi, with
+    _twisted_direct's proven bound on the primes above prime_limit as its
+    tail and the precision it multiplied at."""
+    _check_digits(digits)
+    _check_prime_limit("prime_limit", prime_limit, 0)
+    return _twisted_direct(_BCHI_H, chi, 0, prime_limit, digits)
 
 
 # -- convergence-hypothesis reporting -----------------------------------

@@ -19,6 +19,7 @@ from .analytic import (
     EulerProductSpec,
     _check_prime_limit,
     b_chi,
+    b_chi_direct,
     check_convergence_hypotheses,
     euler_product,
     euler_product_direct,
@@ -267,9 +268,15 @@ def _run(args) -> int:
             raise ValueError("bchi --prime-limit needs --cross-check")
         limit = 10**6 if args.prime_limit is None else args.prime_limit
         _check_prime_limit("--prime-limit", limit, 0)
-        rep = b_chi(_character(args), args.digits,
-                    cross_check_limit=limit if args.cross_check else None)
-        _emit(rep.to_json_dict())
+        chi = _character(args)
+        result = b_chi(chi, args.digits)
+        out = result.to_json_dict()
+        if args.cross_check:
+            direct = b_chi_direct(chi, args.digits, limit)
+            text = direct.to_json_dict()
+            out.update(direct_value=text["value"], direct_tail_estimate=text["tail_estimate"],
+                       difference=f"{abs(float(result.value - direct.value)):.3e}")
+        _emit(out)
         return 0
     if cmd == "convergence":
         if args.ratfun is not None and args.f is not None:

@@ -474,16 +474,20 @@ def monotonicity_scan(
       T5.3c/T5.4c  row r along k from k = 2, strict, for r >= 3;
       T5.3a/T5.4a  m(k, r) >= 1 for 1 <= k <= kmax, cell by cell.
     T5.1 and T5.3* read the table of f; T5.2 and T5.4* read the table of
-    -f with its odd rows negated, so row r is (-1)^r W_r(-f).
+    -f with its odd rows negated, so row r is (-1)^r W_r(-f).  A negative
+    window size raises ValueError naming it, before anything is evaluated.
     """
     if family not in SCAN_FAMILIES:
         raise ValueError(f"unknown family {family!r}; known: {SCAN_FAMILIES}")
+    params = {"cmax": cmax, "rmax": rmax} if family == "P6" else {"kmax": kmax, "rmax": rmax}
+    for name, size in params.items():
+        if size < 0:
+            raise ValueError(f"{family}: {name} must be >= 0, got {size}")
     # each line: (message taking the line's key and the failing index,
     # key, values, index of the first value, strict)
     lines: List[Tuple[str, int, List[int], int, bool]]
 
     if family == "P6":
-        params = {"cmax": cmax, "rmax": rmax}
         grid = [[necklace_poly(c, r) for r in range(1, rmax + 1)]
                 for c in range(1, cmax + 1)]
         # M(2;1) = 2 > M(2;2) = 1 and M(3;1) = M(3;2) = 3, so the lines
@@ -499,9 +503,10 @@ def monotonicity_scan(
         _require_nonneg_integral(f, family)
         if f.order < kmax:
             raise ValueError(f"series order {f.order} < kmax {kmax}")
-        params = {"kmax": kmax, "rmax": rmax}
         if family[:4] in ("T5.3", "T5.4"):
             _require_nondecreasing(f, kmax + 1, family)
+        if not kmax or not rmax:  # an empty window: ScanReport refuses it, with no table built
+            return ScanReport(family, params, True, 0)
         signed = family == "T5.2" or family[:4] == "T5.4"
         table = witt_table(-f if signed else f, rmax, kmax)
         rows = [[-x for x in row.coeffs] if signed and r % 2 else list(row.coeffs)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import B_CHI_MINUS_4, catalan_oracle
@@ -13,6 +13,7 @@ from wittkit import analytic
 from wittkit.analytic import (
     EulerProductSpec,
     b_chi,
+    b_chi_direct,
     check_convergence_hypotheses,
     euler_product,
     euler_product_direct,
@@ -315,16 +316,16 @@ def test_b_chi_trivial_is_one():
 
 def test_b_chi_cross_route():
     chi = RealDirichletCharacter.from_kronecker(-4)
-    rep = b_chi(chi, 8, cross_check_limit=10**5)
-    budget = float(rep.tail_estimate) + rep.direct_tail_estimate + 2e-8
-    assert rep.difference <= budget
+    rep, direct = b_chi(chi, 8), b_chi_direct(chi, 8, 10**5)
+    budget = float(rep.tail_estimate) + float(direct.tail_estimate) + 2e-8
+    assert abs(float(rep.value - direct.value)) <= budget
 
 
 @pytest.mark.parametrize("limit", [1, 0, -5])
 def test_b_chi_refuses_a_cross_check_limit_below_two(limit):
     # the direct product's proven tail sums n^-2 over odd n > limit >= 2
-    with pytest.raises(ValueError, match="cross_check_limit must be >= 2"):
-        b_chi(RealDirichletCharacter.from_kronecker(-4), 4, cross_check_limit=limit)
+    with pytest.raises(ValueError, match="prime_limit must be >= 2"):
+        b_chi_direct(RealDirichletCharacter.from_kronecker(-4), 4, limit)
 
 
 @pytest.mark.parametrize("m, limit, message", [
@@ -491,6 +492,42 @@ def test_root_bound_is_tight_where_cauchy_is_exact(poly):
     assert top <= mpmath.mpf(rho.numerator) / rho.denominator <= top * (1 + mpmath.mpf(10) ** -9)
 
 
+def _fraction_root_bound(poly):
+    """_root_bound by bisection on Fractions, the oracle for its integer loop."""
+    poly = list(poly)
+    while len(poly) > 1 and poly[-1] == 0:
+        poly.pop()
+    d, best = len(poly) - 1, None
+    for power in (1, 2, 4, 8, 16) if d else ():
+        def at_or_above(x):  # sign of q^d C(p/q), p/q = x^power
+            p, q, acc = x.numerator**power, x.denominator**power, abs(poly[0])
+            for i in range(1, d + 1):
+                acc = acc * p - abs(poly[i]) * q**i
+            return acc >= 0
+
+        lo, hi = Fraction(0), Fraction(1)
+        while not at_or_above(hi):
+            lo, hi = hi, 2 * hi
+        for _ in range(50):
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if at_or_above(mid) else (mid, hi)
+        best = hi if best is None else min(best, hi)
+        poly = [sum((-1) ** j * poly[j] * poly[i - j] for j in range(max(0, i - d), min(i, d) + 1))
+                for i in range(0, 2 * d + 1, 2)]
+    return best or Fraction(0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-20, 20), min_size=1, max_size=6)
+       | st.lists(st.integers(-10**40, 10**40), min_size=1, max_size=6))
+@example([1, 0, 0, -2**200]).via("a bound above 2^51")
+@example([1, 3, -2**120]).via("a bound above 2^51")
+def test_root_bound_equals_the_fraction_bisection(poly):
+    # the cutoffs, and so every Euler product, depend on rho exactly
+    poly[0] = poly[0] or 1
+    assert analytic._root_bound(poly) == _fraction_root_bound(poly)
+
+
 def test_root_bound_of_a_double_root():
     # Cauchy's bound of (1 - z)^2 is 1 + sqrt(2); Graeffe's steps bring it near 1
     assert 1 <= analytic._root_bound([1, -2, 1]) < Fraction(6, 5)
@@ -634,7 +671,7 @@ def test_b_chi_direct_matches_the_fraction_formula(d, limit):
             f = 1 + Fraction((chi(p) - 1) * p, (p * p - chi(p)) * (p - 1))
             value *= Decimal(f.numerator) / Decimal(f.denominator)
         value = +value
-    assert analytic._twisted_direct(analytic._BCHI_H, chi, 0, limit, 20)[0] \
+    assert analytic._twisted_direct(analytic._BCHI_H, chi, 0, limit, 20).value \
         == analytic._quantize(value, 20)
 
 
@@ -676,10 +713,11 @@ def test_direct_tail_bounds_the_gap_to_the_infinite_product(h, m, limit):
 @pytest.mark.parametrize("d", [-4, -3, 5, 8, 12])
 @pytest.mark.parametrize("limit", [2, 97, 10**4])
 def test_b_chi_direct_tail_bounds_the_gap_to_the_infinite_product(d, limit):
-    rep = b_chi(RealDirichletCharacter.from_kronecker(d), 30, cross_check_limit=limit)
+    chi = RealDirichletCharacter.from_kronecker(d)
+    rep, direct = b_chi(chi, 30), b_chi_direct(chi, 30, limit)
     assert rep.to_json_dict()["heuristic_tail"] is False
-    assert math.isfinite(rep.direct_tail_estimate)
-    assert abs(rep.value - rep.direct_value) <= Decimal(rep.direct_tail_estimate)
+    assert direct.tail_estimate.is_finite()
+    assert abs(rep.value - direct.value) <= direct.tail_estimate
 
 
 def test_the_planners_direct_product_has_no_tail(monkeypatch):
@@ -696,7 +734,7 @@ def test_the_planners_direct_product_has_no_tail(monkeypatch):
         b_chi(RealDirichletCharacter.from_kronecker(d), 12)
     euler_product(EulerProductSpec(ARTIN_H, 6, 12))
     assert len(calls) == 5
-    assert all(q == limit and tail == 0 for q, limit, (_, tail, _) in calls)
+    assert all(q == limit and result.tail_estimate == 0 for q, limit, result in calls)
 
 
 def test_a_direct_tail_past_its_majorant_is_infinite():
@@ -732,7 +770,9 @@ def test_b_chi_builds_chi_squared_once(monkeypatch):
     monkeypatch.setattr(RealDirichletCharacter, "square", counted)
     for d in (-4, 5, 1):
         calls.clear()
-        b_chi(RealDirichletCharacter.from_kronecker(d), 8, cross_check_limit=97)
+        chi = RealDirichletCharacter.from_kronecker(d)
+        b_chi(chi, 8)
+        b_chi_direct(chi, 8, 97)
         assert len(calls) == 1, d
 
 
@@ -774,7 +814,8 @@ def test_proven_tail_bounds_the_omitted_factors(h, m, digits):
 def test_proven_b_chi_tail_bounds_the_omitted_factors():
     chi = RealDirichletCharacter.from_kronecker(-4)
     rep = b_chi(chi, 12)
-    _, cutoff, tail, _ = analytic._twisted_product(analytic._BCHI_H, chi, 0, 12)
+    planned = analytic._twisted_product(analytic._BCHI_H, chi, 0, 12)
+    cutoff, tail = planned.cutoff, planned.tail_estimate
     assert rep.tail_estimate == tail and rep.cutoff == cutoff
     omitted = [(e, n, psi) for (n, psi), e in
                analytic._twisted_exponents(analytic._BCHI_H, chi, cutoff + 400).items()

@@ -115,7 +115,7 @@ def test_l_value_kernel_keeps_its_euler_factors_in_fixed_point():
 
 
 def test_both_cross_checks_take_the_one_direct_product():
-    # euler_product_direct, b_chi's cross-check and the planner's p | q
+    # euler_product_direct, b_chi_direct and the planner's p | q
     # multiply h(chi(p), 1/p) prime by prime in _twisted_direct, which also
     # gives both cross-checks their tail; a second such loop must not return
     callers, defined, planner_loops = set(), set(), []
@@ -127,9 +127,30 @@ def test_both_cross_checks_take_the_one_direct_product():
             if node.name == "_twisted_product":
                 planner_loops = [ast.unparse(loop.iter) for loop in ast.walk(node)
                                  if isinstance(loop, ast.For)]
-    assert callers == {"euler_product_direct", "b_chi", "_twisted_product"}
+    assert callers == {"euler_product_direct", "b_chi_direct", "_twisted_product"}
     assert {"_b_chi_direct", "_dec_frac"} & defined == set()
     assert planner_loops == ["terms.items()"]  # the L-values, and no loop over primes
+
+
+def test_every_euler_product_returns_the_one_constant_record():
+    # one record for every Euler product: no BChiResult class and no
+    # cross_check_limit knob (b_chi_direct is b_chi's cross-check)
+    functions = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                assert node.name != "BChiResult", path.name
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)]
+                assert "cross_check_limit" not in names, (path.name, node.name)
+                if path.stem == "analytic":
+                    functions[node.name] = node
+    args = functions["b_chi"].args
+    assert [a.arg for a in args.args] == ["chi", "digits"]
+    assert not (args.vararg or args.kwonlyargs or args.kwarg)
+    returns = {name: ast.unparse(functions[name].returns) for name in
+               ("euler_product", "euler_product_direct", "b_chi", "b_chi_direct")}
+    assert set(returns.values()) == {"ConstantResult"}
 
 
 def test_cyclotomic_check_compares_exponents_and_rebuilds_no_product():
@@ -168,6 +189,24 @@ def test_bernoulli_numbers_grow_one_tangent_number_at_a_time():
                if isinstance(node, ast.FunctionDef)}
     assert "bernoulli" in defined
     assert "_tangent_numbers" not in defined
+
+
+def test_readme_library_tour_runs_as_written():
+    # each statement runs in one namespace; a "# -> X" comment on its last
+    # line is the repr of its value, where "..." stands for any elided rest
+    readme = (SRC.parent.parent / "README.md").read_text()
+    block = re.search(r"^## Library quick tour$.*?^```python$(.*?)^```$", readme, re.M | re.S)[1]
+    lines, namespace, checked = block.splitlines(), {}, 0
+    for node in ast.parse(block).body:
+        shown = re.search(r"# -> (.*)$", lines[node.end_lineno - 1])
+        if shown is None:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+            continue
+        got = repr(eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace))
+        want = ".*".join(map(re.escape, shown[1].split("...")))
+        assert re.fullmatch(want, got), (ast.get_source_segment(block, node), got)
+        checked += 1
+    assert checked == 7
 
 
 def test_readme_lists_match_the_code():

@@ -453,11 +453,15 @@ GRID_1_1 = '{"J":1,"K":1,"rows":[["1","0"],["0","-1"]]}'
     # a limit that would otherwise be ignored or read as "no cross-check"
     ("constant", "--h", '{"num":[1,-1,-1],"den":[1,-1]}', "--direct-limit", "0"),
     ("bchi", "--kronecker", "-4", "--digits", "4", "--prime-limit", "1000"),
+    ("scan", "--family", "T5.1", "--f", '{"order":10,"coeffs":["1","1"]}', "--kmax", "8",
+     "--rmax", "0"),
+    ("scan", "--family", "T5.1", "--f", '{"order":10,"coeffs":["1","1"]}', "--kmax", "-3"),
 ], ids=["expand-N", "expand2d-J", "expand2d-K", "cyclotomic-K", "cyclotomic-J",
         "verify-all-budget", "words-budget", "words-list-budget", "scan-P6-cmax",
         "scan-P6-rmax", "verify-T3.6-v-w", "verify-T1.2-r", "verify-T3.1-k-negative",
         "verify-T3.1-k-zero", "bchi-prime-limit", "constant-direct-limit-zero",
-        "bchi-prime-limit-without-cross-check"])
+        "bchi-prime-limit-without-cross-check", "scan-T5.1-rmax-zero",
+        "scan-T5.1-kmax-negative"])
 def test_negative_sizes_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("usage error: ")

@@ -5,7 +5,7 @@ from decimal import Decimal
 
 import pytest
 
-from wittkit.analytic import BChiResult, ConstantResult, ConvergenceReport, EulerProductSpec
+from wittkit.analytic import ConstantResult, ConvergenceReport, EulerProductSpec
 from wittkit.characters import RealDirichletCharacter
 from wittkit.expansion import BiSeries, CyclotomicReport, Expansion1D, Expansion2D
 from wittkit.series import RationalFunction, TruncatedSeries
@@ -22,9 +22,6 @@ FIELDS = {
     ConstantResult: dict(value=Decimal("0.37"), digits=2, cutoff=9,
                          tail_estimate=Decimal("1E-5"), heuristic_tail=False,
                          working_digits=14),
-    BChiResult: dict(value=Decimal("0.5"), digits=1, tail_estimate=Decimal("1E-3"),
-                     cutoff=4, working_digits=13, direct_value=Decimal("0.49"),
-                     direct_tail_estimate=0.01, difference=0.002),
     ConvergenceReport: dict(radius=0.618, radius_method="ratio", g_half=1.5,
                             radius_ok=True, g_half_ok=False, prime_sum_converges=None,
                             hypotheses_hold=False, note="n"),
@@ -80,8 +77,6 @@ def test_argument_errors_are_type_errors(cls):
 def test_defaults():
     spec = EulerProductSpec(ARTIN_H)
     assert (spec.m, spec.digits) == (0, 12)
-    b = BChiResult(Decimal(1), 2, Decimal(0), 1, 12)
-    assert (b.direct_value, b.direct_tail_estimate, b.difference) == (None, None, None)
     rep = IdentityReport("T3.2", {"r": 2}, ONE_PLUS_Z, ONE_PLUS_Z, True)
     assert rep.first_mismatch is None
     scan = ScanReport("P6", {"cmax": 6}, True, 4)

@@ -381,6 +381,20 @@ def test_scan_precondition_failures_are_named():
         monotonicity_scan(S([1, 1], 8), "T5.9", kmax=6)
 
 
+def test_scan_window_sizes_are_named_and_an_empty_window_builds_no_table(monkeypatch):
+    tables = []
+    monkeypatch.setattr(witt, "witt_table", lambda *args: tables.append(args))
+    f = S([1, 1], 10)
+    with pytest.raises(ValueError, match=r"^T5\.1: kmax must be >= 0, got -3$"):
+        monotonicity_scan(f, "T5.1", kmax=-3, rmax=12)
+    with pytest.raises(ValueError, match=r"^T5\.1: the window \{'kmax': 8, 'rmax': 0\} "
+                                         r"holds no comparison$"):
+        monotonicity_scan(f, "T5.1", kmax=8, rmax=0)
+    with pytest.raises(ValueError, match=r"^P6: cmax must be >= 0, got -1$"):
+        monotonicity_scan(None, "P6", cmax=-1, rmax=12)
+    assert tables == []
+
+
 def test_scan_constant_row_is_trivially_monotone():
     rep = monotonicity_scan(S([1], 8), "T5.1", kmax=8, rmax=10)
     assert rep.passed

@@ -95,13 +95,8 @@ def nth_prime(m: int) -> int:
         raise ValueError(f"nth_prime requires m >= 1, got {m}")
     if m < 6:
         return [2, 3, 5, 7, 11][m - 1]
-    # p_m < m (ln m + ln ln m) for m >= 6
-    bound = int(m * (math.log(m) + math.log(math.log(m)))) + 10
-    while True:
-        ps = primes_up_to(bound)
-        if len(ps) >= m:
-            return ps[m - 1]
-        bound *= 2
+    # p_m < m (ln m + ln ln m) for m >= 6 (Rosser), so one sieve suffices
+    return primes_up_to(int(m * (math.log(m) + math.log(math.log(m)))) + 10)[m - 1]
 
 
 # B_0, B_2, B_4, ...: the even-index Bernoulli numbers computed so far, and

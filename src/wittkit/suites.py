@@ -9,6 +9,7 @@ budgets; the test suite runs them at full size.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import time
@@ -334,23 +335,24 @@ def analytic_battery(digits: int = 12, prime_limit: int = 10**6,
     res.check(abs(partial_zeta(0, 2, digits) - zeta(2, digits)) < tol,
               "zeta_0 != zeta")
 
-    artin = euler_product(EulerProductSpec(ARTIN_H, 0, digits))
+    products = {"8/pi^2": (QUAD_H, 1), "artin": (ARTIN_H, 0), "twin": (TWIN_H, 1)}
+
+    @functools.cache  # each (constant, digits) product is computed once
+    def product(name: str, d: int):
+        return euler_product(EulerProductSpec(*products[name], d))
+
+    artin = product("artin", digits)
     res.check(str(artin.value).startswith("0.3739558136"),
               f"Artin constant first digits wrong: {artin.value}")
 
-    for name, spec in [
-        ("8/pi^2", EulerProductSpec(QUAD_H, 1, digits)),
-        ("artin", EulerProductSpec(ARTIN_H, 0, digits)),
-        ("twin", EulerProductSpec(TWIN_H, 1, digits)),
-    ]:
-        via_zeta = euler_product(spec)
-        direct = euler_product_direct(spec, prime_limit)
+    for name, (h, m) in products.items():
+        via_zeta = product(name, digits)
+        direct = euler_product_direct(EulerProductSpec(h, m, digits), prime_limit)
         budget = via_zeta.tail_estimate + direct.tail_estimate + 2 * tol
         gap = abs(via_zeta.value - direct.value)
         res.check(gap <= budget, f"{name}: gap {gap} exceeds budget {budget}")
     res.check(
-        abs(euler_product(EulerProductSpec(QUAD_H, 1, digits)).value
-            - eight_over_pi_sq) < 2 * tol,
+        abs(product("8/pi^2", digits).value - eight_over_pi_sq) < 2 * tol,
         "removed-factor product vs 8/pi^2",
     )
 
@@ -361,9 +363,9 @@ def analytic_battery(digits: int = 12, prime_limit: int = 10**6,
         ("zeta_2(3)", lambda d: partial_zeta(2, 3, d)),
         ("hurwitz(3,1/4)", lambda d: hurwitz_zeta(3, Fraction(1, 4), d)),
         ("L(2,chi_-4)", lambda d: l_series(2, chi4, d)),
-        ("artin", lambda d: euler_product(EulerProductSpec(ARTIN_H, 0, d)).value),
-        ("twin", lambda d: euler_product(EulerProductSpec(TWIN_H, 1, d)).value),
-        ("8/pi^2", lambda d: euler_product(EulerProductSpec(QUAD_H, 1, d)).value),
+        ("artin", lambda d: product("artin", d).value),
+        ("twin", lambda d: product("twin", d).value),
+        ("8/pi^2", lambda d: product("8/pi^2", d).value),
     ]:
         lo, hi = fn(digits), fn(digits + 10)
         res.check(abs(lo - hi) < tol, f"{name} unstable between D and D+10")

@@ -15,9 +15,13 @@ verify_identity evaluates both sides of the classical identities for the
 transform (product rule, power rule, sign rule, Moebius inversion, and the
 necklace-polynomial specializations) at a shared truncation and reports
 the first differing coefficient, if any.  One kernel, _mixed_power_rule,
-evaluates the five product and power rules (T3.4, T3.5, T3.6, T1.1, T1.2):
-each is the mixed-power sum at particular arguments, the necklace rules
-on constant series.  monotonicity_scan checks the
+evaluates all eight: each is the mixed-power sum at particular arguments.
+T3.4 (v = w = 1), T3.5 (g = 1, w = k) and T3.6 are the sum itself, T1.1
+and T1.2 the product and power rules on constant series, T3.1 the product
+rule with g = z^k, T3.2 the power rule at order 1 with its sides swapped,
+and T3.3 the product rule with g = -1 with both sides times (-1)^r.  The
+kernel skips a pair whose W_j(g) is zero and puts g first in its products,
+so the sparse z^k and -1 cost little.  monotonicity_scan checks the
 coefficient-monotonicity families on finite windows; it certifies the
 claims on the scanned window only.  One rise test, _drops, makes every
 comparison, over the lines of one table: for P6 the lines of M(c; r)
@@ -73,7 +77,8 @@ def _divisor_sum(term: Callable[[int, int], Sequence[Coeff]], r: int, n: int,
         for j, c in enumerate(term(r // d, m)[: m + 1]):
             if c:
                 acc[j * d] += c if mu == 1 else -c
-    return TruncatedSeries(acc, n)
+    # sums of normalized coefficients: no validation, and ints need no _norm
+    return TruncatedSeries._finish(acc, n, all(type(c) is int for c in acc))
 
 
 def _divide_by_order(acc: TruncatedSeries, r: int, integral: bool) -> TruncatedSeries:
@@ -246,40 +251,6 @@ def _require_order(ident: str, f: TruncatedSeries, needed: int) -> None:
         )
 
 
-def _shift(f: TruncatedSeries, k: int) -> TruncatedSeries:
-    coeffs = [0] * (f.order + 1)
-    for j, c in enumerate(f.coeffs):
-        if j + k <= f.order:
-            coeffs[j + k] = c
-    return TruncatedSeries(coeffs, f.order)
-
-
-def _verify_t31(f, r, k):
-    _require_order("T3.1", f, max(r, k * r))
-    lhs = witt_transform(_shift(f, k), r)
-    rhs = _shift(witt_transform(f, r), k * r)
-    return lhs, rhs
-
-
-def _verify_t32(f, r):
-    _require_order("T3.2", f, r)
-    acc = TruncatedSeries.zero(f.order)
-    for d in divisors(r):
-        acc = acc + witt_transform(f, r // d).inflate(d) * (r // d)
-    return acc, f**r
-
-
-def _verify_t33(f, r):
-    _require_order("T3.3", f, r)
-    lhs = witt_transform(-f, r)
-    if r % 2 == 1:
-        lhs = -lhs
-    rhs = witt_transform(f, r)
-    if r % 4 == 2:
-        rhs = rhs + witt_transform(f, r // 2).inflate(2)
-    return lhs, rhs
-
-
 def _mixed_power_rule(ident: str, f: TruncatedSeries, g: Optional[TruncatedSeries],
                       r: int, v: int, w: int):
     """Both sides of W_r(f^w' g^v') = sum (d/(v,w)) W_i(f)(z^(r w'/i)) W_j(g)(z^(r v'/j)).
@@ -289,13 +260,23 @@ def _mixed_power_rule(ident: str, f: TruncatedSeries, g: Optional[TruncatedSerie
     which is asserted rather than assumed.  g=None stands for g = 1, whose
     transforms are W_1(1) = 1 and W_j(1) = M(1; j) = 0 for j >= 2, so only
     j = 1 is visited.  The product rule is v = w = 1, the power rule is
-    g = 1, v = 1, w = k, and constant series give the necklace rules.
+    g = 1, v = 1, w = k, and constant series give the necklace rules.  At
+    fixed arguments the same sum is the shift rule T3.1 (product rule with
+    g = z^k, W_j(z^k) = 0 for j >= 2), the inversion rule T3.2 (power rule
+    at order 1, W_1(f^r) = f^r) and the sign rule T3.3 (product rule with
+    g = -1, W_j(-1) = M(-1; j) = -1, 1, 0, 0, ...).
+
+    W_j(g) is computed before W_i(f), and a pair whose inflated W_j(g) is
+    zero is skipped, so those rules transform f only where a term survives;
+    g comes first in both products, so a sparse g drives the outer loop of
+    TruncatedSeries.__mul__.  Products are exact, so the order changes no
+    coefficient.
     """
     gg = math.gcd(v, w)
     w1, v1 = w // gg, v // gg
-    lhs = witt_transform(f**w1 if g is None else (f**w1) * (g**v1), r)
+    lhs = witt_transform(f**w1 if g is None else (g**v1) * (f**w1), r)
     wf: Dict[int, TruncatedSeries] = {}
-    wg: Dict[int, TruncatedSeries] = {}
+    wg: Dict[int, Optional[TruncatedSeries]] = {}
     rhs = TruncatedSeries.zero(lhs.order)
     for i in range(1, r * w1 + 1):
         for j in range(1, r * v1 + 1) if g is not None else (1,):
@@ -307,14 +288,16 @@ def _mixed_power_rule(ident: str, f: TruncatedSeries, g: Optional[TruncatedSerie
                     f"{ident}: set member (i,j)=({i},{j}) violates "
                     f"i | {r * w1}, j | {r * v1}"
                 )
+            if g is not None:
+                if j not in wg:
+                    wj = witt_transform(g, j).inflate(r * v1 // j)
+                    wg[j] = wj if any(wj.coeffs) else None
+                if wg[j] is None:
+                    continue
             if i not in wf:
                 wf[i] = witt_transform(f, i).inflate(r * w1 // i)
             term = wf[i] * (d // gg)
-            if g is not None:
-                if j not in wg:
-                    wg[j] = witt_transform(g, j).inflate(r * v1 // j)
-                term = term * wg[j]
-            rhs = rhs + term
+            rhs = rhs + (term if g is None else wg[j] * term)
     return lhs, rhs
 
 
@@ -327,6 +310,12 @@ def _series_rule(ident, f, g, r, v, w):
     return _mixed_power_rule(ident, f, g, r, v, w)
 
 
+def _shift_rule(f, r, k):
+    # the shifted transform z^(k r) W_r(f) must fit in f's truncation
+    _require_order("T3.1", f, k * r)
+    return _mixed_power_rule("T3.1", f, TruncatedSeries([0] * k + [1], f.order), r, 1, 1)
+
+
 def _constant(c) -> TruncatedSeries:
     return TruncatedSeries.constant(c, 0)
 
@@ -337,9 +326,10 @@ _IDENTITIES = {
         "T1.1", _constant(alpha), _constant(beta), n, 1, 1), ("alpha", "beta", "n")),
     "T1.2": (lambda beta, r, n: _mixed_power_rule(
         "T1.2", _constant(beta), None, n, 1, r), ("beta", "r", "n")),
-    "T3.1": (_verify_t31, ("f", "r", "k")),
-    "T3.2": (_verify_t32, ("f", "r")),
-    "T3.3": (_verify_t33, ("f", "r")),
+    "T3.1": (_shift_rule, ("f", "r", "k")),
+    "T3.2": (lambda f, r: _series_rule("T3.2", f, None, 1, 1, r)[::-1], ("f", "r")),
+    "T3.3": (lambda f, r: tuple(-side if r % 2 else side for side in _series_rule(
+        "T3.3", f, TruncatedSeries.constant(-1, f.order), r, 1, 1)), ("f", "r")),
     "T3.4": (lambda f, g, r: _series_rule("T3.4", f, g, r, 1, 1), ("f", "g", "r")),
     "T3.5": (lambda f, r, k: _series_rule("T3.5", f, None, r, 1, k), ("f", "r", "k")),
     "T3.6": (lambda f, g, r, v, w: _series_rule("T3.6", f, g, r, v, w),
@@ -505,7 +495,11 @@ def monotonicity_scan(
             raise ValueError(f"series order {f.order} < kmax {kmax}")
         if family[:4] in ("T5.3", "T5.4"):
             _require_nondecreasing(f, kmax + 1, family)
-        if not kmax or not rmax:  # an empty window: ScanReport refuses it, with no table built
+        # the comparisons fill a (kmax - dk) x (rmax - dr) block of the table;
+        # a window without one is refused by ScanReport before any table is built
+        dk, dr = {"T5.1": (1, 1), "T5.2": (2, 1), "T5.3c": (2, 2), "T5.4c": (2, 2)}.get(
+            family, (0, 0))
+        if kmax <= dk or rmax <= dr:
             return ScanReport(family, params, True, 0)
         signed = family == "T5.2" or family[:4] == "T5.4"
         table = witt_table(-f if signed else f, rmax, kmax)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import B_CHI_MINUS_4, catalan_oracle
-from wittkit import analytic
+from wittkit import analytic, suites
 from wittkit.analytic import (
     EulerProductSpec,
     b_chi,
@@ -821,3 +821,17 @@ def test_proven_b_chi_tail_bounds_the_omitted_factors():
                analytic._twisted_exponents(analytic._BCHI_H, chi, cutoff + 400).items()
                if n > cutoff]
     assert _log_sum(omitted) <= mpmath.mpf(str(tail))
+
+
+def test_analytic_battery_computes_each_euler_product_once(monkeypatch):
+    # Artin, twin prime and 8/pi^2 at D and D + 10: six products, each
+    # reused by the first-digits, cross-check, closed-form and stability checks
+    calls = []
+    real = suites.euler_product
+    monkeypatch.setattr(suites, "euler_product",
+                        lambda spec: calls.append((spec.h, spec.m, spec.digits)) or real(spec))
+    result = suites.analytic_battery(digits=12, prime_limit=10**5, bchi_digits=8)
+    assert (result.checks, result.failures) == (20, [])
+    assert len(calls) == 6
+    assert set(calls) == {(h, m, d) for h, m in [(suites.ARTIN_H, 0), (suites.TWIN_H, 1),
+                                                  (suites.QUAD_H, 1)] for d in (12, 22)}

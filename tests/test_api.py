@@ -11,6 +11,7 @@ from pathlib import Path
 
 import wittkit
 from wittkit import suites, witt
+from wittkit.series import TruncatedSeries
 
 SRC = Path(wittkit.__file__).parent
 
@@ -180,6 +181,24 @@ def test_every_scan_family_takes_one_table_and_one_rise_test():
     assert "_signed_neg_table" not in defined
     assert called.count("witt_table") <= 1
     assert called.count("_drops") == 1
+
+
+def test_all_eight_identities_take_the_one_mixed_power_kernel(monkeypatch):
+    # T3.1-T3.3 are the product and power rules at fixed arguments; a
+    # bespoke shift, inversion or sign routine must not come back
+    defined = {node.name for node in ast.walk(ast.parse((SRC / "witt.py").read_text()))
+               if isinstance(node, ast.FunctionDef)}
+    assert {"_shift", "_verify_t31", "_verify_t32", "_verify_t33"} & defined == set()
+    reached = []
+    kernel = witt._mixed_power_rule
+    monkeypatch.setattr(witt, "_mixed_power_rule",
+                        lambda ident, *args: reached.append(ident) or kernel(ident, *args))
+    f = TruncatedSeries([1, 2, -1], 12)
+    given = {"f": f, "g": f + 1, "r": 2, "k": 2, "v": 2, "w": 3,
+             "alpha": 2, "beta": 3, "n": 4}
+    for ident, (_, names) in witt._IDENTITIES.items():
+        assert witt.verify_identity(ident, **{name: given[name] for name in names}).passed
+    assert reached == list(witt.IDENTITY_IDS)
 
 
 def test_bernoulli_numbers_grow_one_tangent_number_at_a_time():

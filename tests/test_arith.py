@@ -84,6 +84,10 @@ def test_nth_prime():
     assert nth_prime(1000) == 7919
     with pytest.raises(ValueError):
         nth_prime(0)
+    # one sieve to Rosser's bound plus 10 reaches p_m for every m
+    primes = primes_up_to(20_000)
+    assert len(primes) > 2000
+    assert [nth_prime(m) for m in range(1, 2001)] == primes[:2000]
 
 
 def test_bernoulli_values():

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -78,6 +79,51 @@ def literal_t35_rhs(f, r, k):
         if math.lcm(j, k) == r * k:
             acc = acc + witt_transform(f, j).inflate(r * k // j) * (j // r)
     return acc
+
+
+def literal_require_order(ident, f, needed):
+    if f.order < needed:
+        raise ValueError(
+            f"{ident}: truncation {f.order} too small, need at least {needed} "
+            "to cover the highest transform degree"
+        )
+
+
+def literal_shift(f, k):
+    coeffs = [0] * (f.order + 1)
+    for j, c in enumerate(f.coeffs):
+        if j + k <= f.order:
+            coeffs[j + k] = c
+    return TruncatedSeries(coeffs, f.order)
+
+
+def literal_t31(f, r, k):
+    """Shift rule: W_r(z^k f) = z^(k r) W_r(f)."""
+    literal_require_order("T3.1", f, max(r, k * r))
+    lhs = witt_transform(literal_shift(f, k), r)
+    rhs = literal_shift(witt_transform(f, r), k * r)
+    return lhs, rhs
+
+
+def literal_t32(f, r):
+    """Inversion rule: sum_{d|r} (r/d) W_(r/d)(f)(z^d) = f^r."""
+    literal_require_order("T3.2", f, r)
+    acc = TruncatedSeries.zero(f.order)
+    for d in divisors(r):
+        acc = acc + witt_transform(f, r // d).inflate(d) * (r // d)
+    return acc, f**r
+
+
+def literal_t33(f, r):
+    """Sign rule: (-1)^r W_r(-f) = W_r(f) + [r = 2 mod 4] W_(r/2)(f)(z^2)."""
+    literal_require_order("T3.3", f, r)
+    lhs = witt_transform(-f, r)
+    if r % 2 == 1:
+        lhs = -lhs
+    rhs = witt_transform(f, r)
+    if r % 4 == 2:
+        rhs = rhs + witt_transform(f, r // 2).inflate(2)
+    return lhs, rhs
 
 
 def constant_transform(c, n):
@@ -296,6 +342,34 @@ def test_mixed_power_rule_with_common_factors(xs, ys, v, w, r):
     assert verify_identity("T3.6", f, g, r=r, v=2 * v, w=2 * w).passed
 
 
+def _sides_or_error(sides):
+    try:
+        return sides()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(int_series | rational_series, st.integers(0, 14), st.integers(1, 6),
+       st.integers(1, 3))
+def test_shift_inversion_and_sign_rules_match_literal_sides(xs, order, r, k):
+    # T3.1-T3.3 are the mixed-power kernel at fixed arguments; each side, and
+    # each truncation error, must be the one the literal rule gives
+    f = S(xs, order)
+    for ident, literal, params in [("T3.1", literal_t31, {"r": r, "k": k}),
+                                   ("T3.2", literal_t32, {"r": r}),
+                                   ("T3.3", literal_t33, {"r": r})]:
+        want = _sides_or_error(lambda: literal(f, **params))
+        got = _sides_or_error(lambda: verify_identity(ident, f, **params))
+        if isinstance(want, str):
+            assert got == want, ident
+            continue
+        assert got.passed, ident
+        assert (got.lhs, got.rhs) == want, ident
+        assert [type(c) for c in got.lhs.coeffs + got.rhs.coeffs] == [
+            type(c) for c in want[0].coeffs + want[1].coeffs], ident
+
+
 def test_simplified_product_rule_for_normalized_transform():
     f, g = S([1, 2, -1], 12), S([2, 0, 3], 12)
     for r in (2, 4, 6):
@@ -393,6 +467,28 @@ def test_scan_window_sizes_are_named_and_an_empty_window_builds_no_table(monkeyp
     with pytest.raises(ValueError, match=r"^P6: cmax must be >= 0, got -1$"):
         monotonicity_scan(None, "P6", cmax=-1, rmax=12)
     assert tables == []
+
+
+@pytest.mark.parametrize("family,empty,smallest", [
+    ("T5.1", [(1, 12), (8, 1)], (2, 2)),
+    ("T5.2", [(2, 12), (8, 1)], (3, 2)),
+    ("T5.3c", [(2, 12), (8, 2)], (3, 3)),
+    ("T5.4c", [(2, 12), (8, 2)], (3, 3)),
+])
+def test_a_window_without_comparisons_builds_no_table(monkeypatch, family, empty, smallest):
+    calls = []
+    table = witt.witt_table
+    monkeypatch.setattr(witt, "witt_table", lambda *args: calls.append(args) or table(*args))
+    f = S([1] * 11, 10)
+    for kmax, rmax in empty:
+        params = {"kmax": kmax, "rmax": rmax}
+        with pytest.raises(ValueError, match=re.escape(
+                f"{family}: the window {params} holds no comparison")):
+            monotonicity_scan(f, family, **params)
+    assert calls == []
+    kmax, rmax = smallest
+    assert monotonicity_scan(f, family, kmax=kmax, rmax=rmax).checked == 1
+    assert len(calls) == 1
 
 
 def test_scan_constant_row_is_trivially_monotone():

@@ -1,10 +1,11 @@
 """Command-line interface.
 
-One subcommand per operation family; every command reads JSON-ish
-arguments, writes a single JSON object to stdout, and keeps diagnostics
-on stderr.  Exit codes: 0 success, 1 mathematical failure (an identity
-or assertion did not hold), 2 usage error.  Big numbers are serialized
-as strings throughout.
+One subcommand per operation family.  Each reads JSON-ish arguments and
+returns one JSON object, which `main` prints to stdout; diagnostics go
+to stderr, and big numbers are serialized as strings.  Exit codes: 1 when
+the printed object says "passed": false (a check did not hold) or is
+{"error": ...} (a mathematical failure or an exceeded budget), 2 for a
+usage error (nothing on stdout), 0 otherwise.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .expansion import BiSeries, cyclotomic_check, peel_1d, peel_2d
 from .necklace import necklace_count, necklace_poly, v_count
 from .series import Coeff, RationalFunction, TruncatedSeries, _decimal, coeff_str
 from .witt import monotonicity_scan, verify_identity, witt_table, witt_transform
-from .words import aperiodic_count, lyndon_words
+from .words import DEFAULT_BUDGET, aperiodic_count, lyndon_words
 
 
 def _emit(obj: dict) -> None:
@@ -98,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("words", help="Lyndon words by content")
     p.add_argument("--content", type=_content, required=True)
     p.add_argument("--list", action="store_true")
-    p.add_argument("--budget", type=_int, default=14)
+    p.add_argument("--budget", type=_int, default=DEFAULT_BUDGET)
 
     p = sub.add_parser("witt", help="Witt transform of a series")
     p.add_argument("--f", type=_series, required=True)
@@ -174,7 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _run(args) -> int:
+def _run(args) -> dict:
     cmd = args.command
     if cmd == "necklace":
         if args.content is not None and (args.alpha is not None or args.n is not None):
@@ -182,58 +183,42 @@ def _run(args) -> int:
         if args.vk is not None and args.content is None:
             raise ValueError("necklace --vk needs --content")
         if args.content:
-            if args.vk is not None:
-                _emit({"value": coeff_str(v_count(args.content, args.vk))})
-            else:
-                _emit({"value": coeff_str(necklace_count(args.content))})
+            value = (necklace_count(args.content) if args.vk is None
+                     else v_count(args.content, args.vk))
         elif args.alpha is not None and args.n is not None:
-            _emit({"value": coeff_str(necklace_poly(args.alpha, args.n))})
+            value = necklace_poly(args.alpha, args.n)
         else:
             raise ValueError("necklace needs --content, or --alpha with --n")
-        return 0
+        return {"value": coeff_str(value)}
     if cmd == "words":
         if args.list:
             ws = lyndon_words(args.content, budget=args.budget)
-            _emit({"count": coeff_str(len(ws)),
-                   "words": ["".join(map(str, w)) for w in ws]})
-        else:
-            _emit({"count": coeff_str(aperiodic_count(args.content, budget=args.budget))})
-        return 0
+            return {"count": coeff_str(len(ws)),
+                    "words": ["".join(map(str, w)) for w in ws]}
+        return {"count": coeff_str(aperiodic_count(args.content, budget=args.budget))}
     if cmd == "witt":
-        _emit({"value": witt_transform(args.f, args.r).to_json_dict()})
-        return 0
+        return {"value": witt_transform(args.f, args.r).to_json_dict()}
     if cmd == "witt-table":
-        _emit(witt_table(args.f, args.R, args.J).to_json_dict())
-        return 0
+        return witt_table(args.f, args.R, args.J).to_json_dict()
     if cmd == "verify":
-        rep = verify_identity(
+        return verify_identity(
             args.id, args.f, args.g, r=args.r, k=args.k, v=args.v, w=args.w,
             alpha=args.alpha, beta=args.beta, n=args.n,
-        )
-        _emit(rep.to_json_dict())
-        return 0 if rep.passed else 1
+        ).to_json_dict()
     if cmd == "scan":
-        rep = monotonicity_scan(args.f, args.family, kmax=args.kmax,
-                                rmax=args.rmax, cmax=args.cmax)
-        _emit(rep.to_json_dict())
-        return 0 if rep.passed else 1
+        return monotonicity_scan(args.f, args.family, kmax=args.kmax,
+                                 rmax=args.rmax, cmax=args.cmax).to_json_dict()
     if cmd == "expand":
         f = args.f if args.N is None else args.f.truncate(args.N)
-        _emit(peel_1d(f).to_json_dict())
-        return 0
+        return peel_1d(f).to_json_dict()
     if cmd == "expand2d":
         grid = args.F
         if args.J is not None or args.K is not None:
-            grid = grid.truncate(
-                grid.deg_z if args.J is None else args.J,
-                grid.deg_y if args.K is None else args.K,
-            )
-        _emit(peel_2d(grid).to_json_dict())
-        return 0
+            grid = grid.truncate(grid.deg_z if args.J is None else args.J,
+                                 grid.deg_y if args.K is None else args.K)
+        return peel_2d(grid).to_json_dict()
     if cmd == "cyclotomic":
-        rep = cyclotomic_check(args.f, args.J, args.K)
-        _emit(rep.to_json_dict())
-        return 0 if rep.passed else 1
+        return cyclotomic_check(args.f, args.J, args.K).to_json_dict()
     if cmd == "zeta":
         if args.m is not None and args.a is not None:
             raise ValueError("zeta takes --m or --a, not both")
@@ -243,26 +228,21 @@ def _run(args) -> int:
             value = hurwitz_zeta(args.s, args.a, args.digits)
         else:
             value = zeta(args.s, args.digits)
-        _emit({"value": str(value), "digits": args.digits,
-               "abs_error_bound": f"1e-{args.digits}"})
-        return 0
+        return {"value": str(value), "digits": args.digits,
+                "abs_error_bound": f"1e-{args.digits}"}
     if cmd == "lseries":
         chi = _character(args)
-        _emit({"value": str(l_series(args.s, chi, args.digits)),
-               "digits": args.digits, "modulus": chi.modulus,
-               "abs_error_bound": f"1e-{args.digits}"})
-        return 0
+        return {"value": str(l_series(args.s, chi, args.digits)),
+                "digits": args.digits, "modulus": chi.modulus,
+                "abs_error_bound": f"1e-{args.digits}"}
     if cmd == "constant":
         spec = EulerProductSpec(args.h, args.m, args.digits)
         if args.direct_limit is not None:
             _check_prime_limit("--direct-limit", args.direct_limit, spec.m)
-        result = euler_product(spec)
-        out = result.to_json_dict()
+        out = euler_product(spec).to_json_dict()
         if args.direct_limit is not None:
-            direct = euler_product_direct(spec, args.direct_limit)
-            out["direct"] = direct.to_json_dict()
-        _emit(out)
-        return 0
+            out["direct"] = euler_product_direct(spec, args.direct_limit).to_json_dict()
+        return out
     if cmd == "bchi":
         if args.prime_limit is not None and not args.cross_check:
             raise ValueError("bchi --prime-limit needs --cross-check")
@@ -276,23 +256,18 @@ def _run(args) -> int:
             text = direct.to_json_dict()
             out.update(direct_value=text["value"], direct_tail_estimate=text["tail_estimate"],
                        difference=f"{abs(float(result.value - direct.value)):.3e}")
-        _emit(out)
-        return 0
+        return out
     if cmd == "convergence":
         if args.ratfun is not None and args.f is not None:
             raise ValueError("convergence takes --f or --ratfun, not both")
         target = args.ratfun if args.ratfun is not None else args.f
         if target is None:
             raise ValueError("convergence needs --f or --ratfun")
-        _emit(check_convergence_hypotheses(target).to_json_dict())
-        return 0
-    if cmd == "verify-all":
-        results = suites.verify_all(args.scope, args.budget)
-        _emit({"scope": args.scope,
-               "passed": all(r.passed for r in results),
-               "suites": [r.to_json_dict() for r in results]})
-        return 0 if all(r.passed for r in results) else 1
-    raise SystemExit(2)  # pragma: no cover
+        return check_convergence_hypotheses(target).to_json_dict()
+    results = suites.verify_all(args.scope, args.budget)  # verify-all
+    return {"scope": args.scope,
+            "passed": all(r.passed for r in results),
+            "suites": [r.to_json_dict() for r in results]}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -302,20 +277,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code or 0)
     try:
-        return _run(args)
-    except (IntegralityError, DivergenceError, PreconditionError) as exc:
-        print(f"mathematical failure: {exc}", file=sys.stderr)
-        _emit({"error": str(exc)})
-        return 1
-    except BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
+        out = _run(args)
+    except (IntegralityError, DivergenceError, PreconditionError,
+            BudgetExceededError) as exc:
+        kind = ("budget exceeded" if isinstance(exc, BudgetExceededError)
+                else "mathematical failure")
+        print(f"{kind}: {exc}", file=sys.stderr)
         _emit({"error": str(exc)})
         return 1
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    _emit(out)
+    return 1 if out.get("passed") is False else 0
 
 
 def entry() -> None:  # console-script hook

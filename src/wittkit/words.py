@@ -16,6 +16,7 @@ rotation test of `is_lyndon`, so the two share no code.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterator, List, Sequence, Tuple
 
 from .errors import BudgetExceededError
@@ -120,20 +121,8 @@ def lyndon_words_naive(content: Sequence[int], budget: int = 10) -> List[Word]:
     if n > budget:
         raise BudgetExceededError(f"total {n} exceeds naive budget {budget}")
     r = len(content)
-    out = []
-    word = [1] * n
-    while True:
-        w = tuple(word)
-        if _content_of(w, r) == content and is_lyndon(w):
-            out.append(w)
-        # odometer over 1..r
-        i = n - 1
-        while i >= 0 and word[i] == r:
-            word[i] = 1
-            i -= 1
-        if i < 0:
-            return out
-        word[i] += 1
+    return [w for w in product(range(1, r + 1), repeat=n)
+            if _content_of(w, r) == content and is_lyndon(w)]
 
 
 def aperiodic_count(content: Sequence[int], budget: int = DEFAULT_BUDGET) -> int:

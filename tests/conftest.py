@@ -70,9 +70,10 @@ def legendre_symbol(a: int, p: int) -> int:
 B_CHI_MINUS_4 = Decimal("0.3218253398312629869864361045102871")
 
 
-def perturb_witt_table(monkeypatch, j: int, k: int) -> None:
-    """Make the Witt table that wittkit.expansion reads off by one at m(j, k)."""
-    real = wittkit.expansion.witt_table
+def perturb_witt_table(monkeypatch, j: int, k: int, module=wittkit.expansion) -> None:
+    """Make the Witt table that `module` (wittkit.expansion unless given)
+    reads off by one at m(j, k)."""
+    real = module.witt_table
 
     def faulty(f, order, degree=None):
         table = real(f, order, degree)
@@ -82,4 +83,4 @@ def perturb_witt_table(monkeypatch, j: int, k: int) -> None:
                                       row.order)
         return WittTable(table.f, tuple(rows))
 
-    monkeypatch.setattr(wittkit.expansion, "witt_table", faulty)
+    monkeypatch.setattr(module, "witt_table", faulty)

@@ -454,6 +454,23 @@ def test_convergence_report_simple_passes():
     assert rep.prime_sum_converges is True
 
 
+def test_convergence_report_estimates_a_truncated_radius_from_coefficient_growth():
+    # z/(1 - z - z^2) to order 30: the mean of F_j^(-1/j) over j = 23..30
+    # is about 0.637, above the true radius 1/phi = 0.618 it approaches
+    rep = check_convergence_hypotheses(RationalFunction([0, 1], [1, -1, -1]).expand(30))
+    assert rep.radius_method == "coefficient-growth (estimated from the truncated window)"
+    assert (math.sqrt(5) - 1) / 2 < rep.radius < 0.64
+    assert abs(rep.radius - 0.637) < 1e-3
+    assert rep.radius_ok and not rep.g_half_ok and not rep.hypotheses_hold
+    assert rep.prime_sum_converges is False
+
+
+def test_convergence_report_of_the_zero_series():
+    rep = check_convergence_hypotheses(TruncatedSeries([0], 10))
+    assert math.isinf(rep.radius) and rep.g_half == 0 and rep.hypotheses_hold
+    assert rep.prime_sum_converges is None
+
+
 def test_convergence_requires_zero_constant_term():
     with pytest.raises(ValueError):
         check_convergence_hypotheses(TruncatedSeries([1, 1], 8))
@@ -835,3 +852,12 @@ def test_analytic_battery_computes_each_euler_product_once(monkeypatch):
     assert len(calls) == 6
     assert set(calls) == {(h, m, d) for h, m in [(suites.ARTIN_H, 0), (suites.TWIN_H, 1),
                                                   (suites.QUAD_H, 1)] for d in (12, 22)}
+
+
+@pytest.mark.parametrize("prime_limit", [10**4, 10**3, 100, 10])
+def test_analytic_battery_passes_at_a_small_prime_limit(prime_limit):
+    # the b_chi routes differ by 3.2e-06 (kronecker(-4)) and 1.2e-06
+    # (kronecker(5)) at 10^4, inside their proven budgets of 3.4e-05 and
+    # 1.4e-05: each difference is held to its budget alone
+    result = suites.analytic_battery(digits=6, prime_limit=prime_limit, bchi_digits=6)
+    assert (result.checks, result.failures) == (20, [])

@@ -103,6 +103,19 @@ def test_dirichlet_sums_come_from_the_l_value_kernel_and_hurwitz_zeta():
     assert callers == {"_l_minus_1", "hurwitz_zeta"}
 
 
+def test_the_cli_prints_only_in_main():
+    # each subcommand's handler returns its object; main alone prints it or
+    # the error object, so the exit rule is decided in one place
+    printers = []
+    for node in ast.walk(ast.parse((SRC / "cli.py").read_text())):
+        if isinstance(node, ast.FunctionDef):
+            printers += [(node.name, call.func.id) for call in ast.walk(node)
+                         if isinstance(call, ast.Call)
+                         and getattr(call.func, "id", None) in ("_emit", "print")]
+    assert sorted(printers) == [("main", "_emit"), ("main", "_emit"), ("main", "print"),
+                                ("main", "print")]
+
+
 def test_l_value_kernel_keeps_its_euler_factors_in_fixed_point():
     # the removed Euler factors P are an integer product converted once, and
     # the primes p_1, ..., p_(m+1) are sieved once for both routes

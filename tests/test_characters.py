@@ -70,6 +70,8 @@ def test_character_validation():
         RealDirichletCharacter.from_values([0, 1, 1, 1])  # chi(2) must vanish mod 4
     with pytest.raises(ValueError):
         RealDirichletCharacter.from_values([0, 1, 0, 1, 0])  # not multiplicative mod 5
+    with pytest.raises(ValueError, match="values must have length equal to the modulus"):
+        RealDirichletCharacter(4, (0, 1))
     chi = RealDirichletCharacter.from_values([0, 1, 0, -1])
     assert chi == RealDirichletCharacter.from_kronecker(-4)
 

@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import B_CHI_MINUS_4, perturb_witt_table
-from wittkit import analytic
+from wittkit import analytic, witt
 from wittkit.arith import divisors, moebius
 from wittkit.cli import _content, _int, _ratfun, _rational, _series, main
-from wittkit.series import RationalFunction
+from wittkit.series import RationalFunction, TruncatedSeries
 from wittkit.witt import IDENTITY_IDS
 
 SERIES_1PZ = '{"order":4,"coeffs":["1","1","0","0","0"]}'
@@ -203,6 +203,41 @@ def test_cyclotomic_failure_exits_1_with_the_mismatch(capsys, monkeypatch):
                        "--f", '{"order":8,"coeffs":["1","1"]}', "--J", "8", "--K", "8")
     assert code == 1
     assert json.loads(out) == {"passed": False, "first_mismatch": [2, 3]}
+
+
+def test_verify_failure_exits_1_with_the_mismatch(capsys, monkeypatch):
+    # W_2 made one too large at z^3 moves the sum side of T3.2 at r = 2,
+    # f(z^2) + 2 W_2(f), and leaves its other side f^2 as it is
+    real = witt.witt_transform
+
+    def faulty(f, r):
+        w = real(f, r)
+        return w + TruncatedSeries([0, 0, 0, 1], w.order) if r == 2 else w
+
+    monkeypatch.setattr(witt, "witt_transform", faulty)
+    code, out, err = run(capsys, "verify", "--id", "T3.2", "--f", SERIES_F, "--r", "2")
+    assert (code, err) == (1, "")
+    assert json.loads(out)["passed"] is False and json.loads(out)["first_mismatch"] == 3
+
+
+def test_scan_failure_exits_1_with_the_drop(capsys, monkeypatch):
+    # m(2, 3) of 1 + z raised from 1 to 2, above m(2, 4) = 1
+    perturb_witt_table(monkeypatch, 2, 3, module=witt)
+    code, out, err = run(capsys, "scan", "--family", "T5.1", "--f", SERIES_1PZ,
+                         "--kmax", "4", "--rmax", "8")
+    assert (code, err) == (1, "")
+    data = json.loads(out)
+    assert data["passed"] is False and data["violations"] == ["k=2: decreases at r=4"]
+
+
+def test_verify_all_failure_exits_1_naming_the_failed_suite(capsys, monkeypatch):
+    perturb_witt_table(monkeypatch, 2, 3)
+    code, out, err = run(capsys, "verify-all", "--scope", "expansion", "--budget", "1")
+    assert (code, err) == (1, "")
+    data = json.loads(out)
+    assert data["passed"] is False
+    assert [(suite["suite"], suite["passed"]) for suite in data["suites"]] == [
+        ("expansion-identities", False), ("expansion-uniqueness", True)]
 
 
 @pytest.mark.parametrize("J, K, message", [
@@ -423,6 +458,8 @@ def test_necklace_beyond_str_digit_limit(capsys):
     ("lseries", "--s", "2", "--table", "0,1,,-1"),
     ("bchi", "--kronecker", "-\u0664"),
     ("words", "--content", "2,3", "--budget", "\u0661\u0664"),
+    ("lseries", "--s", "2", "--table", "0,2"),
+    ("lseries", "--s", "2", "--table", "0,-1"),
 ])
 def test_malformed_json_inputs_are_usage_errors(capsys, argv):
     assert run(capsys, *argv)[0] == 2

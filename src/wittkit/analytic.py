@@ -36,14 +36,15 @@ exponents are; the reported working precision is the largest p.
 
 One kernel, _l_minus_1, returns L_m(s, chi) - 1 within 10^-prec, for chi
 mod q and the Euler factors of the first m primes removed, by one of two
-routes.  Let K be the least integer with K^(1-s) / (s-1) <= 10^-(prec+1),
-a bound on sum_{k>K} k^-s.
+routes.  One exact tail rule, _tail_end, cuts both: the least K >= 1 whose
+integral tail (qK+a)^(1-s) / (q(s-1)) is at most 10^-(prec+1), settled by
+integer comparisons.  With (q, a) = (1, 0) it bounds sum_{k>K} k^-s.
 
-- Direct rough sum, when K <= q _em_cut(prec) = q max(12, floor(2 prec /
-  5)), the direct part Euler-Maclaurin would sum anyway: sum chi(k) k^-s
-  over the p_m-rough k (coprime to every p <= p_m) with p_(m+1) <= k <= K.  No
-  Euler-Maclaurin and no product over the removed primes; large s needs
-  only a handful of terms.
+- Direct rough sum, when that K for (1, 0) is at most q _em_cut(prec) =
+  q max(12, floor(2 prec / 5)), the direct part Euler-Maclaurin would sum
+  anyway: sum chi(k) k^-s over the p_m-rough k (coprime to every
+  p <= p_m) with p_(m+1) <= k <= K.  No Euler-Maclaurin and no product
+  over the removed primes; large s needs only a handful of terms.
 - Euler-Maclaurin otherwise, from S(s, q, a) = sum_{k>=0} (qk+a)^-s,
   without large intermediate magnitudes:
 
@@ -52,9 +53,9 @@ a bound on sum_{k>K} k^-s.
 
   with P in fixed point (below).  Hurwitz zeta is zeta(s, p/q) = q^s S(s, q, p).
 
-Euler-Maclaurin sums cut the direct summation at min(_em_cut(prec), the
-first cut >= 1 whose integral tail is below target), and the cut
-doubles if the correction terms diverge first.
+Euler-Maclaurin sums, all in _dirichlet_sum, cut the direct summation at
+the same rule's K for (q, a) when it is at most _em_cut(prec), else at
+_em_cut(prec), and the cut doubles if the correction terms diverge first.
 Corrections run in Decimal: x_j = q^(2j-1) (s)_(2j-1) / base^(s+2j-1) is
 stepped by one rational factor per j and multiplied by B_2j/(2j)!, taken
 from one cached table rounded to at least the working precision.  The
@@ -72,7 +73,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import defaultdict
-from decimal import Decimal, getcontext, localcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import count
 from typing import Dict, Optional, Sequence, Tuple, Union
@@ -152,20 +153,41 @@ def _power_sum(s: int, terms: Sequence[Tuple[int, int]], prec: int) -> Decimal:
         return Decimal(total).scaleb(-width)
 
 
-_STOP_MARGIN = Decimal("0.999999")  # 1 - 10^-6
-
-
 def _em_cut(prec: int) -> int:
-    """The default Euler-Maclaurin cut max(12, floor(2 prec / 5)): the
-    direct terms of _dirichlet_sum and, times q, _l_minus_1's rough-sum cap."""
+    """The default Euler-Maclaurin cut max(12, floor(2 prec / 5)).  It is
+    read in one place, as the cap of _tail_end: the most direct terms of
+    _dirichlet_sum and, times q, the end of _l_minus_1's rough sum."""
     return max(12, (2 * prec) // 5)
 
 
-def _em_attempt(s: int, q: int, a: int, cut: int, prec: int,
-                target: Decimal) -> Tuple[Decimal, bool]:
-    """One Euler-Maclaurin evaluation of S(s, q, a) with summation cutoff
-    `cut`.  Returns (value, ok); ok is False when the correction terms start
-    growing before the remainder bound drops below target.
+def _tail_end(s: int, q: int, a: int, prec: int, cap: int) -> Optional[int]:
+    """The least K >= 1 whose integral tail (qK+a)^(1-s) / (q(s-1)) is at
+    most 10^-(prec+1), that is q(s-1) (qK+a)^(s-1) >= 10^(prec+1), if
+    K <= cap; else None.  With (q, a) = (1, 0) the tail bounds
+    sum_{k>K} k^-s.  A float guess within a decade of q cap + a is settled
+    by exact integer comparisons."""
+    scale = q * (s - 1)
+    guess = (prec + 1 - math.log10(scale)) / (s - 1)  # log10 of qK+a at the real root
+    if guess > math.log10(q * cap + a) + 1:
+        return None
+    goal = 10 ** (prec + 1)
+    end = max(1, math.ceil((10.0**guess - a) / q))
+    while end > 1 and scale * (q * (end - 1) + a) ** (s - 1) >= goal:
+        end -= 1
+    while scale * (q * end + a) ** (s - 1) < goal:
+        end += 1
+    return end if end <= cap else None
+
+
+def _dirichlet_sum(s: int, q: int, a: int, prec: int) -> Decimal:
+    """S(s, q, a) = sum_{k>=0} (qk+a)^-s with absolute error < 10^-prec,
+    by Euler-Maclaurin.
+
+    s >= 2; q >= 1; a >= 1.  Working precision carries 12 extra digits so
+    per-operation rounding stays far below the truncation target.  The
+    cut is _tail_end's K if that is at most _em_cut(prec), else
+    _em_cut(prec) (large s needs only a few direct terms), and it doubles
+    when the corrections diverge before reaching target.
 
     The terms k < cut come from _power_sum, within 10^-(prec+2).
     Correction j is c_j x_j with c_j = B_2j/(2j)! and
@@ -176,67 +198,40 @@ def _em_attempt(s: int, q: int, a: int, cut: int, prec: int,
     x -> (qx+a)^-s keep a fixed sign), so we stop once the computed term
     is <= target (1 - 10^-6).  The computed term is the exact one times
     (1 + eps) with |eps| <= (2j+4) 10^-(prec+11): at most 2j+4 roundings
-    at the caller's prec+12 digits or finer (two allowed for the power,
-    two for x_1 and for each later step of x_j, one for c_j, rounded once
-    to the table's precision of at least prec+12, and one for the
-    product), and j <= 4 prec.  That is far below 10^-6, so the true term
-    is below target too and the bound stays a proof.
-    """
-    total = _power_sum(s, [(q * k + a, 1) for k in range(cut)], prec)
-    base = q * cut + a
-    base2 = base * base
-    p = Decimal(base) ** -s
-    # integral term + half term
-    total += p * base / (q * (s - 1))
-    total += p / 2
-    limit = target * _STOP_MARGIN
-    ctx_prec = getcontext().prec
-    x = p * (q * s) / base
-    prev = None
-    j = 1
-    while True:
-        term = _em_coeff(j, ctx_prec) * x
-        size = abs(term)
-        if size <= limit:
-            # remainder after the terms already added is below target
-            return total, True
-        if prev is not None and size >= prev:
-            return total, False  # asymptotic series turned; need larger cut
-        total += term
-        prev = size
-        x = x * (q * q * (s + 2 * j - 1) * (s + 2 * j)) / base2
-        j += 1
-        if j > 4 * prec:  # pragma: no cover - safety stop
-            return total, False
-
-
-def _dirichlet_sum(s: int, q: int, a: int, prec: int) -> Decimal:
-    """S(s, q, a) = sum_{k>=0} (qk+a)^-s with absolute error < 10^-prec.
-
-    s >= 2; q >= 1; a >= 1.  Working precision carries 12 extra digits so
-    per-operation rounding stays far below the truncation target.  The
-    cut is the default _em_cut(prec), lowered to the first K >= 1
-    whose integral tail (qK+a)^(1-s) / (q(s-1)) is already below target
-    (large s needs only a few direct terms).  Floats only choose the cut;
-    the remainder bound is checked in _em_attempt, and the cut doubles
-    when the corrections diverge before reaching target.
+    at prec+12 digits or finer (two allowed for the power, two for x_1 and
+    for each later step of x_j, one for c_j, rounded once to the table's
+    precision of at least prec+12, and one for the product), and
+    j <= 4 prec.  That is far below 10^-6, so the true term is below target
+    too and the bound stays a proof.
     """
     if s < 2:
         raise ValueError(f"series exponent must be >= 2, got {s}")
     if q < 1 or a < 1:
         raise ValueError("q and a must be >= 1")
-    target = Decimal(1).scaleb(-(prec + 1))
-    cut = _em_cut(prec)
-    # (qK+a)^(1-s) / (q(s-1)) < 10^-(prec+1)  <=>  log10(qK+a) > bound
-    bound = (prec + 1 - math.log10(q * (s - 1))) / (s - 1)
-    if bound < math.log10(q * cut + a):
-        cut = max(1, min(cut, math.ceil((10.0**bound - a) / q)))
+    cut = _tail_end(s, q, a, prec, _em_cut(prec)) or _em_cut(prec)
     with localcontext() as ctx:
         ctx.prec = prec + 12
+        limit = Decimal("0.999999").scaleb(-(prec + 1))  # target (1 - 10^-6)
         while True:
-            value, ok = _em_attempt(s, q, a, cut, prec, target)
-            if ok:
-                return value
+            total = _power_sum(s, [(q * k + a, 1) for k in range(cut)], prec)
+            base = q * cut + a
+            p = Decimal(base) ** -s
+            # integral term + half term
+            total += p * base / (q * (s - 1))
+            total += p / 2
+            x = p * (q * s) / base
+            prev = None
+            for j in range(1, 4 * prec + 1):
+                term = _em_coeff(j, ctx.prec) * x
+                size = abs(term)
+                if size <= limit:
+                    # remainder after the terms already added is below target
+                    return total
+                if prev is not None and size >= prev:
+                    break  # asymptotic series turned; need larger cut
+                total += term
+                prev = size
+                x = x * (q * q * (s + 2 * j - 1) * (s + 2 * j)) / base**2
             cut *= 2
 
 
@@ -335,29 +330,13 @@ def _ln1p(t: Decimal) -> Decimal:
     return +acc
 
 
-def _rough_end(s: int, prec: int, cap: int) -> Optional[int]:
-    """The least K >= 1 with K^(1-s) / (s-1) <= 10^-(prec+1), which bounds
-    sum_{k>K} k^-s, if K <= cap; else None.  A float guess within a decade
-    of cap is settled by exact integer comparisons."""
-    guess = (prec + 1 - math.log10(s - 1)) / (s - 1)  # log10 of the real root
-    if guess > math.log10(cap) + 1:
-        return None
-    goal = 10 ** (prec + 1)
-    end = max(1, math.ceil(10.0**guess))
-    while end > 1 and (s - 1) * (end - 1) ** (s - 1) >= goal:
-        end -= 1
-    while (s - 1) * end ** (s - 1) < goal:
-        end += 1
-    return end if end <= cap else None
-
-
 def _l_minus_1(s: int, chi: RealDirichletCharacter, prec: int, m: int = 0) -> Decimal:
     """L_m(s, chi) - 1 within 10^-prec, with the Euler factors of the first
     m primes removed.
 
-    When the tail bound K of _rough_end is at most q _em_cut(prec), the
-    direct part of the default Euler-Maclaurin cut, the value is the
-    fixed-point sum of chi(k) k^-s over the p_m-rough k in [p_(m+1), K]:
+    When the tail bound K = _tail_end(s, 1, 0, prec, q _em_cut(prec)) exists,
+    at most the direct part of the default Euler-Maclaurin cut, the value is
+    the fixed-point sum of chi(k) k^-s over the p_m-rough k in [p_(m+1), K]:
     under 10^-(prec+1) of tail plus 10^-(prec+2) of floors.
 
     Otherwise it is (P - 1) + P (L(s, chi) - 1), with no n = 1 term in L - 1
@@ -372,7 +351,7 @@ def _l_minus_1(s: int, chi: RealDirichletCharacter, prec: int, m: int = 0) -> De
     times |L| <= zeta(2) < 1.65, the error stays below 10^-prec for any q."""
     q = chi.modulus
     primes = primes_up_to(nth_prime(m + 1))  # p_1, ..., p_(m+1)
-    end = _rough_end(s, prec, q * _em_cut(prec))
+    end = _tail_end(s, 1, 0, prec, q * _em_cut(prec))
     if end is not None:
         removed = math.prod(primes[:m])
         return _power_sum(s, [(k, chi(k)) for k in range(primes[m], end + 1)
@@ -792,9 +771,11 @@ def check_convergence_hypotheses(
             if j_last <= f.order // 2:
                 radius = math.inf  # looks polynomial on this window
             else:
-                # growth estimate |a_j|^(-1/j) over the trailing window
-                est = [float(a) ** (-1.0 / j) for j, a in tail[-8:] if a > 0]
-                radius = sum(est) / len(est)
+                # root ratio (|a_i| / |a_j|)^(1/(j-i)) of the first and last
+                # nonzero coefficients of the trailing window, exact for a
+                # geometric tail; |a_j|^(-1/j) for a single one
+                (i, a_i), (j, a_j) = tail[-8:][0], tail[-1]
+                radius = float(a_j) ** (-1.0 / j) if i == j else (a_i / a_j) ** (1.0 / (j - i))
         method = "coefficient-growth"
         window_note = " (estimated from the truncated window)"
 

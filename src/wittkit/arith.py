@@ -11,7 +11,7 @@ import math
 import threading
 from fractions import Fraction
 from itertools import compress
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 __all__ = [
     "moebius",
@@ -20,7 +20,6 @@ __all__ = [
     "primes_up_to",
     "nth_prime",
     "bernoulli",
-    "gcd_all",
 ]
 
 
@@ -135,11 +134,3 @@ def bernoulli(k: int) -> Fraction:
             n = j + 1
             _bern_even.append(Fraction((-1) ** j * 2 * n * c[-1], 4**n * (4**n - 1)))
         return _bern_even[k // 2]
-
-
-def gcd_all(values: Iterable[int]) -> int:
-    """gcd of an iterable of integers (0 for an empty/all-zero iterable)."""
-    g = 0
-    for v in values:
-        g = math.gcd(g, v)
-    return g

@@ -11,9 +11,10 @@ integrality theorems into runtime assertions.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
-from .arith import divisors, gcd_all, moebius, multinomial
+from .arith import divisors, moebius, multinomial
 from .errors import IntegralityError
 
 __all__ = [
@@ -34,7 +35,7 @@ def content_total(parts: Sequence[int]) -> int:
 
 def content_gcd(parts: Sequence[int]) -> int:
     """gcd of the nonzero parts; the all-zero content is rejected."""
-    g = gcd_all(parts)
+    g = math.gcd(*parts)
     if g == 0:
         raise ValueError("all-zero content has no gcd")
     return g

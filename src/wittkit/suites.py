@@ -322,7 +322,10 @@ def analytic_battery(digits: int = 12, prime_limit: int = 10**6,
                      bchi_digits: int = 8) -> SuiteResult:
     """Zeta closed forms, product/direct cross-checks, precision stability,
     and the order-constant family through both routes; both cross-checks
-    multiply the primes up to `prime_limit`."""
+    multiply the primes up to `prime_limit`.  The pi closed forms hold 50
+    places, so `digits` is at most 50."""
+    if digits > 50:
+        raise ValueError(f"digits must be <= 50, the places of PI_50, got {digits}")
     res = SuiteResult("analytic")
     tol = Decimal(1).scaleb(-digits)
     with localcontext() as ctx:  # the closed forms, not rounded to 28 digits

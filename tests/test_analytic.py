@@ -1,6 +1,6 @@
 import json
 import math
-from decimal import Decimal, localcontext
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 
 import mpmath
@@ -66,24 +66,112 @@ def test_hurwitz_high_precision_against_mpmath():
     assert abs(hurwitz_zeta(4, Fraction(2, 7), 120) - ref) < Decimal("1e-120")
 
 
+def _em_cuts(monkeypatch):
+    """The cut of every Euler-Maclaurin attempt: each attempt sums its terms
+    k < cut in one _power_sum call inside _dirichlet_sum."""
+    cuts, depth = [], []
+    dirichlet, power = analytic._dirichlet_sum, analytic._power_sum
+
+    def in_dirichlet(*args):
+        depth.append(None)
+        try:
+            return dirichlet(*args)
+        finally:
+            depth.pop()
+
+    def counted(s, terms, prec):
+        if depth:
+            cuts.append(len(terms))
+        return power(s, terms, prec)
+
+    monkeypatch.setattr(analytic, "_dirichlet_sum", in_dirichlet)
+    monkeypatch.setattr(analytic, "_power_sum", counted)
+    return cuts
+
+
 def test_em_cut_doubling_path(monkeypatch):
     # S(100, 1, 2) = zeta(100) - 1 at 60 digits: the first cut (2) leaves the
     # integral tail below target but the corrections diverge, so the cut has
     # to double (zeta(100) itself takes the direct rough sum, without EM)
-    cuts = []
-    attempt = analytic._em_attempt
-
-    def counting(s, q, a, cut, prec, target):
-        value, ok = attempt(s, q, a, cut, prec, target)
-        cuts.append((cut, ok))
-        return value, ok
-
-    monkeypatch.setattr(analytic, "_em_attempt", counting)
+    cuts = _em_cuts(monkeypatch)
     value = analytic._dirichlet_sum(100, 1, 2, 60)
-    assert len(cuts) >= 2 and not cuts[0][1] and cuts[-1][1]
-    assert cuts[1][0] == 2 * cuts[0][0]
+    assert cuts == [2, 4] and cuts[1] == 2 * cuts[0]
     mpmath.mp.dps = 80
     assert abs(mpmath.mpf(str(value)) - (mpmath.zeta(100) - 1)) < mpmath.mpf(10) ** -60
+
+
+def _reference_em_attempt(s, q, a, cut, prec, target):
+    """Reference: Euler-Maclaurin at one cut as a separate attempt, (value,
+    ok) with ok False when the corrections turn (or 4 prec of them run out)
+    before the remainder bound drops below target."""
+    total = analytic._power_sum(s, [(q * k + a, 1) for k in range(cut)], prec)
+    base = q * cut + a
+    base2 = base * base
+    p = Decimal(base) ** -s
+    total += p * base / (q * (s - 1))
+    total += p / 2
+    limit = target * Decimal("0.999999")
+    ctx_prec = getcontext().prec
+    x = p * (q * s) / base
+    prev = None
+    j = 1
+    while True:
+        term = analytic._em_coeff(j, ctx_prec) * x
+        size = abs(term)
+        if size <= limit:
+            return total, True
+        if prev is not None and size >= prev:
+            return total, False
+        total += term
+        prev = size
+        x = x * (q * q * (s + 2 * j - 1) * (s + 2 * j)) / base2
+        j += 1
+        if j > 4 * prec:
+            return total, False
+
+
+def _reference_dirichlet_sum(s, q, a, prec):
+    """Reference: S(s, q, a) from attempts at a cut lowered by a float tail
+    rule, doubling the cut after each failed attempt."""
+    target = Decimal(1).scaleb(-(prec + 1))
+    cut = analytic._em_cut(prec)
+    bound = (prec + 1 - math.log10(q * (s - 1))) / (s - 1)
+    if bound < math.log10(q * cut + a):
+        cut = max(1, min(cut, math.ceil((10.0**bound - a) / q)))
+    with localcontext() as ctx:
+        ctx.prec = prec + 12
+        while True:
+            value, ok = _reference_em_attempt(s, q, a, cut, prec, target)
+            if ok:
+                return value
+            cut *= 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 320), st.integers(1, 12), st.integers(1, 25), st.integers(2, 90))
+@example(100, 1, 2, 60).via("the cut doubles from 2 to 4")
+@example(40, 4, 1, 80).via("hurwitz_zeta(40, 1/4, 30): a lowered cut, 26")
+@example(2, 1, 2, 60).via("the default cut")
+def test_one_em_routine_matches_the_attempt_loop(s, q, a, prec):
+    # the exact tail rule picks the float rule's cut, and the one loop adds
+    # the same Decimal operations in the same order, so values are identical;
+    # prec >= 2, as the two exact ties of the next test split the rules at 1
+    got = analytic._dirichlet_sum(s, q, a, prec)
+    want = _reference_dirichlet_sum(s, q, a, prec)
+    assert got == want and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("a, cut", [(5, 3), (10, 2)])
+def test_the_exact_tail_rule_takes_a_tie_the_float_rule_misses(a, cut):
+    # q (s-1) (qK+a)^(s-1) = 10^(prec+1) exactly at s = 2, q = 5, prec = 1:
+    # the integral tail equals target, so K is the cut, where the float rule
+    # rounded up to K + 1; both values are within 10^-prec
+    assert analytic._tail_end(2, 5, a, 1, analytic._em_cut(1)) == cut
+    assert 5 * (5 * cut + a) == 10**2
+    mpmath.mp.dps = 30
+    exact = mpmath.zeta(2, mpmath.mpf(a) / 5) / 25
+    for value in (analytic._dirichlet_sum(2, 5, a, 1), _reference_dirichlet_sum(2, 5, a, 1)):
+        assert abs(mpmath.mpf(str(value)) - exact) < mpmath.mpf(10) ** -1
 
 
 def test_log10_int_beyond_str_limit():
@@ -455,14 +543,29 @@ def test_convergence_report_simple_passes():
 
 
 def test_convergence_report_estimates_a_truncated_radius_from_coefficient_growth():
-    # z/(1 - z - z^2) to order 30: the mean of F_j^(-1/j) over j = 23..30
-    # is about 0.637, above the true radius 1/phi = 0.618 it approaches
+    # z/(1 - z - z^2) to order 30: the root ratio (F_23 / F_30)^(1/7) of the
+    # trailing window is 1/phi to 1e-9
     rep = check_convergence_hypotheses(RationalFunction([0, 1], [1, -1, -1]).expand(30))
     assert rep.radius_method == "coefficient-growth (estimated from the truncated window)"
-    assert (math.sqrt(5) - 1) / 2 < rep.radius < 0.64
-    assert abs(rep.radius - 0.637) < 1e-3
+    assert abs(rep.radius - (math.sqrt(5) - 1) / 2) < 1e-9
     assert rep.radius_ok and not rep.g_half_ok and not rep.hypotheses_hold
     assert rep.prime_sum_converges is False
+
+
+@pytest.mark.parametrize("den, radius", [([1, -2], 0.5), ([1, -3], 1 / 3), ([1, 0, -2], 0.5 ** 0.5)])
+def test_truncated_geometric_radius_is_exact(den, radius):
+    # the root ratio is exact on a geometric tail: z/(1 - 2z) has radius
+    # exactly 1/2, which the hypothesis radius > 1/2 excludes; 1 - 2z^2
+    # leaves every other coefficient zero
+    rep = check_convergence_hypotheses(RationalFunction([0, 1], den).expand(30))
+    assert rep.radius == pytest.approx(radius, rel=1e-12)
+    assert rep.radius_ok is (radius > 0.5)
+
+
+def test_truncated_radius_from_a_single_coefficient():
+    # one nonzero coefficient past the half order: |a_j|^(-1/j)
+    rep = check_convergence_hypotheses(TruncatedSeries([0] * 20 + [5], 29))
+    assert rep.radius == 5 ** (-1 / 20) and rep.radius_ok
 
 
 def test_convergence_report_of_the_zero_series():
@@ -659,7 +762,7 @@ def test_b_chi_of_a_principal_character_is_exact(monkeypatch, values, exact):
 
 def test_l_values_take_the_direct_sum_where_it_is_shorter(monkeypatch):
     # with Euler-Maclaurin for every exponent these made 714 and 487 attempts
-    attempts = _counting(monkeypatch, "_em_attempt")
+    attempts = _em_cuts(monkeypatch)
     euler_product(EulerProductSpec(ARTIN_H, 0, 60))
     assert len(attempts) < 100
     attempts.clear()
@@ -861,3 +964,13 @@ def test_analytic_battery_passes_at_a_small_prime_limit(prime_limit):
     # 1.4e-05: each difference is held to its budget alone
     result = suites.analytic_battery(digits=6, prime_limit=prime_limit, bchi_digits=6)
     assert (result.checks, result.failures) == (20, [])
+
+
+def test_analytic_battery_refuses_digits_beyond_its_pi_places():
+    # PI_50 holds 50 decimals: at 50 digits every check passes, while at 51
+    # the three pi closed forms would read as false failures
+    result = suites.analytic_battery(digits=50, prime_limit=100, bchi_digits=6)
+    assert (result.checks, result.failures) == (20, [])
+    for digits in (51, 55):
+        with pytest.raises(ValueError, match=f"^digits must be <= 50, the places of PI_50, got {digits}$"):
+            suites.analytic_battery(digits=digits, prime_limit=100, bchi_digits=6)

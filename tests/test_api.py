@@ -9,9 +9,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import wittkit
 from wittkit import suites, witt
+from wittkit.analytic import hurwitz_zeta, partial_zeta, zeta
+from wittkit.arith import bernoulli, divisors
+from wittkit.expansion import BiSeries, peel_1d
+from wittkit.necklace import necklace_closed, necklace_count, v_count
 from wittkit.series import TruncatedSeries
+from wittkit.words import lyndon_words_naive
 
 SRC = Path(wittkit.__file__).parent
 
@@ -78,6 +85,48 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert {"dataclasses", "inspect"} & added == set()
 
 
+_ONE_PLUS_Z = TruncatedSeries([1, 1], 4)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: witt.witt_table(_ONE_PLUS_Z, 0), ValueError, "table order must be >= 1, got 0"),
+    (lambda: witt.monotonicity_scan(None, "T5.1"), ValueError, "family T5.1 requires a series"),
+    (lambda: witt.monotonicity_scan(_ONE_PLUS_Z, "T5.1", kmax=8), ValueError,
+     "series order 4 < kmax 8"),
+    (lambda: BiSeries.one_minus_y_times(_ONE_PLUS_Z, 6, 2), ValueError,
+     "series order 4 below grid degree 6"),
+    (lambda: BiSeries.one_minus_y_times(TruncatedSeries([0, "1/2"], 6), 6, 2), ValueError,
+     "integer coefficients required"),
+    (lambda: BiSeries.one(2, 2).truncate(3, 2), ValueError,
+     "cannot extend a grid; higher coefficients unknown"),
+    (lambda: v_count([0, 0], 1), ValueError, "v_count requires a nonzero content"),
+    (lambda: necklace_closed(-1, 1), ValueError, "m must be >= 0, got -1"),
+    (lambda: necklace_count([2, -1]), ValueError, "content must be non-negative, got (2, -1)"),
+    (lambda: lyndon_words_naive([0, 0]), ValueError,
+     "lyndon_words_naive requires a nonzero content"),
+    (lambda: divisors(0), ValueError, "divisors requires n >= 1, got 0"),
+    (lambda: bernoulli(-1), ValueError, "bernoulli requires k >= 0, got -1"),
+    (lambda: suites.verify_all("bogus", 1), ValueError,
+     "unknown scope 'bogus'; known: ('combinatorial', 'identities', 'expansion', 'analytic')"),
+    (lambda: peel_1d(_ONE_PLUS_Z).e(0), IndexError, "n=0 outside 1..4"),
+    (lambda: witt.witt_table(_ONE_PLUS_Z, 2).m(0, 0), IndexError, "row r=0 outside 1..2"),
+    (lambda: _ONE_PLUS_Z.coeff(9), IndexError, "coefficient 9 outside stored range 0..4"),
+    (lambda: TruncatedSeries([1], -1), ValueError, "series order must be >= 0"),
+    (lambda: _ONE_PLUS_Z.divexact(0), ZeroDivisionError, "divexact by zero"),
+    (lambda: partial_zeta(-1, 2, 10), ValueError, "m must be >= 0, got -1"),
+    (lambda: hurwitz_zeta(1, "1/2", 10), ValueError, "hurwitz_zeta requires s >= 2, got 1"),
+    (lambda: zeta(2, 0), ValueError, "digits must be >= 1, got 0"),
+], ids=["witt_table-order-0", "scan-without-series", "scan-short-series",
+        "grid-beyond-series", "grid-of-fractions", "grid-extended", "v_count-zero-content",
+        "necklace_closed-negative", "necklace_count-negative", "lyndon-zero-content",
+        "divisors-0", "bernoulli-negative", "verify_all-unknown-scope", "expansion-e-0",
+        "witt-table-m-row-0", "series-coeff-9", "series-negative-order", "divexact-0",
+        "partial_zeta-negative-m", "hurwitz_zeta-s-1", "zeta-digits-0"])
+def test_public_refusals_name_their_limit(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_analytic_does_not_import_witt():
     # b_chi takes its exponents from one-variable rational functions; neither
     # the two-variable Witt table nor a necklace correction may come back
@@ -101,6 +150,23 @@ def test_dirichlet_sums_come_from_the_l_value_kernel_and_hurwitz_zeta():
             callers |= {node.name for call in ast.walk(node) if isinstance(call, ast.Call)
                         and getattr(call.func, "id", None) == "_dirichlet_sum"}
     assert callers == {"_l_minus_1", "hurwitz_zeta"}
+
+
+def test_one_tail_rule_and_one_euler_maclaurin_routine():
+    # _tail_end alone finds the least K whose integral tail is below target,
+    # for the rough sum and for the Euler-Maclaurin cut, and _dirichlet_sum
+    # alone adds the corrections; no attempt layer or float cut comes back
+    defined, callers = set(), {"_tail_end": set(), "_em_coeff": set()}
+    for node in ast.walk(ast.parse((SRC / "analytic.py").read_text())):
+        if isinstance(node, ast.FunctionDef):
+            defined.add(node.name)
+            for call in ast.walk(node):
+                name = getattr(call.func, "id", None) if isinstance(call, ast.Call) else None
+                if name in callers:
+                    callers[name].add(node.name)
+    assert {"_em_attempt", "_rough_end"} & defined == set()
+    assert callers == {"_tail_end": {"_l_minus_1", "_dirichlet_sum"},
+                       "_em_coeff": {"_dirichlet_sum"}}
 
 
 def test_the_cli_prints_only_in_main():

@@ -9,7 +9,6 @@ from wittkit import analytic, arith
 from wittkit.arith import (
     bernoulli,
     divisors,
-    gcd_all,
     moebius,
     multinomial,
     nth_prime,
@@ -158,9 +157,3 @@ def test_cold_zeta_builds_only_the_bernoulli_numbers_it_uses(monkeypatch):
     monkeypatch.setattr(analytic, "_em_coeffs", (0, ()))
     analytic.zeta(3, 300)
     assert len(arith._bern_even) - 1 == len(analytic._em_coeffs[1]) == 237
-
-
-def test_gcd_all():
-    assert gcd_all([4, 6, 0]) == 2
-    assert gcd_all([]) == 0
-    assert gcd_all([0, 0]) == 0

@@ -13,20 +13,26 @@ above DIGIT_BUDGET with BudgetExceededError.
 Euler products.  Every constant here is prod_{p > p_m} h(chi(p), 1/p) for
 a real character chi mod q and an h(x, z) rational in z for each x in
 {-1, 0, 1}: euler_product is chi = 1, b_chi is h(x, z) = 1 + (x-1) z^2 /
-((1 - x z^2)(1 - z)).  One planner, _twisted_product, takes the p | q as
-prod h(0, 1/p) from the direct product below and the others as
-prod_n L_m(n, chi^2)^Ev(n) L_m(n, chi)^Od(n), with Ev and Od from the
-product expansions of h(1, z) and h(-1, z), cut at one proven order.
+((1 - x z^2)(1 - z)).  One planner, _twisted_product, removes the first
+m' = max(m, _EXACT_PRIMES) = max(m, 25) primes exactly (after H. Cohen,
+"High precision computation of Hardy-Littlewood constants", 1998): it
+multiplies h(chi(p), 1/p) for p_m < p <= p_m' and h(0, 1/p) for the p | q
+above p_m' by the direct product below, and takes the rest as
+prod_n L_m'(n, chi^2)^Ev(n) L_m'(n, chi)^Od(n), with Ev and Od from the
+product expansions of h(1, z) and h(-1, z), cut at one proven order.  m'
+is internal: the user's m keeps its meaning, and the refusals (a
+divergent product, an impractical cutoff) are decided at the user's m
+before anything is planned at m'.  The record's removed_primes is m'.
 
 Direct products.  Every finite product of factors h(chi(p), 1/p) is one
 prime-by-prime product, _twisted_direct, over p_m < p <= limit: the
-planner's p | q (limit q, tail 0), euler_product_direct and
-b_chi_direct.  Each factor is one correctly rounded division of the
-integers p^(w-1) num(1/p) and p^(w-1) den(1/p), by Horner's rule with num
-and den padded to one length w, at D + GUARD_DIGITS + 12 digits, skipping
-h(x) = 1.  Its tail, how far the primes above the limit can move the
-value, is proven in its docstring from |h(x, t) - 1| <= A t^2 and
-sum_{odd n > limit} n^-2 <= 1/(2 (limit - 1)).
+planner's two (p <= p_m', and the p | q up to the limit q, tail 0),
+euler_product_direct and b_chi_direct.  Each factor is one correctly
+rounded division of the integers p^(w-1) num(1/p) and p^(w-1) den(1/p),
+by Horner's rule with num and den padded to one length w, at
+D + GUARD_DIGITS + 12 digits, skipping h(x) = 1.  Its tail, how far the
+primes above the limit can move the value, is proven in its docstring
+from |h(x, t) - 1| <= A t^2 and sum_{odd n > limit} n^-2 <= 1/(2 (limit - 1)).
 
 Per-exponent precision.  The product is exp(sum e ln L_m(n, psi)) over
 integer exponents e keyed by (n, psi).  Each L_m(n, psi) - 1 is
@@ -40,11 +46,15 @@ routes.  One exact tail rule, _tail_end, cuts both: the least K >= 1 whose
 integral tail (qK+a)^(1-s) / (q(s-1)) is at most 10^-(prec+1), settled by
 integer comparisons.  With (q, a) = (1, 0) it bounds sum_{k>K} k^-s.
 
-- Direct rough sum, when that K for (1, 0) is at most q _em_cut(prec) =
-  q max(12, floor(2 prec / 5)), the direct part Euler-Maclaurin would sum
-  anyway: sum chi(k) k^-s over the p_m-rough k (coprime to every
-  p <= p_m) with p_(m+1) <= k <= K.  No Euler-Maclaurin and no product
-  over the removed primes; large s needs only a handful of terms.
+- Direct rough sum, chosen by its number of terms: when that K for (1, 0)
+  is at most q _em_cut(prec) / delta, delta = prod_{p <= p_m} (1 - 1/p)
+  the share of p_m-rough k (coprime to every p <= p_m), so that about
+  q _em_cut(prec) = q max(12, prec) terms lie below K, as many as the
+  direct part Euler-Maclaurin would sum anyway: sum chi(k) k^-s over the
+  p_m-rough k with p_(m+1) <= k <= K.  No Euler-Maclaurin and no product
+  over the removed primes; large s needs only a handful of terms.  The
+  rough k come from one _RoughNumbers sieve, which the planner builds once
+  and shares across its L-values.
 - Euler-Maclaurin otherwise, from S(s, q, a) = sum_{k>=0} (qk+a)^-s,
   without large intermediate magnitudes:
 
@@ -71,12 +81,12 @@ scaled by 10^W, each floor erring by under 10^-W, and convert exactly.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import count
-from typing import Dict, Optional, Sequence, Tuple, Union
+from itertools import compress, count
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ._record import record
 from .arith import bernoulli, nth_prime, primes_up_to
@@ -103,6 +113,11 @@ __all__ = [
 ]
 
 GUARD_DIGITS = 10
+
+# the Euler-product planner multiplies the factors of at least the first
+# _EXACT_PRIMES primes (p <= 97) exactly and expands only the rest in
+# L-values; times were flat for 25 to 100
+_EXACT_PRIMES = 25
 
 # largest `digits` that zeta, partial_zeta, l_series and hurwitz_zeta take;
 # a cold zeta(2, D) took 15 s at D = 2000 and 106 s at D = 3000 (Python 3.11)
@@ -154,10 +169,14 @@ def _power_sum(s: int, terms: Sequence[Tuple[int, int]], prec: int) -> Decimal:
 
 
 def _em_cut(prec: int) -> int:
-    """The default Euler-Maclaurin cut max(12, floor(2 prec / 5)).  It is
-    read in one place, as the cap of _tail_end: the most direct terms of
-    _dirichlet_sum and, times q, the end of _l_minus_1's rough sum."""
-    return max(12, (2 * prec) // 5)
+    """The default Euler-Maclaurin cut max(12, prec): the most direct terms
+    of _dirichlet_sum and, times q, the most p_m-rough terms of _l_minus_1's
+    rough sum.  A direct term in fixed point costs far less than a
+    correction; of the cuts 2 prec / 5, 0.7 prec, prec, 1.5 prec and 2 prec
+    over D in {12, 30, 100, 300, 1000} this was the best single rule (Artin
+    at D = 1000: 15.1, 10.6, 9.4 and 9.5 s for the first four; Python 3.11,
+    2 cores)."""
+    return max(12, prec)
 
 
 def _tail_end(s: int, q: int, a: int, prec: int, cap: int) -> Optional[int]:
@@ -330,14 +349,43 @@ def _ln1p(t: Decimal) -> Decimal:
     return +acc
 
 
-def _l_minus_1(s: int, chi: RealDirichletCharacter, prec: int, m: int = 0) -> Decimal:
-    """L_m(s, chi) - 1 within 10^-prec, with the Euler factors of the first
-    m primes removed.
+class _RoughNumbers:
+    """p_1, ..., p_m and the p_m-rough numbers (k >= 2 with no prime factor
+    <= p_m) in increasing order, from p_(m+1) on, sieved in place as far as
+    asked; each new segment at least doubles the sieved range.  The planner
+    builds one and shares it across its L-values."""
 
-    When the tail bound K = _tail_end(s, 1, 0, prec, q _em_cut(prec)) exists,
-    at most the direct part of the default Euler-Maclaurin cut, the value is
-    the fixed-point sum of chi(k) k^-s over the p_m-rough k in [p_(m+1), K]:
-    under 10^-(prec+1) of tail plus 10^-(prec+2) of floors.
+    def __init__(self, m: int):
+        primes = primes_up_to(nth_prime(m + 1))
+        self.primes = primes[:m]
+        self.density = math.prod(1 - 1 / p for p in self.primes)  # the share of rough k
+        self.ks, self.limit = [primes[m]], primes[m]  # rough k <= limit, all of them
+
+    def upto(self, end: int) -> List[int]:
+        """The rough k, sieved at least through `end`."""
+        if end > self.limit:
+            lo, hi = self.limit + 1, max(end, 2 * self.limit) + 1
+            marks = bytearray([1]) * (hi - lo)
+            for p in self.primes:
+                start = -lo % p
+                marks[start::p] = bytes(len(range(start, hi - lo, p)))
+            self.ks += compress(range(lo, hi), marks)
+            self.limit = hi - 1
+        return self.ks
+
+
+def _l_minus_1(s: int, chi: RealDirichletCharacter, prec: int, m: int = 0,
+               rough: Optional[_RoughNumbers] = None) -> Decimal:
+    """L_m(s, chi) - 1 within 10^-prec, with the Euler factors of the first
+    m primes removed; `rough` holds p_1, ..., p_m and the p_m-rough k (built
+    here when the caller passes none).
+
+    The route is chosen by the number of terms.  About delta K of the k in
+    [p_(m+1), K] are p_m-rough, delta = prod_{p <= p_m} (1 - 1/p).  When that
+    is at most q _em_cut(prec), that is when the tail bound
+    K = _tail_end(s, 1, 0, prec, floor(q _em_cut(prec) / delta)) exists, the
+    value is the fixed-point sum of chi(k) k^-s over those rough k: under
+    10^-(prec+1) of tail plus 10^-(prec+2) of floors.
 
     Otherwise it is (P - 1) + P (L(s, chi) - 1), with no n = 1 term in L - 1
     to cancel, and P = t 10^-W by t -= chi(p) floor(t / p^s) per removed p
@@ -350,16 +398,16 @@ def _l_minus_1(s: int, chi: RealDirichletCharacter, prec: int, m: int = 0) -> De
     10^len(str(q)) sums of q > 1 (w = prec + len(str(q)) + 1); with P's error
     times |L| <= zeta(2) < 1.65, the error stays below 10^-prec for any q."""
     q = chi.modulus
-    primes = primes_up_to(nth_prime(m + 1))  # p_1, ..., p_(m+1)
-    end = _tail_end(s, 1, 0, prec, q * _em_cut(prec))
+    if rough is None:
+        rough = _RoughNumbers(m)
+    end = _tail_end(s, 1, 0, prec, math.floor(q * _em_cut(prec) / rough.density))
     if end is not None:
-        removed = math.prod(primes[:m])
-        return _power_sum(s, [(k, chi(k)) for k in range(primes[m], end + 1)
-                              if chi(k) and math.gcd(k, removed) == 1], prec)
+        ks = rough.upto(end)
+        return _power_sum(s, [(k, chi(k)) for k in ks[:bisect_right(ks, end)] if chi(k)], prec)
     work = prec if q == 1 else prec + len(str(q)) + 1
     width = prec + 3 + len(str(m))
     t = 10**width
-    for p in primes[:m]:
+    for p in rough.primes:
         t -= chi(p) * (t // p**s)
     with localcontext() as ctx:
         ctx.prec = prec + 12
@@ -406,6 +454,7 @@ class ConstantResult:
     tail_estimate: Decimal
     heuristic_tail: bool
     working_digits: int
+    removed_primes: int  # the first primes whose factors were multiplied exactly
 
     def to_json_dict(self) -> dict:
         return {
@@ -415,6 +464,7 @@ class ConstantResult:
             "tail_estimate": _sci(self.tail_estimate),
             "heuristic_tail": self.heuristic_tail,
             "working_digits": self.working_digits,
+            "removed_primes": self.removed_primes,
         }
 
 
@@ -533,34 +583,46 @@ def _twisted_exponents(h: Dict[int, RationalFunction], chi: RealDirichletCharact
     return {key: e for key, e in terms.items() if e}
 
 
+def _base(chi: RealDirichletCharacter, primes: Sequence[int]) -> int:
+    """The least k >= 2 with chi(k) != 0 and no prime factor in `primes`."""
+    return next(k for k in count(2) if chi(k) and all(k % p for p in primes))
+
+
 def _twisted_product(h: Dict[int, RationalFunction], chi: RealDirichletCharacter, m: int,
                      digits: int) -> ConstantResult:
     """prod_{p > p_m} h(chi(p), 1/p), quantized to `digits`, with its cutoff,
-    proven tail and working digits, for a real character chi mod q and h
-    mapping x in {-1, 0, 1} to the rational function h(x, z).
+    proven tail, working digits and the m' below, for a real character chi
+    mod q and h mapping x in {-1, 0, 1} to the rational function h(x, z).
 
-    The finitely many p | q give prod h(0, 1/p) from _twisted_direct, the
-    others exp(sum e ln L_m(n, psi)) over _twisted_exponents cut at one
-    order N, which _cutoff proves with base b, the least k >= 2 with
-    chi(k) != 0 coprime to every p <= p_m (no L_m(n, psi) - 1 here has a term
-    below b).  If h(1) == h(-1), as for a principal chi, where h(-1) never
-    enters, Od = 0 and Ev = E+: the weight is that of h(1), and a product
-    that terminates has tail 0.  Otherwise, with d+- reciprocal roots of
-    h(+-1, z), R = max(3/2, rho+, rho-) bounding them and s(n) =
-    sum_{d|n} R^d, |E+-(n)| <= d+- s(n)/n; by induction over the halvings
-    |Od(n)| <= (d+ + d-)(s(n) + 3 s(n/2))/(2n) <= 3 (d+ + d-) s(n)/(2n), as
-    s(n/2) <= s(n) - R^n < 2 s(n)/3 for R >= 3/2; so the weight |Ev| + |Od|
-    is at most (d+ + 3 (d+ + d-)) s(n)/n.  Each L-value has its own
-    precision (module docstring); the working digits are the largest."""
+    The plan removes the first m' = max(m, _EXACT_PRIMES) primes; m' is
+    internal, and the refusals (_cutoff's DivergenceError and its
+    impractical cutoff) are decided first at the user's m, so they do not
+    depend on it.  Two calls of _twisted_direct give the exact factors: h
+    itself over p_m < p <= p_m' (a p | q there has chi(p) = 0, so h(0)),
+    and h(0) alone over the p | q above p_m', so that no p | q counts twice.
+    The others are exp(sum e ln L_m'(n, psi)) over _twisted_exponents cut at
+    one order N, which _cutoff proves with base b, the least k >= 2 with
+    chi(k) != 0 coprime to every p <= p_m' (no L_m'(n, psi) - 1 here has a
+    term below b); the L-values share one _RoughNumbers.  If h(1) == h(-1),
+    as for a principal chi, where h(-1) never enters, Od = 0 and Ev = E+:
+    the weight is that of h(1), and a product that terminates has tail 0.
+    Otherwise, with d+- reciprocal roots of h(+-1, z), R = max(3/2, rho+,
+    rho-) bounding them and s(n) = sum_{d|n} R^d, |E+-(n)| <= d+- s(n)/n;
+    by induction over the halvings |Od(n)| <= (d+ + d-)(s(n) + 3 s(n/2))/(2n)
+    <= 3 (d+ + d-) s(n)/(2n), as s(n/2) <= s(n) - R^n < 2 s(n)/3 for
+    R >= 3/2; so the weight |Ev| + |Od| is at most (d+ + 3 (d+ + d-))
+    s(n)/n.  Each L-value has its own precision (module docstring); the
+    working digits are the largest."""
     if -1 not in chi.values:  # chi == chi^2, without building chi^2
         h = {**h, -1: h[1]}
-    removed = math.prod(primes_up_to(nth_prime(m + 1))[:m])  # p_1 ... p_m
-    base = next(k for k in count(2) if chi(k) and math.gcd(k, removed) == 1)
     deg, rho = _roots(h[1])
     if h[1] != h[-1]:
         d, r = _roots(h[-1])
         deg, rho = deg + 3 * (deg + d), max(Fraction(3, 2), rho, r)
-    cutoff, tail = _cutoff(deg, rho, base, digits)
+    plan = max(m, _EXACT_PRIMES)  # m'
+    rough = _RoughNumbers(plan)
+    _cutoff(deg, rho, _base(chi, rough.primes[:m]), digits)  # refusals at the user's m
+    cutoff, tail = _cutoff(deg, rho, _base(chi, rough.primes), digits)
     terms = _twisted_exponents(h, chi, cutoff)
     exps = [(n, e) for (n, _), e in terms.items()]
     if h[1] == h[-1] and _is_exact_factorization(h[1], exps):
@@ -568,14 +630,15 @@ def _twisted_product(h: Dict[int, RationalFunction], chi: RealDirichletCharacter
     precs = {key: digits + 6 + math.ceil(_log10_int(e)) + GUARD_DIGITS
              for key, e in terms.items()}
     prec = max(precs.values(), default=digits + 6 + GUARD_DIGITS)
-    exact = _twisted_direct({-1: _ONE, 0: h[0], 1: _ONE}, chi, m, chi.modulus, prec).value
+    small = _twisted_direct(h, chi, m, rough.primes[-1], prec).value  # p_m < p <= p_m'
+    divisors = _twisted_direct({-1: _ONE, 0: h[0], 1: _ONE}, chi, plan, chi.modulus, prec).value
     with localcontext() as ctx:
         ctx.prec = prec + 12
         total = Decimal(0)
         for (n, psi), e in terms.items():
-            total += e * _ln1p(_l_minus_1(n, psi, precs[n, psi], m))
-        value = _quantize(total.exp() * exact, digits)
-    return ConstantResult(value, digits, cutoff, tail, False, prec)
+            total += e * _ln1p(_l_minus_1(n, psi, precs[n, psi], plan, rough))
+        value = _quantize(total.exp() * small * divisors, digits)
+    return ConstantResult(value, digits, cutoff, tail, False, prec, plan)
 
 
 def euler_product(spec: EulerProductSpec) -> ConstantResult:
@@ -662,7 +725,7 @@ def _twisted_direct(h: Dict[int, RationalFunction], chi: RealDirichletCharacter,
     else:
         log_sum = bound / (2 * (limit - 1) * (1 - bound * u * u)) if bound else 0.0  # T
         tail = abs(float(value)) * math.expm1(log_sum)
-    return ConstantResult(value, digits, limit, Decimal(tail), False, prec)
+    return ConstantResult(value, digits, limit, Decimal(tail), False, prec, m)
 
 
 def euler_product_direct(spec: EulerProductSpec, prime_limit: int) -> ConstantResult:
@@ -738,6 +801,14 @@ class ConvergenceReport:
         }
 
 
+def _float_or_inf(value) -> float:
+    """value() as a float, or inf where it overflows the float range."""
+    try:
+        return value()
+    except OverflowError:
+        return math.inf
+
+
 def check_convergence_hypotheses(
     f: Union[TruncatedSeries, RationalFunction],
 ) -> ConvergenceReport:
@@ -759,6 +830,9 @@ def check_convergence_hypotheses(
         method = "denominator root bound (a proven lower bound on the radius)"
         coeffs = probe.coeffs
         window_note = ""
+        # g's terms past the expansion, bounded geometrically with ratio
+        # 1/(2 radius) = rho/2 when the radius exceeds 1/2
+        ratio = rho / 2 if 0 < rho < 2 else 0
     else:
         if f.coeff(0) != 0:
             raise ValueError("f must have zero constant term")
@@ -773,23 +847,24 @@ def check_convergence_hypotheses(
             else:
                 # root ratio (|a_i| / |a_j|)^(1/(j-i)) of the first and last
                 # nonzero coefficients of the trailing window, exact for a
-                # geometric tail; |a_j|^(-1/j) for a single one
+                # geometric tail; for a single one, against a_0 = 1, so
+                # |a_j|^(-1/j).  In base-2 logs of the integers, so that no
+                # coefficient has to fit a float and a ratio 2^k stays exact
                 (i, a_i), (j, a_j) = tail[-8:][0], tail[-1]
-                radius = float(a_j) ** (-1.0 / j) if i == j else (a_i / a_j) ** (1.0 / (j - i))
+                if i == j:
+                    i, a_i = 0, 1
+                logs = [math.log2(a.numerator) - math.log2(a.denominator) for a in (a_i, a_j)]
+                radius = _float_or_inf(lambda: 2.0 ** ((logs[0] - logs[1]) / (j - i)))
         method = "coefficient-growth"
         window_note = " (estimated from the truncated window)"
+        ratio = 0
 
     j0 = next((j for j, c in enumerate(coeffs) if j >= 1 and c), None)
-    g_half = float(
-        sum(abs(Fraction(c)) * Fraction(1, 2**j) for j, c in enumerate(coeffs))
-    )
-    if isinstance(f, RationalFunction) and 0.5 < radius < math.inf:
-        # geometric bound on the truncated tail of g at 1/2
-        q = 0.5 / radius
-        if q < 1:
-            g_half += abs(float(coeffs[-1])) * 0.5 ** (len(coeffs) - 1) * q / (1 - q)
+    g = sum(abs(Fraction(c)) / 2**j for j, c in enumerate(coeffs))
+    if ratio:
+        g += abs(Fraction(coeffs[-1])) / 2 ** (len(coeffs) - 1) * ratio / (1 - ratio)
+    g_half, g_ok = _float_or_inf(lambda: float(g)), g < 1  # decided on the exact g
     radius_ok = radius > 0.5
-    g_ok = g_half < 1.0
     prime_sum = None if j0 is None else (j0 >= 2)
     return ConvergenceReport(
         radius=radius,

@@ -255,6 +255,7 @@ def _run(args) -> dict:
             direct = b_chi_direct(chi, args.digits, limit)
             text = direct.to_json_dict()
             out.update(direct_value=text["value"], direct_tail_estimate=text["tail_estimate"],
+                       direct_removed_primes=text["removed_primes"],
                        difference=f"{abs(float(result.value - direct.value)):.3e}")
         return out
     if cmd == "convergence":

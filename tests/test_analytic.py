@@ -254,10 +254,13 @@ def _l_m_reference(s, chi, m):
     return value - 1
 
 
-def _first_direct_s(q, prec):
-    """The least s whose L-value mod q the kernel sums directly at prec: the
-    first s where K = q max(12, 2 prec / 5) has K^(1-s) / (s-1) <= 10^-(prec+1)."""
-    cap = q * max(12, 2 * prec // 5)
+def _first_direct_s(q, m, prec):
+    """The least s whose L_m-value mod q the kernel sums directly at prec:
+    the first s where K = floor(q max(12, prec) / delta) has K^(1-s) / (s-1)
+    <= 10^-(prec+1), with delta = prod_{p <= p_m} (1 - 1/p) the share of
+    p_m-rough k, so that about q max(12, prec) rough terms lie below K."""
+    delta = math.prod(1 - 1 / p for p in (primes_up_to(nth_prime(m)) if m else ()))
+    cap = math.floor(q * max(12, prec) / delta)
     return next(s for s in range(2, 1000) if (s - 1) * cap ** (s - 1) >= 10 ** (prec + 1))
 
 
@@ -268,7 +271,7 @@ def test_l_minus_1_with_removed_factors_against_mpmath(monkeypatch, d, m, s):
     # s = 2, 3, 7 take Euler-Maclaurin; from the switch on, the direct sum
     # over the p_m-rough k, which calls no S(s, q, a)
     chi = RealDirichletCharacter.from_kronecker(d)
-    switch = _first_direct_s(chi.modulus, 40)
+    switch = _first_direct_s(chi.modulus, m, 40)
     s = {"below-switch": switch - 1, "switch": switch}.get(s, s)
     sums = _counting(monkeypatch, "_dirichlet_sum")
     got = analytic._l_minus_1(s, chi, 40, m)
@@ -770,12 +773,53 @@ def test_l_values_take_the_direct_sum_where_it_is_shorter(monkeypatch):
     assert len(attempts) < 150
 
 
+def test_the_planner_removes_the_small_primes_before_any_l_value(monkeypatch):
+    # with m' = 25 every L-value starts at k = 101, so few reach
+    # Euler-Maclaurin and most are short rough sums; planning at the user's
+    # m = 0 took 676 L-values for Artin at D = 60 and 862 for b_chi(chi_5, 12),
+    # whose terms fell like (1.839/2)^n because chi_5(2) != 0
+    calls = _counting(monkeypatch, "_l_minus_1")
+    result = euler_product(EulerProductSpec(ARTIN_H, 0, 60))
+    assert len(calls) < 60 and result.removed_primes == 25
+    calls.clear()
+    result = b_chi(RealDirichletCharacter.from_kronecker(5), 12)
+    assert len(calls) < 40 and result.removed_primes == 25
+    assert all(args[3] == 25 and args[4] is calls[0][4] for args in calls)  # one shared sieve
+
+
+_PLANNED = {
+    "artin": (dict.fromkeys((-1, 0, 1), ARTIN_H), RealDirichletCharacter.trivial(), 30),
+    "b_chi-kronecker5": (analytic._BCHI_H, RealDirichletCharacter.from_kronecker(5), 30),
+    # 101 | q lies just above p_25 = 97: h(0) alone covers it while m <= 25
+    "b_chi-kronecker101": (analytic._BCHI_H, RealDirichletCharacter.from_kronecker(101), 12),
+}
+
+
+@pytest.mark.parametrize("case", list(_PLANNED))
+@pytest.mark.parametrize("m", [0, 24, 25, 26, 30])
+def test_the_planner_agrees_with_the_direct_product_around_m_prime(case, m):
+    # the plan removes m' = max(m, 25) primes, the direct product the
+    # user's m; m = 24, 25, 26 straddle m' = m
+    h, chi, digits = _PLANNED[case]
+    planned = analytic._twisted_product(h, chi, m, digits)
+    direct = analytic._twisted_direct(h, chi, m, 10**5, digits)
+    assert (planned.removed_primes, direct.removed_primes) == (max(m, 25), m)
+    assert direct.tail_estimate.is_finite()
+    assert abs(planned.value - direct.value) <= direct.tail_estimate
+
+
 @pytest.mark.parametrize("run, digits", [
     (lambda digits: euler_product(EulerProductSpec(ARTIN_H, 0, digits)).value, 200),
     (lambda digits: euler_product(EulerProductSpec(TWIN_H, 1, digits)).value, 150),
     (lambda digits: b_chi(RealDirichletCharacter.from_kronecker(5), digits).value, 30),
     (lambda digits: b_chi(RealDirichletCharacter.from_kronecker(-3), digits).value, 30),
-], ids=["artin-m0-D200", "twin-m1-D150", "b_chi-kronecker5-D30", "b_chi-kronecker-3-D30"])
+    (lambda digits: euler_product(EulerProductSpec(ARTIN_H, 6, digits)).value, 200),
+    (lambda digits: b_chi(RealDirichletCharacter.from_kronecker(8), digits).value, 30),
+    (lambda digits: b_chi(RealDirichletCharacter.from_kronecker(-7), digits).value, 30),
+    (lambda digits: b_chi(RealDirichletCharacter.from_kronecker(13), digits).value, 30),
+], ids=["artin-m0-D200", "twin-m1-D150", "b_chi-kronecker5-D30", "b_chi-kronecker-3-D30",
+        "artin-m6-D200", "b_chi-kronecker8-D30", "b_chi-kronecker-7-D30",
+        "b_chi-kronecker13-D30"])
 def test_values_agree_with_ten_more_digits(run, digits):
     assert abs(run(digits) - run(digits + 10)) <= Decimal(10) ** -digits
 
@@ -841,20 +885,27 @@ def test_b_chi_direct_tail_bounds_the_gap_to_the_infinite_product(d, limit):
 
 
 def test_the_planners_direct_product_has_no_tail(monkeypatch):
-    # its limit is q, and every prime above q has chi(p) = +-1, where h = 1
+    # two calls per product: the whole h over p_m < p <= p_m' (m' = 25 here),
+    # where the L-values take over, and h(0) alone over the p | q above
+    # p_m' up to the limit q, where every prime above q has chi(p) = +-1
+    # and h = 1, so that second product has tail 0
     calls = []
     direct = analytic._twisted_direct
 
     def recorded(h, chi, m, limit, digits):
-        calls.append((chi.modulus, limit, direct(h, chi, m, limit, digits)))
-        return calls[-1][2]
+        calls.append((h, chi.modulus, m, limit, direct(h, chi, m, limit, digits)))
+        return calls[-1][4]
 
     monkeypatch.setattr(analytic, "_twisted_direct", recorded)
     for d in (-4, 12, -20, 1):
         b_chi(RealDirichletCharacter.from_kronecker(d), 12)
     euler_product(EulerProductSpec(ARTIN_H, 6, 12))
-    assert len(calls) == 5
-    assert all(q == limit and result.tail_estimate == 0 for q, limit, result in calls)
+    moduli, user_m = [4, 12, 20, 1, 1], [0, 0, 0, 0, 6]
+    assert [(q, m, limit) for _, q, m, limit, _ in calls] == [
+        call for q, m in zip(moduli, user_m) for call in ((q, m, 97), (q, 25, q))]
+    assert [h[0] for h, *_ in calls] == [analytic._BCHI_H[0]] * 8 + [ARTIN_H] * 2
+    assert all(h[1] == h[-1] == analytic._ONE and result.tail_estimate == 0
+               for h, _, m, _, result in calls if m == 25)
 
 
 def test_a_direct_tail_past_its_majorant_is_infinite():
@@ -904,10 +955,11 @@ def test_b_chi_computes_each_l_value_once(monkeypatch):
     assert len(set(keys)) == len(keys) <= 2 * (cutoff + 1)
 
 
-def _minus_one(n, allowed, limit=60):
+def _minus_one(n, allowed, limit=1000):
     """sum_{2 <= k <= limit} allowed(k) k^-n in mpmath: zeta_m(n) - 1 or
-    L(n, psi) - 1, far past what the cutoffs below need."""
-    return sum(allowed(k) * mpmath.mpf(k) ** -n for k in range(2, limit + 1))
+    L_m(n, psi) - 1, far past what the cutoffs below need (their first term
+    is k = 101, the least 97-rough k)."""
+    return sum(a * mpmath.mpf(k) ** -n for k in range(2, limit + 1) if (a := allowed(k)))
 
 
 def _log_sum(terms):
@@ -916,16 +968,22 @@ def _log_sum(terms):
     return abs(sum(e * mpmath.log1p(_minus_one(n, allowed)) for e, n, allowed in terms))
 
 
+def _rough_indicator(m):
+    """k -> 1 if k has no prime factor <= p_m, else 0, for k <= 1000."""
+    rough = {k for k in range(2, 1001) if all(k % p for p in primes_up_to(nth_prime(m)))}
+    return lambda k: int(k in rough)
+
+
 @pytest.mark.parametrize("h, m, digits", [(ARTIN_H, 0, 10), (ARTIN_H, 0, 30), (TWIN_H, 1, 20)],
                          ids=["artin-m0-D10", "artin-m0-D30", "twin-m1-D20"])
 def test_proven_tail_bounds_the_omitted_factors(h, m, digits):
+    # the omitted L-values are those of the plan that ran: L_m'(n) with the
+    # first m' = removed_primes primes taken out
     result = euler_product(EulerProductSpec(h, m, digits))
     assert result.heuristic_tail is False and result.tail_estimate > 0
+    assert result.removed_primes == 25
     N = result.cutoff
-    removed = primes_up_to(nth_prime(m)) if m else []
-
-    def rough(k):
-        return int(all(k % p for p in removed))
+    rough = _rough_indicator(result.removed_primes)
 
     omitted = [(e, n, rough) for n, e in _rational_exponents(h, N + 400).items() if n > N]
     assert _log_sum(omitted) <= mpmath.mpf(str(result.tail_estimate))
@@ -937,7 +995,9 @@ def test_proven_b_chi_tail_bounds_the_omitted_factors():
     planned = analytic._twisted_product(analytic._BCHI_H, chi, 0, 12)
     cutoff, tail = planned.cutoff, planned.tail_estimate
     assert rep.tail_estimate == tail and rep.cutoff == cutoff
-    omitted = [(e, n, psi) for (n, psi), e in
+    assert rep.removed_primes == planned.removed_primes == 25
+    rough = _rough_indicator(rep.removed_primes)
+    omitted = [(e, n, lambda k, psi=psi: psi(k) * rough(k)) for (n, psi), e in
                analytic._twisted_exponents(analytic._BCHI_H, chi, cutoff + 400).items()
                if n > cutoff]
     assert _log_sum(omitted) <= mpmath.mpf(str(tail))

@@ -184,14 +184,16 @@ def test_the_cli_prints_only_in_main():
 
 def test_l_value_kernel_keeps_its_euler_factors_in_fixed_point():
     # the removed Euler factors P are an integer product converted once, and
-    # the primes p_1, ..., p_(m+1) are sieved once for both routes
+    # the kernel sieves nothing itself: the primes p_1, ..., p_m and the
+    # rough k come in one _RoughNumbers, which the planner builds once and
+    # shares across its L-values
     called = []
     for node in ast.walk(ast.parse((SRC / "analytic.py").read_text())):
         if isinstance(node, ast.FunctionDef) and node.name == "_l_minus_1":
             called = [getattr(call.func, "id", None) or getattr(call.func, "attr", None)
                       for call in ast.walk(node) if isinstance(call, ast.Call)]
     assert called and {"Fraction", "_dec_frac"} & set(called) == set()
-    assert called.count("primes_up_to") == 1
+    assert {"primes_up_to", "nth_prime", "gcd"} & set(called) == set()
 
 
 def test_both_cross_checks_take_the_one_direct_product():

@@ -156,4 +156,4 @@ def test_cold_zeta_builds_only_the_bernoulli_numbers_it_uses(monkeypatch):
     _cold_bernoulli_cache(monkeypatch)
     monkeypatch.setattr(analytic, "_em_coeffs", (0, ()))
     analytic.zeta(3, 300)
-    assert len(arith._bern_even) - 1 == len(analytic._em_coeffs[1]) == 237
+    assert len(arith._bern_even) - 1 == len(analytic._em_coeffs[1]) == 113

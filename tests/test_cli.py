@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import shlex
 import sys
@@ -340,6 +341,17 @@ def test_bchi_reports_its_cutoff_and_working_digits(capsys):
     assert code == 0 and data["direct_value"] and data["heuristic_tail"] is False
     assert data["direct_tail_estimate"] == "3.218e-07"  # |value| (e^T - 1) at x = 10^6
     assert data["cutoff"] > 1 and data["working_digits"] > 8 + 10
+    # the planner removed the first 25 primes exactly, the direct product none
+    assert (data["removed_primes"], data["direct_removed_primes"]) == (25, 0)
+
+
+def test_constant_reports_the_primes_removed_exactly(capsys):
+    code, out, _ = run(capsys, "constant", "--h", ARTIN_H, "--m", "3", "--digits", "8",
+                       "--direct-limit", "100")
+    data = json.loads(out)
+    assert code == 0 and (data["removed_primes"], data["direct"]["removed_primes"]) == (25, 3)
+    code, out, _ = run(capsys, "constant", "--h", ARTIN_H, "--m", "30", "--digits", "8")
+    assert code == 0 and json.loads(out)["removed_primes"] == 30
 
 
 def test_bchi_trivial(capsys):
@@ -348,6 +360,19 @@ def test_bchi_trivial(capsys):
     code, out, _ = run(capsys, "bchi", "--digits", "6")
     assert code == 0
     assert abs(Decimal(json.loads(out)["value"]) - 1) < Decimal("1e-6")
+
+
+@pytest.mark.parametrize("coeffs", [
+    ["0"] + [str(1000 ** (j - 1)) for j in range(1, 201)],  # z/(1 - 1000z): g(1/2) ~ 10^538
+    ["0", str(10**400)],  # one coefficient beyond the float range
+], ids=["geometric-1000", "one-coefficient-1e400"])
+def test_convergence_beyond_the_float_range(capsys, coeffs):
+    f = json.dumps({"order": len(coeffs) - 1, "coeffs": coeffs})
+    code, out, err = run(capsys, "convergence", "--f", f)
+    data = json.loads(out)
+    assert (code, err) == (0, "")
+    assert data["g_half_ok"] is False and data["g_half"] == math.inf
+    assert data["radius_ok"] is False and not data["hypotheses_hold"]
 
 
 def test_convergence(capsys):

@@ -21,7 +21,7 @@ FIELDS = {
     EulerProductSpec: dict(h=ARTIN_H, m=1, digits=8),
     ConstantResult: dict(value=Decimal("0.37"), digits=2, cutoff=9,
                          tail_estimate=Decimal("1E-5"), heuristic_tail=False,
-                         working_digits=14),
+                         working_digits=14, removed_primes=25),
     ConvergenceReport: dict(radius=0.618, radius_method="ratio", g_half=1.5,
                             radius_ok=True, g_half_ok=False, prime_sum_converges=None,
                             hypotheses_hold=False, note="n"),

@@ -41,10 +41,11 @@ so |e| times its error stays below 10^-(D+16) whatever the other
 exponents are; the reported working precision is the largest p.
 
 One kernel, _l_minus_1, returns L_m(s, chi) - 1 within 10^-prec, for chi
-mod q and the Euler factors of the first m primes removed, by one of two
-routes.  One exact tail rule, _tail_end, cuts both: the least K >= 1 whose
-integral tail (qK+a)^(1-s) / (q(s-1)) is at most 10^-(prec+1), settled by
-integer comparisons.  With (q, a) = (1, 0) it bounds sum_{k>K} k^-s.
+mod q and the Euler factors of the first m primes removed, by one of three
+routes.  One exact tail rule, _tail_end, cuts the first and the last: the
+least K >= 1 whose integral tail (qK+a)^(1-s) / (q(s-1)) is at most
+10^-(prec+1), settled by integer comparisons.  With (q, a) = (1, 0) it
+bounds sum_{k>K} k^-s.
 
 - Direct rough sum, chosen by its number of terms: when that K for (1, 0)
   is at most q _em_cut(prec) / delta, delta = prod_{p <= p_m} (1 - 1/p)
@@ -55,13 +56,22 @@ integer comparisons.  With (q, a) = (1, 0) it bounds sum_{k>K} k^-s.
   over the removed primes; large s needs only a handful of terms.  The
   rough k come from one _RoughNumbers sieve, which the planner builds once
   and shares across its L-values.
-- Euler-Maclaurin otherwise, from S(s, q, a) = sum_{k>=0} (qk+a)^-s,
-  without large intermediate magnitudes:
+- Otherwise L_m(s, chi) - 1 = (P - 1) + P (L - 1), with P in fixed point
+  (below).  A principal chi (values in {0, 1}) goes through zeta:
+  L_m(s, chi) = zeta(s) P with P = prod (1 - p^-s) over the p <= p_m and
+  the p | q, so one value zeta(s) - 1 replaces phi(q) residue sums.  For
+  even s that value is in closed form, zeta(s) = |B_s| (2 pi)^s / (2 s!)
+  (_even_zeta_minus_1), with B_s from the Bernoulli cache and pi from
+  Machin's series in arith (J. M. Borwein, D. M. Bradley, R. E. Crandall,
+  "Computational strategies for the Riemann zeta function", 2000).
+- Euler-Maclaurin for the rest: zeta(s) - 1 = S(s, 1, 2) at odd s, and
+  every non-principal chi, from S(s, q, a) = sum_{k>=0} (qk+a)^-s, without
+  large intermediate magnitudes:
 
       L(s, chi mod q) - 1  = S(s, q, q+1) + sum_{a=2..q} chi(a) S(s, q, a)
-      L_m(s, chi) - 1      = (P - 1) + P (L - 1), P = prod_{p<=p_m} (1 - chi(p) p^-s)
+      P = prod_{p<=p_m} (1 - chi(p) p^-s)
 
-  with P in fixed point (below).  Hurwitz zeta is zeta(s, p/q) = q^s S(s, q, p).
+  Hurwitz zeta is zeta(s, p/q) = q^s S(s, q, p), also by Euler-Maclaurin.
 
 Euler-Maclaurin sums, all in _dirichlet_sum, cut the direct summation at
 the same rule's K for (q, a) when it is at most _em_cut(prec), else at
@@ -73,9 +83,15 @@ stop test compares the computed term with target (1 - 10^-6); that
 margin exceeds the few roundings in each term by many orders of
 magnitude, so the remainder bound is still a proof.
 
-Fixed point.  _power_sum (the rough sum and the k < cut part of
-Euler-Maclaurin) and the removed Euler factors P in _l_minus_1 run on ints
-scaled by 10^W, each floor erring by under 10^-W, and convert exactly.
+Fixed point.  Every direct sum (the rough sum and the k < cut part of
+Euler-Maclaurin) is one _PowerRow of floor(10^W / k^s), the closed form
+and the removed Euler factors P run on ints scaled by 10^W, each floor
+erring by under 10^-W, and all convert exactly.  A row is kept per
+sequence of k (the rough k, and each progression qk + a) in the planner's
+shared _RoughNumbers, at the width of its largest precision, and moves
+from s to a larger s' in place by v //= k^(s' - s), which is exact: the
+planner's L-values at n = 2, 3, ... share their divisions instead of
+dividing 10^W by each k^n afresh.
 """
 
 from __future__ import annotations
@@ -89,7 +105,7 @@ from itertools import compress, count
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ._record import record
-from .arith import bernoulli, nth_prime, primes_up_to
+from .arith import bernoulli, nth_prime, pi_fixed, prime_factors, primes_up_to
 from .characters import RealDirichletCharacter
 from .errors import BudgetExceededError, DivergenceError, IntegralityError
 # peel_1d is unused here but stays bound: perfbench's span tests rebind it
@@ -120,7 +136,8 @@ GUARD_DIGITS = 10
 _EXACT_PRIMES = 25
 
 # largest `digits` that zeta, partial_zeta, l_series and hurwitz_zeta take;
-# a cold zeta(2, D) took 15 s at D = 2000 and 106 s at D = 3000 (Python 3.11)
+# at D = 2000 a cold zeta(3, D), by Euler-Maclaurin, took about 0.8 s and
+# zeta(2, D), in closed form, 0.01 s (in process; Python 3.11, 2 cores)
 DIGIT_BUDGET = 2000
 
 
@@ -151,21 +168,42 @@ def _em_coeff(j: int, prec: int) -> Decimal:
     return coeffs[j - 1]
 
 
-def _power_sum(s: int, terms: Sequence[Tuple[int, int]], prec: int) -> Decimal:
-    """sum sign k^-s over (k, sign) in terms, sign = +-1 and k >= 1, within
-    10^-(prec+2) in integer fixed point: each of the T terms is floor(10^W
-    / k^s), W = prec + 2 + len(str(T)), and errs by less than 10^-W.  Every
-    sum here is at most zeta(2) < 2 in size, so W + 1 digits hold it and
-    the conversion to Decimal is exact."""
-    width = prec + 2 + len(str(len(terms)))
-    one = 10**width
-    total = 0
-    for k, sign in terms:
-        t = one // k**s
-        total += t if sign > 0 else -t
-    with localcontext() as ctx:
-        ctx.prec = width + 1
-        return Decimal(total).scaleb(-width)
+class _PowerRow:
+    """floor(10^width / k^s) for the first k of one increasing sequence of
+    k >= 1, kept between calls at one exponent s at a time.  A call at a
+    larger s advances the row in place by v //= k^(s' - s), which is exact,
+    as floor(floor(x / a) / b) = floor(x / (a b)): a row holds exactly what
+    a fresh one would, whatever came before, at the cost of one division by
+    a short k^(s' - s) per entry instead of a long k^s.  A smaller s, or a
+    call needing a larger width, rebuilds it; a fresh row (width 0) does
+    the work of one sum from scratch."""
+
+    def __init__(self, width: int = 0):
+        self.width, self.s, self.values = width, 0, []
+
+    def sum(self, s: int, ks: Sequence[int], prec: int,
+            chi: Optional[RealDirichletCharacter] = None) -> Decimal:
+        """sum chi(k) k^-s over ks (chi(k) = 1 without chi), which extends
+        the row's sequence, within 10^-(prec+2): each of the T terms errs by
+        less than 10^-width, width >= prec + 2 + len(str(T)).  Every sum here
+        is at most zeta(2) < 2 in size, so width + 1 digits hold it and the
+        conversion to Decimal is exact."""
+        need = prec + 2 + len(str(len(ks)))
+        if need > self.width or s < self.s:
+            self.width, self.values = max(need, self.width), []
+        elif s > self.s:
+            self.values = [v // k ** (s - self.s) for v, k in zip(self.values, ks)]
+        self.s, values = s, self.values
+        if len(values) < len(ks):
+            one = 10**self.width
+            values += [one // k**s for k in ks[len(values):]]
+        if chi is None:
+            total = sum(values[:len(ks)])
+        else:
+            total = sum(chi(k) * v for k, v in zip(ks, values))
+        with localcontext() as ctx:
+            ctx.prec = self.width + 1
+            return Decimal(total).scaleb(-self.width)
 
 
 def _em_cut(prec: int) -> int:
@@ -198,9 +236,11 @@ def _tail_end(s: int, q: int, a: int, prec: int, cap: int) -> Optional[int]:
     return end if end <= cap else None
 
 
-def _dirichlet_sum(s: int, q: int, a: int, prec: int) -> Decimal:
+def _dirichlet_sum(s: int, q: int, a: int, prec: int,
+                   row: Optional[_PowerRow] = None) -> Decimal:
     """S(s, q, a) = sum_{k>=0} (qk+a)^-s with absolute error < 10^-prec,
-    by Euler-Maclaurin.
+    by Euler-Maclaurin; `row` is the power row of the progression qk + a
+    (a fresh one when the caller passes none).
 
     s >= 2; q >= 1; a >= 1.  Working precision carries 12 extra digits so
     per-operation rounding stays far below the truncation target.  The
@@ -208,7 +248,7 @@ def _dirichlet_sum(s: int, q: int, a: int, prec: int) -> Decimal:
     _em_cut(prec) (large s needs only a few direct terms), and it doubles
     when the corrections diverge before reaching target.
 
-    The terms k < cut come from _power_sum, within 10^-(prec+2).
+    The terms k < cut come from the row, within 10^-(prec+2).
     Correction j is c_j x_j with c_j = B_2j/(2j)! and
     x_j = q^(2j-1) (s)_(2j-1) / base^(s+2j-1), base = q cut + a; x_1 is
     q s base^-(s+1) and each step multiplies by q^2 (s+2j-1)(s+2j) and
@@ -228,11 +268,12 @@ def _dirichlet_sum(s: int, q: int, a: int, prec: int) -> Decimal:
     if q < 1 or a < 1:
         raise ValueError("q and a must be >= 1")
     cut = _tail_end(s, q, a, prec, _em_cut(prec)) or _em_cut(prec)
+    row = row or _PowerRow()
     with localcontext() as ctx:
         ctx.prec = prec + 12
         limit = Decimal("0.999999").scaleb(-(prec + 1))  # target (1 - 10^-6)
         while True:
-            total = _power_sum(s, [(q * k + a, 1) for k in range(cut)], prec)
+            total = row.sum(s, range(a, q * cut + a, q), prec)
             base = q * cut + a
             p = Decimal(base) ** -s
             # integral term + half term
@@ -252,6 +293,36 @@ def _dirichlet_sum(s: int, q: int, a: int, prec: int) -> Decimal:
                 prev = size
                 x = x * (q * q * (s + 2 * j - 1) * (s + 2 * j)) / base**2
             cut *= 2
+
+
+def _even_zeta_minus_1(s: int, prec: int) -> Decimal:
+    """zeta(s) - 1 for an even s >= 2 within 10^-(prec+2), in closed form:
+    zeta(s) = |B_s| (2 pi)^s / (2 s!) (Euler), with B_s from the Bernoulli
+    cache and pi from arith.pi_fixed, in integer fixed point at
+    W = prec + 3 + len(str(s)) digits, u = 10^-W.
+
+    2 pi_fixed(W) is within 4 of 2 pi 10^W, a relative error under u.  The
+    power (2 pi)^s comes by left-to-right binary powering, each product
+    floored to W digits; every factor is at least 1, so each floor has
+    relative error under u, and a floor at a step with r squarings still to
+    come is raised to the power 2^r.  With at most two floors for each of
+    the L bits of s, the floors add under 2 (2^L - 1) u < 4 s u to the
+    logarithm, as 2^(L-1) <= s, and the start under s u: the power is
+    (2 pi)^s (1 + theta) with |theta| < 5.01 s u.  One exact multiplication
+    by |B_s| / (2 s!) and one floor follow, so the value errs by under
+    zeta(2) 5.01 s u + u < 9 s u < 9 10^-(prec+3), and converts exactly."""
+    width = prec + 3 + len(str(s))
+    one, base = 10**width, 2 * pi_fixed(width)
+    power = one
+    for bit in bin(s)[2:]:
+        power = power * power // one
+        if bit == "1":
+            power = power * base // one
+    b = abs(bernoulli(s))
+    value = power * b.numerator // (2 * math.factorial(s) * b.denominator)
+    with localcontext() as ctx:
+        ctx.prec = width + 1
+        return Decimal(value - one).scaleb(-width)
 
 
 _LOG10_2 = math.log10(2)
@@ -352,14 +423,18 @@ def _ln1p(t: Decimal) -> Decimal:
 class _RoughNumbers:
     """p_1, ..., p_m and the p_m-rough numbers (k >= 2 with no prime factor
     <= p_m) in increasing order, from p_(m+1) on, sieved in place as far as
-    asked; each new segment at least doubles the sieved range.  The planner
-    builds one and shares it across its L-values."""
+    asked; each new segment at least doubles the sieved range.  It also
+    holds the power rows of the L-values that share it, one for the rough k
+    and one per Euler-Maclaurin progression qk + a, each begun at `width`
+    digits.  The planner builds one, sets its width to that of its largest
+    precision and shares it across its L-values."""
 
     def __init__(self, m: int):
         primes = primes_up_to(nth_prime(m + 1))
         self.primes = primes[:m]
         self.density = math.prod(1 - 1 / p for p in self.primes)  # the share of rough k
         self.ks, self.limit = [primes[m]], primes[m]  # rough k <= limit, all of them
+        self.width, self.rows = 0, {}
 
     def upto(self, end: int) -> List[int]:
         """The rough k, sieved at least through `end`."""
@@ -373,12 +448,18 @@ class _RoughNumbers:
             self.limit = hi - 1
         return self.ks
 
+    def row(self, key: Optional[Tuple[int, int]]) -> _PowerRow:
+        """The power row of the rough k (key None) or of qk + a (key (q, a))."""
+        if key not in self.rows:
+            self.rows[key] = _PowerRow(self.width)
+        return self.rows[key]
+
 
 def _l_minus_1(s: int, chi: RealDirichletCharacter, prec: int, m: int = 0,
                rough: Optional[_RoughNumbers] = None) -> Decimal:
     """L_m(s, chi) - 1 within 10^-prec, with the Euler factors of the first
-    m primes removed; `rough` holds p_1, ..., p_m and the p_m-rough k (built
-    here when the caller passes none).
+    m primes removed; `rough` holds p_1, ..., p_m, the p_m-rough k and the
+    power rows (built here when the caller passes none).
 
     The route is chosen by the number of terms.  About delta K of the k in
     [p_(m+1), K] are p_m-rough, delta = prod_{p <= p_m} (1 - 1/p).  When that
@@ -387,38 +468,54 @@ def _l_minus_1(s: int, chi: RealDirichletCharacter, prec: int, m: int = 0,
     value is the fixed-point sum of chi(k) k^-s over those rough k: under
     10^-(prec+1) of tail plus 10^-(prec+2) of floors.
 
-    Otherwise it is (P - 1) + P (L(s, chi) - 1), with no n = 1 term in L - 1
-    to cancel, and P = t 10^-W by t -= chi(p) floor(t / p^s) per removed p
-    from t = 10^W, W = prec + 3 + len(str(m)).  Each floor errs by under 10^-W
-    and later factors scale that by at most 1 + p^-s, with prod (1 + p^-s) <=
-    zeta(2)/zeta(4) < 1.52: P errs by under 1.52 m 10^-W < 1.52 10^-(prec+3),
-    and t has W + 1 <= prec + 12 digits for m < 10^8, so converts exactly.
-    Each S sum at w digits errs by under 2 10^-(w+1), times P < 1 + 10^-prec
-    for q = 1 (one sum, w = prec) and times |P| < 1.52 for the phi(q) <
-    10^len(str(q)) sums of q > 1 (w = prec + len(str(q)) + 1); with P's error
-    times |L| <= zeta(2) < 1.65, the error stays below 10^-prec for any q."""
+    Otherwise it is (P - 1) + P (L - 1), with no n = 1 term in L - 1 to
+    cancel.  For a principal chi (values in {0, 1}) L is zeta and P is
+    prod (1 - p^-s) over the primes p <= p_m and the p | q: zeta(s) - 1 is
+    _even_zeta_minus_1's closed form for even s and the one sum S(s, 1, 2)
+    for odd s.  Otherwise P = prod_{p <= p_m} (1 - chi(p) p^-s) and L - 1
+    the phi(q) sums S(s, q, a).  P = t 10^-W by t -= c floor(t / p^s) for
+    each of its n factors 1 - c p^-s from t = 10^W, W = prec + 3 +
+    len(str(n)).  Each floor errs by under 10^-W and later factors scale
+    that by at most 1 + p^-s, with prod (1 + p^-s) <= zeta(2)/zeta(4) < 1.52:
+    P errs by under 1.52 n 10^-W < 1.52 10^-(prec+3), and t has W + 1 <=
+    prec + 12 digits for n < 10^8, so converts exactly.  The closed form
+    errs by under 10^-(prec+2) and each S sum at w digits by under
+    2 10^-(w+1); times 0 < P <= 1 for a principal chi (w = prec) and times
+    |P| < 1.52 for the phi(q) < 10^len(str(q)) sums of the others
+    (w = prec + len(str(q)) + 1); with P's error times |L| <= zeta(2) < 1.65,
+    the error stays below 10^-prec for any q."""
     q = chi.modulus
     if rough is None:
         rough = _RoughNumbers(m)
     end = _tail_end(s, 1, 0, prec, math.floor(q * _em_cut(prec) / rough.density))
     if end is not None:
         ks = rough.upto(end)
-        return _power_sum(s, [(k, chi(k)) for k in ks[:bisect_right(ks, end)] if chi(k)], prec)
-    work = prec if q == 1 else prec + len(str(q)) + 1
-    width = prec + 3 + len(str(m))
+        return rough.row(None).sum(s, ks[:bisect_right(ks, end)], prec, chi if q > 1 else None)
+    principal = -1 not in chi.values
+    if principal:
+        factors = [(p, 1) for p in sorted({*rough.primes, *prime_factors(q)})]
+    else:
+        factors = [(p, chi(p)) for p in rough.primes]
+    width = prec + 3 + len(str(len(factors)))
     t = 10**width
-    for p in rough.primes:
-        t -= chi(p) * (t // p**s)
+    for p, c in factors:
+        t -= c * (t // p**s)
     with localcontext() as ctx:
         ctx.prec = prec + 12
-        total = _dirichlet_sum(s, q, q + 1, work)  # n = 1+q, 1+2q, ...
-        for a in range(2, q + 1):
-            v = chi(a)
-            if v:
-                term = _dirichlet_sum(s, q, a, work)
-                total += term if v == 1 else -term
-        factors = Decimal(t).scaleb(-width)
-        return (factors - 1) + factors * total
+        if principal and s % 2 == 0:
+            total = _even_zeta_minus_1(s, prec)
+        elif principal:
+            total = _dirichlet_sum(s, 1, 2, prec, rough.row((1, 2)))  # n = 2, 3, ...
+        else:
+            work = prec + len(str(q)) + 1
+            total = _dirichlet_sum(s, q, q + 1, work, rough.row((q, q + 1)))  # n = 1+q, 1+2q, ...
+            for a in range(2, q + 1):
+                v = chi(a)
+                if v:
+                    term = _dirichlet_sum(s, q, a, work, rough.row((q, a)))
+                    total += term if v == 1 else -term
+        product = Decimal(t).scaleb(-width)
+        return (product - 1) + product * total
 
 
 # -- Euler products over exponent expansions ---------------------------
@@ -630,6 +727,11 @@ def _twisted_product(h: Dict[int, RationalFunction], chi: RealDirichletCharacter
     precs = {key: digits + 6 + math.ceil(_log10_int(e)) + GUARD_DIGITS
              for key, e in terms.items()}
     prec = max(precs.values(), default=digits + 6 + GUARD_DIGITS)
+    # the power rows' width: at least that of every sum (_l_minus_1 runs
+    # Euler-Maclaurin at up to prec + len(str(q)) + 1), with a factor 10 to
+    # spare in the number of terms, so that no row is rebuilt wider
+    work = prec + len(str(chi.modulus)) + 1
+    rough.width = work + 3 + len(str(chi.modulus * _em_cut(work)))
     small = _twisted_direct(h, chi, m, rough.primes[-1], prec).value  # p_m < p <= p_m'
     divisors = _twisted_direct({-1: _ONE, 0: h[0], 1: _ONE}, chi, plan, chi.modulus, prec).value
     with localcontext() as ctx:

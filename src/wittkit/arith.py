@@ -1,5 +1,5 @@
 """Exact integer/rational helpers: Moebius function, divisors, primes,
-multinomial coefficients and Bernoulli numbers.
+multinomial coefficients, Bernoulli numbers and pi in integer fixed point.
 
 Everything here is exact (int / Fraction); inputs stay small enough that
 trial division is the right tool.
@@ -11,15 +11,17 @@ import math
 import threading
 from fractions import Fraction
 from itertools import compress
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 __all__ = [
     "moebius",
     "divisors",
     "multinomial",
     "primes_up_to",
+    "prime_factors",
     "nth_prime",
     "bernoulli",
+    "pi_fixed",
 ]
 
 
@@ -88,6 +90,20 @@ def primes_up_to(limit: int) -> List[int]:
     return list(compress(range(limit + 1), sieve))
 
 
+def prime_factors(n: int) -> List[int]:
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    if n < 1:
+        raise ValueError(f"prime_factors requires n >= 1, got {n}")
+    found, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            found.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1 if p == 2 else 2
+    return found + [n] if n > 1 else found
+
+
 def nth_prime(m: int) -> int:
     """The mth prime, 1-indexed: nth_prime(1) == 2."""
     if m < 1:
@@ -134,3 +150,45 @@ def bernoulli(k: int) -> Fraction:
             n = j + 1
             _bern_even.append(Fraction((-1) ** j * 2 * n * c[-1], 4**n * (4**n - 1)))
         return _bern_even[k // 2]
+
+
+# (width, an integer within 2 of pi 10^width): pi at the widest width asked
+# for so far, widened to at least twice its old width, so widths that differ
+# per call rebuild it only a few times; replaced whole, so concurrent callers
+# never see a half-built value
+_pi: Tuple[int, int] = (0, 3)
+
+
+def _arctan_inverse(x: int, one: int) -> int:
+    """one arctan(1/x) for an integer x >= 2, within 2 (n + 1) of it, n the
+    number of terms: sum_k (-1)^k floor(floor(one / x^(2k+1)) / (2k+1)),
+    where each power is exact (floor(floor(a / b) / c) = floor(a / (b c)))
+    and each term errs by under 2, and the series stops at the first zero
+    power, whose alternating tail is below 1."""
+    power = total = one // x
+    square, k = x * x, 1
+    while power:
+        power //= square
+        term = power // (2 * k + 1)
+        total += -term if k % 2 else term
+        k += 1
+    return total
+
+
+def pi_fixed(width: int) -> int:
+    """An integer within 2 of pi 10^width (width >= 0), by Machin's formula
+    pi = 16 arctan(1/5) - 4 arctan(1/239), cached at a width c >= width and
+    g = len(str(c)) + 3 guard digits.  At w = c + g digits the two series
+    have at most w / 1.39 + 1 and w / 4.7 + 1 nonzero terms, so the sum errs
+    by under 16 * 2 (w / 1.39 + 2) + 4 * 2 (w / 4.7 + 2) < 25 w + 80 < 10^g;
+    dropping the g guard digits, and then c - width more, by one floor each
+    leaves the result within 2."""
+    global _pi
+    have, value = _pi
+    if have < width:
+        have = max(width, 2 * have)
+        guard = len(str(have)) + 3
+        one = 10 ** (have + guard)
+        value = (16 * _arctan_inverse(5, one) - 4 * _arctan_inverse(239, one)) // 10**guard
+        _pi = (have, value)
+    return value // 10 ** (have - width)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import B_CHI_MINUS_4, catalan_oracle
-from wittkit import analytic, suites
+from wittkit import analytic, arith, suites
 from wittkit.analytic import (
     EulerProductSpec,
     b_chi,
@@ -68,9 +68,9 @@ def test_hurwitz_high_precision_against_mpmath():
 
 def _em_cuts(monkeypatch):
     """The cut of every Euler-Maclaurin attempt: each attempt sums its terms
-    k < cut in one _power_sum call inside _dirichlet_sum."""
+    k < cut in one power-row sum inside _dirichlet_sum."""
     cuts, depth = [], []
-    dirichlet, power = analytic._dirichlet_sum, analytic._power_sum
+    dirichlet, power = analytic._dirichlet_sum, analytic._PowerRow.sum
 
     def in_dirichlet(*args):
         depth.append(None)
@@ -79,13 +79,13 @@ def _em_cuts(monkeypatch):
         finally:
             depth.pop()
 
-    def counted(s, terms, prec):
+    def counted(row, s, ks, prec, chi=None):
         if depth:
-            cuts.append(len(terms))
-        return power(s, terms, prec)
+            cuts.append(len(ks))
+        return power(row, s, ks, prec, chi)
 
     monkeypatch.setattr(analytic, "_dirichlet_sum", in_dirichlet)
-    monkeypatch.setattr(analytic, "_power_sum", counted)
+    monkeypatch.setattr(analytic._PowerRow, "sum", counted)
     return cuts
 
 
@@ -100,11 +100,21 @@ def test_em_cut_doubling_path(monkeypatch):
     assert abs(mpmath.mpf(str(value)) - (mpmath.zeta(100) - 1)) < mpmath.mpf(10) ** -60
 
 
+def _reference_power_sum(s, terms, prec):
+    """Reference: sum sign k^-s over (k, sign) in terms within 10^-(prec+2),
+    each term floor(10^W / k^s) computed afresh, W = prec + 2 + len(str(T))."""
+    width = prec + 2 + len(str(len(terms)))
+    total = sum(sign * (10**width // k**s) for k, sign in terms)
+    with localcontext() as ctx:
+        ctx.prec = width + 1
+        return Decimal(total).scaleb(-width)
+
+
 def _reference_em_attempt(s, q, a, cut, prec, target):
     """Reference: Euler-Maclaurin at one cut as a separate attempt, (value,
     ok) with ok False when the corrections turn (or 4 prec of them run out)
     before the remainder bound drops below target."""
-    total = analytic._power_sum(s, [(q * k + a, 1) for k in range(cut)], prec)
+    total = _reference_power_sum(s, [(q * k + a, 1) for k in range(cut)], prec)
     base = q * cut + a
     base2 = base * base
     p = Decimal(base) ** -s
@@ -268,14 +278,17 @@ def _first_direct_s(q, m, prec):
 @pytest.mark.parametrize("m", [0, 1, 3, 25])
 @pytest.mark.parametrize("s", [2, 3, 7, "below-switch", "switch", 60, 150])
 def test_l_minus_1_with_removed_factors_against_mpmath(monkeypatch, d, m, s):
-    # s = 2, 3, 7 take Euler-Maclaurin; from the switch on, the direct sum
-    # over the p_m-rough k, which calls no S(s, q, a)
+    # below the switch Euler-Maclaurin, except at even s for the principal
+    # chi (d = 1), where zeta(s) has a closed form; from the switch on, the
+    # direct sum over the p_m-rough k, which calls neither
     chi = RealDirichletCharacter.from_kronecker(d)
     switch = _first_direct_s(chi.modulus, m, 40)
     s = {"below-switch": switch - 1, "switch": switch}.get(s, s)
     sums = _counting(monkeypatch, "_dirichlet_sum")
+    closed = _counting(monkeypatch, "_even_zeta_minus_1")
     got = analytic._l_minus_1(s, chi, 40, m)
-    assert bool(sums) == (s < switch)
+    closed_form = s < switch and d == 1 and s % 2 == 0
+    assert (bool(sums), bool(closed)) == (s < switch and not closed_form, closed_form)
     mpmath.mp.dps = 60
     ref = _l_m_reference(s, chi, m)
     assert abs(mpmath.mpf(str(got)) - ref) < mpmath.mpf(10) ** -40
@@ -299,6 +312,86 @@ def test_l_minus_1_fixed_point_factors_match_the_exact_product(d, s, prec):
             whole = Decimal(factors.numerator) / Decimal(factors.denominator)
             want = (whole - 1) + whole * total
         assert abs(analytic._l_minus_1(s, chi, prec, m) - want) < Decimal(10) ** -(prec + 2), m
+
+
+@pytest.mark.parametrize("prec", [40, 300, 1000])
+@pytest.mark.parametrize("s", [2, 4, 6, 10, 24, 50, 100, 150, 200, 260])
+def test_even_zeta_closed_form_against_euler_maclaurin_and_mpmath(s, prec):
+    # two independent routes to zeta(s) - 1: Bernoulli and Machin's pi, and
+    # S(s, 1, 2) by Euler-Maclaurin; the closed form claims 10^-(prec+2)
+    closed = analytic._even_zeta_minus_1(s, prec)
+    assert abs(closed - analytic._dirichlet_sum(s, 1, 2, prec)) < Decimal(10) ** -prec
+    mpmath.mp.dps = prec + 30
+    assert abs(mpmath.mpf(str(closed)) - (mpmath.zeta(s) - 1)) < mpmath.mpf(10) ** -(prec + 2)
+
+
+def _principal(q):
+    return RealDirichletCharacter.from_values([int(math.gcd(a, q) == 1) for a in range(q)])
+
+
+@pytest.mark.parametrize("q", [4, 5, 12, 412])
+@pytest.mark.parametrize("m", [0, 25])
+@pytest.mark.parametrize("s", [2, 3, 4, 5])
+def test_principal_l_values_through_zeta_match_the_residue_sums(monkeypatch, q, m, s):
+    # L_m(s, psi) for psi principal mod q is zeta(s) times prod (1 - p^-s)
+    # over the p <= p_m and the p | q; 412 = 4 103 puts 103 > p_25 = 97 into
+    # that product.  The reference is the phi(q) residue sums S(s, q, a)
+    # with the exact product over p <= p_m, and mpmath's Hurwitz sums
+    psi = _principal(q)
+    sums = _counting(monkeypatch, "_dirichlet_sum")
+    got = analytic._l_minus_1(s, psi, 40, m)
+    assert [args[1:3] for args in sums] == ([] if s % 2 == 0 else [(1, 2)])
+    monkeypatch.undo()
+    work = 40 + len(str(q)) + 1
+    with localcontext() as ctx:
+        ctx.prec = 60
+        residues = sum(analytic._dirichlet_sum(s, q, a, work) for a in range(2, q + 2) if psi(a))
+        factors = Fraction(1)
+        for p in primes_up_to(nth_prime(m)) if m else ():
+            factors *= 1 - Fraction(psi(p), p**s)
+        whole = Decimal(factors.numerator) / Decimal(factors.denominator)
+        assert abs(got - ((whole - 1) + whole * residues)) < Decimal(10) ** -40
+    mpmath.mp.dps = 60
+    assert abs(mpmath.mpf(str(got)) - _l_m_reference(s, psi, m)) < mpmath.mpf(10) ** -40
+
+
+def test_machin_pi_against_mpmath_and_the_battery_literal(monkeypatch):
+    # suites.PI_50 stays a literal, so the battery's zeta(2) check does not
+    # rest on this series; a cold cache is widened, then read narrower
+    monkeypatch.setattr(arith, "_pi", (0, 3))
+    mpmath.mp.dps = 2050
+    for width in (50, 2000, 7, 1999, 0):
+        got = arith.pi_fixed(width)
+        assert abs(got - mpmath.pi * mpmath.mpf(10) ** width) < 2, width
+    assert abs(arith.pi_fixed(50) - int(str(suites.PI_50).replace(".", ""))) <= 2
+    assert arith._pi[0] >= 2000
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(2, 40), st.integers(1, 60), st.integers(1, 40)),
+                min_size=1, max_size=8),
+       st.sampled_from([0, 50]), st.sampled_from([None, -3, 5]))
+@example([(3, 20, 10), (5, 30, 10), (4, 10, 30), (9, 60, 5)], 0, None).via(
+    "advance, shrink and rebuild")
+def test_a_power_row_holds_what_fresh_divisions_give(calls, width, d):
+    # advancing by v //= k^(s' - s) is exact, so after any history the row
+    # equals floor(10^W / k^s) at its width W, and a fresh row (width 0)
+    # sums exactly as the per-call divisions do
+    chi = d and RealDirichletCharacter.from_kronecker(d)
+    ks = range(3, 400, 7)
+    row = analytic._PowerRow(width)
+    for i, (s, n, prec) in enumerate(calls):
+        terms = [(k, chi(k) if chi else 1) for k in ks[:n]]
+        got = row.sum(s, ks[:n], prec, chi)
+        assert row.width >= prec + 2 + len(str(n))
+        with localcontext() as ctx:
+            ctx.prec = row.width + 1
+            want = sum(c * (10**row.width // k**s) for k, c in terms)
+            want = Decimal(want).scaleb(-row.width)
+        assert got == want
+        if i == 0 and width == 0:
+            fresh = _reference_power_sum(s, terms, prec)
+            assert got == fresh and repr(got) == repr(fresh)
 
 
 def test_euler_product_quadratic_fixture():
@@ -586,18 +679,47 @@ def test_convergence_requires_zero_constant_term():
 
 # -- the proven cutoff ----------------------------------------------------
 
+def _divmod_poly(a, b):
+    """(quotient, remainder) of two coefficient lists from the top degree
+    down, exactly in Fractions; b[0] != 0."""
+    a, quotient = list(a), []
+    while len(a) >= len(b):
+        c = a[0] / b[0]
+        quotient.append(c)
+        a = [x - c * y for x, y in zip(a, b + [0] * (len(a) - len(b)))][1:]
+    while a and a[0] == 0:
+        a.pop(0)
+    return quotient, a
+
+
+def _squarefree(poly):
+    """P / gcd(P, P') for P with coefficients from the top degree down, in
+    exact Fractions: the distinct roots of P, each of them simple."""
+    p = [Fraction(c) for c in poly]
+    g, r = p, [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]
+    while r:
+        g, r = r, _divmod_poly(g, r)[1]
+    return _divmod_poly(p, g)[0]
+
+
 def _reciprocal_root_moduli(poly):
     # mpmath takes coefficients from the top degree down, so the ascending
-    # list of poly, read that way, is its reversal
+    # list of poly, read that way, is its reversal, whose roots are the
+    # reciprocal roots of poly.  polyroots may not converge on a repeated
+    # root, so it runs on the squarefree part, which has the same roots
     if len(poly) == 1:
         return [mpmath.mpf(0)]
     mpmath.mp.dps = 50
-    return [abs(r) for r in mpmath.polyroots(poly, maxsteps=2000, extraprec=300)]
+    simple = _squarefree(poly)
+    scale = math.lcm(*(c.denominator for c in simple))
+    return [abs(r) for r in mpmath.polyroots([int(c * scale) for c in simple],
+                                             maxsteps=2000, extraprec=300)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(-12, 12), min_size=1, max_size=6)
        .filter(lambda p: p[0] != 0 and p[-1] != 0))
+@example([4, 10, 10, 10, 10, 4]).via("a triple root at -1, where polyroots did not converge")
 def test_root_bound_bounds_every_reciprocal_root(poly):
     rho = analytic._root_bound(poly)
     assert isinstance(rho, Fraction)

@@ -169,6 +169,65 @@ def test_one_tail_rule_and_one_euler_maclaurin_routine():
                        "_em_coeff": {"_dirichlet_sum"}}
 
 
+def _calls_by_function(name, path="analytic.py"):
+    """The functions of a module whose bodies call `name`."""
+    return {node.name for node in ast.walk(ast.parse((SRC / path).read_text()))
+            if isinstance(node, ast.FunctionDef)
+            and any(isinstance(call, ast.Call) and getattr(call.func, "id", None) == name
+                    for call in ast.walk(node))}
+
+
+def _names_defined(tree):
+    """The functions and classes of a module, and its top-level assignments."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        yield from (target.id for target in targets if isinstance(target, ast.Name))
+
+
+def test_pi_is_computed_once_in_arith():
+    # Machin's series in arith is the library's one pi, which only the
+    # closed form for even zeta reads; suites.PI_50 stays a literal, so the
+    # battery's "zeta(2) vs pi^2/6" check does not rest on that series
+    named, borrowed = set(), []
+    pattern = re.compile(r"(^|_)pi(_|\d|$)", re.IGNORECASE)
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        named |= {(path.stem, name) for name in _names_defined(tree) if pattern.search(name)}
+        borrowed += [ast.unparse(node) for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute) and node.attr == "pi"
+                     or isinstance(node, ast.alias) and node.name == "pi"]
+    assert named == {("arith", "pi_fixed"), ("arith", "_pi"), ("suites", "PI_50")}
+    assert borrowed == []
+    literal = next(node.value for node in ast.parse((SRC / "suites.py").read_text()).body
+                   if isinstance(node, ast.Assign) and node.targets[0].id == "PI_50")
+    assert isinstance(literal.args[0], ast.Constant) and literal.func.id == "Decimal"
+    assert _calls_by_function("pi_fixed") == {"_even_zeta_minus_1"}
+
+
+def test_the_closed_form_and_the_power_row_serve_the_one_kernel():
+    # the even-zeta closed form is one route of _l_minus_1, and every direct
+    # sum (the rough sum and Euler-Maclaurin's terms below the cut) is a
+    # _PowerRow sum: no per-call division routine returns beside the row,
+    # and floor(x / p^s) is left only in the row and in the removed factors
+    tree = ast.parse((SRC / "analytic.py").read_text())
+    defined = set(_names_defined(tree))
+    assert "_power_sum" not in defined and {"_PowerRow", "_even_zeta_minus_1"} <= defined
+    assert _calls_by_function("_even_zeta_minus_1") == {"_l_minus_1"}
+    assert _calls_by_function("_PowerRow") == {"_dirichlet_sum", "row"}
+    summed = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+              for call in ast.walk(node) if isinstance(call, ast.Call)
+              and getattr(call.func, "attr", None) == "sum"}
+    assert summed == {"_dirichlet_sum", "_l_minus_1"}
+    floors = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+              for op in ast.walk(node) if isinstance(op, ast.BinOp)
+              and isinstance(op.op, ast.FloorDiv) and isinstance(op.right, ast.BinOp)
+              and isinstance(op.right.op, ast.Pow)}
+    assert floors == {"sum", "_l_minus_1"}
+
+
 def test_the_cli_prints_only_in_main():
     # each subcommand's handler returns its object; main alone prints it or
     # the error object, so the exit rule is decided in one place

@@ -76,6 +76,16 @@ def test_primes_up_to_matches_trial_division():
         ], limit
 
 
+def test_prime_factors_are_the_primes_dividing_n():
+    primes = primes_up_to(3000)
+    for n in range(1, 3001):
+        assert arith.prime_factors(n) == [p for p in primes if n % p == 0], n
+    assert arith.prime_factors(4 * 103) == [2, 103]
+    assert arith.prime_factors(3 * 1_000_003**2) == [3, 1_000_003]
+    with pytest.raises(ValueError):
+        arith.prime_factors(0)
+
+
 def test_nth_prime():
     assert nth_prime(1) == 2
     assert nth_prime(4) == 7

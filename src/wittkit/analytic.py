@@ -1,5 +1,5 @@
 """High-precision evaluation of zeta values, real Dirichlet L-series and
-Euler-product constants, on stdlib Decimal arithmetic.
+Euler-product constants, on integer fixed point and stdlib Decimal.
 
 Precision convention: a public operation taking `digits` = D returns a
 Decimal within 10^-D of the true value (absolute), quantized to D+4
@@ -76,17 +76,16 @@ bounds sum_{k>K} k^-s.
 Euler-Maclaurin sums, all in _dirichlet_sum, cut the direct summation at
 the same rule's K for (q, a) when it is at most _em_cut(prec), else at
 _em_cut(prec), and the cut doubles if the correction terms diverge first.
-Corrections run in Decimal: x_j = q^(2j-1) (s)_(2j-1) / base^(s+2j-1) is
-stepped by one rational factor per j and multiplied by B_2j/(2j)!, taken
-from one cached table rounded to at least the working precision.  The
-stop test compares the computed term with target (1 - 10^-6); that
-margin exceeds the few roundings in each term by many orders of
-magnitude, so the remainder bound is still a proof.
 
-Fixed point.  Every direct sum (the rough sum and the k < cut part of
-Euler-Maclaurin) is one _PowerRow of floor(10^W / k^s), the closed form
-and the removed Euler factors P run on ints scaled by 10^W, each floor
-erring by under 10^-W, and all convert exactly.  A row is kept per
+Fixed point.  The kernel runs on ints t standing for t 10^-W, at one
+width W = prec + 12, and converts to Decimal once, exactly, where it
+returns.  Every direct sum (the rough sum and the k < cut part of
+Euler-Maclaurin) is one _PowerRow of floor(10^W / k^s); each correction is
+floor(B_2j/(2j)! 10^W), from one cached table, times x_j = q^(2j-1)
+(s)_(2j-1) / base^(s+2j-1), stepped by one rational factor per j; the
+closed form and the removed Euler factors P are floors too.  Each floor
+errs by under 10^-W, and _dirichlet_sum counts its floors in its stop
+test, so its remainder bound is a proof in integers.  A row is kept per
 sequence of k (the rough k, and each progression qk + a) in the planner's
 shared _RoughNumbers, at the width of its largest precision, and moves
 from s to a larger s' in place by v //= k^(s' - s), which is exact: the
@@ -99,7 +98,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from decimal import Decimal, localcontext
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import compress, count
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -136,36 +135,50 @@ GUARD_DIGITS = 10
 _EXACT_PRIMES = 25
 
 # largest `digits` that zeta, partial_zeta, l_series and hurwitz_zeta take;
-# at D = 2000 a cold zeta(3, D), by Euler-Maclaurin, took about 0.8 s and
-# zeta(2, D), in closed form, 0.01 s (in process; Python 3.11, 2 cores)
+# at D = 2000 a cold zeta(3, D), by Euler-Maclaurin, took 0.4 s and zeta(2,
+# D), in closed form, 0.005 s (in process, medians of 10; Python 3.11, 2 cores)
 DIGIT_BUDGET = 2000
+
+# converts the kernel's fixed-point ints to Decimal without rounding
+_UNROUNDED = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 # -- Euler-Maclaurin core ----------------------------------------------
 
 
-# (precision, (B_2/2!, B_4/4!, ...) each rounded once to that precision):
-# one table at the widest working precision asked for so far, widened to
-# at least twice its old precision, so precisions that differ per exponent
-# rebuild it only a few times; replaced whole, so concurrent callers never
-# see a half-built table
-_em_coeffs: Tuple[int, Tuple[Decimal, ...]] = (0, ())
+# (width, (floor(B_2/2! 10^width), floor(B_4/4! 10^width), ...)): one
+# table at the widest width asked for so far, widened to at least twice its
+# old width, so widths that differ per exponent rebuild it only a few
+# times, and its entries floored to the width last asked for; each replaced
+# whole, so concurrent callers never see a half-built table
+_em_coeffs: Tuple[int, Tuple[int, ...]] = (0, ())
+_em_view: Tuple[int, Tuple[int, ...]] = (0, ())
 
 
-def _em_coeff(j: int, prec: int) -> Decimal:
-    """B_2j / (2j)! rounded once to a precision of at least `prec` digits."""
-    global _em_coeffs
+def _em_coeff(j: int, width: int) -> int:
+    """floor(B_2j / (2j)! 10^width): the table's entry floored once more,
+    which is exact, as floor(floor(x / a) / b) = floor(x / (a b))."""
+    global _em_coeffs, _em_view
     have, coeffs = _em_coeffs
-    if have < prec:
-        have, coeffs = max(prec, 2 * have), ()
+    if have < width:
+        have, coeffs = max(width, 2 * have), ()
     if len(coeffs) < j:
-        with localcontext() as ctx:
-            ctx.prec = have
-            for i in range(2 * len(coeffs) + 2, 2 * j + 1, 2):
-                b = bernoulli(i)
-                coeffs += (Decimal(b.numerator) / Decimal(b.denominator * math.factorial(i)),)
+        one = 10**have
+        for i in range(2 * len(coeffs) + 2, 2 * j + 1, 2):
+            b = bernoulli(i)
+            coeffs += (b.numerator * one // (b.denominator * math.factorial(i)),)
         _em_coeffs = (have, coeffs)
-    return coeffs[j - 1]
+    view = _em_view[1] if _em_view[0] == width else ()
+    if len(view) < j:
+        view += tuple(c // 10 ** (have - width) for c in coeffs[len(view):j])
+        _em_view = (width, view)
+    return view[j - 1]
+
+
+def _width(prec: int) -> int:
+    """The L-value kernel's one fixed-point width: a value within 10^-prec
+    is an int t for t 10^-(prec+12), with 10^11 units to spare for floors."""
+    return prec + 12
 
 
 class _PowerRow:
@@ -181,14 +194,13 @@ class _PowerRow:
     def __init__(self, width: int = 0):
         self.width, self.s, self.values = width, 0, []
 
-    def sum(self, s: int, ks: Sequence[int], prec: int,
-            chi: Optional[RealDirichletCharacter] = None) -> Decimal:
+    def sum(self, s: int, ks: Sequence[int], width: int,
+            chi: Optional[RealDirichletCharacter] = None) -> int:
         """sum chi(k) k^-s over ks (chi(k) = 1 without chi), which extends
-        the row's sequence, within 10^-(prec+2): each of the T terms errs by
-        less than 10^-width, width >= prec + 2 + len(str(T)).  Every sum here
-        is at most zeta(2) < 2 in size, so width + 1 digits hold it and the
-        conversion to Decimal is exact."""
-        need = prec + 2 + len(str(len(ks)))
+        the row's sequence, as an int at `width` within 2 units: the T terms
+        err by under 10^-self.width each, self.width >= width + len(str(T)),
+        and one floor to `width` follows."""
+        need = width + len(str(len(ks)))
         if need > self.width or s < self.s:
             self.width, self.values = max(need, self.width), []
         elif s > self.s:
@@ -201,9 +213,7 @@ class _PowerRow:
             total = sum(values[:len(ks)])
         else:
             total = sum(chi(k) * v for k, v in zip(ks, values))
-        with localcontext() as ctx:
-            ctx.prec = self.width + 1
-            return Decimal(total).scaleb(-self.width)
+        return total // 10 ** (self.width - width)
 
 
 def _em_cut(prec: int) -> int:
@@ -237,81 +247,74 @@ def _tail_end(s: int, q: int, a: int, prec: int, cap: int) -> Optional[int]:
 
 
 def _dirichlet_sum(s: int, q: int, a: int, prec: int,
-                   row: Optional[_PowerRow] = None) -> Decimal:
-    """S(s, q, a) = sum_{k>=0} (qk+a)^-s with absolute error < 10^-prec,
-    by Euler-Maclaurin; `row` is the power row of the progression qk + a
-    (a fresh one when the caller passes none).
+                   row: Optional[_PowerRow] = None) -> int:
+    """S(s, q, a) = sum_{k>=0} (qk+a)^-s as an int at W = _width(prec)
+    within 10^-(prec+1), by Euler-Maclaurin; `row` is the power row of the
+    progression qk + a (a fresh one when the caller passes none).
 
-    s >= 2; q >= 1; a >= 1.  Working precision carries 12 extra digits so
-    per-operation rounding stays far below the truncation target.  The
-    cut is _tail_end's K if that is at most _em_cut(prec), else
-    _em_cut(prec) (large s needs only a few direct terms), and it doubles
-    when the corrections diverge before reaching target.
+    s >= 2; q >= 1; a >= 1.  The cut is _tail_end's K if that is at most
+    _em_cut(prec), else _em_cut(prec) (large s needs only a few direct
+    terms), and it doubles when the corrections diverge before reaching
+    target (or 4 prec of them do not reach it).
 
-    The terms k < cut come from the row, within 10^-(prec+2).
-    Correction j is c_j x_j with c_j = B_2j/(2j)! and
-    x_j = q^(2j-1) (s)_(2j-1) / base^(s+2j-1), base = q cut + a; x_1 is
-    q s base^-(s+1) and each step multiplies by q^2 (s+2j-1)(s+2j) and
-    divides by base^2.  The remainder after the corrections already added
-    is at most the first omitted one in absolute value (all derivatives of
-    x -> (qx+a)^-s keep a fixed sign), so we stop once the computed term
-    is <= target (1 - 10^-6).  The computed term is the exact one times
-    (1 + eps) with |eps| <= (2j+4) 10^-(prec+11): at most 2j+4 roundings
-    at prec+12 digits or finer (two allowed for the power, two for x_1 and
-    for each later step of x_j, one for c_j, rounded once to the table's
-    precision of at least prec+12, and one for the product), and
-    j <= 4 prec.  That is far below 10^-6, so the true term is below target
-    too and the bound stays a proof.
+    In units u = 10^-W, with base = q cut + a, the terms k < cut come from
+    the row within 2 units, and the integral term base^(1-s) / (q(s-1)) and
+    the half term base^-s / 2 are one floor each.  Correction j is c_j x_j
+    with c_j = B_2j/(2j)!, |c_j| <= 1/12, x_j = q^(2j-1) (s)_(2j-1) /
+    base^(s+2j-1).  X_1 = floor(x_1 / u) and X_(j+1) = floor(X_j n_j /
+    base^2), n_j = q^2 (s+2j-1)(s+2j), so x_j / u lies in [X_j, X_j + e_j)
+    with e_1 = 1 and e_(j+1) = floor(e_j n_j / base^2) + 2.  The term
+    T_j = floor(_em_coeff(j, W) X_j u) differs from c_j x_j / u by under
+    1 + X_j u + |c_j| e_j <= f_j = 2 + floor(X_j u) + e_j units.  The
+    remainder after the corrections already added is at most the first
+    omitted one in absolute value (all derivatives of x -> (qx+a)^-s keep a
+    fixed sign), so under |T_j| + f_j units.  With `spent` the units of the
+    floors so far (4, plus f_i for each correction added), the loop stops
+    once |T_j| + f_j + spent <= 10^(W-prec-1): a proof in integers.
     """
     if s < 2:
         raise ValueError(f"series exponent must be >= 2, got {s}")
     if q < 1 or a < 1:
         raise ValueError("q and a must be >= 1")
+    width = _width(prec)
+    one, limit = 10**width, 10 ** (width - prec - 1)
     cut = _tail_end(s, q, a, prec, _em_cut(prec)) or _em_cut(prec)
     row = row or _PowerRow()
-    with localcontext() as ctx:
-        ctx.prec = prec + 12
-        limit = Decimal("0.999999").scaleb(-(prec + 1))  # target (1 - 10^-6)
-        while True:
-            total = row.sum(s, range(a, q * cut + a, q), prec)
-            base = q * cut + a
-            p = Decimal(base) ** -s
-            # integral term + half term
-            total += p * base / (q * (s - 1))
-            total += p / 2
-            x = p * (q * s) / base
-            prev = None
-            for j in range(1, 4 * prec + 1):
-                term = _em_coeff(j, ctx.prec) * x
-                size = abs(term)
-                if size <= limit:
-                    # remainder after the terms already added is below target
-                    return total
-                if prev is not None and size >= prev:
-                    break  # asymptotic series turned; need larger cut
-                total += term
-                prev = size
-                x = x * (q * q * (s + 2 * j - 1) * (s + 2 * j)) / base**2
-            cut *= 2
+    while True:
+        base = q * cut + a
+        square, power = base * base, base ** (s - 1)
+        total = row.sum(s, range(a, base, q), width)
+        total += one // (q * (s - 1) * power) + one // (2 * power * base)
+        x, err, spent, prev = one * q * s // (power * square), 1, 4, None
+        for j in range(1, 4 * prec + 1):
+            term = _em_coeff(j, width) * x // one
+            size, units = abs(term), 2 + x // one + err
+            if size + units + spent <= limit:
+                # remainder after the terms already added is below target
+                return total
+            if prev is not None and size >= prev:
+                break  # asymptotic series turned; need larger cut
+            total, spent, prev = total + term, spent + units, size
+            n = q * q * (s + 2 * j - 1) * (s + 2 * j)
+            x, err = x * n // square, err * n // square + 2
+        cut *= 2
 
 
-def _even_zeta_minus_1(s: int, prec: int) -> Decimal:
-    """zeta(s) - 1 for an even s >= 2 within 10^-(prec+2), in closed form:
-    zeta(s) = |B_s| (2 pi)^s / (2 s!) (Euler), with B_s from the Bernoulli
-    cache and pi from arith.pi_fixed, in integer fixed point at
-    W = prec + 3 + len(str(s)) digits, u = 10^-W.
+def _even_zeta_minus_1(s: int, width: int) -> int:
+    """zeta(s) - 1 for an even s >= 2 as an int at `width` within 9 s
+    units, u = 10^-width, in closed form: zeta(s) = |B_s| (2 pi)^s / (2 s!)
+    (Euler), with B_s from the Bernoulli cache and pi from arith.pi_fixed.
 
-    2 pi_fixed(W) is within 4 of 2 pi 10^W, a relative error under u.  The
-    power (2 pi)^s comes by left-to-right binary powering, each product
-    floored to W digits; every factor is at least 1, so each floor has
-    relative error under u, and a floor at a step with r squarings still to
-    come is raised to the power 2^r.  With at most two floors for each of
-    the L bits of s, the floors add under 2 (2^L - 1) u < 4 s u to the
-    logarithm, as 2^(L-1) <= s, and the start under s u: the power is
-    (2 pi)^s (1 + theta) with |theta| < 5.01 s u.  One exact multiplication
-    by |B_s| / (2 s!) and one floor follow, so the value errs by under
-    zeta(2) 5.01 s u + u < 9 s u < 9 10^-(prec+3), and converts exactly."""
-    width = prec + 3 + len(str(s))
+    2 pi_fixed(width) is within 4 of 2 pi 10^width, a relative error under
+    u.  The power (2 pi)^s comes by left-to-right binary powering, each
+    product floored to width digits; every factor is at least 1, so each
+    floor has relative error under u, and a floor at a step with r
+    squarings still to come is raised to the power 2^r.  With at most two
+    floors for each of the L bits of s, the floors add under 2 (2^L - 1) u
+    < 4 s u to the logarithm, as 2^(L-1) <= s, and the start under s u: the
+    power is (2 pi)^s (1 + theta) with |theta| < 5.01 s u.  One exact
+    multiplication by |B_s| / (2 s!) and one floor follow, so the value
+    errs by under zeta(2) 5.01 s u + u < 9 s u."""
     one, base = 10**width, 2 * pi_fixed(width)
     power = one
     for bit in bin(s)[2:]:
@@ -319,10 +322,7 @@ def _even_zeta_minus_1(s: int, prec: int) -> Decimal:
         if bit == "1":
             power = power * base // one
     b = abs(bernoulli(s))
-    value = power * b.numerator // (2 * math.factorial(s) * b.denominator)
-    with localcontext() as ctx:
-        ctx.prec = width + 1
-        return Decimal(value - one).scaleb(-width)
+    return power * b.numerator // (2 * math.factorial(s) * b.denominator) - one
 
 
 _LOG10_2 = math.log10(2)
@@ -380,11 +380,9 @@ def hurwitz_zeta(s: int, a: Union[int, str, Fraction], digits: int) -> Decimal:
         raise ValueError(f"a must lie in (0, 1], got {a}")
     p, q = a.numerator, a.denominator
     # zeta(s, p/q) = q^s * S(s, q, p); allow for the magnitude q^s up front
-    lift = s * len(str(q))
-    raw = _dirichlet_sum(s, q, p, digits + GUARD_DIGITS + lift)
-    with localcontext() as ctx:
-        ctx.prec = digits + GUARD_DIGITS + lift + 12
-        return _quantize(raw * Decimal(q**s), digits)
+    prec = digits + GUARD_DIGITS + s * len(str(q))
+    raw = _dirichlet_sum(s, q, p, prec)
+    return _quantize(Decimal(raw * q**s).scaleb(-_width(prec), _UNROUNDED), digits)
 
 
 def partial_zeta(m: int, s: int, digits: int) -> Decimal:
@@ -459,63 +457,63 @@ def _l_minus_1(s: int, chi: RealDirichletCharacter, prec: int, m: int = 0,
                rough: Optional[_RoughNumbers] = None) -> Decimal:
     """L_m(s, chi) - 1 within 10^-prec, with the Euler factors of the first
     m primes removed; `rough` holds p_1, ..., p_m, the p_m-rough k and the
-    power rows (built here when the caller passes none).
+    power rows (built here when the caller passes none).  Every route runs
+    on ints at W = _width(prec), u = 10^-W, converted once, exactly.
+
+    Above s' = (10^prec).bit_length() + 2 it computes at s' instead: as
+    0 <= k^-s' - k^-s <= k^-s', L_m(s) and L_m(s') differ by at most
+    sum_{k>=2} k^-s' <= 2^(1-s') < 10^-prec / 2, and every route below errs
+    by under 0.12 10^-prec.  So a huge s costs no more than s'.
 
     The route is chosen by the number of terms.  About delta K of the k in
     [p_(m+1), K] are p_m-rough, delta = prod_{p <= p_m} (1 - 1/p).  When that
     is at most q _em_cut(prec), that is when the tail bound
     K = _tail_end(s, 1, 0, prec, floor(q _em_cut(prec) / delta)) exists, the
-    value is the fixed-point sum of chi(k) k^-s over those rough k: under
-    10^-(prec+1) of tail plus 10^-(prec+2) of floors.
+    value is the power-row sum of chi(k) k^-s over those rough k: under
+    10^-(prec+1) of tail plus 2 units.
 
     Otherwise it is (P - 1) + P (L - 1), with no n = 1 term in L - 1 to
     cancel.  For a principal chi (values in {0, 1}) L is zeta and P is
     prod (1 - p^-s) over the primes p <= p_m and the p | q: zeta(s) - 1 is
-    _even_zeta_minus_1's closed form for even s and the one sum S(s, 1, 2)
-    for odd s.  Otherwise P = prod_{p <= p_m} (1 - chi(p) p^-s) and L - 1
-    the phi(q) sums S(s, q, a).  P = t 10^-W by t -= c floor(t / p^s) for
-    each of its n factors 1 - c p^-s from t = 10^W, W = prec + 3 +
-    len(str(n)).  Each floor errs by under 10^-W and later factors scale
-    that by at most 1 + p^-s, with prod (1 + p^-s) <= zeta(2)/zeta(4) < 1.52:
-    P errs by under 1.52 n 10^-W < 1.52 10^-(prec+3), and t has W + 1 <=
-    prec + 12 digits for n < 10^8, so converts exactly.  The closed form
-    errs by under 10^-(prec+2) and each S sum at w digits by under
-    2 10^-(w+1); times 0 < P <= 1 for a principal chi (w = prec) and times
-    |P| < 1.52 for the phi(q) < 10^len(str(q)) sums of the others
-    (w = prec + len(str(q)) + 1); with P's error times |L| <= zeta(2) < 1.65,
-    the error stays below 10^-prec for any q."""
-    q = chi.modulus
+    _even_zeta_minus_1's closed form for even s, within 9 s units, and the
+    one sum S(s, 1, 2) for odd s, within 10^-(prec+1).  Otherwise
+    P = prod_{p <= p_m} (1 - chi(p) p^-s) and L - 1 = sum chi(a) S(s, q, a)
+    over a = 2..q+1 (a = q+1 stands for a = 1), each within 10^-(w+1) at
+    w = prec + len(str(q)) + 1, so under 10^-(prec+2) together, and one
+    floor to W.  P = t u by t -= c floor(t / p^s) for each of its n factors
+    1 - c p^-s from t = 10^W.  Each floor errs by under a unit and later
+    factors scale that by at most 1 + p^-s, with prod (1 + p^-s) <=
+    zeta(2)/zeta(4) < 1.52: P errs by under 1.52 n units.  With |L| <=
+    zeta(2) < 1.65, |P| < 1.52 and 0 < P <= 1 for a principal chi, the value
+    t - 10^W + floor(t (L - 1)) errs by under 1.65 1.52 n u + 10^-(prec+1) +
+    9 s u + 4 u: under 0.12 10^-prec for any n and s below 10^9."""
+    q, width = chi.modulus, _width(prec)
+    s = min(s, (10**prec).bit_length() + 2)
     if rough is None:
         rough = _RoughNumbers(m)
     end = _tail_end(s, 1, 0, prec, math.floor(q * _em_cut(prec) / rough.density))
     if end is not None:
         ks = rough.upto(end)
-        return rough.row(None).sum(s, ks[:bisect_right(ks, end)], prec, chi if q > 1 else None)
-    principal = -1 not in chi.values
-    if principal:
-        factors = [(p, 1) for p in sorted({*rough.primes, *prime_factors(q)})]
+        value = rough.row(None).sum(s, ks[:bisect_right(ks, end)], width, chi if q > 1 else None)
     else:
-        factors = [(p, chi(p)) for p in rough.primes]
-    width = prec + 3 + len(str(len(factors)))
-    t = 10**width
-    for p, c in factors:
-        t -= c * (t // p**s)
-    with localcontext() as ctx:
-        ctx.prec = prec + 12
+        principal = -1 not in chi.values
+        if principal:
+            factors = [(p, 1) for p in sorted({*rough.primes, *prime_factors(q)})]
+        else:
+            factors = [(p, chi(p)) for p in rough.primes]
+        one = t = 10**width
+        for p, c in factors:
+            t -= c * (t // p**s)
         if principal and s % 2 == 0:
-            total = _even_zeta_minus_1(s, prec)
+            total = _even_zeta_minus_1(s, width)
         elif principal:
             total = _dirichlet_sum(s, 1, 2, prec, rough.row((1, 2)))  # n = 2, 3, ...
         else:
             work = prec + len(str(q)) + 1
-            total = _dirichlet_sum(s, q, q + 1, work, rough.row((q, q + 1)))  # n = 1+q, 1+2q, ...
-            for a in range(2, q + 1):
-                v = chi(a)
-                if v:
-                    term = _dirichlet_sum(s, q, a, work, rough.row((q, a)))
-                    total += term if v == 1 else -term
-        product = Decimal(t).scaleb(-width)
-        return (product - 1) + product * total
+            total = sum(chi(a) * _dirichlet_sum(s, q, a, work, rough.row((q, a)))
+                        for a in range(2, q + 2) if chi(a)) // 10 ** (work - prec)
+        value = t - one + t * total // one
+    return Decimal(value).scaleb(-width, _UNROUNDED)
 
 
 # -- Euler products over exponent expansions ---------------------------
@@ -731,7 +729,7 @@ def _twisted_product(h: Dict[int, RationalFunction], chi: RealDirichletCharacter
     # Euler-Maclaurin at up to prec + len(str(q)) + 1), with a factor 10 to
     # spare in the number of terms, so that no row is rebuilt wider
     work = prec + len(str(chi.modulus)) + 1
-    rough.width = work + 3 + len(str(chi.modulus * _em_cut(work)))
+    rough.width = _width(work) + 1 + len(str(chi.modulus * _em_cut(work)))
     small = _twisted_direct(h, chi, m, rough.primes[-1], prec).value  # p_m < p <= p_m'
     divisors = _twisted_direct({-1: _ONE, 0: h[0], 1: _ONE}, chi, plan, chi.modulus, prec).value
     with localcontext() as ctx:

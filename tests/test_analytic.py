@@ -1,6 +1,7 @@
 import json
 import math
-from decimal import Decimal, getcontext, localcontext
+import time
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import mpmath
@@ -79,14 +80,19 @@ def _em_cuts(monkeypatch):
         finally:
             depth.pop()
 
-    def counted(row, s, ks, prec, chi=None):
+    def counted(row, s, ks, width, chi=None):
         if depth:
             cuts.append(len(ks))
-        return power(row, s, ks, prec, chi)
+        return power(row, s, ks, width, chi)
 
     monkeypatch.setattr(analytic, "_dirichlet_sum", in_dirichlet)
     monkeypatch.setattr(analytic._PowerRow, "sum", counted)
     return cuts
+
+
+def _fixed(value, prec):
+    """The kernel's int at width _width(prec) as the Decimal it stands for."""
+    return Decimal(value).scaleb(-analytic._width(prec), Context(prec=len(str(abs(value)))))
 
 
 def test_em_cut_doubling_path(monkeypatch):
@@ -94,39 +100,44 @@ def test_em_cut_doubling_path(monkeypatch):
     # integral tail below target but the corrections diverge, so the cut has
     # to double (zeta(100) itself takes the direct rough sum, without EM)
     cuts = _em_cuts(monkeypatch)
-    value = analytic._dirichlet_sum(100, 1, 2, 60)
+    value = _fixed(analytic._dirichlet_sum(100, 1, 2, 60), 60)
     assert cuts == [2, 4] and cuts[1] == 2 * cuts[0]
     mpmath.mp.dps = 80
     assert abs(mpmath.mpf(str(value)) - (mpmath.zeta(100) - 1)) < mpmath.mpf(10) ** -60
 
 
-def _reference_power_sum(s, terms, prec):
-    """Reference: sum sign k^-s over (k, sign) in terms within 10^-(prec+2),
-    each term floor(10^W / k^s) computed afresh, W = prec + 2 + len(str(T))."""
-    width = prec + 2 + len(str(len(terms)))
-    total = sum(sign * (10**width // k**s) for k, sign in terms)
-    with localcontext() as ctx:
-        ctx.prec = width + 1
-        return Decimal(total).scaleb(-width)
+def _reference_power_sum(s, terms, width):
+    """Reference: sum sign k^-s over (k, sign) in terms as an int at `width`
+    within 2 units, each term floor(10^W / k^s) computed afresh at
+    W = width + len(str(T)), and the sum floored to `width`."""
+    wide = width + len(str(len(terms)))
+    return sum(sign * (10**wide // k**s) for k, sign in terms) // 10 ** (wide - width)
+
+
+def _reference_coeff(j):
+    """B_2j / (2j)! rounded once at the current Decimal precision."""
+    b = arith.bernoulli(2 * j)
+    return Decimal(b.numerator) / Decimal(b.denominator * math.factorial(2 * j))
 
 
 def _reference_em_attempt(s, q, a, cut, prec, target):
-    """Reference: Euler-Maclaurin at one cut as a separate attempt, (value,
-    ok) with ok False when the corrections turn (or 4 prec of them run out)
-    before the remainder bound drops below target."""
-    total = _reference_power_sum(s, [(q * k + a, 1) for k in range(cut)], prec)
+    """Reference: Euler-Maclaurin at one cut as a separate attempt, in
+    Decimal at the current precision, (value, ok) with ok False when the
+    corrections turn (or 4 prec of them run out) before the remainder bound
+    drops below target."""
+    direct = _reference_power_sum(s, [(q * k + a, 1) for k in range(cut)], prec + 2)
+    total = Decimal(direct).scaleb(-(prec + 2))
     base = q * cut + a
     base2 = base * base
     p = Decimal(base) ** -s
     total += p * base / (q * (s - 1))
     total += p / 2
     limit = target * Decimal("0.999999")
-    ctx_prec = getcontext().prec
     x = p * (q * s) / base
     prev = None
     j = 1
     while True:
-        term = analytic._em_coeff(j, ctx_prec) * x
+        term = _reference_coeff(j) * x
         size = abs(term)
         if size <= limit:
             return total, True
@@ -141,19 +152,22 @@ def _reference_em_attempt(s, q, a, cut, prec, target):
 
 
 def _reference_dirichlet_sum(s, q, a, prec):
-    """Reference: S(s, q, a) from attempts at a cut lowered by a float tail
-    rule, doubling the cut after each failed attempt."""
+    """Reference: (S(s, q, a) within 10^-prec, the cut of every attempt),
+    from attempts at a cut lowered by a float tail rule, doubling the cut
+    after each failed attempt."""
     target = Decimal(1).scaleb(-(prec + 1))
     cut = analytic._em_cut(prec)
     bound = (prec + 1 - math.log10(q * (s - 1))) / (s - 1)
     if bound < math.log10(q * cut + a):
         cut = max(1, min(cut, math.ceil((10.0**bound - a) / q)))
+    cuts = []
     with localcontext() as ctx:
         ctx.prec = prec + 12
         while True:
+            cuts.append(cut)
             value, ok = _reference_em_attempt(s, q, a, cut, prec, target)
             if ok:
-                return value
+                return value, cuts
             cut *= 2
 
 
@@ -163,12 +177,17 @@ def _reference_dirichlet_sum(s, q, a, prec):
 @example(40, 4, 1, 80).via("hurwitz_zeta(40, 1/4, 30): a lowered cut, 26")
 @example(2, 1, 2, 60).via("the default cut")
 def test_one_em_routine_matches_the_attempt_loop(s, q, a, prec):
-    # the exact tail rule picks the float rule's cut, and the one loop adds
-    # the same Decimal operations in the same order, so values are identical;
-    # prec >= 2, as the two exact ties of the next test split the rules at 1
-    got = analytic._dirichlet_sum(s, q, a, prec)
-    want = _reference_dirichlet_sum(s, q, a, prec)
-    assert got == want and repr(got) == repr(want)
+    # the exact tail rule picks the float rule's cut, and the integer loop
+    # turns where the Decimal attempts do, so both take the same cuts; the
+    # values, within 10^-(prec+1) and 10^-prec of S, differ by less than the
+    # two bounds together.  prec >= 2, as the two exact ties of the next
+    # test split the rules at 1
+    with pytest.MonkeyPatch.context() as patch:
+        cuts = _em_cuts(patch)
+        got = _fixed(analytic._dirichlet_sum(s, q, a, prec), prec)
+    want, want_cuts = _reference_dirichlet_sum(s, q, a, prec)
+    assert cuts == want_cuts
+    assert abs(got - want) < Decimal(11).scaleb(-(prec + 1))
 
 
 @pytest.mark.parametrize("a, cut", [(5, 3), (10, 2)])
@@ -180,8 +199,64 @@ def test_the_exact_tail_rule_takes_a_tie_the_float_rule_misses(a, cut):
     assert 5 * (5 * cut + a) == 10**2
     mpmath.mp.dps = 30
     exact = mpmath.zeta(2, mpmath.mpf(a) / 5) / 25
-    for value in (analytic._dirichlet_sum(2, 5, a, 1), _reference_dirichlet_sum(2, 5, a, 1)):
+    for value in (_fixed(analytic._dirichlet_sum(2, 5, a, 1), 1),
+                  _reference_dirichlet_sum(2, 5, a, 1)[0]):
         assert abs(mpmath.mpf(str(value)) - exact) < mpmath.mpf(10) ** -1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 300),
+       st.integers(1, 12).flatmap(lambda q: st.tuples(st.just(q), st.integers(1, q + 1))),
+       st.integers(1, 400))
+@example(100, (1, 2), 60).via("a lowered cut, 2, that turns and doubles to 4")
+@example(40, (4, 1), 80).via("a lowered cut, 26")
+@example(300, (12, 13), 400).via("the widest case")
+def test_dirichlet_sum_floor_count_against_mpmath(s, qa, prec):
+    # the integer loop's stop test counts every floor, so the sum is within
+    # 10^-(prec+1) of S(s, q, a) = q^-s zeta(s, a/q) on every path: the
+    # default cut, a lowered one, and one that turns and doubles
+    q, a = qa
+    got = analytic._dirichlet_sum(s, q, a, prec)
+    mpmath.mp.dps = prec + 30
+    exact = mpmath.zeta(s, mpmath.mpf(a) / q) / mpmath.mpf(q) ** s
+    assert abs(mpmath.mpf(got) / mpmath.mpf(10) ** analytic._width(prec) - exact) \
+        < mpmath.mpf(10) ** -(prec + 1)
+
+
+@pytest.mark.parametrize("d", [-3, -4, 5, 8, 12])
+@pytest.mark.parametrize("m", [0, 2])
+@pytest.mark.parametrize("s", [2, 3, 6])
+def test_non_principal_l_values_sum_the_residues_in_one_loop(monkeypatch, d, m, s):
+    # chi(a) S(s, q, a) over a = 2..q+1, where q + 1 stands for the residue
+    # 1, at prec + len(str(q)) + 1 digits, then one floor to the kernel's
+    # width; the value agrees with mpmath's Hurwitz sums within 10^-prec
+    chi = RealDirichletCharacter.from_kronecker(d)
+    q, prec = chi.modulus, 60
+    sums = _counting(monkeypatch, "_dirichlet_sum")
+    got = analytic._l_minus_1(s, chi, prec, m)
+    residues = [a for a in range(2, q + 2) if chi(a)]
+    assert [args[:4] for args in sums] == [(s, q, a, prec + len(str(q)) + 1) for a in residues]
+    mpmath.mp.dps = prec + 20
+    assert abs(mpmath.mpf(str(got)) - _l_m_reference(s, chi, m)) < mpmath.mpf(10) ** -prec
+
+
+def test_a_huge_s_costs_no_more_than_the_clamp():
+    # above s' = (10^prec).bit_length() + 2 the kernel computes at s', which
+    # is within 10^-prec / 2 of any larger s: at s = 10^12 the values are 1
+    # to every printed place, and just above s' they match mpmath
+    start = time.perf_counter()
+    one = Decimal("1.00000000000000")
+    assert zeta(10**12, 10) == one
+    assert partial_zeta(3, 10**12, 10) == one
+    assert l_series(10**12, RealDirichletCharacter.from_kronecker(-4), 10) == one
+    assert time.perf_counter() - start < 5
+    clamp = (10**40).bit_length() + 2
+    mpmath.mp.dps = 60
+    for s in (clamp - 1, clamp, clamp + 1, clamp + 40):
+        for d in (1, -3):
+            chi = RealDirichletCharacter.from_kronecker(d)
+            got = mpmath.mpf(str(analytic._l_minus_1(s, chi, 40)))
+            assert abs(got - _l_m_reference(s, chi, 0)) < mpmath.mpf(10) ** -40, (s, d)
 
 
 def test_log10_int_beyond_str_limit():
@@ -318,10 +393,12 @@ def test_l_minus_1_fixed_point_factors_match_the_exact_product(d, s, prec):
 @pytest.mark.parametrize("s", [2, 4, 6, 10, 24, 50, 100, 150, 200, 260])
 def test_even_zeta_closed_form_against_euler_maclaurin_and_mpmath(s, prec):
     # two independent routes to zeta(s) - 1: Bernoulli and Machin's pi, and
-    # S(s, 1, 2) by Euler-Maclaurin; the closed form claims 10^-(prec+2)
-    closed = analytic._even_zeta_minus_1(s, prec)
-    assert abs(closed - analytic._dirichlet_sum(s, 1, 2, prec)) < Decimal(10) ** -prec
+    # S(s, 1, 2) by Euler-Maclaurin, both ints at the kernel's width; the
+    # closed form claims 9 s units there, far inside 10^-(prec+2)
+    closed = analytic._even_zeta_minus_1(s, analytic._width(prec))
+    assert abs(closed - analytic._dirichlet_sum(s, 1, 2, prec)) < 10 ** (analytic._width(prec) - prec)
     mpmath.mp.dps = prec + 30
+    closed = _fixed(closed, prec)
     assert abs(mpmath.mpf(str(closed)) - (mpmath.zeta(s) - 1)) < mpmath.mpf(10) ** -(prec + 2)
 
 
@@ -345,7 +422,8 @@ def test_principal_l_values_through_zeta_match_the_residue_sums(monkeypatch, q, 
     work = 40 + len(str(q)) + 1
     with localcontext() as ctx:
         ctx.prec = 60
-        residues = sum(analytic._dirichlet_sum(s, q, a, work) for a in range(2, q + 2) if psi(a))
+        residues = sum(_fixed(analytic._dirichlet_sum(s, q, a, work), work)
+                       for a in range(2, q + 2) if psi(a))
         factors = Fraction(1)
         for p in primes_up_to(nth_prime(m)) if m else ():
             factors *= 1 - Fraction(psi(p), p**s)
@@ -373,25 +451,22 @@ def test_machin_pi_against_mpmath_and_the_battery_literal(monkeypatch):
        st.sampled_from([0, 50]), st.sampled_from([None, -3, 5]))
 @example([(3, 20, 10), (5, 30, 10), (4, 10, 30), (9, 60, 5)], 0, None).via(
     "advance, shrink and rebuild")
-def test_a_power_row_holds_what_fresh_divisions_give(calls, width, d):
+def test_a_power_row_holds_what_fresh_divisions_give(calls, start, d):
     # advancing by v //= k^(s' - s) is exact, so after any history the row
-    # equals floor(10^W / k^s) at its width W, and a fresh row (width 0)
-    # sums exactly as the per-call divisions do
+    # equals floor(10^W / k^s) at its width W, the sum is that row's sum
+    # floored to the width asked for, and a fresh row (width 0) sums
+    # exactly as the per-call divisions do
     chi = d and RealDirichletCharacter.from_kronecker(d)
     ks = range(3, 400, 7)
-    row = analytic._PowerRow(width)
-    for i, (s, n, prec) in enumerate(calls):
+    row = analytic._PowerRow(start)
+    for i, (s, n, width) in enumerate(calls):
         terms = [(k, chi(k) if chi else 1) for k in ks[:n]]
-        got = row.sum(s, ks[:n], prec, chi)
-        assert row.width >= prec + 2 + len(str(n))
-        with localcontext() as ctx:
-            ctx.prec = row.width + 1
-            want = sum(c * (10**row.width // k**s) for k, c in terms)
-            want = Decimal(want).scaleb(-row.width)
-        assert got == want
-        if i == 0 and width == 0:
-            fresh = _reference_power_sum(s, terms, prec)
-            assert got == fresh and repr(got) == repr(fresh)
+        got = row.sum(s, ks[:n], width, chi)
+        assert row.width >= width + len(str(n))
+        want = sum(c * (10**row.width // k**s) for k, c in terms)
+        assert got == want // 10 ** (row.width - width)
+        if i == 0 and start == 0:
+            assert got == _reference_power_sum(s, terms, width)
 
 
 def test_euler_product_quadratic_fixture():

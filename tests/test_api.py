@@ -211,7 +211,8 @@ def test_the_closed_form_and_the_power_row_serve_the_one_kernel():
     # the even-zeta closed form is one route of _l_minus_1, and every direct
     # sum (the rough sum and Euler-Maclaurin's terms below the cut) is a
     # _PowerRow sum: no per-call division routine returns beside the row,
-    # and floor(x / p^s) is left only in the row and in the removed factors
+    # and floor(x / k^s), a floor by a power of exponent s, is left only in
+    # the row and in the removed factors
     tree = ast.parse((SRC / "analytic.py").read_text())
     defined = set(_names_defined(tree))
     assert "_power_sum" not in defined and {"_PowerRow", "_even_zeta_minus_1"} <= defined
@@ -224,8 +225,27 @@ def test_the_closed_form_and_the_power_row_serve_the_one_kernel():
     floors = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
               for op in ast.walk(node) if isinstance(op, ast.BinOp)
               and isinstance(op.op, ast.FloorDiv) and isinstance(op.right, ast.BinOp)
-              and isinstance(op.right.op, ast.Pow)}
+              and isinstance(op.right.op, ast.Pow)
+              and "s" in {name.id for name in ast.walk(op.right.right)
+                          if isinstance(name, ast.Name)}}
     assert floors == {"sum", "_l_minus_1"}
+
+
+def test_the_l_value_kernel_runs_in_one_number_format():
+    # the coefficient table, the power rows, Euler-Maclaurin and the closed
+    # form compute on ints alone; _l_minus_1 and hurwitz_zeta convert their
+    # result to Decimal once each
+    tree = ast.parse((SRC / "analytic.py").read_text())
+    nodes = {node.name: node for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    for name in ("_em_coeff", "_PowerRow", "_dirichlet_sum", "_even_zeta_minus_1"):
+        named = {node.id for node in ast.walk(nodes[name]) if isinstance(node, ast.Name)}
+        assert {"Decimal", "localcontext"} & named == set(), name
+    for name in ("_l_minus_1", "hurwitz_zeta"):
+        made = [call for call in ast.walk(nodes[name]) if isinstance(call, ast.Call)
+                and getattr(call.func, "id", None) == "Decimal"]
+        named = {node.id for node in ast.walk(nodes[name]) if isinstance(node, ast.Name)}
+        assert len(made) == 1 and "localcontext" not in named, name
 
 
 def test_the_cli_prints_only_in_main():

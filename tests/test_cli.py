@@ -117,6 +117,18 @@ def test_l_values_at_the_digit_budget_reach_the_kernel(capsys, monkeypatch, argv
     assert code == 0 and json.loads(out)["digits"] == 2000 and len(calls) == 1
 
 
+@pytest.mark.parametrize("argv", L_VALUE_ARGV[:2] + L_VALUE_ARGV[3:],
+                         ids=L_VALUE_IDS[:2] + L_VALUE_IDS[3:])
+def test_l_values_at_a_huge_s_answer_at_once(capsys, argv):
+    # the kernel computes above s' = (10^prec).bit_length() + 2 at s', so
+    # s = 10^12 neither exhausts memory nor takes long; Hurwitz zeta, whose
+    # value grows like q^s, is not clamped
+    start = time.perf_counter()
+    code, out, _ = run(capsys, *argv[:2], "1000000000000", *argv[3:], "--digits", "10")
+    assert time.perf_counter() - start < 5
+    assert code == 0 and json.loads(out)["value"] == "1.00000000000000"
+
+
 def test_the_readme_cli_block_runs(capsys):
     # every line of the sh block under "## CLI" exits 0 and prints one object
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()

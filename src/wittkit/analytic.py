@@ -8,7 +8,8 @@ digits, and every truncation is bounded rigorously: the tail of an
 infinite product by a bound on the reciprocal roots of h, which fixes
 the cutoff before any zeta or L value is computed, and each L-value as
 described below.  zeta, partial_zeta, l_series and hurwitz_zeta refuse D
-above DIGIT_BUDGET with BudgetExceededError.
+above DIGIT_BUDGET with BudgetExceededError, and hurwitz_zeta(s, p/q) also
+refuses s len(str(q)) above it: the digits its value's size q^s adds.
 
 Euler products.  Every constant here is prod_{p > p_m} h(chi(p), 1/p) for
 a real character chi mod q and an h(x, z) rational in z for each x in
@@ -80,10 +81,11 @@ _em_cut(prec), and the cut doubles if the correction terms diverge first.
 Fixed point.  The kernel runs on ints t standing for t 10^-W, at one
 width W = prec + 12, and converts to Decimal once, exactly, where it
 returns.  Every direct sum (the rough sum and the k < cut part of
-Euler-Maclaurin) is one _PowerRow of floor(10^W / k^s); each correction is
-floor(B_2j/(2j)! 10^W), from one cached table, times x_j = q^(2j-1)
-(s)_(2j-1) / base^(s+2j-1), stepped by one rational factor per j; the
-closed form and the removed Euler factors P are floors too.  Each floor
+Euler-Maclaurin) is one _PowerRow of floor(10^W / k^s).  Correction j is
+one exact floor, floor(B_2j X_j / (2j)!), with B_2j read from the Bernoulli
+cache and X_j the int for x_j = q^(2j-1) (s)_(2j-1) / base^(s+2j-1),
+stepped by one rational factor per j; no table of coefficients is kept.
+The closed form and the removed Euler factors P are floors too.  Each floor
 errs by under 10^-W, and _dirichlet_sum counts its floors in its stop
 test, so its remainder bound is a proof in integers.  A row is kept per
 sequence of k (the rough k, and each progression qk + a) in the planner's
@@ -134,8 +136,9 @@ GUARD_DIGITS = 10
 # L-values; times were flat for 25 to 100
 _EXACT_PRIMES = 25
 
-# largest `digits` that zeta, partial_zeta, l_series and hurwitz_zeta take;
-# at D = 2000 a cold zeta(3, D), by Euler-Maclaurin, took 0.4 s and zeta(2,
+# largest `digits` that zeta, partial_zeta, l_series and hurwitz_zeta take,
+# and largest s len(str(q)) that hurwitz_zeta(s, p/q) takes;
+# at D = 2000 a cold zeta(3, D), by Euler-Maclaurin, took 0.28 s and zeta(2,
 # D), in closed form, 0.005 s (in process, medians of 10; Python 3.11, 2 cores)
 DIGIT_BUDGET = 2000
 
@@ -144,35 +147,6 @@ _UNROUNDED = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 # -- Euler-Maclaurin core ----------------------------------------------
-
-
-# (width, (floor(B_2/2! 10^width), floor(B_4/4! 10^width), ...)): one
-# table at the widest width asked for so far, widened to at least twice its
-# old width, so widths that differ per exponent rebuild it only a few
-# times, and its entries floored to the width last asked for; each replaced
-# whole, so concurrent callers never see a half-built table
-_em_coeffs: Tuple[int, Tuple[int, ...]] = (0, ())
-_em_view: Tuple[int, Tuple[int, ...]] = (0, ())
-
-
-def _em_coeff(j: int, width: int) -> int:
-    """floor(B_2j / (2j)! 10^width): the table's entry floored once more,
-    which is exact, as floor(floor(x / a) / b) = floor(x / (a b))."""
-    global _em_coeffs, _em_view
-    have, coeffs = _em_coeffs
-    if have < width:
-        have, coeffs = max(width, 2 * have), ()
-    if len(coeffs) < j:
-        one = 10**have
-        for i in range(2 * len(coeffs) + 2, 2 * j + 1, 2):
-            b = bernoulli(i)
-            coeffs += (b.numerator * one // (b.denominator * math.factorial(i)),)
-        _em_coeffs = (have, coeffs)
-    view = _em_view[1] if _em_view[0] == width else ()
-    if len(view) < j:
-        view += tuple(c // 10 ** (have - width) for c in coeffs[len(view):j])
-        _em_view = (width, view)
-    return view[j - 1]
 
 
 def _width(prec: int) -> int:
@@ -263,12 +237,13 @@ def _dirichlet_sum(s: int, q: int, a: int, prec: int,
     with c_j = B_2j/(2j)!, |c_j| <= 1/12, x_j = q^(2j-1) (s)_(2j-1) /
     base^(s+2j-1).  X_1 = floor(x_1 / u) and X_(j+1) = floor(X_j n_j /
     base^2), n_j = q^2 (s+2j-1)(s+2j), so x_j / u lies in [X_j, X_j + e_j)
-    with e_1 = 1 and e_(j+1) = floor(e_j n_j / base^2) + 2.  The term
-    T_j = floor(_em_coeff(j, W) X_j u) differs from c_j x_j / u by under
-    1 + X_j u + |c_j| e_j <= f_j = 2 + floor(X_j u) + e_j units.  The
-    remainder after the corrections already added is at most the first
-    omitted one in absolute value (all derivatives of x -> (qx+a)^-s keep a
-    fixed sign), so under |T_j| + f_j units.  With `spent` the units of the
+    with e_1 = 1 and e_(j+1) = floor(e_j n_j / base^2) + 2.  The term is
+    one exact floor, T_j = floor(B_2j X_j / (2j)!), with B_2j from the
+    Bernoulli cache and (2j)! a running product; it differs from c_j x_j / u
+    by under 1 + |c_j| e_j <= f_j = 1 + e_j units.  The remainder after
+    the corrections already added is at most the first omitted one in
+    absolute value (all derivatives of x -> (qx+a)^-s keep a fixed sign),
+    so under |T_j| + f_j units.  With `spent` the units of the
     floors so far (4, plus f_i for each correction added), the loop stops
     once |T_j| + f_j + spent <= 10^(W-prec-1): a proof in integers.
     """
@@ -285,10 +260,11 @@ def _dirichlet_sum(s: int, q: int, a: int, prec: int,
         square, power = base * base, base ** (s - 1)
         total = row.sum(s, range(a, base, q), width)
         total += one // (q * (s - 1) * power) + one // (2 * power * base)
-        x, err, spent, prev = one * q * s // (power * square), 1, 4, None
+        x, err, spent, prev, factorial = one * q * s // (power * square), 1, 4, None, 2
         for j in range(1, 4 * prec + 1):
-            term = _em_coeff(j, width) * x // one
-            size, units = abs(term), 2 + x // one + err
+            b = bernoulli(2 * j)
+            term = b.numerator * x // (b.denominator * factorial)
+            size, units = abs(term), 1 + err
             if size + units + spent <= limit:
                 # remainder after the terms already added is below target
                 return total
@@ -297,6 +273,7 @@ def _dirichlet_sum(s: int, q: int, a: int, prec: int,
             total, spent, prev = total + term, spent + units, size
             n = q * q * (s + 2 * j - 1) * (s + 2 * j)
             x, err = x * n // square, err * n // square + 2
+            factorial *= (2 * j + 1) * (2 * j + 2)
         cut *= 2
 
 
@@ -380,7 +357,11 @@ def hurwitz_zeta(s: int, a: Union[int, str, Fraction], digits: int) -> Decimal:
         raise ValueError(f"a must lie in (0, 1], got {a}")
     p, q = a.numerator, a.denominator
     # zeta(s, p/q) = q^s * S(s, q, p); allow for the magnitude q^s up front
-    prec = digits + GUARD_DIGITS + s * len(str(q))
+    magnitude = s * len(str(q))
+    if magnitude > DIGIT_BUDGET:
+        raise BudgetExceededError(f"s times the digits of a's denominator, {s} * {len(str(q))} "
+                                  f"= {magnitude}, exceed the budget of {DIGIT_BUDGET} digits")
+    prec = digits + GUARD_DIGITS + magnitude
     raw = _dirichlet_sum(s, q, p, prec)
     return _quantize(Decimal(raw * q**s).scaleb(-_width(prec), _UNROUNDED), digits)
 

@@ -25,7 +25,7 @@ from wittkit.analytic import (
 )
 from wittkit.arith import divisors, nth_prime, primes_up_to
 from wittkit.characters import RealDirichletCharacter
-from wittkit.errors import DivergenceError
+from wittkit.errors import BudgetExceededError, DivergenceError
 from wittkit.expansion import _mul_factor, _rational_exponents, peel_1d
 from wittkit.series import RationalFunction, TruncatedSeries
 from wittkit.witt import witt_table
@@ -291,6 +291,20 @@ def test_hurwitz_edge_cases():
         hurwitz_zeta(2, Fraction(3, 2), 10)
     with pytest.raises(ValueError):
         hurwitz_zeta(2, 0, 10)
+
+
+def test_hurwitz_zeta_magnitude_budget(monkeypatch):
+    # s len(str(q)) up to DIGIT_BUDGET reaches the sum (stubbed, so nothing
+    # heavy runs) at digits + GUARD_DIGITS + s len(str(q)); one more is refused
+    precs = []
+    monkeypatch.setattr(analytic, "_dirichlet_sum", lambda s, q, a, prec: precs.append(prec) or 0)
+    for s, a in ((3, "1/3"), (2000, "1/3"), (1000, "1/10")):
+        assert hurwitz_zeta(s, a, 2000) == 0
+    assert precs == [2013, 4010, 4010]
+    for s, a in ((2001, "1/3"), (1001, "1/10"), (2, Fraction(1, 10**1000))):
+        with pytest.raises(BudgetExceededError, match="exceed the budget of 2000 digits$"):
+            hurwitz_zeta(s, a, 10)
+    assert len(precs) == 3
 
 
 def test_partial_zeta():

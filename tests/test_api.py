@@ -15,6 +15,7 @@ import wittkit
 from wittkit import suites, witt
 from wittkit.analytic import hurwitz_zeta, partial_zeta, zeta
 from wittkit.arith import bernoulli, divisors
+from wittkit.errors import BudgetExceededError
 from wittkit.expansion import BiSeries, peel_1d
 from wittkit.necklace import necklace_closed, necklace_count, v_count
 from wittkit.series import TruncatedSeries
@@ -116,12 +117,16 @@ _ONE_PLUS_Z = TruncatedSeries([1, 1], 4)
     (lambda: partial_zeta(-1, 2, 10), ValueError, "m must be >= 0, got -1"),
     (lambda: hurwitz_zeta(1, "1/2", 10), ValueError, "hurwitz_zeta requires s >= 2, got 1"),
     (lambda: zeta(2, 0), ValueError, "digits must be >= 1, got 0"),
+    (lambda: hurwitz_zeta(400000, "1/3", 10), BudgetExceededError,
+     "s times the digits of a's denominator, 400000 * 1 = 400000, "
+     "exceed the budget of 2000 digits"),
 ], ids=["witt_table-order-0", "scan-without-series", "scan-short-series",
         "grid-beyond-series", "grid-of-fractions", "grid-extended", "v_count-zero-content",
         "necklace_closed-negative", "necklace_count-negative", "lyndon-zero-content",
         "divisors-0", "bernoulli-negative", "verify_all-unknown-scope", "expansion-e-0",
         "witt-table-m-row-0", "series-coeff-9", "series-negative-order", "divexact-0",
-        "partial_zeta-negative-m", "hurwitz_zeta-s-1", "zeta-digits-0"])
+        "partial_zeta-negative-m", "hurwitz_zeta-s-1", "zeta-digits-0",
+        "hurwitz_zeta-magnitude"])
 def test_public_refusals_name_their_limit(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
@@ -155,8 +160,9 @@ def test_dirichlet_sums_come_from_the_l_value_kernel_and_hurwitz_zeta():
 def test_one_tail_rule_and_one_euler_maclaurin_routine():
     # _tail_end alone finds the least K whose integral tail is below target,
     # for the rough sum and for the Euler-Maclaurin cut, and _dirichlet_sum
-    # alone adds the corrections; no attempt layer or float cut comes back
-    defined, callers = set(), {"_tail_end": set(), "_em_coeff": set()}
+    # alone adds the corrections: beside the even-zeta closed form it is the
+    # only reader of Bernoulli numbers; no attempt layer or float cut comes back
+    defined, callers = set(), {"_tail_end": set(), "bernoulli": set()}
     for node in ast.walk(ast.parse((SRC / "analytic.py").read_text())):
         if isinstance(node, ast.FunctionDef):
             defined.add(node.name)
@@ -166,7 +172,7 @@ def test_one_tail_rule_and_one_euler_maclaurin_routine():
                     callers[name].add(node.name)
     assert {"_em_attempt", "_rough_end"} & defined == set()
     assert callers == {"_tail_end": {"_l_minus_1", "_dirichlet_sum"},
-                       "_em_coeff": {"_dirichlet_sum"}}
+                       "bernoulli": {"_dirichlet_sum", "_even_zeta_minus_1"}}
 
 
 def _calls_by_function(name, path="analytic.py"):
@@ -185,6 +191,19 @@ def _names_defined(tree):
     for node in tree.body:
         targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
         yield from (target.id for target in targets if isinstance(target, ast.Name))
+
+
+def test_analytic_keeps_no_module_level_coefficient_table():
+    # Euler-Maclaurin reads B_2j from the Bernoulli cache in arith and keeps
+    # (2j)! as a running product: analytic rebinds no module state, and its
+    # module-level names are its constants alone
+    tree = ast.parse((SRC / "analytic.py").read_text())
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Global)]
+    defs = {node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert set(_names_defined(tree)) - defs == {
+        "__all__", "GUARD_DIGITS", "_EXACT_PRIMES", "DIGIT_BUDGET", "_UNROUNDED", "_LOG10_2",
+        "_ONE", "_BCHI_H"}
 
 
 def test_pi_is_computed_once_in_arith():
@@ -232,15 +251,15 @@ def test_the_closed_form_and_the_power_row_serve_the_one_kernel():
 
 
 def test_the_l_value_kernel_runs_in_one_number_format():
-    # the coefficient table, the power rows, Euler-Maclaurin and the closed
-    # form compute on ints alone; _l_minus_1 and hurwitz_zeta convert their
-    # result to Decimal once each
+    # the power rows, Euler-Maclaurin (Bernoulli numbers by their numerator
+    # and denominator) and the closed form compute on ints alone;
+    # _l_minus_1 and hurwitz_zeta convert their result to Decimal once each
     tree = ast.parse((SRC / "analytic.py").read_text())
     nodes = {node.name: node for node in ast.walk(tree)
              if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    for name in ("_em_coeff", "_PowerRow", "_dirichlet_sum", "_even_zeta_minus_1"):
+    for name in ("_PowerRow", "_dirichlet_sum", "_even_zeta_minus_1"):
         named = {node.id for node in ast.walk(nodes[name]) if isinstance(node, ast.Name)}
-        assert {"Decimal", "localcontext"} & named == set(), name
+        assert {"Decimal", "localcontext", "Fraction", "float"} & named == set(), name
     for name in ("_l_minus_1", "hurwitz_zeta"):
         made = [call for call in ast.walk(nodes[name]) if isinstance(call, ast.Call)
                 and getattr(call.func, "id", None) == "Decimal"]

@@ -163,7 +163,11 @@ def test_bernoulli_cache_grows_exactly_as_far_as_asked(monkeypatch):
 
 
 def test_cold_zeta_builds_only_the_bernoulli_numbers_it_uses(monkeypatch):
+    # its 113 Euler-Maclaurin corrections read B_2..B_226, and the cache
+    # holds B_0..B_226 and no more
     _cold_bernoulli_cache(monkeypatch)
-    monkeypatch.setattr(analytic, "_em_coeffs", (0, ()))
+    asked = []
+    monkeypatch.setattr(analytic, "bernoulli", lambda k: asked.append(k) or bernoulli(k))
     analytic.zeta(3, 300)
-    assert len(arith._bern_even) - 1 == len(analytic._em_coeffs[1]) == 113
+    assert sorted(set(asked)) == list(range(2, 227, 2))
+    assert len(arith._bern_even) - 1 == 113

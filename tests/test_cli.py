@@ -122,11 +122,20 @@ def test_l_values_at_the_digit_budget_reach_the_kernel(capsys, monkeypatch, argv
 def test_l_values_at_a_huge_s_answer_at_once(capsys, argv):
     # the kernel computes above s' = (10^prec).bit_length() + 2 at s', so
     # s = 10^12 neither exhausts memory nor takes long; Hurwitz zeta, whose
-    # value grows like q^s, is not clamped
+    # value grows like q^s, is not clamped but refused (next test)
     start = time.perf_counter()
     code, out, _ = run(capsys, *argv[:2], "1000000000000", *argv[3:], "--digits", "10")
     assert time.perf_counter() - start < 5
     assert code == 0 and json.loads(out)["value"] == "1.00000000000000"
+
+
+def test_hurwitz_zeta_beyond_its_magnitude_budget_fails_fast(capsys):
+    # s len(str(q)) digits of q^s above the digit budget stop before any sum
+    start = time.perf_counter()
+    code, out, err = run(capsys, "zeta", "--s", "400000", "--a", "1/3", "--digits", "10")
+    assert time.perf_counter() - start < 1
+    assert code == 1 and err.startswith("budget exceeded: ")
+    assert "400000 * 1 = 400000, exceed the budget of 2000 digits" in json.loads(out)["error"]
 
 
 def test_the_readme_cli_block_runs(capsys):

@@ -312,6 +312,13 @@ def _log10_int(n: int) -> float:
     return math.log10(n >> shift) + shift * _LOG10_2
 
 
+def _digit_count(q: int) -> int:
+    """len(str(q)) for q >= 1, also past the int-to-str digit limit: q in
+    [2^(b-1), 2^b) has the digits of 2^(b-1) or one more."""
+    digits = math.floor((q.bit_length() - 1) * _LOG10_2) + 1
+    return digits + (q >= 10**digits)
+
+
 def _quantize(value: Decimal, digits: int) -> Decimal:
     places = digits + 4
     with localcontext() as ctx:
@@ -357,9 +364,10 @@ def hurwitz_zeta(s: int, a: Union[int, str, Fraction], digits: int) -> Decimal:
         raise ValueError(f"a must lie in (0, 1], got {a}")
     p, q = a.numerator, a.denominator
     # zeta(s, p/q) = q^s * S(s, q, p); allow for the magnitude q^s up front
-    magnitude = s * len(str(q))
+    q_digits = _digit_count(q)
+    magnitude = s * q_digits
     if magnitude > DIGIT_BUDGET:
-        raise BudgetExceededError(f"s times the digits of a's denominator, {s} * {len(str(q))} "
+        raise BudgetExceededError(f"s times the digits of a's denominator, {s} * {q_digits} "
                                   f"= {magnitude}, exceed the budget of {DIGIT_BUDGET} digits")
     prec = digits + GUARD_DIGITS + magnitude
     raw = _dirichlet_sum(s, q, p, prec)

@@ -225,6 +225,8 @@ class TruncatedSeries:
             return NotImplemented
         n = self._common_order(other)
         a, b = self.coeffs, other.coeffs
+        if a.count(0) < b.count(0):  # the outer loop skips zeros: give it the sparser factor
+            a, b = b, a
         out = [0] * (n + 1)
         for i in range(n + 1):
             ai = a[i]
@@ -239,25 +241,48 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
+        """self^k by J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7).
+
+        With self = z^v u, u_0 != 0, and g = u^k, comparing coefficients in
+        u g' = k u' g gives n u_0 g_n = sum_{i=1..n} ((k+1) i - n) u_i g_{n-i},
+        one pass over the nonzero u_i per coefficient: O(order nnz(u)) work
+        where binary powering takes O(order^2 log k).  The result is z^(v k) g.
+        For an integral series each division by n u_0 is exact, and a
+        remainder raises IntegralityError (a bug, as in divexact); otherwise
+        it divides as a Fraction.
+        """
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
             raise ValueError("negative powers are not defined; use recip()")
         if k == 0:
             return TruncatedSeries.one(self.order)
-        # square up to the lowest set bit, then one product per further bit
-        base = self
-        while not k & 1:
-            base = base * base
-            k >>= 1
-        result = base
-        k >>= 1
-        while k:
-            base = base * base
-            if k & 1:
-                result = result * base
-            k >>= 1
-        return result
+        if k == 1:
+            return self
+        a = self.coeffs
+        v = next((j for j, c in enumerate(a) if c), None)
+        if v is None or v * k > self.order:
+            return TruncatedSeries.zero(self.order)
+        top = self.order - v * k  # g is needed up to z^top
+        u0 = a[v]
+        terms = [(i, c) for i, c in enumerate(a[v + 1:v + top + 1], 1) if c]
+        g = [u0**k]
+        for n in range(1, top + 1):
+            acc = 0
+            for i, c in terms:
+                if i > n:
+                    break
+                acc += ((k + 1) * i - n) * c * g[n - i]
+            if self._all_int:
+                q, rem = divmod(acc, n * u0)
+                if rem:
+                    raise IntegralityError(
+                        f"power {k}: coefficient of z^{n + v * k} is not an integer"
+                    )
+                g.append(q)
+            else:
+                g.append(_norm(Fraction(acc, n * u0)))
+        return self._finish([0] * (v * k) + g, self.order, self._all_int)
 
     def inflate(self, d: int) -> "TruncatedSeries":
         """Substitute z -> z^d; truncation order is preserved."""

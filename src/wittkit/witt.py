@@ -19,8 +19,10 @@ evaluates all eight: each is the mixed-power sum at particular arguments.
 T3.4 (v = w = 1), T3.5 (g = 1, w = k) and T3.6 are the sum itself, T1.1
 and T1.2 the product and power rules on constant series, T3.1 the product
 rule with g = z^k, T3.2 the power rule at order 1 with its sides swapped,
-and T3.3 the product rule with g = -1 with both sides times (-1)^r.  The
-kernel skips a pair whose W_j(g) is zero and puts g first in its products,
+and T3.3 the product rule with g = -1 with both sides times (-1)^r.  Each
+right-side transform W_i(f)(z^e) is of f cut to z^(n//e), the part that
+inflation by e reads, and the right side is summed by j, one series
+product W_j(g)(...) (sum_i ...) per j; a j whose W_j(g) is zero is skipped,
 so the sparse z^k and -1 cost little.  monotonicity_scan checks the
 coefficient-monotonicity families on finite windows; it certifies the
 claims on the scanned window only.  One rise test, _drops, makes every
@@ -266,20 +268,23 @@ def _mixed_power_rule(ident: str, f: TruncatedSeries, g: Optional[TruncatedSerie
     at order 1, W_1(f^r) = f^r) and the sign rule T3.3 (product rule with
     g = -1, W_j(-1) = M(-1; j) = -1, 1, 0, 0, ...).
 
-    W_j(g) is computed before W_i(f), and a pair whose inflated W_j(g) is
-    zero is skipped, so those rules transform f only where a term survives;
-    g comes first in both products, so a sparse g drives the outer loop of
-    TruncatedSeries.__mul__.  Products are exact, so the order changes no
-    coefficient.
+    Both sides are compared at the left side's order n.  Inflating by e
+    reads nothing above z^(n//e), so each W_i(f) inflated by e = r w'/i is
+    the transform of f cut to z^(n//e) (likewise W_j(g)), as _divisor_sum
+    asks of each term one level down.  The right side is summed by j,
+    sum_j W_j(g)(...) (sum_i (d/(v,w)) W_i(f)(...)): one series product per
+    j, and none for a j whose inflated W_j(g) is zero, where W_i(f) is not
+    computed either.
     """
     gg = math.gcd(v, w)
     w1, v1 = w // gg, v // gg
-    lhs = witt_transform(f**w1 if g is None else (g**v1) * (f**w1), r)
-    wf: Dict[int, TruncatedSeries] = {}
-    wg: Dict[int, Optional[TruncatedSeries]] = {}
-    rhs = TruncatedSeries.zero(lhs.order)
-    for i in range(1, r * w1 + 1):
-        for j in range(1, r * v1 + 1) if g is not None else (1,):
+    lhs = witt_transform(f**w1 if g is None else g**v1 * f**w1, r)
+    n = lhs.order
+    wf: Dict[int, Tuple[Coeff, ...]] = {}
+    rhs = TruncatedSeries.zero(n)
+    for j in range(1, r * v1 + 1) if g is not None else (1,):
+        weights = []  # (i, d/(v,w)) for each pair (i, j)
+        for i in range(1, r * w1 + 1):
             d = math.gcd(v * i, w * j)
             if i * j * gg != d * r:
                 continue
@@ -288,17 +293,31 @@ def _mixed_power_rule(ident: str, f: TruncatedSeries, g: Optional[TruncatedSerie
                     f"{ident}: set member (i,j)=({i},{j}) violates "
                     f"i | {r * w1}, j | {r * v1}"
                 )
-            if g is not None:
-                if j not in wg:
-                    wj = witt_transform(g, j).inflate(r * v1 // j)
-                    wg[j] = wj if any(wj.coeffs) else None
-                if wg[j] is None:
-                    continue
+            weights.append((i, d // gg))
+        if not weights:
+            continue
+        if g is not None:
+            wj = _inflated_transform(g, j, r * v1 // j, n)
+            if not any(wj.coeffs):
+                continue
+        acc: List[Coeff] = [0] * (n + 1)
+        for i, weight in weights:
             if i not in wf:
-                wf[i] = witt_transform(f, i).inflate(r * w1 // i)
-            term = wf[i] * (d // gg)
-            rhs = rhs + (term if g is None else wg[j] * term)
+                wf[i] = _inflated_transform(f, i, r * w1 // i, n).coeffs
+            for t, c in enumerate(wf[i]):
+                if c:
+                    acc[t] += weight * c
+        inner = TruncatedSeries._finish(acc, n, all(type(c) is int for c in acc))
+        rhs = rhs + (inner if g is None else wj * inner)
     return lhs, rhs
+
+
+def _inflated_transform(f: TruncatedSeries, r: int, e: int, n: int) -> TruncatedSeries:
+    """W_r(f)(z^e) at order n, from f cut to z^(n//e)."""
+    out: List[Coeff] = [0] * (n + 1)
+    wr = witt_transform(f.truncate(n // e), r)
+    out[::e] = wr.coeffs
+    return TruncatedSeries._finish(out, n, wr.is_integral())
 
 
 def _series_rule(ident, f, g, r, v, w):

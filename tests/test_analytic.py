@@ -304,6 +304,9 @@ def test_hurwitz_zeta_magnitude_budget(monkeypatch):
     for s, a in ((2001, "1/3"), (1001, "1/10"), (2, Fraction(1, 10**1000))):
         with pytest.raises(BudgetExceededError, match="exceed the budget of 2000 digits$"):
             hurwitz_zeta(s, a, 10)
+    # a denominator past the int-to-str limit is counted without str()
+    with pytest.raises(BudgetExceededError, match=r"2 \* 5001 = 10002, exceed"):
+        hurwitz_zeta(2, Fraction(1, 10**5000), 10)
     assert len(precs) == 3
 
 

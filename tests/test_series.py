@@ -85,17 +85,30 @@ def test_mul_examples():
     f = S([2, 0, 5], 6)
     assert f * TruncatedSeries.one(6) == f
     assert S([1, 1], 3) * S([1, 1], 3) == S([1, 2, 1], 3)
+    # either factor order (the sparser one drives the outer loop)
+    a, b = S([0, 0, 3, 0, 0, 0, "1/2"], 8), S([1, 2, 3, 4, 5, 6, 7, 8, 9])
+    assert a * b == b * a == S([0, 0, 3, 6, 9, 12, "31/2", 19, "45/2"], 8)
 
 
 def test_pow():
     f = S([3, -1, 2], 5)
     assert f**0 == TruncatedSeries.one(5)
+    assert f**1 is f
     assert S([1, 1], 4) ** 3 == S([1, 3, 3, 1], 4)
+    # the zero series, and z^2 u with v k = 6 above and at the order
+    assert S([0], 5) ** 3 == TruncatedSeries.zero(5)
+    assert S([0, 0, 1, 4], 5) ** 3 == TruncatedSeries.zero(5)
+    assert S([0, 0, 1, 4], 7) ** 3 == S([0] * 6 + [1, 12], 7)
+    assert S(["1/2", 1], 3) ** 2 == S(["1/4", 1, 1], 3)
     with pytest.raises(ValueError):
         f ** (-1)
+    # the exact division of an integral series guards against a wrong recurrence
+    lying = TruncatedSeries._unsafe((2, Fraction(1, 3)), 1, True)
+    with pytest.raises(IntegralityError, match="power 2: coefficient of z\\^1"):
+        lying**2
 
 
-def test_pow_product_count(monkeypatch):
+def test_pow_makes_no_series_product(monkeypatch):
     products = []
     mul = TruncatedSeries.__mul__
 
@@ -105,21 +118,26 @@ def test_pow_product_count(monkeypatch):
 
     monkeypatch.setattr(TruncatedSeries, "__mul__", counting_mul)
     f = S([1, 2, -1], 6)
-    # one squaring per bit below the top one, one product per set bit above the lowest
-    for k, expected in [(0, 0), (1, 0), (2, 1), (3, 2), (8, 3), (12, 4), (15, 6)]:
-        products.clear()
+    for k in (0, 1, 2, 3, 8, 12, 15):
         f**k
-        assert len(products) == expected, k
+    assert products == []
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_ints, st.integers(0, 9), st.integers(0, 12))
-def test_pow_is_repeated_multiplication(coeffs, order, k):
-    f = S(coeffs, order)
+fraction_coeffs = st.lists(st.fractions(-3, 3, max_denominator=5), min_size=1, max_size=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_ints | fraction_coeffs, st.integers(0, 3), st.integers(0, 12), st.integers(0, 40))
+def test_pow_is_repeated_multiplication(coeffs, zeros, order, k):
+    # zeros leading zeros put v k below, at and above the order
+    f = S([0] * zeros + coeffs, order)
     expected = TruncatedSeries.one(order)
     for _ in range(k):
         expected = expected * f
-    assert f**k == expected
+    power = f**k
+    assert power == expected
+    assert power.to_json_dict() == expected.to_json_dict()
+    assert power.is_integral() == expected.is_integral()
 
 
 def test_inflate():

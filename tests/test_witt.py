@@ -342,6 +342,38 @@ def test_mixed_power_rule_with_common_factors(xs, ys, v, w, r):
     assert verify_identity("T3.6", f, g, r=r, v=2 * v, w=2 * w).passed
 
 
+def test_mixed_power_rule_transforms_only_what_its_inflation_reads(monkeypatch):
+    # every right-side transform W_i(f)(z^e) is of f cut to z^(n//e), and
+    # the right side takes one series product per distinct j
+    f, g = S([1, 2, 0, -1, 0, 1], 12), S([2, 1, -1, 0, 3], 12)
+    r, v, w = 2, 2, 3  # w' = 3, v' = 2
+    seen, products = [], []
+    transform, mul = witt.witt_transform, TruncatedSeries.__mul__
+
+    def recording_transform(h, i):
+        seen.append((h, i))
+        return transform(h, i)
+
+    def counting_mul(a, b):
+        if isinstance(b, TruncatedSeries):
+            products.append((a.order, b.order))
+        return mul(a, b)
+
+    monkeypatch.setattr(witt, "witt_transform", recording_transform)
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counting_mul)
+    assert verify_identity("T3.6", f, g, r=r, v=v, w=w).passed
+    (lhs_input, lhs_r), *rhs = seen
+    assert (lhs_input.order, lhs_r) == (12, r)
+    for h, i in rhs:
+        source, top = (f, r * 3) if h.coeffs[0] == 1 else (g, r * 2)
+        assert h.order <= 12 // (top // i)
+        assert h.coeffs == source.coeffs[:h.order + 1]
+    js = {j for i in range(1, r * 3 + 1) for j in range(1, r * 2 + 1)
+          if i * j == math.gcd(v * i, w * j) * r}
+    assert len(js) > 1
+    assert len(products) == 1 + len(js)  # g^v' f^w', then one per j
+
+
 def _sides_or_error(sides):
     try:
         return sides()

@@ -1,11 +1,15 @@
-"""One case list of analytic values and the sha256 digest of each printed value.
+"""One case list of printed values and the sha256 digest of each.
 
-Every case is a call of a public analytic function, written as plain data;
-its text is the printed value, or "TypeName: message" for a call that
-refuses.  value_digests.json, next to this file, holds the digest of each
-case's text, and test_value_digests.py names every case whose text no
-longer matches.  A change that is meant to move a printed value re-pins the
-file and says why.
+Every case is a call of a public function, written as plain data; its text
+is the printed value, or "TypeName: message" for a call that refuses.  Two
+groups share the list: ANALYTIC_CASES (zeta, L, Hurwitz, Euler products and
+b_chi values) and VERIFY_CASES (the JSON of verify_identity reports for all
+eight identities, and the coefficients of witt_transform, c_transform and
+series powers, over a seeded list of integer, Fraction and f(0) = 0 series,
+order-too-small refusals included).  value_digests.json, next to this file,
+holds the digest of each case's text, and test_value_digests.py names every
+case whose text no longer matches.  A change that is meant to move a
+printed value re-pins the file and says why.
 
 Run as a script, this recomputes every case, rewrites value_digests.json and
 prints the cases whose digest changed, appeared or disappeared:
@@ -17,12 +21,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 from pathlib import Path
-from typing import Dict
+from typing import Dict, Optional
 
 from wittkit import analytic
 from wittkit.characters import RealDirichletCharacter
-from wittkit.series import RationalFunction
+from wittkit.series import RationalFunction, TruncatedSeries
+from wittkit.witt import c_transform, verify_identity, witt_transform
 
 DIGESTS = Path(__file__).with_name("value_digests.json")
 
@@ -41,6 +47,15 @@ def _euler_product(h: str, m: int, digits: int):
     return analytic.euler_product(spec).value
 
 
+def _series(spec) -> Optional[TruncatedSeries]:
+    """(coefficients, order), each coefficient an int or "p/q" text; None stays None."""
+    return None if spec is None else TruncatedSeries(list(spec[0]), spec[1])
+
+
+def _json(value) -> str:
+    return json.dumps(value.to_json_dict())
+
+
 _CALLS = {
     "zeta": analytic.zeta,
     "partial_zeta": analytic.partial_zeta,
@@ -48,6 +63,11 @@ _CALLS = {
     "hurwitz_zeta": analytic.hurwitz_zeta,
     "euler_product": _euler_product,
     "b_chi": lambda chi, digits: analytic.b_chi(_chi(chi), digits).value,
+    "verify": lambda ident, f, g, params: _json(
+        verify_identity(ident, _series(f), _series(g), **dict(params))),
+    "witt_transform": lambda f, r: _json(witt_transform(_series(f), r)),
+    "c_transform": lambda f, r: _json(c_transform(_series(f), r)),
+    "pow": lambda f, k: _json(_series(f) ** k),
 }
 
 # characters: nine Kronecker symbols, the principal character mod 6 and an
@@ -55,7 +75,7 @@ _CALLS = {
 _CHARS = (-3, -4, 5, -7, 8, -8, 12, 13, -20,
           (0, 1, 0, 0, 0, 1), (0, 1, 0, 0, 0, 1, 0, -1, 0, 0, 0, -1))
 
-CASES = (
+ANALYTIC_CASES = (
     [("zeta", s, digits) for s in (2, 3, 4, 5, 7, 10, 31, 200, 5000)
      for digits in (10, 50, 300)]
     + [("partial_zeta", m, s, digits) for m in (1, 3, 10, 30) for s in (2, 3, 5)
@@ -77,6 +97,57 @@ CASES = (
        ("hurwitz_zeta", 2, "1/3", 2001), ("euler_product", "twin", 0, 12),
        ("euler_product", "twin", 1, 5000), ("b_chi", 5, 3000), ("b_chi", -4, 0)]
 )
+
+SERIES_KINDS = ("int", "fraction", "valuation")
+
+
+def _series_spec(rng: random.Random, kind: str):
+    """Small random coefficients at order 4..16: integers, some of them p/q
+    for "fraction", behind one to three zeros for "valuation"."""
+    order = rng.randint(4, 16)
+    coeffs = [rng.randint(-3, 3) for _ in range(rng.randint(1, order + 1))]
+    if kind == "fraction":
+        coeffs = [f"{c}/{rng.randint(2, 5)}" if rng.random() < 0.4 else c for c in coeffs]
+    elif kind == "valuation":
+        coeffs = [0] * rng.randint(1, 3) + coeffs
+    return tuple(coeffs), order
+
+
+def _verify_cases() -> list:
+    rng = random.Random(20261020)
+    cases = []
+    for kind in SERIES_KINDS:
+        for _ in range(40):
+            f, g = _series_spec(rng, kind), _series_spec(rng, rng.choice(SERIES_KINDS))
+            r, k = rng.randint(1, 5), rng.randint(1, 3)
+            v, w = rng.randint(1, 4), rng.randint(1, 4)
+            cases += [("verify", "T3.1", f, None, (("r", r), ("k", k))),
+                      ("verify", "T3.2", f, None, (("r", r),)),
+                      ("verify", "T3.3", f, None, (("r", r),)),
+                      ("verify", "T3.4", f, g, (("r", r),)),
+                      ("verify", "T3.5", f, None, (("r", r), ("k", k))),
+                      ("verify", "T3.6", f, g, (("r", r), ("v", v), ("w", w))),
+                      ("witt_transform", f, r), ("c_transform", f, r),
+                      ("pow", f, rng.randint(0, 40))]
+    for _ in range(12):
+        alpha, beta = rng.randint(-3, 4), rng.randint(-3, 4)
+        cases += [("verify", "T1.1", None, None, (("alpha", alpha), ("beta", beta),
+                                                 ("n", rng.randint(1, 8)))),
+                  ("verify", "T1.2", None, None, (("beta", beta), ("r", rng.randint(1, 3)),
+                                                 ("n", rng.randint(1, 5))))]
+    # sparse and constant g, whose transforms vanish for most j
+    f = ((2, -1, "1/3", 0, 1), 12)
+    for g in (((1,), 12), ((-1,), 12), ((0, 1), 12), ((0, 0, 0, 1), 12)):
+        cases += [("verify", "T3.4", f, g, (("r", 4),)),
+                  ("verify", "T3.6", f, g, (("r", 3), ("v", 2), ("w", 4)))]
+    # powers: the zero series, f(0) = 0 with v k below and above the order, k up to 40
+    for f in (((0,), 6), ((0, 0, 1, -2), 9), ((3, "1/2", 0, -1), 8), ((1, 1), 30)):
+        cases += [("pow", f, k) for k in (0, 1, 2, 4, 5, 9, 40)]
+    return cases
+
+
+VERIFY_CASES = _verify_cases()
+CASES = ANALYTIC_CASES + VERIFY_CASES
 
 
 def case_id(case) -> str:

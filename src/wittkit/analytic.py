@@ -42,7 +42,7 @@ so |e| times its error stays below 10^-(D+16) whatever the other
 exponents are; the reported working precision is the largest p.
 
 One kernel, _l_minus_1, returns L_m(s, chi) - 1 within 10^-prec, for chi
-mod q and the Euler factors of the first m primes removed, by one of three
+mod q and the Euler factors of the first m primes removed, by one of four
 routes.  One exact tail rule, _tail_end, cuts the first and the last: the
 least K >= 1 whose integral tail (qK+a)^(1-s) / (q(s-1)) is at most
 10^-(prec+1), settled by integer comparisons.  With (q, a) = (1, 0) it
@@ -65,9 +65,22 @@ bounds sum_{k>K} k^-s.
   (_even_zeta_minus_1), with B_s from the Bernoulli cache and pi from
   Machin's series in arith (J. M. Borwein, D. M. Bradley, R. E. Crandall,
   "Computational strategies for the Riemann zeta function", 2000).
-- Euler-Maclaurin for the rest: zeta(s) - 1 = S(s, 1, 2) at odd s, and
-  every non-principal chi, from S(s, q, a) = sum_{k>=0} (qk+a)^-s, without
-  large intermediate magnitudes:
+- An alternating sum for odd zeta and for every chi with an alternating
+  form (_alternating_form): with A(s, r, a) = sum_{k>=0} (-1)^k (rk+a)^-s,
+
+      eta(s) = A(s, 1, 1) = (1 - 2^(1-s)) zeta(s)
+      (1 - chi(2) 2^(1-s)) L(s, chi) = sum_{a=1..q} (-1)^(a-1) chi(a) A(s, q, a)   (odd q)
+      L(s, chi) = sum_{a<q/2} chi(a) A(s, q/2, a)   (chi(a + q/2) = -chi(a))
+
+  Each A(s, r, a) is one row of Chebyshev weights (_ChebyshevWeights:
+  P. Borwein, "An efficient algorithm for the Riemann zeta function", CMS
+  Conf. Proc. 27, 2000; H. Cohen, F. Rodriguez Villegas, D. Zagier,
+  "Convergence acceleration of alternating series", Experiment. Math. 9,
+  2000), about 1.31 prec terms for any s: the weights are the same for
+  every s, so the planner builds them once.
+- Euler-Maclaurin for the rest: the characters with no alternating form,
+  from S(s, q, a) = sum_{k>=0} (qk+a)^-s, without large intermediate
+  magnitudes:
 
       L(s, chi mod q) - 1  = S(s, q, q+1) + sum_{a=2..q} chi(a) S(s, q, a)
       P = prod_{p<=p_m} (1 - chi(p) p^-s)
@@ -81,18 +94,20 @@ _em_cut(prec), and the cut doubles if the correction terms diverge first.
 Fixed point.  The kernel runs on ints t standing for t 10^-W, at one
 width W = prec + 12, and converts to Decimal once, exactly, where it
 returns.  Every direct sum (the rough sum and the k < cut part of
-Euler-Maclaurin) is one _PowerRow of floor(10^W / k^s).  Correction j is
-one exact floor, floor(B_2j X_j / (2j)!), with B_2j read from the Bernoulli
-cache and X_j the int for x_j = q^(2j-1) (s)_(2j-1) / base^(s+2j-1),
-stepped by one rational factor per j; no table of coefficients is kept.
-The closed form and the removed Euler factors P are floors too.  Each floor
-errs by under 10^-W, and _dirichlet_sum counts its floors in its stop
-test, so its remainder bound is a proof in integers.  A row is kept per
-sequence of k (the rough k, and each progression qk + a) in the planner's
-shared _RoughNumbers, at the width of its largest precision, and moves
-from s to a larger s' in place by v //= k^(s' - s), which is exact: the
-planner's L-values at n = 2, 3, ... share their divisions instead of
-dividing 10^W by each k^n afresh.
+Euler-Maclaurin) is one _PowerRow of floor(10^W / k^s), and every
+alternating sum one _AlternatingRow of floor(C_k / (rk+a)^s), C_k the
+Chebyshev weights at a few more digits than W.  Correction j is one exact
+floor, floor(B_2j X_j / (2j)!), with B_2j read from the Bernoulli cache and
+X_j the int for x_j = q^(2j-1) (s)_(2j-1) / base^(s+2j-1), stepped by one
+rational factor per j; no table of coefficients is kept.  The closed form
+and the removed Euler factors P are floors too.  Each floor errs by under
+10^-W, and _dirichlet_sum counts its floors in its stop test, so its
+remainder bound is a proof in integers; _alternating_minus_1 counts its
+floors likewise.  A row is kept per sequence of k (the rough k, and each
+progression qk + a) in the planner's shared _RoughNumbers, at the width of
+its largest precision, and moves from s to a larger s' in place by
+v //= k^(s' - s), which is exact: the planner's L-values at n = 2, 3, ...
+share their divisions instead of dividing afresh for each n.
 """
 
 from __future__ import annotations
@@ -102,7 +117,7 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
-from itertools import compress, count
+from itertools import accumulate, compress, count
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ._record import record
@@ -137,9 +152,11 @@ GUARD_DIGITS = 10
 _EXACT_PRIMES = 25
 
 # largest `digits` that zeta, partial_zeta, l_series and hurwitz_zeta take,
-# and largest s len(str(q)) that hurwitz_zeta(s, p/q) takes;
-# at D = 2000 a cold zeta(3, D), by Euler-Maclaurin, took 0.28 s and zeta(2,
-# D), in closed form, 0.005 s (in process, medians of 10; Python 3.11, 2 cores)
+# and largest s len(str(q)) that hurwitz_zeta(s, p/q) takes; at D = 2000 a
+# cold zeta(3, D), an alternating sum, took 0.023 s, zeta(2, D), in closed
+# form, 0.005 s, and the Euler-Maclaurin routes hurwitz_zeta(3, 1/3, D) and
+# l_series(3, (-16|.), D) 0.34 and 0.68 s (in process, medians of 10, each in
+# a new process; Python 3.11, 2 cores)
 DIGIT_BUDGET = 2000
 
 # converts the kernel's fixed-point ints to Decimal without rounding
@@ -302,6 +319,133 @@ def _even_zeta_minus_1(s: int, width: int) -> int:
     return power * b.numerator // (2 * math.factorial(s) * b.denominator) - one
 
 
+def _chebyshev_at_3(n: int) -> int:
+    """T_n(3) = ((3 + sqrt 8)^n + (3 - sqrt 8)^n) / 2, the x of (3 + 2 sqrt 2)^n
+    = x + y sqrt 2, by binary powering in Z[sqrt 2]."""
+    x, y = 1, 0
+    for bit in bin(n)[2:]:
+        x, y = x * x + 2 * y * y, 2 * x * y
+        if bit == "1":
+            x, y = 3 * x + 4 * y, 2 * x + 3 * y
+    return x
+
+
+class _ChebyshevWeights:
+    """The weights of P. Borwein's and Cohen-Rodriguez Villegas-Zagier's
+    acceleration of an alternating series, for every sum at a precision up
+    to `prec`: C_k for k < n, within n^2 below x_k = (d_n - d_k) 10^width
+    / d_n, at width = _width(prec) + 3 len(str(n)) + 1.
+
+    T_n(1 + 2y) = sum_i t_i y^i with t_i = n C(n+i, 2i) 4^i / (n+i), so
+    t_0 = 1, t_(i+1) = t_i A_i / B_i with A_i = 2 (n+i)(n-i) and B_i =
+    (i+1)(2i+1), and d_k = t_0 + ... + t_k; d_n = T_n(3) (_chebyshev_at_3).
+    n is the least with d_n >= 10^(prec+2): a float estimate settled by
+    exact comparisons, as in _tail_end.
+
+    With v_i = t_i 10^width / d_n, x_k is the sum of v_i over i > k.  A_i /
+    B_i falls as i grows, so t_i rises up to the least p with A_p <= B_p and
+    falls after it.  u_p = floor(v_p), u_(i+1) = floor(u_i A_i / B_i) for
+    i >= p and u_i = floor(u_(i+1) B_i / A_i) for i < p: each step
+    multiplies the shortfall by a ratio of at most 1 and adds under 1, so
+    u_i lies in (v_i - |i - p| - 1, v_i], within n of v_i as 1 <= i, p <= n,
+    and C_k, the sum of u_i over i > k, in (x_k - n^2, x_k].  Every u_i but
+    u_p is one multiplication and one division by short integers."""
+
+    def __init__(self, prec: int):
+        goal = 10 ** (prec + 2)
+        n = math.ceil((prec + 2 + _LOG10_2) / math.log10(3 + math.sqrt(8)))
+        while _chebyshev_at_3(n) < goal:
+            n += 1
+        while n > 1 and _chebyshev_at_3(n - 1) >= goal:
+            n -= 1
+        self.prec, self.width = prec, _width(prec) + 3 * len(str(n)) + 1
+        p = next(i for i in range(n + 1) if 2 * (n + i) * (n - i) <= (i + 1) * (2 * i + 1))
+        u = [0] * (n + 1)
+        peak = n * math.comb(n + p, 2 * p) * 4**p // (n + p)  # t_p
+        u[p] = peak * 10**self.width // _chebyshev_at_3(n)
+        for i in range(p, n):
+            u[i + 1] = u[i] * (2 * (n + i) * (n - i)) // ((i + 1) * (2 * i + 1))
+        for i in range(p - 1, 0, -1):
+            u[i] = u[i + 1] * ((i + 1) * (2 * i + 1)) // (2 * (n + i) * (n - i))
+        self.values = list(accumulate(reversed(u[1:])))[::-1]
+
+
+class _AlternatingRow:
+    """floor(C_k / (qk+a)^s) for the weights C_k, k < n, of one
+    _ChebyshevWeights and one progression qk + a, kept between calls at one
+    exponent s at a time, like _PowerRow: a call at a larger s advances the
+    row in place by v //= (qk+a)^(s' - s), which is exact, and a smaller s
+    starts again from the weights."""
+
+    def __init__(self, weights: _ChebyshevWeights, q: int, a: int):
+        self.weights, self.q, self.a, self.s, self.values = weights, q, a, 0, weights.values
+
+    def sum(self, s: int) -> int:
+        """sum_{k<n} (-1)^k floor(C_k / (qk+a)^s) at the weights' width."""
+        if s < self.s:
+            self.s, self.values = 0, self.weights.values
+        if s > self.s:
+            q, a, step = self.q, self.a, s - self.s
+            self.values = [v // (q * k + a) ** step for k, v in enumerate(self.values)]
+        self.s, values = s, self.values
+        return sum(values[::2]) - sum(values[1::2])
+
+
+def _alternating_form(chi: RealDirichletCharacter,
+                      principal: bool) -> Optional[Tuple[int, int, List[Tuple[int, int]]]]:
+    """(c, r, terms) with (1 - c 2^(1-s)) L(s) = sum e A(s, r, a) over the
+    (e, a) in terms, for every s >= 2, where A(s, r, a) = sum_{k>=0} (-1)^k
+    (rk + a)^-s and L is zeta for a principal chi, else L(s, chi); None
+    where chi has no such form here.
+
+    zeta: eta(s) = A(s, 1, 1) = (1 - 2^(1-s)) zeta(s).  Odd q: with n =
+    qk + a, (-1)^(n-1) = (-1)^k (-1)^(a-1), and sum (-1)^(n-1) chi(n) n^-s
+    = L - 2 chi(2) 2^-s L.  chi(a + q/2) = -chi(a) for every a (which
+    forces 4 | q): chi(k q/2 + a) = (-1)^k chi(a), and c = 0."""
+    q = chi.modulus
+    if principal:
+        return 1, 1, [(1, 1)]
+    if q % 2:
+        return chi(2), q, [((-1) ** (a - 1) * chi(a), a) for a in range(1, q + 1) if chi(a)]
+    half = q // 2
+    if all(chi(a + half) == -chi(a) for a in range(half)):
+        return 0, half, [(chi(a), a) for a in range(1, half) if chi(a)]
+    return None
+
+
+def _alternating_minus_1(s: int, form: Tuple[int, int, List[Tuple[int, int]]], prec: int,
+                         rough: _RoughNumbers) -> int:
+    """L(s) - 1 for an _alternating_form (c, r, terms) as an int at W =
+    _width(prec), u = 10^-W, within 10^-(prec+1): N = sum e A(s, r, a) over
+    the terms, from one alternating row each in `rough`, and then L - 1 =
+    ((N - 1) 2^(s-1) + c) / (2^(s-1) - c).
+
+    Truncation (H. Cohen, F. Rodriguez Villegas, D. Zagier, "Convergence
+    acceleration of alternating series", Experiment. Math. 9, 2000, Prop.
+    1): (rk + a)^-s = int_0^1 x^k dmu(x) for a positive measure mu on [0, 1]
+    of mass a^-s (x = e^(-rt) in the Gamma integral), so A(s, r, a) =
+    int dmu / (1 + x).  With P_n(x) = T_n(1 - 2x), d_n = P_n(-1) and
+    (d_n - P_n(x)) / (1 + x) = sum_{k<n} (d_n - d_k) (-x)^k (d_k the
+    partial sums of _ChebyshevWeights), the n-term sum sum_{k<n} (-1)^k
+    (d_n - d_k) / d_n (rk + a)^-s misses A by int P_n dmu / ((1 + x) d_n),
+    and |P_n| <= 1 on [0, 1]: by at most a^-s / d_n <= a^-s 10^-(prec+2).
+    Over the terms that is under zeta(2) 10^-(prec+2) < 1.65 10^-(prec+2).
+
+    Floors: a weight C_k lies in (x - n^2, x] (_ChebyshevWeights), and a
+    row entry floor(C_k / (rk + a)^s) in (y - n^2 - 1, y] for y = x / (rk +
+    a)^s, so one row errs by under n (n^2 + 1) < (n + 1)^3 <= 10^(3 len(str(n)))
+    units of its width W + 3 len(str(n)) + 1, under 0.1 u, and the h rows
+    of the terms by under 0.1 h u.  The map from N to L - 1 multiplies
+    errors by 2^(s-1) / (2^(s-1) - c) <= 2 and ends in one floor: L - 1
+    errs by under 2 (1.65 10^-(prec+2) + 0.1 h u) + u < 0.034 10^-prec +
+    (0.2 h + 1) u, under 10^-(prec+1) for any h below 10^10."""
+    c, r, terms = form
+    total = sum(e * rough.alternating_row(r, a, prec).sum(s) for e, a in terms)
+    width, power = rough.weights.width, 2 ** (s - 1)
+    one, scale = 10**width, 10 ** (width - _width(prec))
+    return ((total - one) * power + c * one) // ((power - c) * scale)
+
+
 _LOG10_2 = math.log10(2)
 
 
@@ -411,10 +555,12 @@ class _RoughNumbers:
     """p_1, ..., p_m and the p_m-rough numbers (k >= 2 with no prime factor
     <= p_m) in increasing order, from p_(m+1) on, sieved in place as far as
     asked; each new segment at least doubles the sieved range.  It also
-    holds the power rows of the L-values that share it, one for the rough k
-    and one per Euler-Maclaurin progression qk + a, each begun at `width`
-    digits.  The planner builds one, sets its width to that of its largest
-    precision and shares it across its L-values."""
+    holds the rows of the L-values that share it: the power rows, one for
+    the rough k and one per Euler-Maclaurin progression qk + a, each begun
+    at `width` digits, and the Chebyshev weights, built once at no less than
+    `prec`, with one alternating row per progression.  The planner builds
+    one, sets its width and prec from its largest precision and shares it
+    across its L-values."""
 
     def __init__(self, m: int):
         primes = primes_up_to(nth_prime(m + 1))
@@ -422,6 +568,7 @@ class _RoughNumbers:
         self.density = math.prod(1 - 1 / p for p in self.primes)  # the share of rough k
         self.ks, self.limit = [primes[m]], primes[m]  # rough k <= limit, all of them
         self.width, self.rows = 0, {}
+        self.prec, self.weights, self.alternating = 0, None, {}
 
     def upto(self, end: int) -> List[int]:
         """The rough k, sieved at least through `end`."""
@@ -441,13 +588,23 @@ class _RoughNumbers:
             self.rows[key] = _PowerRow(self.width)
         return self.rows[key]
 
+    def alternating_row(self, q: int, a: int, prec: int) -> _AlternatingRow:
+        """The alternating row of qk + a, on weights that serve `prec`; new
+        weights, at max(prec, self.prec), start every row afresh."""
+        if self.weights is None or self.weights.prec < prec:
+            self.weights, self.alternating = _ChebyshevWeights(max(prec, self.prec)), {}
+        if (q, a) not in self.alternating:
+            self.alternating[q, a] = _AlternatingRow(self.weights, q, a)
+        return self.alternating[q, a]
+
 
 def _l_minus_1(s: int, chi: RealDirichletCharacter, prec: int, m: int = 0,
                rough: Optional[_RoughNumbers] = None) -> Decimal:
     """L_m(s, chi) - 1 within 10^-prec, with the Euler factors of the first
-    m primes removed; `rough` holds p_1, ..., p_m, the p_m-rough k and the
-    power rows (built here when the caller passes none).  Every route runs
-    on ints at W = _width(prec), u = 10^-W, converted once, exactly.
+    m primes removed; `rough` holds p_1, ..., p_m, the p_m-rough k, the
+    power rows, the Chebyshev weights and the alternating rows (built here
+    when the caller passes none).  Every route runs on ints at W =
+    _width(prec), u = 10^-W, converted once, exactly.
 
     Above s' = (10^prec).bit_length() + 2 it computes at s' instead: as
     0 <= k^-s' - k^-s <= k^-s', L_m(s) and L_m(s') differ by at most
@@ -463,13 +620,21 @@ def _l_minus_1(s: int, chi: RealDirichletCharacter, prec: int, m: int = 0,
 
     Otherwise it is (P - 1) + P (L - 1), with no n = 1 term in L - 1 to
     cancel.  For a principal chi (values in {0, 1}) L is zeta and P is
-    prod (1 - p^-s) over the primes p <= p_m and the p | q: zeta(s) - 1 is
-    _even_zeta_minus_1's closed form for even s, within 9 s units, and the
-    one sum S(s, 1, 2) for odd s, within 10^-(prec+1).  Otherwise
-    P = prod_{p <= p_m} (1 - chi(p) p^-s) and L - 1 = sum chi(a) S(s, q, a)
-    over a = 2..q+1 (a = q+1 stands for a = 1), each within 10^-(w+1) at
-    w = prec + len(str(q)) + 1, so under 10^-(prec+2) together, and one
-    floor to W.  P = t u by t -= c floor(t / p^s) for each of its n factors
+    prod (1 - p^-s) over the primes p <= p_m and the p | q; otherwise P =
+    prod_{p <= p_m} (1 - chi(p) p^-s).  L - 1 comes by the first of three
+    routes that applies:
+    - zeta(s) - 1 at even s: _even_zeta_minus_1's closed form, within 9 s
+      units.
+    - An alternating form (_alternating_form: zeta, an odd q, or
+      chi(a + q/2) = -chi(a)): _alternating_minus_1, one alternating row per
+      residue on the one set of Chebyshev weights in `rough`, within
+      10^-(prec+1); its docstring proves the truncation bound and counts
+      the floors.
+    - Euler-Maclaurin for the other characters: sum chi(a) S(s, q, a) over
+      a = 2..q+1 (a = q+1 stands for a = 1), each within 10^-(w+1) at w =
+      prec + len(str(q)) + 1, so under 10^-(prec+2) together, and one floor
+      to W.
+    P = t u by t -= c floor(t / p^s) for each of its n factors
     1 - c p^-s from t = 10^W.  Each floor errs by under a unit and later
     factors scale that by at most 1 + p^-s, with prod (1 + p^-s) <=
     zeta(2)/zeta(4) < 1.52: P errs by under 1.52 n units.  With |L| <=
@@ -495,8 +660,8 @@ def _l_minus_1(s: int, chi: RealDirichletCharacter, prec: int, m: int = 0,
             t -= c * (t // p**s)
         if principal and s % 2 == 0:
             total = _even_zeta_minus_1(s, width)
-        elif principal:
-            total = _dirichlet_sum(s, 1, 2, prec, rough.row((1, 2)))  # n = 2, 3, ...
+        elif (form := _alternating_form(chi, principal)) is not None:
+            total = _alternating_minus_1(s, form, prec, rough)
         else:
             work = prec + len(str(q)) + 1
             total = sum(chi(a) * _dirichlet_sum(s, q, a, work, rough.row((q, a)))
@@ -714,11 +879,13 @@ def _twisted_product(h: Dict[int, RationalFunction], chi: RealDirichletCharacter
     precs = {key: digits + 6 + math.ceil(_log10_int(e)) + GUARD_DIGITS
              for key, e in terms.items()}
     prec = max(precs.values(), default=digits + 6 + GUARD_DIGITS)
-    # the power rows' width: at least that of every sum (_l_minus_1 runs
+    # the rows serve every L-value, so that none is rebuilt wider: the power
+    # rows' width is at least that of every sum (_l_minus_1 runs
     # Euler-Maclaurin at up to prec + len(str(q)) + 1), with a factor 10 to
-    # spare in the number of terms, so that no row is rebuilt wider
+    # spare in the number of terms, and the Chebyshev weights serve prec
     work = prec + len(str(chi.modulus)) + 1
     rough.width = _width(work) + 1 + len(str(chi.modulus * _em_cut(work)))
+    rough.prec = prec
     small = _twisted_direct(h, chi, m, rough.primes[-1], prec).value  # p_m < p <= p_m'
     divisors = _twisted_direct({-1: _ONE, 0: h[0], 1: _ONE}, chi, plan, chi.modulus, prec).value
     with localcontext() as ctx:

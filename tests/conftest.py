@@ -1,13 +1,14 @@
 """Shared independent oracles for the test suite.
 
 Each oracle here deliberately uses a different algorithm from the code
-under test: classical long division for series expansion, an accelerated
-alternating sum for Catalan's constant, and Euler's criterion for
-quadratic residues.  perturb_witt_table injects one known fault, so that a
-check's failing path can be tested.
+under test: classical long division for series expansion and Euler's
+criterion for quadratic residues.  Catalan's constant, which the L-value
+kernel sums as an alternating series, is checked against mpmath.catalan.
+perturb_witt_table injects one known fault, so that a check's failing path
+can be tested.
 """
 
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
 from typing import List, Sequence
 
@@ -28,31 +29,6 @@ def longdiv_series(num: Sequence[int], den: Sequence[int], order: int) -> List[F
             if k + i <= order:
                 rem[k + i] -= c * d
     return out
-
-
-def alternating_sum_accelerated(term, n: int, prec: int) -> Decimal:
-    """sum_{k>=0} (-1)^k term(k) via Chebyshev-polynomial acceleration
-    (error roughly 5.83^-n)."""
-    with localcontext() as ctx:
-        ctx.prec = prec + 10
-        d = (3 + Decimal(8).sqrt()) ** n
-        d = (d + 1 / d) / 2
-        b, c, s = Decimal(-1), -d, Decimal(0)
-        for k in range(n):
-            c = b - c
-            s += c * term(k)
-            b = b * (k + n) * (k - n) / ((k + Decimal("0.5")) * (k + 1))
-        return +(s / d)
-
-
-def catalan_oracle(digits: int) -> Decimal:
-    """Catalan's constant as the accelerated sum 1 - 1/9 + 1/25 - ..."""
-    n = max(30, int(digits * 1.4) + 10)
-    with localcontext() as ctx:
-        ctx.prec = digits + 15
-        return alternating_sum_accelerated(
-            lambda k: Decimal(1) / ((2 * k + 1) ** 2), n, digits
-        )
 
 
 def legendre_symbol(a: int, p: int) -> int:

@@ -3,13 +3,14 @@ import math
 import time
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
+from itertools import accumulate
 
 import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import B_CHI_MINUS_4, catalan_oracle
+from conftest import B_CHI_MINUS_4
 from wittkit import analytic, arith, suites
 from wittkit.analytic import (
     EulerProductSpec,
@@ -227,17 +228,110 @@ def test_dirichlet_sum_floor_count_against_mpmath(s, qa, prec):
 @pytest.mark.parametrize("m", [0, 2])
 @pytest.mark.parametrize("s", [2, 3, 6])
 def test_non_principal_l_values_sum_the_residues_in_one_loop(monkeypatch, d, m, s):
-    # chi(a) S(s, q, a) over a = 2..q+1, where q + 1 stands for the residue
-    # 1, at prec + len(str(q)) + 1 digits, then one floor to the kernel's
-    # width; the value agrees with mpmath's Hurwitz sums within 10^-prec
+    # each of these characters has an alternating form: one alternating row
+    # per residue a with chi(a) != 0, a = 1..q for odd q, and a < q/2 in
+    # steps of q/2 for the moduli 4, 8 and 12, where chi(a + q/2) = -chi(a),
+    # all on one set of weights and without Euler-Maclaurin; the value
+    # agrees with mpmath's Hurwitz sums within 10^-prec
     chi = RealDirichletCharacter.from_kronecker(d)
     q, prec = chi.modulus, 60
     sums = _counting(monkeypatch, "_dirichlet_sum")
+    rows = _counting(monkeypatch, "_AlternatingRow")
+    weights = _counting(monkeypatch, "_ChebyshevWeights")
+    got = analytic._l_minus_1(s, chi, prec, m)
+    step = q if q % 2 else q // 2
+    residues = [a for a in range(1, step + 1) if chi(a)]
+    assert sums == [] and weights == [(prec,)]
+    assert [args[1:] for args in rows] == [(step, a) for a in residues]
+    mpmath.mp.dps = prec + 20
+    assert abs(mpmath.mpf(str(got)) - _l_m_reference(s, chi, m)) < mpmath.mpf(10) ** -prec
+
+
+# characters with no alternating form: (-16|.), which is chi_-4 mod 16, and
+# chi_-3 lifted to mod 6; both keep the residue sums by Euler-Maclaurin
+_EM_CHARS = {"-16": RealDirichletCharacter.from_kronecker(-16),
+             "-3 mod 6": RealDirichletCharacter.from_values([0, 1, 0, 0, 0, -1])}
+
+
+@pytest.mark.parametrize("name", sorted(_EM_CHARS))
+@pytest.mark.parametrize("m", [0, 2])
+@pytest.mark.parametrize("s", [2, 3, 6])
+def test_characters_without_an_alternating_form_keep_euler_maclaurin(monkeypatch, name, m, s):
+    # chi(a) S(s, q, a) over a = 2..q+1, where q + 1 stands for the residue
+    # 1, at prec + len(str(q)) + 1 digits, then one floor to the kernel's
+    # width; the value agrees with mpmath's Hurwitz sums within 10^-prec
+    chi = _EM_CHARS[name]
+    q, prec = chi.modulus, 60
+    assert analytic._alternating_form(chi, False) is None
+    sums = _counting(monkeypatch, "_dirichlet_sum")
+    rows = _counting(monkeypatch, "_AlternatingRow")
     got = analytic._l_minus_1(s, chi, prec, m)
     residues = [a for a in range(2, q + 2) if chi(a)]
     assert [args[:4] for args in sums] == [(s, q, a, prec + len(str(q)) + 1) for a in residues]
+    assert rows == []
     mpmath.mp.dps = prec + 20
     assert abs(mpmath.mpf(str(got)) - _l_m_reference(s, chi, m)) < mpmath.mpf(10) ** -prec
+
+
+def _character(key):
+    """A Kronecker discriminant, 1 for zeta, or the imprimitive table mod 12."""
+    if key == "mod 12":
+        return RealDirichletCharacter.from_values([0, 1, 0, 0, 0, 1, 0, -1, 0, 0, 0, -1])
+    return RealDirichletCharacter.from_kronecker(key)
+
+
+@pytest.mark.parametrize("prec", [40, 300, 1000])
+@pytest.mark.parametrize("key", [1, -3, 5, -4, 8, 12, "mod 12"])
+@pytest.mark.parametrize("s", [3, 5, 31, 201])
+def test_alternating_route_against_euler_maclaurin(key, s, prec):
+    # two routes to L(s) - 1, both ints at the kernel's width and each
+    # within 10^-(prec+1): the Chebyshev-weighted rows of the alternating
+    # form, and the residue sums S(s, q, a) by Euler-Maclaurin (S(s, 1, 2)
+    # for zeta, key 1, which takes the principal form)
+    chi = _character(key)
+    q, width = chi.modulus, analytic._width(prec)
+    form = analytic._alternating_form(chi, q == 1)
+    got = analytic._alternating_minus_1(s, form, prec, analytic._RoughNumbers(0))
+    work = prec + len(str(q)) + 1
+    em = sum(chi(a) * analytic._dirichlet_sum(s, q, a, work)
+             for a in range(2, q + 2) if chi(a)) // 10 ** (work - prec)
+    assert abs(got - em) < 2 * 10 ** (width - prec - 1)
+
+
+@pytest.mark.parametrize("prec", [40, 400])
+@pytest.mark.parametrize("key, s", [(key, s) for key in (1, -3, -4, 5, 8, -8, 12, 13, -20, "mod 12")
+                                    for s in (2, 3, 6, 7) if key != 1 or s % 2])
+def test_alternating_route_against_mpmath(key, s, prec):
+    # L(s, chi) - 1 from the alternating rows within 10^-(prec+1) of
+    # mpmath's Hurwitz sums; zeta (key 1) only at odd s, where the kernel
+    # takes it
+    chi = _character(key)
+    form = analytic._alternating_form(chi, chi.modulus == 1)
+    got = analytic._alternating_minus_1(s, form, prec, analytic._RoughNumbers(0))
+    mpmath.mp.dps = prec + 20
+    assert abs(mpmath.mpf(got) / mpmath.mpf(10) ** analytic._width(prec)
+               - _l_m_reference(s, chi, 0)) < mpmath.mpf(10) ** -(prec + 1)
+
+
+def test_chebyshev_weights_against_the_exact_quotients():
+    # d_n = T_n(3) is the least at or above 10^(prec+2), the partial sums of
+    # the terms t_i reach it, and each weight is within n^2 below the exact
+    # (d_n - d_k) 10^width / d_n
+    for prec in (1, 5, 40, 300):
+        weights = analytic._ChebyshevWeights(prec)
+        n = len(weights.values)
+        terms = [1]
+        for i in range(n):
+            terms.append(terms[-1] * 2 * (n + i) * (n - i) // ((i + 1) * (2 * i + 1)))
+        partial = list(accumulate(terms))
+        last, chebyshev = partial[-1], [1, 3]  # T_(j+1)(3) = 6 T_j(3) - T_(j-1)(3)
+        while len(chebyshev) <= n:
+            chebyshev.append(6 * chebyshev[-1] - chebyshev[-2])
+        assert last == analytic._chebyshev_at_3(n) == chebyshev[n]
+        assert analytic._chebyshev_at_3(n - 1) < 10 ** (prec + 2) <= last
+        for k, c in enumerate(weights.values):
+            exact = Fraction((last - partial[k]) * 10**weights.width, last)
+            assert exact - n * n < c <= exact, (prec, k)
 
 
 def test_a_huge_s_costs_no_more_than_the_clamp():
@@ -328,13 +422,14 @@ def test_l_series_trivial_and_principal():
 
 
 def test_l_series_catalan():
-    # alternating odd-square sum, accelerated, as the independent oracle
+    # L(2, chi_-4) is Catalan's constant; the kernel sums it as an
+    # alternating series, so the reference is mpmath's constant, not a
+    # second alternating sum
     chi4 = RealDirichletCharacter.from_kronecker(-4)
-    got = l_series(2, chi4, 25)
-    oracle = catalan_oracle(25)
-    assert abs(got - oracle) < Decimal("1e-24")
-    mpmath.mp.dps = 40
-    assert abs(got - mp_ref(mpmath.catalan, 25)) < Decimal("1e-25")
+    for digits in (25, 300):
+        mpmath.mp.dps = digits + 15
+        got = l_series(2, chi4, digits)
+        assert abs(got - mp_ref(mpmath.catalan, digits)) < Decimal(10) ** -digits
 
 
 def test_l_series_kronecker_five_against_mpmath():
@@ -370,17 +465,20 @@ def _first_direct_s(q, m, prec):
 @pytest.mark.parametrize("m", [0, 1, 3, 25])
 @pytest.mark.parametrize("s", [2, 3, 7, "below-switch", "switch", 60, 150])
 def test_l_minus_1_with_removed_factors_against_mpmath(monkeypatch, d, m, s):
-    # below the switch Euler-Maclaurin, except at even s for the principal
-    # chi (d = 1), where zeta(s) has a closed form; from the switch on, the
-    # direct sum over the p_m-rough k, which calls neither
+    # below the switch the alternating rows (each of these characters has
+    # an alternating form), except at even s for the principal chi (d = 1),
+    # where zeta(s) has a closed form; from the switch on, the direct sum
+    # over the p_m-rough k, which calls neither; Euler-Maclaurin never
     chi = RealDirichletCharacter.from_kronecker(d)
     switch = _first_direct_s(chi.modulus, m, 40)
     s = {"below-switch": switch - 1, "switch": switch}.get(s, s)
     sums = _counting(monkeypatch, "_dirichlet_sum")
     closed = _counting(monkeypatch, "_even_zeta_minus_1")
+    rows = _counting(monkeypatch, "_alternating_minus_1")
     got = analytic._l_minus_1(s, chi, 40, m)
     closed_form = s < switch and d == 1 and s % 2 == 0
-    assert (bool(sums), bool(closed)) == (s < switch and not closed_form, closed_form)
+    assert (bool(sums), bool(closed), bool(rows)) == (
+        False, closed_form, s < switch and not closed_form)
     mpmath.mp.dps = 60
     ref = _l_m_reference(s, chi, m)
     assert abs(mpmath.mpf(str(got)) - ref) < mpmath.mpf(10) ** -40
@@ -429,12 +527,16 @@ def _principal(q):
 def test_principal_l_values_through_zeta_match_the_residue_sums(monkeypatch, q, m, s):
     # L_m(s, psi) for psi principal mod q is zeta(s) times prod (1 - p^-s)
     # over the p <= p_m and the p | q; 412 = 4 103 puts 103 > p_25 = 97 into
-    # that product.  The reference is the phi(q) residue sums S(s, q, a)
-    # with the exact product over p <= p_m, and mpmath's Hurwitz sums
+    # that product.  zeta(s) at odd s is eta(s) = A(s, 1, 1), one
+    # alternating row, and at even s the closed form.  The reference is the
+    # phi(q) residue sums S(s, q, a) with the exact product over p <= p_m,
+    # and mpmath's Hurwitz sums
     psi = _principal(q)
     sums = _counting(monkeypatch, "_dirichlet_sum")
+    rows = _counting(monkeypatch, "_AlternatingRow")
     got = analytic._l_minus_1(s, psi, 40, m)
-    assert [args[1:3] for args in sums] == ([] if s % 2 == 0 else [(1, 2)])
+    assert sums == []
+    assert [args[1:] for args in rows] == ([] if s % 2 == 0 else [(1, 1)])
     monkeypatch.undo()
     work = 40 + len(str(q)) + 1
     with localcontext() as ctx:

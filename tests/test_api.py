@@ -12,13 +12,14 @@ from pathlib import Path
 import pytest
 
 import wittkit
-from wittkit import suites, witt
+from wittkit import analytic, suites, witt
 from wittkit.analytic import hurwitz_zeta, partial_zeta, zeta
 from wittkit.arith import bernoulli, divisors
+from wittkit.characters import RealDirichletCharacter
 from wittkit.errors import BudgetExceededError
 from wittkit.expansion import BiSeries, peel_1d
 from wittkit.necklace import necklace_closed, necklace_count, v_count
-from wittkit.series import TruncatedSeries
+from wittkit.series import RationalFunction, TruncatedSeries
 from wittkit.words import lyndon_words_naive
 
 SRC = Path(wittkit.__file__).parent
@@ -227,20 +228,25 @@ def test_pi_is_computed_once_in_arith():
 
 
 def test_the_closed_form_and_the_power_row_serve_the_one_kernel():
-    # the even-zeta closed form is one route of _l_minus_1, and every direct
-    # sum (the rough sum and Euler-Maclaurin's terms below the cut) is a
-    # _PowerRow sum: no per-call division routine returns beside the row,
-    # and floor(x / k^s), a floor by a power of exponent s, is left only in
-    # the row and in the removed factors
+    # the even-zeta closed form and the alternating sums are routes of
+    # _l_minus_1; every direct sum (the rough sum and Euler-Maclaurin's terms
+    # below the cut) is a _PowerRow sum, and every alternating sum an
+    # _AlternatingRow sum on the Chebyshev weights that _RoughNumbers holds:
+    # no per-call division routine returns beside the rows, and
+    # floor(x / k^s), a floor by a power of exponent s, is left only in the
+    # rows and in the removed factors
     tree = ast.parse((SRC / "analytic.py").read_text())
     defined = set(_names_defined(tree))
     assert "_power_sum" not in defined and {"_PowerRow", "_even_zeta_minus_1"} <= defined
     assert _calls_by_function("_even_zeta_minus_1") == {"_l_minus_1"}
+    assert _calls_by_function("_alternating_minus_1") == {"_l_minus_1"}
     assert _calls_by_function("_PowerRow") == {"_dirichlet_sum", "row"}
+    assert _calls_by_function("_AlternatingRow") == {"alternating_row"}
+    assert _calls_by_function("_ChebyshevWeights") == {"alternating_row"}
     summed = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
               for call in ast.walk(node) if isinstance(call, ast.Call)
               and getattr(call.func, "attr", None) == "sum"}
-    assert summed == {"_dirichlet_sum", "_l_minus_1"}
+    assert summed == {"_dirichlet_sum", "_l_minus_1", "_alternating_minus_1"}
     floors = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
               for op in ast.walk(node) if isinstance(op, ast.BinOp)
               and isinstance(op.op, ast.FloorDiv) and isinstance(op.right, ast.BinOp)
@@ -257,7 +263,8 @@ def test_the_l_value_kernel_runs_in_one_number_format():
     tree = ast.parse((SRC / "analytic.py").read_text())
     nodes = {node.name: node for node in ast.walk(tree)
              if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    for name in ("_PowerRow", "_dirichlet_sum", "_even_zeta_minus_1"):
+    for name in ("_PowerRow", "_dirichlet_sum", "_even_zeta_minus_1", "_ChebyshevWeights",
+                 "_AlternatingRow", "_alternating_minus_1"):
         named = {node.id for node in ast.walk(nodes[name]) if isinstance(node, ast.Name)}
         assert {"Decimal", "localcontext", "Fraction", "float"} & named == set(), name
     for name in ("_l_minus_1", "hurwitz_zeta"):
@@ -378,6 +385,44 @@ def test_all_eight_identities_take_the_one_mixed_power_kernel(monkeypatch):
     for ident, (_, names) in witt._IDENTITIES.items():
         assert witt.verify_identity(ident, **{name: given[name] for name in names}).passed
     assert reached == list(witt.IDENTITY_IDS)
+
+
+def test_one_planner_builds_its_chebyshev_weights_once_and_no_row_twice(monkeypatch):
+    # the planner's _RoughNumbers holds one set of weights, sized at its
+    # widest precision (the record's working digits) before the first
+    # alternating sum, and one row per progression, which only advances:
+    # no row is built twice or started again from the weights
+    builds, rows, sums = [], [], []
+
+    class Weights(analytic._ChebyshevWeights):
+        def __init__(self, prec):
+            builds.append(prec)
+            super().__init__(prec)
+
+    class Row(analytic._AlternatingRow):
+        def __init__(self, weights, q, a):
+            rows.append((q, a))
+            super().__init__(weights, q, a)
+
+        def sum(self, s):
+            sums.append((s, self.s))
+            return super().sum(s)
+
+    monkeypatch.setattr(analytic, "_ChebyshevWeights", Weights)
+    monkeypatch.setattr(analytic, "_AlternatingRow", Row)
+    artin = RationalFunction([1, -1, -1], [1, -1])
+    for run, progressions in (
+            (lambda: analytic.b_chi(RealDirichletCharacter.from_kronecker(5), 60),
+             {(1, 1), (5, 1), (5, 2), (5, 3), (5, 4)}),
+            (lambda: analytic.b_chi(RealDirichletCharacter.from_kronecker(-4), 60),
+             {(1, 1), (2, 1)}),
+            (lambda: analytic.euler_product(analytic.EulerProductSpec(artin, 0, 200)),
+             {(1, 1)})):
+        builds.clear(), rows.clear(), sums.clear()
+        result = run()
+        assert builds == [result.working_digits]
+        assert sorted(rows) == sorted(progressions)
+        assert sums and all(s >= before for s, before in sums)
 
 
 def test_bernoulli_numbers_grow_one_tangent_number_at_a_time():

@@ -163,11 +163,15 @@ def test_bernoulli_cache_grows_exactly_as_far_as_asked(monkeypatch):
 
 
 def test_cold_zeta_builds_only_the_bernoulli_numbers_it_uses(monkeypatch):
-    # its 113 Euler-Maclaurin corrections read B_2..B_226, and the cache
-    # holds B_0..B_226 and no more
+    # zeta(3, 300) is an alternating sum and reads no Bernoulli number; the
+    # Hurwitz zeta(3, 1/4) at 300 digits takes 114 Euler-Maclaurin
+    # corrections, which read B_2..B_228, and the cache holds B_0..B_228
+    # and no more
     _cold_bernoulli_cache(monkeypatch)
     asked = []
     monkeypatch.setattr(analytic, "bernoulli", lambda k: asked.append(k) or bernoulli(k))
     analytic.zeta(3, 300)
-    assert sorted(set(asked)) == list(range(2, 227, 2))
-    assert len(arith._bern_even) - 1 == 113
+    assert asked == [] and len(arith._bern_even) == 2  # B_0 and B_2, as left cold
+    analytic.hurwitz_zeta(3, "1/4", 300)
+    assert sorted(set(asked)) == list(range(2, 229, 2))
+    assert len(arith._bern_even) - 1 == 114

@@ -8,7 +8,9 @@ eight identities, and the coefficients of witt_transform, c_transform and
 series powers, over a seeded list of integer, Fraction and f(0) = 0 series,
 order-too-small refusals included).  value_digests.json, next to this file,
 holds the digest of each case's text, and test_value_digests.py names every
-case whose text no longer matches.  A change that is meant to move a
+case whose text no longer matches.  SCRIPT_CASES, values at up to 1000
+digits (2000 for zeta and Hurwitz), are pinned in the same file but
+recomputed only by the script below.  A change that is meant to move a
 printed value re-pins the file and says why.
 
 Run as a script, this recomputes every case, rewrites value_digests.json and
@@ -74,13 +76,16 @@ _CALLS = {
 # imprimitive one mod 12 (chi_-4 with 3 | a set to 0)
 _CHARS = (-3, -4, 5, -7, 8, -8, 12, 13, -20,
           (0, 1, 0, 0, 0, 1), (0, 1, 0, 0, 0, 1, 0, -1, 0, 0, 0, -1))
+# two characters with no alternating form, which the L-value kernel sums by
+# Euler-Maclaurin: (-16|.) = chi_-4 mod 16, and chi_-3 lifted to mod 6
+_EM_CHARS = (-16, (0, 1, 0, 0, 0, -1))
 
 ANALYTIC_CASES = (
     [("zeta", s, digits) for s in (2, 3, 4, 5, 7, 10, 31, 200, 5000)
      for digits in (10, 50, 300)]
     + [("partial_zeta", m, s, digits) for m in (1, 3, 10, 30) for s in (2, 3, 5)
        for digits in (20, 100, 300)]
-    + [("l_series", s, chi, digits) for chi in _CHARS for s in (2, 3, 6)
+    + [("l_series", s, chi, digits) for chi in _CHARS + _EM_CHARS for s in (2, 3, 6)
        for digits in (30, 150, 300)]
     + [("hurwitz_zeta", s, a, digits) for a in ("1/4", "1/3", "2/7", "1", "5/12", "1/100")
        for s in (2, 3, 7) for digits in (25, 150, 300)]
@@ -149,6 +154,16 @@ def _verify_cases() -> list:
 VERIFY_CASES = _verify_cases()
 CASES = ANALYTIC_CASES + VERIFY_CASES
 
+# values at up to 1000 digits (2000 for zeta and Hurwitz): pinned in the
+# same file, recomputed only when this file runs as a script (a few
+# seconds more), never by test_value_digests.py
+SCRIPT_CASES = (
+    [("euler_product", "artin", 0, 1000), ("euler_product", "twin", 1, 1000)]
+    + [("zeta", s, 2000) for s in (3, 5, 7)]
+    + [("l_series", 3, chi, 1000) for chi in _CHARS + _EM_CHARS]
+    + [("hurwitz_zeta", 3, "1/3", 2000)]
+)
+
 
 def case_id(case) -> str:
     name, *args = case
@@ -164,14 +179,14 @@ def case_text(case) -> str:
         return f"{type(error).__name__}: {error}"
 
 
-def digests() -> Dict[str, str]:
+def digests(cases=CASES) -> Dict[str, str]:
     return {case_id(case): hashlib.sha256(case_text(case).encode()).hexdigest()
-            for case in CASES}
+            for case in cases}
 
 
 def main() -> None:
     old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
-    new = digests()
+    new = digests(CASES + SCRIPT_CASES)
     for key in sorted(old.keys() | new.keys()):
         if old.get(key) != new.get(key):
             state = "new" if key not in old else "gone" if key not in new else "changed"

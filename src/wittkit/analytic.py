@@ -42,54 +42,49 @@ so |e| times its error stays below 10^-(D+16) whatever the other
 exponents are; the reported working precision is the largest p.
 
 One kernel, _l_minus_1, returns L_m(s, chi) - 1 within 10^-prec, for chi
-mod q and the Euler factors of the first m primes removed, by one of four
-routes.  One exact tail rule, _tail_end, cuts the first and the last: the
-least K >= 1 whose integral tail (qK+a)^(1-s) / (q(s-1)) is at most
-10^-(prec+1), settled by integer comparisons.  With (q, a) = (1, 0) it
-bounds sum_{k>K} k^-s.
+mod q and the Euler factors of the first m primes removed, by one of three
+routes.  One exact tail rule, _tail_end, cuts the first: the least K >= 1
+whose integral tail (qK+a)^(1-s) / (q(s-1)) is at most 10^-(prec+1),
+settled by integer comparisons.  With (q, a) = (1, 0) it bounds
+sum_{k>K} k^-s.
 
 - Direct rough sum, chosen by its number of terms: when that K for (1, 0)
   is at most q _em_cut(prec) / delta, delta = prod_{p <= p_m} (1 - 1/p)
   the share of p_m-rough k (coprime to every p <= p_m), so that about
-  q _em_cut(prec) = q max(12, prec) terms lie below K, as many as the
-  direct part Euler-Maclaurin would sum anyway: sum chi(k) k^-s over the
-  p_m-rough k with p_(m+1) <= k <= K.  No Euler-Maclaurin and no product
-  over the removed primes; large s needs only a handful of terms.  The
-  rough k come from one _RoughNumbers sieve, which the planner builds once
-  and shares across its L-values.
-- Otherwise L_m(s, chi) - 1 = (P - 1) + P (L - 1), with P in fixed point
-  (below).  A principal chi (values in {0, 1}) goes through zeta:
-  L_m(s, chi) = zeta(s) P with P = prod (1 - p^-s) over the p <= p_m and
-  the p | q, so one value zeta(s) - 1 replaces phi(q) residue sums.  For
-  even s that value is in closed form, zeta(s) = |B_s| (2 pi)^s / (2 s!)
-  (_even_zeta_minus_1), with B_s from the Bernoulli cache and pi from
-  Machin's series in arith (J. M. Borwein, D. M. Bradley, R. E. Crandall,
-  "Computational strategies for the Riemann zeta function", 2000).
-- An alternating sum for odd zeta and for every chi with an alternating
-  form (_alternating_form): with A(s, r, a) = sum_{k>=0} (-1)^k (rk+a)^-s,
+  q _em_cut(prec) = q max(12, prec) terms lie below K: sum chi(k) k^-s
+  over the p_m-rough k with p_(m+1) <= k <= K.  No product over the
+  removed primes; large s needs only a handful of terms.  The rough k come
+  from one _RoughNumbers sieve, which the planner builds once and shares
+  across its L-values.
+- Otherwise through the primitive character chi* mod f, f | q, that
+  induces chi (_primitive; H. Davenport, "Multiplicative Number Theory",
+  ch. 5): L_m(s, chi) = L(s, chi*) P with P = prod (1 - chi*(p) p^-s) over
+  the p <= p_m and the p | q, and L_m(s, chi) - 1 = (P - 1) + P (L - 1),
+  with P in fixed point (below).  A principal chi has chi* = 1, so L is
+  zeta; for even s that value is in closed form, zeta(s) = |B_s| (2 pi)^s /
+  (2 s!) (_even_zeta_minus_1), with B_s from the Bernoulli cache and pi
+  from Machin's series in arith (J. M. Borwein, D. M. Bradley, R. E.
+  Crandall, "Computational strategies for the Riemann zeta function",
+  2000).
+- An alternating sum for every other L(s, chi*), zeta at odd s included:
+  with A(s, r, a) = sum_{k>=0} (-1)^k (rk+a)^-s, r = f for odd f and f/2
+  for even f,
 
-      eta(s) = A(s, 1, 1) = (1 - 2^(1-s)) zeta(s)
-      (1 - chi(2) 2^(1-s)) L(s, chi) = sum_{a=1..q} (-1)^(a-1) chi(a) A(s, q, a)   (odd q)
-      L(s, chi) = sum_{a<q/2} chi(a) A(s, q/2, a)   (chi(a + q/2) = -chi(a))
+      (1 - chi*(2) 2^(1-s)) L(s, chi*) = sum_{a=1..r} (-1)^(a-1) chi*(a) A(s, r, a)
 
-  Each A(s, r, a) is one row of Chebyshev weights (_ChebyshevWeights:
-  P. Borwein, "An efficient algorithm for the Riemann zeta function", CMS
-  Conf. Proc. 27, 2000; H. Cohen, F. Rodriguez Villegas, D. Zagier,
-  "Convergence acceleration of alternating series", Experiment. Math. 9,
-  2000), about 1.31 prec terms for any s: the weights are the same for
-  every s, so the planner builds them once.
-- Euler-Maclaurin for the rest: the characters with no alternating form,
-  from S(s, q, a) = sum_{k>=0} (qk+a)^-s, without large intermediate
-  magnitudes:
+  (_alternating_minus_1; f = 1 is eta(s) = A(s, 1, 1)).  Each A(s, r, a)
+  is one row of Chebyshev weights (_ChebyshevWeights: P. Borwein, "An
+  efficient algorithm for the Riemann zeta function", CMS Conf. Proc. 27,
+  2000; H. Cohen, F. Rodriguez Villegas, D. Zagier, "Convergence
+  acceleration of alternating series", Experiment. Math. 9, 2000), about
+  1.31 prec terms for any s: the weights are the same for every s, so the
+  planner builds them once.
 
-      L(s, chi mod q) - 1  = S(s, q, q+1) + sum_{a=2..q} chi(a) S(s, q, a)
-      P = prod_{p<=p_m} (1 - chi(p) p^-s)
-
-  Hurwitz zeta is zeta(s, p/q) = q^s S(s, q, p), also by Euler-Maclaurin.
-
-Euler-Maclaurin sums, all in _dirichlet_sum, cut the direct summation at
-the same rule's K for (q, a) when it is at most _em_cut(prec), else at
-_em_cut(prec), and the cut doubles if the correction terms diverge first.
+Euler-Maclaurin is left to Hurwitz zeta: zeta(s, p/q) = q^s S(s, q, p),
+S(s, q, a) = sum_{k>=0} (qk+a)^-s, in _dirichlet_sum, without large
+intermediate magnitudes.  It cuts the direct summation at the tail rule's
+K for (q, a) when that is at most _em_cut(prec), else at _em_cut(prec),
+and the cut doubles if the correction terms diverge first.
 
 Fixed point.  The kernel runs on ints t standing for t 10^-W, at one
 width W = prec + 12, and converts to Decimal once, exactly, where it
@@ -103,11 +98,11 @@ rational factor per j; no table of coefficients is kept.  The closed form
 and the removed Euler factors P are floors too.  Each floor errs by under
 10^-W, and _dirichlet_sum counts its floors in its stop test, so its
 remainder bound is a proof in integers; _alternating_minus_1 counts its
-floors likewise.  A row is kept per sequence of k (the rough k, and each
-progression qk + a) in the planner's shared _RoughNumbers, at the width of
-its largest precision, and moves from s to a larger s' in place by
-v //= k^(s' - s), which is exact: the planner's L-values at n = 2, 3, ...
-share their divisions instead of dividing afresh for each n.
+floors likewise.  The power row of the rough k and the alternating row of
+each progression rk + a are kept in the planner's shared _RoughNumbers,
+at the width of its largest precision, and move from s to a larger s' in
+place by v //= k^(s' - s), which is exact: the planner's L-values at
+n = 2, 3, ... share their divisions instead of dividing afresh for each n.
 """
 
 from __future__ import annotations
@@ -121,7 +116,7 @@ from itertools import accumulate, compress, count
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ._record import record
-from .arith import bernoulli, nth_prime, pi_fixed, prime_factors, primes_up_to
+from .arith import bernoulli, divisors, nth_prime, pi_fixed, prime_factors, primes_up_to
 from .characters import RealDirichletCharacter
 from .errors import BudgetExceededError, DivergenceError, IntegralityError
 # peel_1d is unused here but stays bound: perfbench's span tests rebind it
@@ -153,10 +148,10 @@ _EXACT_PRIMES = 25
 
 # largest `digits` that zeta, partial_zeta, l_series and hurwitz_zeta take,
 # and largest s len(str(q)) that hurwitz_zeta(s, p/q) takes; at D = 2000 a
-# cold zeta(3, D), an alternating sum, took 0.023 s, zeta(2, D), in closed
-# form, 0.005 s, and the Euler-Maclaurin routes hurwitz_zeta(3, 1/3, D) and
-# l_series(3, (-16|.), D) 0.34 and 0.68 s (in process, medians of 10, each in
-# a new process; Python 3.11, 2 cores)
+# cold zeta(3, D) and l_series(3, (-16|.), D), alternating sums (the latter
+# of chi_-4), took 0.023 s each, zeta(2, D), in closed form, 0.005 s, and
+# hurwitz_zeta(3, 1/3, D), by Euler-Maclaurin, 0.34 s (in process, medians
+# of 10, each in a new process; Python 3.11, 2 cores)
 DIGIT_BUDGET = 2000
 
 # converts the kernel's fixed-point ints to Decimal without rounding
@@ -237,11 +232,9 @@ def _tail_end(s: int, q: int, a: int, prec: int, cap: int) -> Optional[int]:
     return end if end <= cap else None
 
 
-def _dirichlet_sum(s: int, q: int, a: int, prec: int,
-                   row: Optional[_PowerRow] = None) -> int:
+def _dirichlet_sum(s: int, q: int, a: int, prec: int) -> int:
     """S(s, q, a) = sum_{k>=0} (qk+a)^-s as an int at W = _width(prec)
-    within 10^-(prec+1), by Euler-Maclaurin; `row` is the power row of the
-    progression qk + a (a fresh one when the caller passes none).
+    within 10^-(prec+1), by Euler-Maclaurin, for hurwitz_zeta.
 
     s >= 2; q >= 1; a >= 1.  The cut is _tail_end's K if that is at most
     _em_cut(prec), else _em_cut(prec) (large s needs only a few direct
@@ -249,7 +242,7 @@ def _dirichlet_sum(s: int, q: int, a: int, prec: int,
     target (or 4 prec of them do not reach it).
 
     In units u = 10^-W, with base = q cut + a, the terms k < cut come from
-    the row within 2 units, and the integral term base^(1-s) / (q(s-1)) and
+    one power row within 2 units, and the integral term base^(1-s) / (q(s-1)) and
     the half term base^-s / 2 are one floor each.  Correction j is c_j x_j
     with c_j = B_2j/(2j)!, |c_j| <= 1/12, x_j = q^(2j-1) (s)_(2j-1) /
     base^(s+2j-1).  X_1 = floor(x_1 / u) and X_(j+1) = floor(X_j n_j /
@@ -271,7 +264,7 @@ def _dirichlet_sum(s: int, q: int, a: int, prec: int,
     width = _width(prec)
     one, limit = 10**width, 10 ** (width - prec - 1)
     cut = _tail_end(s, q, a, prec, _em_cut(prec)) or _em_cut(prec)
-    row = row or _PowerRow()
+    row = _PowerRow()
     while True:
         base = q * cut + a
         square, power = base * base, base ** (s - 1)
@@ -391,34 +384,45 @@ class _AlternatingRow:
         return sum(values[::2]) - sum(values[1::2])
 
 
-def _alternating_form(chi: RealDirichletCharacter,
-                      principal: bool) -> Optional[Tuple[int, int, List[Tuple[int, int]]]]:
-    """(c, r, terms) with (1 - c 2^(1-s)) L(s) = sum e A(s, r, a) over the
-    (e, a) in terms, for every s >= 2, where A(s, r, a) = sum_{k>=0} (-1)^k
-    (rk + a)^-s and L is zeta for a principal chi, else L(s, chi); None
-    where chi has no such form here.
-
-    zeta: eta(s) = A(s, 1, 1) = (1 - 2^(1-s)) zeta(s).  Odd q: with n =
-    qk + a, (-1)^(n-1) = (-1)^k (-1)^(a-1), and sum (-1)^(n-1) chi(n) n^-s
-    = L - 2 chi(2) 2^-s L.  chi(a + q/2) = -chi(a) for every a (which
-    forces 4 | q): chi(k q/2 + a) = (-1)^k chi(a), and c = 0."""
-    q = chi.modulus
-    if principal:
-        return 1, 1, [(1, 1)]
-    if q % 2:
-        return chi(2), q, [((-1) ** (a - 1) * chi(a), a) for a in range(1, q + 1) if chi(a)]
-    half = q // 2
-    if all(chi(a + half) == -chi(a) for a in range(half)):
-        return 0, half, [(chi(a), a) for a in range(1, half) if chi(a)]
-    return None
+def _primitive(chi: RealDirichletCharacter) -> RealDirichletCharacter:
+    """The primitive character chi* mod f that induces chi mod q: f is the
+    least divisor of q such that chi(a) depends only on a mod f for the a
+    coprime to q, and chi*(a) is that value, 0 where gcd(a, f) > 1; chi
+    itself when f = q."""
+    for f in divisors(chi.modulus):
+        values = {}
+        if all(values.setdefault(a % f, v) == v for a, v in enumerate(chi.values) if v):
+            break
+    if f == chi.modulus:
+        return chi
+    return RealDirichletCharacter(f, tuple(values.get(a, 0) for a in range(f)))
 
 
-def _alternating_minus_1(s: int, form: Tuple[int, int, List[Tuple[int, int]]], prec: int,
+def _alternating_minus_1(s: int, chi: RealDirichletCharacter, prec: int,
                          rough: _RoughNumbers) -> int:
-    """L(s) - 1 for an _alternating_form (c, r, terms) as an int at W =
-    _width(prec), u = 10^-W, within 10^-(prec+1): N = sum e A(s, r, a) over
-    the terms, from one alternating row each in `rough`, and then L - 1 =
-    ((N - 1) 2^(s-1) + c) / (2^(s-1) - c).
+    """L(s, chi) - 1 for a primitive chi mod f (_primitive) as an int at W
+    = _width(prec), u = 10^-W, within 0.034 10^-prec + (0.2 h + 1) u, h
+    the number of rows below, by one identity: with c = chi(2), r = f for
+    odd f and r = f/2 for even f, and A(s, r, a) = sum_{k>=0} (-1)^k
+    (rk + a)^-s,
+
+        (1 - c 2^(1-s)) L(s, chi) = sum_{n>=1} (-1)^(n-1) chi(n) n^-s
+                                  = N = sum_{a=1..r} (-1)^(a-1) chi(a) A(s, r, a),
+
+    from one alternating row in `rough` for each a with chi(a) != 0, and
+    then L - 1 = ((N - 1) 2^(s-1) + c) / (2^(s-1) - c).  The first equality
+    holds as the even n sum to c 2^-s L (chi is completely
+    multiplicative).  The second splits n = rk + a.  For odd f, (-1)^(n-1)
+    = (-1)^k (-1)^(a-1) and chi(n) = chi(a); f = 1 is eta(s) = A(s, 1, 1) =
+    (1 - 2^(1-s)) zeta(s).  For even f only odd n and odd a count, where
+    (-1)^(n-1) = (-1)^(a-1) = 1 and c = 0, and chi(a + f/2) = -chi(a), so
+    chi(rk + a) = (-1)^k chi(a).  Proof: 4 | f, since for f = 2 mod 4 the
+    odd x = y mod f/2 are equal mod f, and chi would depend on a mod f/2
+    alone.  So a (1 + f/2) = a + f/2 mod f for odd a, as (a - 1) f/2 = 0
+    mod f, and 1 + f/2 is a unit (odd, and 1 mod every odd p | f).  Were
+    chi(1 + f/2) = 1, the units x and x + f/2 = x (1 + f/2) would share a
+    value, so chi(a) would depend on a mod f/2 alone, against f being
+    least; hence chi(1 + f/2) = -1.
 
     Truncation (H. Cohen, F. Rodriguez Villegas, D. Zagier, "Convergence
     acceleration of alternating series", Experiment. Math. 9, 2000, Prop.
@@ -429,18 +433,20 @@ def _alternating_minus_1(s: int, form: Tuple[int, int, List[Tuple[int, int]]], p
     partial sums of _ChebyshevWeights), the n-term sum sum_{k<n} (-1)^k
     (d_n - d_k) / d_n (rk + a)^-s misses A by int P_n dmu / ((1 + x) d_n),
     and |P_n| <= 1 on [0, 1]: by at most a^-s / d_n <= a^-s 10^-(prec+2).
-    Over the terms that is under zeta(2) 10^-(prec+2) < 1.65 10^-(prec+2).
+    Over the rows that is under zeta(2) 10^-(prec+2) < 1.65 10^-(prec+2).
 
     Floors: a weight C_k lies in (x - n^2, x] (_ChebyshevWeights), and a
     row entry floor(C_k / (rk + a)^s) in (y - n^2 - 1, y] for y = x / (rk +
     a)^s, so one row errs by under n (n^2 + 1) < (n + 1)^3 <= 10^(3 len(str(n)))
     units of its width W + 3 len(str(n)) + 1, under 0.1 u, and the h rows
-    of the terms by under 0.1 h u.  The map from N to L - 1 multiplies
-    errors by 2^(s-1) / (2^(s-1) - c) <= 2 and ends in one floor: L - 1
-    errs by under 2 (1.65 10^-(prec+2) + 0.1 h u) + u < 0.034 10^-prec +
-    (0.2 h + 1) u, under 10^-(prec+1) for any h below 10^10."""
-    c, r, terms = form
-    total = sum(e * rough.alternating_row(r, a, prec).sum(s) for e, a in terms)
+    by under 0.1 h u.  The map from N to L - 1 multiplies errors by
+    2^(s-1) / (2^(s-1) - c) <= 2 and ends in one floor: L - 1 errs by under
+    2 (1.65 10^-(prec+2) + 0.1 h u) + u < 0.034 10^-prec + (0.2 h + 1) u,
+    under 10^-(prec+1) for any h below 10^10."""
+    f, c = chi.modulus, chi(2)
+    r = f if f % 2 else f // 2
+    total = sum((-1) ** (a - 1) * chi(a) * rough.alternating_row(r, a, prec).sum(s)
+                for a in range(1, r + 1) if chi(a))
     width, power = rough.weights.width, 2 ** (s - 1)
     one, scale = 10**width, 10 ** (width - _width(prec))
     return ((total - one) * power + c * one) // ((power - c) * scale)
@@ -555,19 +561,19 @@ class _RoughNumbers:
     """p_1, ..., p_m and the p_m-rough numbers (k >= 2 with no prime factor
     <= p_m) in increasing order, from p_(m+1) on, sieved in place as far as
     asked; each new segment at least doubles the sieved range.  It also
-    holds the rows of the L-values that share it: the power rows, one for
-    the rough k and one per Euler-Maclaurin progression qk + a, each begun
-    at `width` digits, and the Chebyshev weights, built once at no less than
-    `prec`, with one alternating row per progression.  The planner builds
-    one, sets its width and prec from its largest precision and shares it
-    across its L-values."""
+    holds what the L-values that share it reuse: one power row for the
+    rough k, begun at `width` digits; per character, its primitive chi* and
+    removed Euler factors; and the Chebyshev weights, built once at no less
+    than `prec`, with one alternating row per progression rk + a.  The
+    planner builds one, sets its width and prec from its largest precision
+    and shares it across its L-values."""
 
     def __init__(self, m: int):
         primes = primes_up_to(nth_prime(m + 1))
         self.primes = primes[:m]
         self.density = math.prod(1 - 1 / p for p in self.primes)  # the share of rough k
         self.ks, self.limit = [primes[m]], primes[m]  # rough k <= limit, all of them
-        self.width, self.rows = 0, {}
+        self.width, self.power, self.characters = 0, None, {}
         self.prec, self.weights, self.alternating = 0, None, {}
 
     def upto(self, end: int) -> List[int]:
@@ -582,11 +588,21 @@ class _RoughNumbers:
             self.limit = hi - 1
         return self.ks
 
-    def row(self, key: Optional[Tuple[int, int]]) -> _PowerRow:
-        """The power row of the rough k (key None) or of qk + a (key (q, a))."""
-        if key not in self.rows:
-            self.rows[key] = _PowerRow(self.width)
-        return self.rows[key]
+    def row(self) -> _PowerRow:
+        """The power row of the rough k."""
+        if self.power is None:
+            self.power = _PowerRow(self.width)
+        return self.power
+
+    def primitive(self, chi: RealDirichletCharacter) -> Tuple[RealDirichletCharacter,
+                                                               List[Tuple[int, int]]]:
+        """(chi*, [(p, chi*(p))]) for the primitive chi* of chi and the
+        removed primes p, those <= p_m and those dividing q, in increasing
+        order and with chi*(p) != 0; computed once per character."""
+        if chi not in self.characters:
+            star, removed = _primitive(chi), {*self.primes, *prime_factors(chi.modulus)}
+            self.characters[chi] = star, [(p, star(p)) for p in sorted(removed) if star(p)]
+        return self.characters[chi]
 
     def alternating_row(self, q: int, a: int, prec: int) -> _AlternatingRow:
         """The alternating row of qk + a, on weights that serve `prec`; new
@@ -601,10 +617,11 @@ class _RoughNumbers:
 def _l_minus_1(s: int, chi: RealDirichletCharacter, prec: int, m: int = 0,
                rough: Optional[_RoughNumbers] = None) -> Decimal:
     """L_m(s, chi) - 1 within 10^-prec, with the Euler factors of the first
-    m primes removed; `rough` holds p_1, ..., p_m, the p_m-rough k, the
-    power rows, the Chebyshev weights and the alternating rows (built here
-    when the caller passes none).  Every route runs on ints at W =
-    _width(prec), u = 10^-W, converted once, exactly.
+    m primes removed; `rough` holds p_1, ..., p_m, the p_m-rough k, their
+    power row, each character's chi* and removed factors, the Chebyshev
+    weights and the alternating rows (built here when the caller passes
+    none).  Every route runs on ints at W = _width(prec), u = 10^-W,
+    converted once, exactly.
 
     Above s' = (10^prec).bit_length() + 2 it computes at s' instead: as
     0 <= k^-s' - k^-s <= k^-s', L_m(s) and L_m(s') differ by at most
@@ -618,29 +635,25 @@ def _l_minus_1(s: int, chi: RealDirichletCharacter, prec: int, m: int = 0,
     value is the power-row sum of chi(k) k^-s over those rough k: under
     10^-(prec+1) of tail plus 2 units.
 
-    Otherwise it is (P - 1) + P (L - 1), with no n = 1 term in L - 1 to
-    cancel.  For a principal chi (values in {0, 1}) L is zeta and P is
-    prod (1 - p^-s) over the primes p <= p_m and the p | q; otherwise P =
-    prod_{p <= p_m} (1 - chi(p) p^-s).  L - 1 comes by the first of three
-    routes that applies:
-    - zeta(s) - 1 at even s: _even_zeta_minus_1's closed form, within 9 s
-      units.
-    - An alternating form (_alternating_form: zeta, an odd q, or
-      chi(a + q/2) = -chi(a)): _alternating_minus_1, one alternating row per
-      residue on the one set of Chebyshev weights in `rough`, within
-      10^-(prec+1); its docstring proves the truncation bound and counts
-      the floors.
-    - Euler-Maclaurin for the other characters: sum chi(a) S(s, q, a) over
-      a = 2..q+1 (a = q+1 stands for a = 1), each within 10^-(w+1) at w =
-      prec + len(str(q)) + 1, so under 10^-(prec+2) together, and one floor
-      to W.
-    P = t u by t -= c floor(t / p^s) for each of its n factors
-    1 - c p^-s from t = 10^W.  Each floor errs by under a unit and later
-    factors scale that by at most 1 + p^-s, with prod (1 + p^-s) <=
+    Otherwise chi goes through its primitive chi* mod f (_primitive), which
+    agrees with chi on the n coprime to q: L_m(s, chi) = P L with L =
+    L(s, chi*) and P = prod (1 - chi*(p) p^-s) over the p <= p_m and the
+    p | q, and the value is (P - 1) + P (L - 1), with no n = 1 term in L - 1
+    to cancel.  L - 1 comes by one of two routes:
+    - chi* = 1 (chi principal, L = zeta) at even s: _even_zeta_minus_1's
+      closed form, within 9 s units.
+    - Every other: _alternating_minus_1, one alternating row per residue on
+      the one set of Chebyshev weights in `rough`, within 0.034 10^-prec +
+      (0.2 h + 1) u for its h <= f rows; its docstring proves the identity
+      and the truncation bound and counts the floors.
+    P = t u by t -= c floor(t / p^s) for each of its n factors 1 - c p^-s,
+    c = chi*(p) != 0, from t = 10^W.  Each floor errs by under a unit and
+    later factors scale that by at most 1 + p^-s, with prod (1 + p^-s) <=
     zeta(2)/zeta(4) < 1.52: P errs by under 1.52 n units.  With |L| <=
-    zeta(2) < 1.65, |P| < 1.52 and 0 < P <= 1 for a principal chi, the value
-    t - 10^W + floor(t (L - 1)) errs by under 1.65 1.52 n u + 10^-(prec+1) +
-    9 s u + 4 u: under 0.12 10^-prec for any n and s below 10^9."""
+    zeta(2) < 1.65, |P| < 1.52 and 0 < P <= 1 for chi* = 1, the value
+    t - 10^W + floor(t (L - 1)) errs by under 1.65 1.52 n u + 1.52 (0.034
+    10^-prec + (0.2 h + 1) u) + 9 s u + 2 u: under 0.07 10^-prec for n, h
+    and s below 10^9."""
     q, width = chi.modulus, _width(prec)
     s = min(s, (10**prec).bit_length() + 2)
     if rough is None:
@@ -648,24 +661,16 @@ def _l_minus_1(s: int, chi: RealDirichletCharacter, prec: int, m: int = 0,
     end = _tail_end(s, 1, 0, prec, math.floor(q * _em_cut(prec) / rough.density))
     if end is not None:
         ks = rough.upto(end)
-        value = rough.row(None).sum(s, ks[:bisect_right(ks, end)], width, chi if q > 1 else None)
+        value = rough.row().sum(s, ks[:bisect_right(ks, end)], width, chi if q > 1 else None)
     else:
-        principal = -1 not in chi.values
-        if principal:
-            factors = [(p, 1) for p in sorted({*rough.primes, *prime_factors(q)})]
-        else:
-            factors = [(p, chi(p)) for p in rough.primes]
+        star, factors = rough.primitive(chi)
         one = t = 10**width
         for p, c in factors:
             t -= c * (t // p**s)
-        if principal and s % 2 == 0:
+        if star.modulus == 1 and s % 2 == 0:
             total = _even_zeta_minus_1(s, width)
-        elif (form := _alternating_form(chi, principal)) is not None:
-            total = _alternating_minus_1(s, form, prec, rough)
         else:
-            work = prec + len(str(q)) + 1
-            total = sum(chi(a) * _dirichlet_sum(s, q, a, work, rough.row((q, a)))
-                        for a in range(2, q + 2) if chi(a)) // 10 ** (work - prec)
+            total = _alternating_minus_1(s, star, prec, rough)
         value = t - one + t * total // one
     return Decimal(value).scaleb(-width, _UNROUNDED)
 
@@ -880,11 +885,9 @@ def _twisted_product(h: Dict[int, RationalFunction], chi: RealDirichletCharacter
              for key, e in terms.items()}
     prec = max(precs.values(), default=digits + 6 + GUARD_DIGITS)
     # the rows serve every L-value, so that none is rebuilt wider: the power
-    # rows' width is at least that of every sum (_l_minus_1 runs
-    # Euler-Maclaurin at up to prec + len(str(q)) + 1), with a factor 10 to
-    # spare in the number of terms, and the Chebyshev weights serve prec
-    work = prec + len(str(chi.modulus)) + 1
-    rough.width = _width(work) + 1 + len(str(chi.modulus * _em_cut(work)))
+    # row's width is at least that of every rough sum, with a factor 10 to
+    # spare in its number of terms, and the Chebyshev weights serve prec
+    rough.width = _width(prec) + 1 + len(str(chi.modulus * _em_cut(prec)))
     rough.prec = prec
     small = _twisted_direct(h, chi, m, rough.primes[-1], prec).value  # p_m < p <= p_m'
     divisors = _twisted_direct({-1: _ONE, 0: h[0], 1: _ONE}, chi, plan, chi.modulus, prec).value

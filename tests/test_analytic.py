@@ -25,7 +25,7 @@ from wittkit.analytic import (
     zeta,
 )
 from wittkit.arith import divisors, nth_prime, primes_up_to
-from wittkit.characters import RealDirichletCharacter
+from wittkit.characters import RealDirichletCharacter, kronecker
 from wittkit.errors import BudgetExceededError, DivergenceError
 from wittkit.expansion import _mul_factor, _rational_exponents, peel_1d
 from wittkit.series import RationalFunction, TruncatedSeries
@@ -247,28 +247,42 @@ def test_non_principal_l_values_sum_the_residues_in_one_loop(monkeypatch, d, m, 
     assert abs(mpmath.mpf(str(got)) - _l_m_reference(s, chi, m)) < mpmath.mpf(10) ** -prec
 
 
-# characters with no alternating form: (-16|.), which is chi_-4 mod 16, and
-# chi_-3 lifted to mod 6; both keep the residue sums by Euler-Maclaurin
-_EM_CHARS = {"-16": RealDirichletCharacter.from_kronecker(-16),
-             "-3 mod 6": RealDirichletCharacter.from_values([0, 1, 0, 0, 0, -1])}
+# characters with no alternating form of their own modulus, neither odd
+# nor with chi(a + q/2) = -chi(a): (-16|.), which is chi_-4 mod 16, and
+# chi_-3 lifted to mod 6, each with the discriminant of the primitive
+# character that induces it
+_EM_CHARS = {"-16": (RealDirichletCharacter.from_kronecker(-16), -4),
+             "-3 mod 6": (RealDirichletCharacter.from_values([0, 1, 0, 0, 0, -1]), -3)}
 
 
 @pytest.mark.parametrize("name", sorted(_EM_CHARS))
 @pytest.mark.parametrize("m", [0, 2])
 @pytest.mark.parametrize("s", [2, 3, 6])
 def test_characters_without_an_alternating_form_keep_euler_maclaurin(monkeypatch, name, m, s):
-    # chi(a) S(s, q, a) over a = 2..q+1, where q + 1 stands for the residue
-    # 1, at prec + len(str(q)) + 1 digits, then one floor to the kernel's
-    # width; the value agrees with mpmath's Hurwitz sums within 10^-prec
-    chi = _EM_CHARS[name]
-    q, prec = chi.modulus, 60
-    assert analytic._alternating_form(chi, False) is None
+    # they go through their primitive chi*: its alternating rows alone, r = f
+    # for an odd modulus f and f/2 for an even one, and no Euler-Maclaurin in
+    # the kernel.  They keep the values of the Euler-Maclaurin residue sums
+    # chi(a) S(s, q, a) mod q, times the exact removed factors, and of
+    # mpmath's Hurwitz sums, within 10^-prec
+    chi, d = _EM_CHARS[name]
+    q, star, prec = chi.modulus, RealDirichletCharacter.from_kronecker(d), 60
+    assert analytic._primitive(chi) == star
     sums = _counting(monkeypatch, "_dirichlet_sum")
     rows = _counting(monkeypatch, "_AlternatingRow")
     got = analytic._l_minus_1(s, chi, prec, m)
-    residues = [a for a in range(2, q + 2) if chi(a)]
-    assert [args[:4] for args in sums] == [(s, q, a, prec + len(str(q)) + 1) for a in residues]
-    assert rows == []
+    r = star.modulus if star.modulus % 2 else star.modulus // 2
+    assert sums == []
+    assert [args[1:] for args in rows] == [(r, a) for a in range(1, r + 1) if star(a)]
+    monkeypatch.undo()
+    work = prec + len(str(q)) + 1
+    with localcontext() as ctx:
+        ctx.prec = prec + 20
+        residues = sum(chi(a) * _fixed(analytic._dirichlet_sum(s, q, a, work), work)
+                       for a in range(2, q + 2) if chi(a))
+        factors = math.prod(1 - Fraction(chi(p), p**s)
+                            for p in (primes_up_to(nth_prime(m)) if m else ()))
+        whole = Decimal(factors.numerator) / Decimal(factors.denominator)
+        assert abs(got - ((whole - 1) + whole * residues)) < Decimal(10) ** -prec
     mpmath.mp.dps = prec + 20
     assert abs(mpmath.mpf(str(got)) - _l_m_reference(s, chi, m)) < mpmath.mpf(10) ** -prec
 
@@ -280,22 +294,33 @@ def _character(key):
     return RealDirichletCharacter.from_kronecker(key)
 
 
+def _alternating_or_kernel(key, s, prec):
+    """L(s, chi) - 1 as an int at the kernel's width: from the alternating
+    rows of chi's primitive character, within 10^-(prec+1), or for the
+    imprimitive table mod 12 (chi_-4 times the factor 1 + 3^-s) from
+    _l_minus_1, within 10^-prec."""
+    chi = _character(key)
+    if key == "mod 12":
+        return analytic._l_minus_1(s, chi, prec).scaleb(analytic._width(prec), analytic._UNROUNDED)
+    return analytic._alternating_minus_1(s, analytic._primitive(chi), prec,
+                                         analytic._RoughNumbers(0))
+
+
 @pytest.mark.parametrize("prec", [40, 300, 1000])
 @pytest.mark.parametrize("key", [1, -3, 5, -4, 8, 12, "mod 12"])
 @pytest.mark.parametrize("s", [3, 5, 31, 201])
 def test_alternating_route_against_euler_maclaurin(key, s, prec):
-    # two routes to L(s) - 1, both ints at the kernel's width and each
-    # within 10^-(prec+1): the Chebyshev-weighted rows of the alternating
-    # form, and the residue sums S(s, q, a) by Euler-Maclaurin (S(s, 1, 2)
-    # for zeta, key 1, which takes the principal form)
+    # two routes to L(s) - 1, both ints at the kernel's width: the
+    # Chebyshev-weighted rows (the kernel for the table mod 12), and the
+    # residue sums S(s, q, a) by Euler-Maclaurin, within 10^-(prec+1)
+    # (S(s, 1, 2) for zeta, key 1)
     chi = _character(key)
     q, width = chi.modulus, analytic._width(prec)
-    form = analytic._alternating_form(chi, q == 1)
-    got = analytic._alternating_minus_1(s, form, prec, analytic._RoughNumbers(0))
+    got = _alternating_or_kernel(key, s, prec)
     work = prec + len(str(q)) + 1
     em = sum(chi(a) * analytic._dirichlet_sum(s, q, a, work)
              for a in range(2, q + 2) if chi(a)) // 10 ** (work - prec)
-    assert abs(got - em) < 2 * 10 ** (width - prec - 1)
+    assert abs(got - em) < (11 if key == "mod 12" else 2) * 10 ** (width - prec - 1)
 
 
 @pytest.mark.parametrize("prec", [40, 400])
@@ -303,14 +328,49 @@ def test_alternating_route_against_euler_maclaurin(key, s, prec):
                                     for s in (2, 3, 6, 7) if key != 1 or s % 2])
 def test_alternating_route_against_mpmath(key, s, prec):
     # L(s, chi) - 1 from the alternating rows within 10^-(prec+1) of
-    # mpmath's Hurwitz sums; zeta (key 1) only at odd s, where the kernel
-    # takes it
-    chi = _character(key)
-    form = analytic._alternating_form(chi, chi.modulus == 1)
-    got = analytic._alternating_minus_1(s, form, prec, analytic._RoughNumbers(0))
+    # mpmath's Hurwitz sums, and through the kernel within 10^-prec for the
+    # table mod 12; zeta (key 1) only at odd s, where the kernel takes it
+    got = _alternating_or_kernel(key, s, prec)
     mpmath.mp.dps = prec + 20
-    assert abs(mpmath.mpf(got) / mpmath.mpf(10) ** analytic._width(prec)
-               - _l_m_reference(s, chi, 0)) < mpmath.mpf(10) ** -(prec + 1)
+    bound = mpmath.mpf(10) ** -(prec if key == "mod 12" else prec + 1)
+    assert abs(mpmath.mpf(int(got)) / mpmath.mpf(10) ** analytic._width(prec)
+               - _l_m_reference(s, _character(key), 0)) < bound
+
+
+def _fundamental(d):
+    """Whether d is a fundamental discriminant: 1, a squarefree d = 1 mod 4,
+    or 4n with a squarefree n = 2 or 3 mod 4."""
+    def squarefree(n):
+        return all(n % (p * p) for p in range(2, math.isqrt(abs(n)) + 1))
+    if d % 4 == 1:
+        return squarefree(d)
+    return d % 4 == 0 and (d // 4) % 4 in (2, 3) and squarefree(d // 4)
+
+
+def test_primitive_recovers_the_kronecker_character_of_every_lift():
+    # chi_d lifted to each multiple q of |d| up to 4|d| (values 0 where
+    # gcd(a, q) > 1) reduces to chi_d mod |d|; chi_d itself comes back as
+    # the same object
+    checked = 0
+    for d in filter(_fundamental, range(-200, 201)):
+        star = RealDirichletCharacter.from_kronecker(d)
+        assert analytic._primitive(star) is star
+        for q in range(2 * abs(d), 4 * abs(d) + 1, abs(d)):
+            lift = RealDirichletCharacter.from_values(
+                [star(a) if math.gcd(a, q) == 1 else 0 for a in range(q)])
+            assert analytic._primitive(lift) == star, (d, q)
+            checked += 1
+    assert checked == 3 * 123
+
+
+def test_every_even_fundamental_character_changes_sign_at_half_its_modulus():
+    # the fact _alternating_minus_1 proves for a primitive chi mod an even
+    # f and sums with: chi(a + f/2) = -chi(a) for every a
+    even = [d for d in range(-3000, 3001) if d % 4 == 0 and _fundamental(d)]
+    for d in even:
+        half = abs(d) // 2
+        assert all(kronecker(d, a + half) == -kronecker(d, a) for a in range(half)), d
+    assert len(even) == 607
 
 
 def test_chebyshev_weights_against_the_exact_quotients():
@@ -1090,10 +1150,10 @@ def test_l_values_take_the_direct_sum_where_it_is_shorter(monkeypatch):
 
 
 def test_the_planner_removes_the_small_primes_before_any_l_value(monkeypatch):
-    # with m' = 25 every L-value starts at k = 101, so few reach
-    # Euler-Maclaurin and most are short rough sums; planning at the user's
-    # m = 0 took 676 L-values for Artin at D = 60 and 862 for b_chi(chi_5, 12),
-    # whose terms fell like (1.839/2)^n because chi_5(2) != 0
+    # with m' = 25 every L-value starts at k = 101, so most are short rough
+    # sums; planning at the user's m = 0 took 676 L-values for Artin at
+    # D = 60 and 862 for b_chi(chi_5, 12), whose terms fell like (1.839/2)^n
+    # because chi_5(2) != 0
     calls = _counting(monkeypatch, "_l_minus_1")
     result = euler_product(EulerProductSpec(ARTIN_H, 0, 60))
     assert len(calls) < 60 and result.removed_primes == 25

@@ -147,15 +147,17 @@ def test_analytic_does_not_import_witt():
     assert not [name for name in imported if name.split(".")[-1] in ("witt", "necklace")]
 
 
-def test_dirichlet_sums_come_from_the_l_value_kernel_and_hurwitz_zeta():
+def test_dirichlet_sums_come_from_hurwitz_zeta_alone():
     # zeta, partial_zeta, l_series, euler_product and b_chi all take their
-    # sums from _l_minus_1; a separate route to S(s, q, a) must not return
+    # values from _l_minus_1, which takes every character through its
+    # primitive one and sums S(s, q, a) for none: Euler-Maclaurin serves
+    # Hurwitz zeta alone, and a route of the kernel through it must not return
     callers = set()
     for node in ast.walk(ast.parse((SRC / "analytic.py").read_text())):
         if isinstance(node, ast.FunctionDef):
             callers |= {node.name for call in ast.walk(node) if isinstance(call, ast.Call)
                         and getattr(call.func, "id", None) == "_dirichlet_sum"}
-    assert callers == {"_l_minus_1", "hurwitz_zeta"}
+    assert callers == {"hurwitz_zeta"}
 
 
 def test_one_tail_rule_and_one_euler_maclaurin_routine():
@@ -423,6 +425,35 @@ def test_one_planner_builds_its_chebyshev_weights_once_and_no_row_twice(monkeypa
         assert builds == [result.working_digits]
         assert sorted(rows) == sorted(progressions)
         assert sums and all(s >= before for s, before in sums)
+
+
+def test_one_plan_reduces_each_character_once_and_rebuilds_no_power_row(monkeypatch):
+    # the planner's _RoughNumbers keeps each character's primitive chi* and
+    # removed factors, so one b_chi plan reduces chi and chi^2 once each,
+    # however many of their L-values it computes; the power row of the
+    # rough k is built once, wide enough for every rough sum, and only
+    # advances: no sum finds it too narrow or at a larger s
+    reduced, rows, fits = [], [], []
+    primitive = analytic._primitive
+    monkeypatch.setattr(analytic, "_primitive", lambda chi: reduced.append(chi) or primitive(chi))
+
+    class Row(analytic._PowerRow):
+        def __init__(self, width=0):
+            rows.append(width)
+            super().__init__(width)
+
+        def sum(self, s, ks, width, chi=None):
+            fits.append(width + len(str(len(ks))) <= self.width and s >= self.s)
+            return super().sum(s, ks, width, chi)
+
+    monkeypatch.setattr(analytic, "_PowerRow", Row)
+    for chi in (RealDirichletCharacter.from_kronecker(-16),
+                RealDirichletCharacter.from_values([0, 1, 0, 0, 0, -1]),
+                RealDirichletCharacter.from_kronecker(5)):
+        reduced.clear(), rows.clear(), fits.clear()
+        analytic.b_chi(chi, 60)
+        assert len(reduced) == 2 and set(reduced) == {chi, chi.square()}
+        assert len(rows) == 1 and fits and all(fits)
 
 
 def test_bernoulli_numbers_grow_one_tangent_number_at_a_time():

@@ -1,17 +1,19 @@
 """One case list of printed values and the sha256 digest of each.
 
 Every case is a call of a public function, written as plain data; its text
-is the printed value, or "TypeName: message" for a call that refuses.  Two
+is the printed value, or "TypeName: message" for a call that refuses.  Three
 groups share the list: ANALYTIC_CASES (zeta, L, Hurwitz, Euler products and
-b_chi values) and VERIFY_CASES (the JSON of verify_identity reports for all
+b_chi values), VERIFY_CASES (the JSON of verify_identity reports for all
 eight identities, and the coefficients of witt_transform, c_transform and
 series powers, over a seeded list of integer, Fraction and f(0) = 0 series,
-order-too-small refusals included).  value_digests.json, next to this file,
-holds the digest of each case's text, and test_value_digests.py names every
-case whose text no longer matches.  SCRIPT_CASES, values at up to 1000
-digits (2000 for zeta and Hurwitz), are pinned in the same file but
-recomputed only by the script below.  A change that is meant to move a
-printed value re-pins the file and says why.
+order-too-small refusals included) and CLI_CASES (the stdout of cli.main for
+each command of the README's CLI block and two more, with every runtime_s
+masked).  value_digests.json, next to this file, holds the digest of each
+case's text, and test_value_digests.py names every case whose text no
+longer matches.  SCRIPT_CASES, values at up to 1000 digits (2000 for zeta
+and Hurwitz) and b_chi at a modulus of five digits, are pinned in the same
+file but recomputed only by the script below.  A change that is meant to
+move a printed value re-pins the file and says why.
 
 Run as a script, this recomputes every case, rewrites value_digests.json and
 prints the cases whose digest changed, appeared or disappeared:
@@ -21,18 +23,23 @@ prints the cases whose digest changed, appeared or disappeared:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import random
+import re
+import shlex
 from pathlib import Path
 from typing import Dict, Optional
 
-from wittkit import analytic
+from wittkit import analytic, cli
 from wittkit.characters import RealDirichletCharacter
 from wittkit.series import RationalFunction, TruncatedSeries
 from wittkit.witt import c_transform, verify_identity, witt_transform
 
 DIGESTS = Path(__file__).with_name("value_digests.json")
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 _H = {"artin": ([1, -1, -1], [1, -1]), "twin": ([1, -2], [1, -2, 1])}
 
@@ -58,6 +65,14 @@ def _json(value) -> str:
     return json.dumps(value.to_json_dict())
 
 
+def _cli(*argv) -> str:
+    """The stdout of cli.main(argv), every runtime_s masked; stderr is dropped."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        cli.main(list(argv))
+    return re.sub(r'"runtime_s": [^,}]*', '"runtime_s": "*"', out.getvalue())
+
+
 _CALLS = {
     "zeta": analytic.zeta,
     "partial_zeta": analytic.partial_zeta,
@@ -70,22 +85,28 @@ _CALLS = {
     "witt_transform": lambda f, r: _json(witt_transform(_series(f), r)),
     "c_transform": lambda f, r: _json(c_transform(_series(f), r)),
     "pow": lambda f, k: _json(_series(f) ** k),
+    "cli": _cli,
 }
 
 # characters: nine Kronecker symbols, the principal character mod 6 and an
 # imprimitive one mod 12 (chi_-4 with 3 | a set to 0)
 _CHARS = (-3, -4, 5, -7, 8, -8, 12, 13, -20,
           (0, 1, 0, 0, 0, 1), (0, 1, 0, 0, 0, 1, 0, -1, 0, 0, 0, -1))
-# two characters with no alternating form, which the L-value kernel sums by
-# Euler-Maclaurin: (-16|.) = chi_-4 mod 16, and chi_-3 lifted to mod 6
-_EM_CHARS = (-16, (0, 1, 0, 0, 0, -1))
+# imprimitive characters, which the L-value kernel takes through the
+# primitive character that induces them: (-16|.) = chi_-4 mod 16 and chi_-3
+# lifted to mod 6, of even modulus q without chi(a + q/2) = -chi(a), and
+# (_LIFTED) chi_-3 lifted to mod 9, chi_5 lifted to mod 15 and (32|.) =
+# chi_8 mod 32, of odd modulus or with that sign change
+_IMPRIMITIVE = (-16, (0, 1, 0, 0, 0, -1))
+_LIFTED = ((0, 1, -1, 0, 1, -1, 0, 1, -1),
+           (0, 1, -1, 0, 1, 0, 0, -1, -1, 0, 0, 1, 0, -1, 1), 32)
 
 ANALYTIC_CASES = (
     [("zeta", s, digits) for s in (2, 3, 4, 5, 7, 10, 31, 200, 5000)
      for digits in (10, 50, 300)]
     + [("partial_zeta", m, s, digits) for m in (1, 3, 10, 30) for s in (2, 3, 5)
        for digits in (20, 100, 300)]
-    + [("l_series", s, chi, digits) for chi in _CHARS + _EM_CHARS for s in (2, 3, 6)
+    + [("l_series", s, chi, digits) for chi in _CHARS + _IMPRIMITIVE for s in (2, 3, 6)
        for digits in (30, 150, 300)]
     + [("hurwitz_zeta", s, a, digits) for a in ("1/4", "1/3", "2/7", "1", "5/12", "1/100")
        for s in (2, 3, 7) for digits in (25, 150, 300)]
@@ -95,6 +116,9 @@ ANALYTIC_CASES = (
        for digits in (12, 60, 300)]
     + [("b_chi", chi, digits) for chi in _CHARS[:6] + (1,) for digits in (12, 60)]
     + [("b_chi", chi, 300) for chi in (-3, -4, 5, 8)]
+    + [("l_series", s, chi, digits) for chi in _LIFTED for s in (2, 3, 6)
+       for digits in (30, 150, 300)]
+    + [("b_chi", chi, digits) for chi in _IMPRIMITIVE for digits in (12, 60)]
     # refusals: each text is the exception's type and message
     + [("zeta", 1, 10), ("zeta", 2, 0), ("zeta", 3, 2001), ("partial_zeta", -1, 2, 10),
        ("l_series", 2, -4, 2001), ("hurwitz_zeta", 1, "1/2", 10),
@@ -152,16 +176,32 @@ def _verify_cases() -> list:
 
 
 VERIFY_CASES = _verify_cases()
-CASES = ANALYTIC_CASES + VERIFY_CASES
 
-# values at up to 1000 digits (2000 for zeta and Hurwitz): pinned in the
-# same file, recomputed only when this file runs as a script (a few
-# seconds more), never by test_value_digests.py
+
+def _readme_commands() -> list:
+    """The argv of each command in the README's CLI block, without "wittkit"."""
+    block = re.search(r"^## CLI$.*?^```sh$(.*?)^```$", README.read_text(), re.M | re.S)[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = (shlex.split(line, comments=True) for line in lines)
+    return [tuple(argv[1:]) for argv in commands if argv]
+
+
+CLI_CASES = [("cli", *argv) for argv in _readme_commands()] + [
+    ("cli", "lseries", "--table", "0,1,0,0,0,-1", "--s", "3", "--digits", "300"),
+    ("cli", "bchi", "--kronecker", "-16", "--digits", "60", "--cross-check"),
+]
+CASES = ANALYTIC_CASES + VERIFY_CASES + CLI_CASES
+
+# values at up to 1000 digits (2000 for zeta and Hurwitz), and b_chi at a
+# modulus of five digits: pinned in the same file, recomputed only when
+# this file runs as a script (a few seconds more), never by
+# test_value_digests.py
 SCRIPT_CASES = (
     [("euler_product", "artin", 0, 1000), ("euler_product", "twin", 1, 1000)]
     + [("zeta", s, 2000) for s in (3, 5, 7)]
-    + [("l_series", 3, chi, 1000) for chi in _CHARS + _EM_CHARS]
+    + [("l_series", 3, chi, 1000) for chi in _CHARS + _IMPRIMITIVE]
     + [("hurwitz_zeta", 3, "1/3", 2000)]
+    + [("b_chi", -16012, 12)]
 )
 
 

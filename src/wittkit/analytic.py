@@ -39,7 +39,10 @@ Per-exponent precision.  The product is exp(sum e ln L_m(n, psi)) over
 integer exponents e keyed by (n, psi).  Each L_m(n, psi) - 1 is
 computed to its own p = D + 6 + ceil(log10 |e|) + GUARD_DIGITS digits,
 so |e| times its error stays below 10^-(D+16) whatever the other
-exponents are; the reported working precision is the largest p.
+exponents are; the reported working precision is the largest p.  Its
+logarithm is taken in fixed point at the same width (_log1p), and the
+sum of e ln is one int at the width of the largest p, converted once
+before the one exp.
 
 One kernel, _l_minus_1, returns L_m(s, chi) - 1 within 10^-prec, for chi
 mod q and the Euler factors of the first m primes removed, by one of three
@@ -62,10 +65,9 @@ sum_{k>K} k^-s.
   the p <= p_m and the p | q, and L_m(s, chi) - 1 = (P - 1) + P (L - 1),
   with P in fixed point (below).  A principal chi has chi* = 1, so L is
   zeta; for even s that value is in closed form, zeta(s) = |B_s| (2 pi)^s /
-  (2 s!) (_even_zeta_minus_1), with B_s from the Bernoulli cache and pi
-  from Machin's series in arith (J. M. Borwein, D. M. Bradley, R. E.
-  Crandall, "Computational strategies for the Riemann zeta function",
-  2000).
+  (2 s!) (_EvenZeta), with B_s from the Bernoulli cache and pi from
+  Machin's series in arith (J. M. Borwein, D. M. Bradley, R. E. Crandall,
+  "Computational strategies for the Riemann zeta function", 2000).
 - An alternating sum for every other L(s, chi*), zeta at odd s included:
   with A(s, r, a) = sum_{k>=0} (-1)^k (rk+a)^-s, r = f for odd f and f/2
   for even f,
@@ -87,8 +89,10 @@ K for (q, a) when that is at most _em_cut(prec), else at _em_cut(prec),
 and the cut doubles if the correction terms diverge first.
 
 Fixed point.  The kernel runs on ints t standing for t 10^-W, at one
-width W = prec + 12, and converts to Decimal once, exactly, where it
-returns.  Every direct sum (the rough sum and the k < cut part of
+width W = prec + 12, and returns its int: the L-value entry points
+convert it to Decimal once, exactly, and the planner takes
+ln(1 + t 10^-W) of it in fixed point as 2 atanh(t / (2 10^W + t)).  Every
+direct sum (the rough sum and the k < cut part of
 Euler-Maclaurin) is one _PowerRow of floor(10^W / k^s), and every
 alternating sum one _AlternatingRow of floor(C_k / (rk+a)^s), C_k the
 Chebyshev weights at a few more digits than W.  Correction j is one exact
@@ -103,6 +107,9 @@ each progression rk + a are kept in the planner's shared _RoughNumbers,
 at the width of its largest precision, and move from s to a larger s' in
 place by v //= k^(s' - s), which is exact: the planner's L-values at
 n = 2, 3, ... share their divisions instead of dividing afresh for each n.
+The closed form's (2 pi)^s is kept there too, built by binary powering at
+the plan's first even s and advanced by one multiplication by (2 pi)^2
+per step of 2 in s, with its floors counted in _EvenZeta.
 """
 
 from __future__ import annotations
@@ -287,29 +294,54 @@ def _dirichlet_sum(s: int, q: int, a: int, prec: int) -> int:
         cut *= 2
 
 
-def _even_zeta_minus_1(s: int, width: int) -> int:
-    """zeta(s) - 1 for an even s >= 2 as an int at `width` within 9 s
-    units, u = 10^-width, in closed form: zeta(s) = |B_s| (2 pi)^s / (2 s!)
-    (Euler), with B_s from the Bernoulli cache and pi from arith.pi_fixed.
+class _EvenZeta:
+    """zeta(s) - 1 for even s >= 2 in closed form, zeta(s) = |B_s| (2 pi)^s
+    / (2 s!) (Euler), with B_s from the Bernoulli cache and pi from
+    arith.pi_fixed.  It keeps (2 pi)^s between calls at one width and one
+    s, like _PowerRow: a fresh power, a smaller s or a call needing a
+    larger width builds it by binary powering, and a larger s advances it
+    in place by (s' - s)/2 multiplications by (2 pi)^2, where the planner's
+    even s rise by 2.
 
-    2 pi_fixed(width) is within 4 of 2 pi 10^width, a relative error under
-    u.  The power (2 pi)^s comes by left-to-right binary powering, each
-    product floored to width digits; every factor is at least 1, so each
-    floor has relative error under u, and a floor at a step with r
-    squarings still to come is raised to the power 2^r.  With at most two
-    floors for each of the L bits of s, the floors add under 2 (2^L - 1) u
-    < 4 s u to the logarithm, as 2^(L-1) <= s, and the start under s u: the
-    power is (2 pi)^s (1 + theta) with |theta| < 5.01 s u.  One exact
-    multiplication by |B_s| / (2 s!) and one floor follow, so the value
-    errs by under zeta(2) 5.01 s u + u < 9 s u."""
-    one, base = 10**width, 2 * pi_fixed(width)
-    power = one
-    for bit in bin(s)[2:]:
-        power = power * power // one
-        if bit == "1":
-            power = power * base // one
-    b = abs(bernoulli(s))
-    return power * b.numerator // (2 * math.factorial(s) * b.denominator) - one
+    In units v = 10^-self.width, 2 pi_fixed is within 4 of 2 pi 10^width,
+    a relative error under 0.64 v.  Binary powering floors each product to
+    the width; every factor is at least 1, so each floor has relative error
+    under v, and a floor at a step with r squarings still to come is raised
+    to the power 2^r.  With at most two floors for each of the L bits of s,
+    the floors add under 2 (2^L - 1) v < 4 s v to the logarithm, as 2^(L-1)
+    <= s, and the start under s v: the power is (2 pi)^s (1 + theta) with
+    |theta| < 5.01 s v.  The square (2 pi)^2 is one floor of the square of
+    2 pi_fixed, within 1.31 v relatively, and a step's floor of a product
+    above (2 pi)^4 adds under 0.01 v: a step of 2 in s adds under 1.32 v to
+    the logarithm, and |theta| < 5.01 s v holds for every s the power
+    reaches."""
+
+    def __init__(self, width: int = 0):
+        self.width, self.s, self.power, self.square = width, 0, 0, 0
+
+    def minus_1(self, s: int, width: int) -> int:
+        """zeta(s) - 1 as an int at `width` within 9 s units, u =
+        10^-width: the power floored to `width` digits errs relatively by
+        under 5.01 s v + u / (2 pi)^2 < (5.01 s + 0.03) u, and one exact
+        multiplication by |B_s| / (2 s!) and one floor follow, so the value
+        errs by under zeta(2) (5.01 s + 0.03) u + u < 9 s u."""
+        if not self.power or s < self.s or width > self.width:
+            self.width = max(width, self.width)
+            one, base = 10**self.width, 2 * pi_fixed(self.width)
+            power = one
+            for bit in bin(s)[2:]:
+                power = power * power // one
+                if bit == "1":
+                    power = power * base // one
+            self.square = base * base // one
+        else:
+            one, power = 10**self.width, self.power
+            for _ in range((s - self.s) // 2):
+                power = power * self.square // one
+        self.s, self.power = s, power
+        b = abs(bernoulli(s))
+        return (power // 10 ** (self.width - width) * b.numerator
+                // (2 * math.factorial(s) * b.denominator) - 10**width)
 
 
 def _chebyshev_at_3(n: int) -> int:
@@ -492,9 +524,11 @@ def _l_value(name: str, s: int, chi: RealDirichletCharacter, digits: int,
     if s < 2:
         raise ValueError(f"{name} requires s >= 2, got {s}")
     _check_digits(digits, budget=True)
+    prec = digits + GUARD_DIGITS
+    value = Decimal(_l_minus_1(s, chi, prec, m)).scaleb(-_width(prec), _UNROUNDED)
     with localcontext() as ctx:
-        ctx.prec = digits + GUARD_DIGITS + 14
-        return _quantize(1 + _l_minus_1(s, chi, digits + GUARD_DIGITS, m), digits)
+        ctx.prec = prec + 14
+        return _quantize(1 + value, digits)
 
 
 def zeta(s: int, digits: int) -> Decimal:
@@ -534,29 +568,6 @@ def l_series(s: int, chi: RealDirichletCharacter, digits: int) -> Decimal:
     return _l_value("l_series", s, chi, digits)
 
 
-def _ln1p(t: Decimal) -> Decimal:
-    """ln(1 + t) at the current context precision; |t| < 1.
-
-    Uses the power series for small |t| (where adding 1 would cancel
-    digits) and the built-in ln otherwise.
-    """
-    if t == 0:
-        return Decimal(0)
-    if abs(t) > Decimal("0.25"):
-        return (1 + t).ln()
-    with localcontext() as ctx:
-        ctx.prec += 5
-        tiny = Decimal(1).scaleb(-(ctx.prec + 2))
-        power = t
-        acc = t
-        i = 2
-        while abs(power) > tiny:
-            power *= t
-            acc += power / i if i % 2 else -power / i
-            i += 1
-    return +acc
-
-
 class _RoughNumbers:
     """p_1, ..., p_m and the p_m-rough numbers (k >= 2 with no prime factor
     <= p_m) in increasing order, from p_(m+1) on, sieved in place as far as
@@ -564,9 +575,10 @@ class _RoughNumbers:
     holds what the L-values that share it reuse: one power row for the
     rough k, begun at `width` digits; per character, its primitive chi* and
     removed Euler factors; and the Chebyshev weights, built once at no less
-    than `prec`, with one alternating row per progression rk + a.  The
-    planner builds one, sets its width and prec from its largest precision
-    and shares it across its L-values."""
+    than `prec`, with one alternating row per progression rk + a; and the
+    closed form for even zeta, its (2 pi)^s begun at the width of `prec`.
+    The planner builds one, sets its width and prec from its largest
+    precision and shares it across its L-values."""
 
     def __init__(self, m: int):
         primes = primes_up_to(nth_prime(m + 1))
@@ -574,7 +586,7 @@ class _RoughNumbers:
         self.density = math.prod(1 - 1 / p for p in self.primes)  # the share of rough k
         self.ks, self.limit = [primes[m]], primes[m]  # rough k <= limit, all of them
         self.width, self.power, self.characters = 0, None, {}
-        self.prec, self.weights, self.alternating = 0, None, {}
+        self.prec, self.weights, self.alternating, self.zeta = 0, None, {}, None
 
     def upto(self, end: int) -> List[int]:
         """The rough k, sieved at least through `end`."""
@@ -593,6 +605,13 @@ class _RoughNumbers:
         if self.power is None:
             self.power = _PowerRow(self.width)
         return self.power
+
+    def even_zeta(self) -> _EvenZeta:
+        """The closed form for even zeta, its (2 pi)^s begun at the width
+        of `prec`."""
+        if self.zeta is None:
+            self.zeta = _EvenZeta(_width(self.prec))
+        return self.zeta
 
     def primitive(self, chi: RealDirichletCharacter) -> Tuple[RealDirichletCharacter,
                                                                List[Tuple[int, int]]]:
@@ -615,13 +634,14 @@ class _RoughNumbers:
 
 
 def _l_minus_1(s: int, chi: RealDirichletCharacter, prec: int, m: int = 0,
-               rough: Optional[_RoughNumbers] = None) -> Decimal:
+               rough: Optional[_RoughNumbers] = None) -> int:
     """L_m(s, chi) - 1 within 10^-prec, with the Euler factors of the first
-    m primes removed; `rough` holds p_1, ..., p_m, the p_m-rough k, their
-    power row, each character's chi* and removed factors, the Chebyshev
-    weights and the alternating rows (built here when the caller passes
-    none).  Every route runs on ints at W = _width(prec), u = 10^-W,
-    converted once, exactly.
+    m primes removed, as an int at W = _width(prec), u = 10^-W: every route
+    runs on ints, and the callers convert (_l_value) or take the logarithm
+    (_twisted_product) there.  `rough` holds p_1, ..., p_m, the p_m-rough
+    k, their power row, each character's chi* and removed factors, the
+    Chebyshev weights with the alternating rows, and the closed form's
+    (2 pi)^s (built here when the caller passes none).
 
     Above s' = (10^prec).bit_length() + 2 it computes at s' instead: as
     0 <= k^-s' - k^-s <= k^-s', L_m(s) and L_m(s') differ by at most
@@ -640,8 +660,8 @@ def _l_minus_1(s: int, chi: RealDirichletCharacter, prec: int, m: int = 0,
     L(s, chi*) and P = prod (1 - chi*(p) p^-s) over the p <= p_m and the
     p | q, and the value is (P - 1) + P (L - 1), with no n = 1 term in L - 1
     to cancel.  L - 1 comes by one of two routes:
-    - chi* = 1 (chi principal, L = zeta) at even s: _even_zeta_minus_1's
-      closed form, within 9 s units.
+    - chi* = 1 (chi principal, L = zeta) at even s: _EvenZeta's closed
+      form, within 9 s units.
     - Every other: _alternating_minus_1, one alternating row per residue on
       the one set of Chebyshev weights in `rough`, within 0.034 10^-prec +
       (0.2 h + 1) u for its h <= f rows; its docstring proves the identity
@@ -661,18 +681,16 @@ def _l_minus_1(s: int, chi: RealDirichletCharacter, prec: int, m: int = 0,
     end = _tail_end(s, 1, 0, prec, math.floor(q * _em_cut(prec) / rough.density))
     if end is not None:
         ks = rough.upto(end)
-        value = rough.row().sum(s, ks[:bisect_right(ks, end)], width, chi if q > 1 else None)
+        return rough.row().sum(s, ks[:bisect_right(ks, end)], width, chi if q > 1 else None)
+    star, factors = rough.primitive(chi)
+    one = t = 10**width
+    for p, c in factors:
+        t -= c * (t // p**s)
+    if star.modulus == 1 and s % 2 == 0:
+        total = rough.even_zeta().minus_1(s, width)
     else:
-        star, factors = rough.primitive(chi)
-        one = t = 10**width
-        for p, c in factors:
-            t -= c * (t // p**s)
-        if star.modulus == 1 and s % 2 == 0:
-            total = _even_zeta_minus_1(s, width)
-        else:
-            total = _alternating_minus_1(s, star, prec, rough)
-        value = t - one + t * total // one
-    return Decimal(value).scaleb(-width, _UNROUNDED)
+        total = _alternating_minus_1(s, star, prec, rough)
+    return t - one + t * total // one
 
 
 # -- Euler products over exponent expansions ---------------------------
@@ -750,29 +768,72 @@ def _is_exact_factorization(h: RationalFunction, exps) -> Optional[bool]:
     return num == den
 
 
+def _settle(test, lo: int, hi: int, guess: int) -> int:
+    """The least n in (lo, hi] with test(n), for a test that is false at
+    lo, true at hi and monotone between: galloping out from the guess,
+    clamped into the bracket, by steps 1, 2, 4, ... until the test turns,
+    then halving what is left."""
+    n, step = min(max(guess, lo + 1), hi - 1), 1
+    while lo < n < hi:
+        if test(n):
+            hi, n = n, n - step
+        else:
+            lo, n = n, n + step
+        step *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if test(mid) else (mid, hi)
+    return hi
+
+
 def _root_bound(poly: Sequence[int]) -> Fraction:
     """An exact rho >= |beta| for every reciprocal root beta of an integer
     polynomial a_0 + ... + a_d z^d, a_0 != 0: the least over k = 0..4 (a step
     can loosen it) of the Cauchy bound of the k-th Graeffe iterate raised to
-    1/2^k, by integer bisection (upper end) on |a_0| y^d - ... - |a_d|, y = n/2^s."""
+    1/2^k, rounded up to a dyadic grid.
+
+    On the iterate, with power = 2^k, the Cauchy bound is the positive root
+    x of C(x) = |a_0| x^d - |a_1| x^(d-1) - ... - |a_d|, and y = x^(1/power)
+    is rounded up to the least y' with C(y'^power) >= 0 (an integer test)
+    on the multiples of 2^(e-51) in (2^(e-1), 2^e] (in (0, 2] for e = 1),
+    e >= 1 the least with y <= 2^e.  A float guess of log2 x places e and
+    y': Newton's method on f(v) = log2 sum_i 2^(l_i - i v), l_i = log2 |a_i
+    / a_0| (math.log2 takes an int of any size, so no coefficient
+    overflows), which is convex and falls through 0 at v = log2 x, so its
+    steps from v = max l_i / i, where f >= 0, rise towards the root and
+    stop where one would not rise.  The test at 2^(e-1) and 2^e moves e
+    until it is the least, and _settle finds y' from the guess."""
     poly = list(poly)
     while len(poly) > 1 and poly[-1] == 0:
         poly.pop()
     d, bounds = len(poly) - 1, []
     for power in (1, 2, 4, 8, 16) if d else ():
-        def at_or_above(n: int, s: int) -> bool:  # 2^(s power d) C(y^power) >= 0, y = n/2^s
+        def at(k: int, e: int) -> bool:  # C(y^power) >= 0 for y = k 2^(e-51)
+            n, s = k << max(0, e - 51), max(0, 51 - e)  # y = n/2^s
             p, acc = n**power, abs(poly[0])
             for i in range(1, d + 1):
                 acc = acc * p - (abs(poly[i]) << s * power * i)
-            return acc >= 0
+            return acc >= 0  # 2^(s power d) C(y^power) >= 0
 
-        hi = next(1 << j for j in count() if at_or_above(1 << j, 0))  # doubling from 1
-        s = max(0, 52 - hi.bit_length())  # [hi/2, hi] halves 50 times on multiples of 2^-s
-        lo, hi = (hi // 2) << s, hi << s
-        for _ in range(50):
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if at_or_above(mid, s) else (mid, hi)
-        bounds.append(Fraction(hi, 1 << s))
+        top = math.log2(abs(poly[0]))
+        logs = [(i, math.log2(abs(c)) - top) for i, c in enumerate(poly) if i and c]
+        v = max(l / i for i, l in logs)
+        while True:
+            terms = [(i, 2.0 ** (l - i * v)) for i, l in logs]
+            total = sum(w for _, w in terms)
+            rise = math.log2(total) * total / sum(i * w for i, w in terms)
+            if not v + rise > v:
+                break
+            v += rise
+        guess = v / power  # log2 y
+        e = max(1, math.ceil(guess))
+        while e > 1 and at(1 << 50, e):
+            e -= 1
+        while not at(1 << 51, e):
+            e += 1
+        k = _settle(lambda k: at(k, e), 1 << 50 if e > 1 else 0, 1 << 51,
+                    math.ceil(2.0 ** (guess + 51 - e)))
+        bounds.append(Fraction(k << max(0, e - 51), 1 << max(0, 51 - e)))
         # Graeffe's step Q(z^2) = P(z) P(-z) squares the reciprocal roots
         poly = [sum((-1) ** j * poly[j] * poly[i - j] for j in range(max(0, i - d), min(i, d) + 1))
                 for i in range(0, 2 * d + 1, 2)]
@@ -842,6 +903,34 @@ def _base(chi: RealDirichletCharacter, primes: Sequence[int]) -> int:
     return next(k for k in count(2) if chi(k) and all(k % p for p in primes))
 
 
+def _log1p(t: int, width: int) -> int:
+    """ln(1 + t u) / u for an int t with |t u| <= 1/4, u = 10^-width, as an
+    int within 5 N + 5 <= 3.05 width + 10 units, N the number of terms:
+    2 atanh(z) = 2 sum_{k>=0} z^(2k+1) / (2k+1) with z = t u / (2 + t u),
+    which gains twice the digits per term of the series of ln(1 + t u) (R.
+    P. Brent, P. Zimmermann, "Modern Computer Arithmetic", 2010, 4.4).
+
+    |z| <= 1/7.  Z = floor(z / u) errs by under a unit, so a = |Z| u <=
+    0.15, and atanh' = 1 / (1 - z^2) <= 1.023 there: the atanh errs by
+    under 1.023 units from Z.  With S = floor(Z^2 u) and P_0 = |Z|,
+    P_(k+1) = floor(P_k S u), the P_k u lie at most e_k units below
+    a^(2k+1), where e_0 = 0 and e_(k+1) <= e_k a^2 + a + 1 give e_k <=
+    1.18; so each term floor(P_k / (2k+1)) lies under 2.2 units below its
+    true value.  The sum stops at the first P_N = 0, where a^(2N+1) <=
+    1.18 u and the rest of the series is under 1.18 u / (1 - a^2) < 1.21
+    u.  So the atanh errs by under 2.2 N + 2.24 units and the value by
+    under 5 N + 5, and P_(N-1) >= 1 gives a^(2N-1) >= u, N <= 0.61 width +
+    1."""
+    one = 10**width
+    z = t * one // (2 * one + t)
+    square, power = z * z // one, abs(z)
+    total, k = 0, 1
+    while power:
+        total += power // k
+        power, k = power * square // one, k + 2
+    return 2 * total if z >= 0 else -2 * total
+
+
 def _twisted_product(h: Dict[int, RationalFunction], chi: RealDirichletCharacter, m: int,
                      digits: int) -> ConstantResult:
     """prod_{p > p_m} h(chi(p), 1/p), quantized to `digits`, with its cutoff,
@@ -865,8 +954,15 @@ def _twisted_product(h: Dict[int, RationalFunction], chi: RealDirichletCharacter
     by induction over the halvings |Od(n)| <= (d+ + d-)(s(n) + 3 s(n/2))/(2n)
     <= 3 (d+ + d-) s(n)/(2n), as s(n/2) <= s(n) - R^n < 2 s(n)/3 for
     R >= 3/2; so the weight |Ev| + |Od| is at most (d+ + 3 (d+ + d-))
-    s(n)/n.  Each L-value has its own precision (module docstring); the
-    working digits are the largest."""
+    s(n)/n.
+
+    Each L-value has its own precision p (module docstring); the working
+    digits are the largest, P.  Its ln(1 + t) is _log1p of the kernel's
+    int at its width p + 12: |t| < 1/100 there, as every term is k^-n with
+    k >= b >= 101, and as |e| <= 10^(p-D-16), |e| times the logarithm's
+    3.05 (p + 12) + 10 units is under (3.05 p + 47) 10^-(D+28).  Each
+    e ln is scaled exactly to the width P + 12, the sum is one int,
+    converted to Decimal once, and one exp at P + 12 digits follows."""
     if -1 not in chi.values:  # chi == chi^2, without building chi^2
         h = {**h, -1: h[1]}
     deg, rho = _roots(h[1])
@@ -891,12 +987,15 @@ def _twisted_product(h: Dict[int, RationalFunction], chi: RealDirichletCharacter
     rough.prec = prec
     small = _twisted_direct(h, chi, m, rough.primes[-1], prec).value  # p_m < p <= p_m'
     divisors = _twisted_direct({-1: _ONE, 0: h[0], 1: _ONE}, chi, plan, chi.modulus, prec).value
+    total = 0  # sum e ln L_m'(n, psi) at _width(prec)
+    for (n, psi), e in terms.items():
+        own = precs[n, psi]
+        ln = _log1p(_l_minus_1(n, psi, own, plan, rough), _width(own))
+        total += e * ln * 10 ** (prec - own)
+    log = Decimal(total).scaleb(-_width(prec), _UNROUNDED)
     with localcontext() as ctx:
         ctx.prec = prec + 12
-        total = Decimal(0)
-        for (n, psi), e in terms.items():
-            total += e * _ln1p(_l_minus_1(n, psi, precs[n, psi], plan, rough))
-        value = _quantize(total.exp() * small * divisors, digits)
+        value = _quantize(log.exp() * small * divisors, digits)
     return ConstantResult(value, digits, cutoff, tail, False, prec, plan)
 
 
@@ -907,8 +1006,9 @@ def euler_product(spec: EulerProductSpec) -> ConstantResult:
     The exponents come from the unique product expansion of h, up to the
     cutoff that a bound on the reciprocal roots of h proves (_cutoff); each
     contributes e_n * ln(1 + (zeta_m(n) - 1)) at its own working precision,
-    wide enough to absorb the size of e_n.  The reported tail is that proven
-    bound, or 0 for a product that terminates.
+    wide enough to absorb the size of e_n, the logarithm taken in integer
+    fixed point, and the sum is exponentiated once.  The reported tail is
+    that proven bound, or 0 for a product that terminates.
     """
     return _twisted_product(dict.fromkeys((-1, 0, 1), spec.h), RealDirichletCharacter.trivial(),
                             spec.m, spec.digits)

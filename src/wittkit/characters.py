@@ -91,6 +91,12 @@ class RealDirichletCharacter:
                     raise ValueError(
                         f"values are not completely multiplicative at ({a},{g})"
                     )
+        # the Euler-product planner keys its dicts by character: hash the q
+        # values once here, not on every lookup
+        object.__setattr__(self, "_hash", hash((q, vals)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __call__(self, n: int) -> int:
         return self.values[n % self.modulus]

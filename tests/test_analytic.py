@@ -238,7 +238,7 @@ def test_non_principal_l_values_sum_the_residues_in_one_loop(monkeypatch, d, m, 
     sums = _counting(monkeypatch, "_dirichlet_sum")
     rows = _counting(monkeypatch, "_AlternatingRow")
     weights = _counting(monkeypatch, "_ChebyshevWeights")
-    got = analytic._l_minus_1(s, chi, prec, m)
+    got = _fixed(analytic._l_minus_1(s, chi, prec, m), prec)
     step = q if q % 2 else q // 2
     residues = [a for a in range(1, step + 1) if chi(a)]
     assert sums == [] and weights == [(prec,)]
@@ -269,7 +269,7 @@ def test_characters_without_an_alternating_form_keep_euler_maclaurin(monkeypatch
     assert analytic._primitive(chi) == star
     sums = _counting(monkeypatch, "_dirichlet_sum")
     rows = _counting(monkeypatch, "_AlternatingRow")
-    got = analytic._l_minus_1(s, chi, prec, m)
+    got = _fixed(analytic._l_minus_1(s, chi, prec, m), prec)
     r = star.modulus if star.modulus % 2 else star.modulus // 2
     assert sums == []
     assert [args[1:] for args in rows] == [(r, a) for a in range(1, r + 1) if star(a)]
@@ -301,7 +301,7 @@ def _alternating_or_kernel(key, s, prec):
     _l_minus_1, within 10^-prec."""
     chi = _character(key)
     if key == "mod 12":
-        return analytic._l_minus_1(s, chi, prec).scaleb(analytic._width(prec), analytic._UNROUNDED)
+        return analytic._l_minus_1(s, chi, prec)
     return analytic._alternating_minus_1(s, analytic._primitive(chi), prec,
                                          analytic._RoughNumbers(0))
 
@@ -409,7 +409,7 @@ def test_a_huge_s_costs_no_more_than_the_clamp():
     for s in (clamp - 1, clamp, clamp + 1, clamp + 40):
         for d in (1, -3):
             chi = RealDirichletCharacter.from_kronecker(d)
-            got = mpmath.mpf(str(analytic._l_minus_1(s, chi, 40)))
+            got = mpmath.mpf(str(_fixed(analytic._l_minus_1(s, chi, 40), 40)))
             assert abs(got - _l_m_reference(s, chi, 0)) < mpmath.mpf(10) ** -40, (s, d)
 
 
@@ -528,17 +528,19 @@ def test_l_minus_1_with_removed_factors_against_mpmath(monkeypatch, d, m, s):
     # below the switch the alternating rows (each of these characters has
     # an alternating form), except at even s for the principal chi (d = 1),
     # where zeta(s) has a closed form; from the switch on, the direct sum
-    # over the p_m-rough k, which calls neither; Euler-Maclaurin never
+    # over the p_m-rough k, one power-row sum, which calls neither;
+    # Euler-Maclaurin never
     chi = RealDirichletCharacter.from_kronecker(d)
     switch = _first_direct_s(chi.modulus, m, 40)
     s = {"below-switch": switch - 1, "switch": switch}.get(s, s)
     sums = _counting(monkeypatch, "_dirichlet_sum")
-    closed = _counting(monkeypatch, "_even_zeta_minus_1")
+    rough = _counting(monkeypatch, "sum", analytic._PowerRow)
+    closed = _counting(monkeypatch, "minus_1", analytic._EvenZeta)
     rows = _counting(monkeypatch, "_alternating_minus_1")
-    got = analytic._l_minus_1(s, chi, 40, m)
+    got = _fixed(analytic._l_minus_1(s, chi, 40, m), 40)
     closed_form = s < switch and d == 1 and s % 2 == 0
-    assert (bool(sums), bool(closed), bool(rows)) == (
-        False, closed_form, s < switch and not closed_form)
+    assert (bool(sums), len(rough), len(closed), len(rows)) == (
+        False, s >= switch, closed_form, s < switch and not closed_form)
     mpmath.mp.dps = 60
     ref = _l_m_reference(s, chi, m)
     assert abs(mpmath.mpf(str(got)) - ref) < mpmath.mpf(10) ** -40
@@ -552,7 +554,7 @@ def test_l_minus_1_fixed_point_factors_match_the_exact_product(d, s, prec):
     # the fixed-point P errs by under 1.52 10^-(prec+3), so they agree to
     # 10^-(prec+2), well inside the kernel's 10^-prec
     chi = RealDirichletCharacter.from_kronecker(d)
-    total = analytic._l_minus_1(s, chi, prec)
+    total = _fixed(analytic._l_minus_1(s, chi, prec), prec)
     for m in (25, 100, 400):
         factors = Fraction(1)
         for p in primes_up_to(nth_prime(m)):
@@ -561,7 +563,8 @@ def test_l_minus_1_fixed_point_factors_match_the_exact_product(d, s, prec):
             ctx.prec = prec + 12
             whole = Decimal(factors.numerator) / Decimal(factors.denominator)
             want = (whole - 1) + whole * total
-        assert abs(analytic._l_minus_1(s, chi, prec, m) - want) < Decimal(10) ** -(prec + 2), m
+        got = _fixed(analytic._l_minus_1(s, chi, prec, m), prec)
+        assert abs(got - want) < Decimal(10) ** -(prec + 2), m
 
 
 @pytest.mark.parametrize("prec", [40, 300, 1000])
@@ -570,7 +573,7 @@ def test_even_zeta_closed_form_against_euler_maclaurin_and_mpmath(s, prec):
     # two independent routes to zeta(s) - 1: Bernoulli and Machin's pi, and
     # S(s, 1, 2) by Euler-Maclaurin, both ints at the kernel's width; the
     # closed form claims 9 s units there, far inside 10^-(prec+2)
-    closed = analytic._even_zeta_minus_1(s, analytic._width(prec))
+    closed = analytic._EvenZeta().minus_1(s, analytic._width(prec))
     assert abs(closed - analytic._dirichlet_sum(s, 1, 2, prec)) < 10 ** (analytic._width(prec) - prec)
     mpmath.mp.dps = prec + 30
     closed = _fixed(closed, prec)
@@ -594,7 +597,7 @@ def test_principal_l_values_through_zeta_match_the_residue_sums(monkeypatch, q, 
     psi = _principal(q)
     sums = _counting(monkeypatch, "_dirichlet_sum")
     rows = _counting(monkeypatch, "_AlternatingRow")
-    got = analytic._l_minus_1(s, psi, 40, m)
+    got = _fixed(analytic._l_minus_1(s, psi, 40, m), 40)
     assert sums == []
     assert [args[1:] for args in rows] == ([] if s % 2 == 0 else [(1, 1)])
     monkeypatch.undo()
@@ -610,6 +613,53 @@ def test_principal_l_values_through_zeta_match_the_residue_sums(monkeypatch, q, 
         assert abs(got - ((whole - 1) + whole * residues)) < Decimal(10) ** -40
     mpmath.mp.dps = 60
     assert abs(mpmath.mpf(str(got)) - _l_m_reference(s, psi, m)) < mpmath.mpf(10) ** -40
+
+
+def test_stepped_power_of_two_pi_against_binary_powering(monkeypatch):
+    # one _EvenZeta walks s = 2, 4, ..., 260 as a plan does, with a wider
+    # width from s = 102 on, a step back to s = 60 and reads at a narrower
+    # width; it builds (2 pi)^s by binary powering only at its first s, the
+    # wider width and the smaller s, and steps by (2 pi)^2 otherwise.  Each
+    # stepped power is within 5.01 s units (relative, at its width) of the
+    # same bound for a fresh binary powering, and each value within 9 s
+    # units of mpmath's zeta(s) - 1
+    narrow, wide = analytic._width(40), analytic._width(300)
+    walk = ([(s, narrow) for s in range(2, 101, 2)] + [(s, wide) for s in range(102, 181, 2)]
+            + [(s, wide if s % 4 else narrow) for s in range(60, 261, 2)])
+    builds, rebuilt = _counting(monkeypatch, "pi_fixed"), []
+    stepped = analytic._EvenZeta()
+    mpmath.mp.dps = 340
+    for s, width in walk:
+        before = len(builds)
+        got = stepped.minus_1(s, width)
+        if len(builds) > before:
+            rebuilt.append((s, stepped.width))
+        fresh = analytic._EvenZeta()
+        fresh.minus_1(s, stepped.width)
+        bound = 1002 * s * fresh.power // 10 ** (stepped.width + 2) + 2  # 10.02 s relatively
+        assert abs(stepped.power - fresh.power) <= bound
+        want = (mpmath.zeta(s) - 1) * mpmath.mpf(10) ** width
+        assert abs(got - want) < 9 * s, (s, width)
+    assert rebuilt == [(2, narrow), (102, wide), (60, wide)]
+
+
+def test_log1p_in_fixed_point_against_mpmath():
+    # ln(1 + t u) within 3.05 W + 10 units at W = _width(prec), for t of
+    # both signs: the docstring's limit |t u| = 1/4, the planner's largest
+    # (zeta_25(2) - 1 and L_25(2, chi_-4) - 1, from the kernel, n = 2 being
+    # its first exponent) and its smallest (a few units, near the cutoff)
+    chi = RealDirichletCharacter.from_kronecker(-4)
+    for prec in (40, 300, 1000):
+        width = analytic._width(prec)
+        one = 10**width
+        largest = [analytic._l_minus_1(2, psi, prec, 25) for psi in (chi.square(), chi)]
+        assert all(0 < abs(t) < one // 500 for t in largest)
+        mpmath.mp.dps = width + 20
+        for t in largest + [one // 4, -one // 4, one // 101**2, 7, 1, 0]:
+            for t in {t, -t}:
+                got = analytic._log1p(t, width)
+                want = mpmath.log1p(mpmath.mpf(t) / one) * one
+                assert abs(got - want) < 3.05 * width + 10, (prec, t)
 
 
 def test_machin_pi_against_mpmath_and_the_battery_literal(monkeypatch):
@@ -838,8 +888,8 @@ def table_route_b_chi(chis, digits):
             for k, r, m in live:
                 if (3 * r + k, r % 2) not in ln_l:
                     character = chi if r % 2 else chi.square()
-                    ln_l[3 * r + k, r % 2] = analytic._ln1p(
-                        analytic._l_minus_1(3 * r + k, character, prec))
+                    t = _fixed(analytic._l_minus_1(3 * r + k, character, prec), prec)
+                    ln_l[3 * r + k, r % 2] = (1 + t).ln()
                 total -= m * ln_l[3 * r + k, r % 2]
             values.append(euler_product(EulerProductSpec(ARTIN_H, 0, digits + 8)).value
                           * l_series(2, chi, prec)
@@ -1027,6 +1077,26 @@ def test_root_bound_equals_the_fraction_bisection(poly):
     assert analytic._root_bound(poly) == _fraction_root_bound(poly)
 
 
+@pytest.mark.parametrize("poly", [[1, 0, 0, -2**200], [1, 3, -2**120], [1, -2**1100],
+                                  [2**1100, -1], [2**2000, 5, -1], [3, -2**1030, 2**1030]],
+                         ids=["2^200", "2^120", "root-2^1100", "root-2^-1100", "root-2^-1000",
+                              "mixed"])
+def test_root_bound_where_a_float_of_the_coefficients_overflows(poly):
+    # on these iterates some coefficient is beyond the float range (a
+    # float() of it raises), and the bound y may lie far above 2^51 or far
+    # below 2^-1074: the float guess is taken from base-2 logarithms, and
+    # the exact tests settle the same grid point as the bisection
+    iterate = list(poly)
+    for _ in range(4):
+        d = len(iterate) - 1
+        iterate = [sum((-1) ** j * iterate[j] * iterate[i - j]
+                       for j in range(max(0, i - d), min(i, d) + 1))
+                   for i in range(0, 2 * d + 1, 2)]
+    with pytest.raises(OverflowError):
+        [float(c) for c in iterate]
+    assert analytic._root_bound(poly) == _fraction_root_bound(poly)
+
+
 def test_root_bound_of_a_double_root():
     # Cauchy's bound of (1 - z)^2 is 1 + sqrt(2); Graeffe's steps bring it near 1
     assert 1 <= analytic._root_bound([1, -2, 1]) < Fraction(6, 5)
@@ -1090,15 +1160,17 @@ def test_tail_text_is_the_float_text(x):
     assert analytic._sci(Decimal(x)) == f"{x:.3e}"
 
 
-def _counting(monkeypatch, name):
+def _counting(monkeypatch, name, owner=analytic):
+    """The arguments of every call of owner.name from now on (a method's
+    include the instance)."""
     calls = []
-    inner = getattr(analytic, name)
+    inner = getattr(owner, name)
 
     def counted(*args):
         calls.append(args)
         return inner(*args)
 
-    monkeypatch.setattr(analytic, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -1139,14 +1211,41 @@ def test_b_chi_of_a_principal_character_is_exact(monkeypatch, values, exact):
     assert calls == [] and rep.tail_estimate == 0
 
 
+def _routes(monkeypatch):
+    """A function giving, and then forgetting, the L-values the kernel has
+    computed since the last call, by route: the n of each rough sum (one
+    power-row sum) and of each closed-form even zeta, and (n, f) for each
+    alternating sum of a primitive character mod f."""
+    rough = _counting(monkeypatch, "sum", analytic._PowerRow)
+    closed = _counting(monkeypatch, "minus_1", analytic._EvenZeta)
+    rows = _counting(monkeypatch, "_alternating_minus_1")
+
+    def taken():
+        routes = {"rough": [args[1] for args in rough], "closed": [args[1] for args in closed],
+                  "rows": [(args[0], args[1].modulus) for args in rows]}
+        for calls in (rough, closed, rows):
+            calls.clear()
+        return routes
+    return taken
+
+
 def test_l_values_take_the_direct_sum_where_it_is_shorter(monkeypatch):
-    # with Euler-Maclaurin for every exponent these made 714 and 487 attempts
-    attempts = _em_cuts(monkeypatch)
-    euler_product(EulerProductSpec(ARTIN_H, 0, 60))
-    assert len(attempts) < 100
-    attempts.clear()
-    b_chi(RealDirichletCharacter.from_kronecker(-4), 12)
-    assert len(attempts) < 150
+    # every L-value below the switch takes the alternating rows (zeta at
+    # odd n) or the closed form (zeta at even n), and from the switch on the
+    # rough sum over the 97-rough k >= 101, once that reaches its tail
+    # within about max(12, prec) terms; Artin m=0 D=60 switches at n = 30.
+    # b_chi(chi_-4, 12) stops at its cutoff n = 10, below the switch: the
+    # rows of chi_-4 at every n, and zeta_25 (its principal chi^2) as for
+    # Artin
+    routes = _routes(monkeypatch)
+    assert euler_product(EulerProductSpec(ARTIN_H, 0, 60)).cutoff == 35
+    assert routes() == {"rough": list(range(30, 36)), "closed": list(range(2, 30, 2)),
+                        "rows": [(n, 1) for n in range(3, 30, 2)]}
+    assert b_chi(RealDirichletCharacter.from_kronecker(-4), 12).cutoff == 10
+    taken = routes()
+    assert taken["rough"] == [] and taken["closed"] == list(range(2, 11, 2))
+    assert sorted(taken["rows"]) == sorted([(n, 4) for n in range(2, 11)]
+                                           + [(n, 1) for n in range(3, 10, 2)])
 
 
 def test_the_planner_removes_the_small_primes_before_any_l_value(monkeypatch):

@@ -139,6 +139,24 @@ def test_character_square_and_power():
     assert sq.values == (0, 1, 1, 1, 1)
 
 
+def test_equal_characters_share_one_cached_hash():
+    # the hash comes from (modulus, values) once, when the character is
+    # made: equal characters from from_kronecker, the constructor and
+    # square() hash equal and are one dict key, as the planner's exponents
+    # keyed by (n, psi) need
+    chi = RealDirichletCharacter.from_kronecker(-4)
+    same = RealDirichletCharacter(4, (0, 1, 0, -1))
+    assert chi == same and chi is not same
+    assert hash(chi) == hash(same) == hash((4, (0, 1, 0, -1))) == vars(chi)["_hash"]
+    principal = RealDirichletCharacter.from_values([0, 1, 0, 1])
+    table = {(2, chi): 1, chi.square(): "principal"}
+    table[2, same] += 1
+    table[principal] += "!"
+    assert table == {(2, same): 2, principal: "principal!"}
+    big = RealDirichletCharacter.from_kronecker(-4003)
+    assert hash(big) == hash(RealDirichletCharacter(4003, big.values))
+
+
 def test_trivial_character():
     triv = RealDirichletCharacter.trivial()
     assert triv.modulus == 1

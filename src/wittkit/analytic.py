@@ -65,9 +65,10 @@ sum_{k>K} k^-s.
   the p <= p_m and the p | q, and L_m(s, chi) - 1 = (P - 1) + P (L - 1),
   with P in fixed point (below).  A principal chi has chi* = 1, so L is
   zeta; for even s that value is in closed form, zeta(s) = |B_s| (2 pi)^s /
-  (2 s!) (_EvenZeta), with B_s from the Bernoulli cache and pi from
-  Machin's series in arith (J. M. Borwein, D. M. Bradley, R. E. Crandall,
-  "Computational strategies for the Riemann zeta function", 2000).
+  (2 s!) (_even_zeta_minus_1), with B_s from the Bernoulli cache and pi
+  from Machin's series in arith (J. M. Borwein, D. M. Bradley, R. E.
+  Crandall, "Computational strategies for the Riemann zeta function",
+  2000).
 - An alternating sum for every other L(s, chi*), zeta at odd s included:
   with A(s, r, a) = sum_{k>=0} (-1)^k (rk+a)^-s, r = f for odd f and f/2
   for even f,
@@ -107,9 +108,6 @@ each progression rk + a are kept in the planner's shared _RoughNumbers,
 at the width of its largest precision, and move from s to a larger s' in
 place by v //= k^(s' - s), which is exact: the planner's L-values at
 n = 2, 3, ... share their divisions instead of dividing afresh for each n.
-The closed form's (2 pi)^s is kept there too, built by binary powering at
-the plan's first even s and advanced by one multiplication by (2 pi)^2
-per step of 2 in s, with its floors counted in _EvenZeta.
 """
 
 from __future__ import annotations
@@ -294,54 +292,29 @@ def _dirichlet_sum(s: int, q: int, a: int, prec: int) -> int:
         cut *= 2
 
 
-class _EvenZeta:
-    """zeta(s) - 1 for even s >= 2 in closed form, zeta(s) = |B_s| (2 pi)^s
-    / (2 s!) (Euler), with B_s from the Bernoulli cache and pi from
-    arith.pi_fixed.  It keeps (2 pi)^s between calls at one width and one
-    s, like _PowerRow: a fresh power, a smaller s or a call needing a
-    larger width builds it by binary powering, and a larger s advances it
-    in place by (s' - s)/2 multiplications by (2 pi)^2, where the planner's
-    even s rise by 2.
+def _even_zeta_minus_1(s: int, width: int) -> int:
+    """zeta(s) - 1 for an even s >= 2 as an int at `width` within 9 s
+    units, u = 10^-width, in closed form: zeta(s) = |B_s| (2 pi)^s / (2 s!)
+    (Euler), with B_s from the Bernoulli cache and pi from arith.pi_fixed.
 
-    In units v = 10^-self.width, 2 pi_fixed is within 4 of 2 pi 10^width,
-    a relative error under 0.64 v.  Binary powering floors each product to
-    the width; every factor is at least 1, so each floor has relative error
-    under v, and a floor at a step with r squarings still to come is raised
-    to the power 2^r.  With at most two floors for each of the L bits of s,
-    the floors add under 2 (2^L - 1) v < 4 s v to the logarithm, as 2^(L-1)
-    <= s, and the start under s v: the power is (2 pi)^s (1 + theta) with
-    |theta| < 5.01 s v.  The square (2 pi)^2 is one floor of the square of
-    2 pi_fixed, within 1.31 v relatively, and a step's floor of a product
-    above (2 pi)^4 adds under 0.01 v: a step of 2 in s adds under 1.32 v to
-    the logarithm, and |theta| < 5.01 s v holds for every s the power
-    reaches."""
-
-    def __init__(self, width: int = 0):
-        self.width, self.s, self.power, self.square = width, 0, 0, 0
-
-    def minus_1(self, s: int, width: int) -> int:
-        """zeta(s) - 1 as an int at `width` within 9 s units, u =
-        10^-width: the power floored to `width` digits errs relatively by
-        under 5.01 s v + u / (2 pi)^2 < (5.01 s + 0.03) u, and one exact
-        multiplication by |B_s| / (2 s!) and one floor follow, so the value
-        errs by under zeta(2) (5.01 s + 0.03) u + u < 9 s u."""
-        if not self.power or s < self.s or width > self.width:
-            self.width = max(width, self.width)
-            one, base = 10**self.width, 2 * pi_fixed(self.width)
-            power = one
-            for bit in bin(s)[2:]:
-                power = power * power // one
-                if bit == "1":
-                    power = power * base // one
-            self.square = base * base // one
-        else:
-            one, power = 10**self.width, self.power
-            for _ in range((s - self.s) // 2):
-                power = power * self.square // one
-        self.s, self.power = s, power
-        b = abs(bernoulli(s))
-        return (power // 10 ** (self.width - width) * b.numerator
-                // (2 * math.factorial(s) * b.denominator) - 10**width)
+    2 pi_fixed(width) is within 4 of 2 pi 10^width, a relative error under
+    u.  The power (2 pi)^s comes by left-to-right binary powering, each
+    product floored to width digits; every factor is at least 1, so each
+    floor has relative error under u, and a floor at a step with r
+    squarings still to come is raised to the power 2^r.  With at most two
+    floors for each of the L bits of s, the floors add under 2 (2^L - 1) u
+    < 4 s u to the logarithm, as 2^(L-1) <= s, and the start under s u: the
+    power is (2 pi)^s (1 + theta) with |theta| < 5.01 s u.  One exact
+    multiplication by |B_s| / (2 s!) and one floor follow, so the value
+    errs by under zeta(2) 5.01 s u + u < 9 s u."""
+    one, base = 10**width, 2 * pi_fixed(width)
+    power = one
+    for bit in bin(s)[2:]:
+        power = power * power // one
+        if bit == "1":
+            power = power * base // one
+    b = abs(bernoulli(s))
+    return power * b.numerator // (2 * math.factorial(s) * b.denominator) - one
 
 
 def _chebyshev_at_3(n: int) -> int:
@@ -575,10 +548,9 @@ class _RoughNumbers:
     holds what the L-values that share it reuse: one power row for the
     rough k, begun at `width` digits; per character, its primitive chi* and
     removed Euler factors; and the Chebyshev weights, built once at no less
-    than `prec`, with one alternating row per progression rk + a; and the
-    closed form for even zeta, its (2 pi)^s begun at the width of `prec`.
-    The planner builds one, sets its width and prec from its largest
-    precision and shares it across its L-values."""
+    than `prec`, with one alternating row per progression rk + a.  The
+    planner builds one, sets its width and prec from its largest precision
+    and shares it across its L-values."""
 
     def __init__(self, m: int):
         primes = primes_up_to(nth_prime(m + 1))
@@ -586,7 +558,7 @@ class _RoughNumbers:
         self.density = math.prod(1 - 1 / p for p in self.primes)  # the share of rough k
         self.ks, self.limit = [primes[m]], primes[m]  # rough k <= limit, all of them
         self.width, self.power, self.characters = 0, None, {}
-        self.prec, self.weights, self.alternating, self.zeta = 0, None, {}, None
+        self.prec, self.weights, self.alternating = 0, None, {}
 
     def upto(self, end: int) -> List[int]:
         """The rough k, sieved at least through `end`."""
@@ -605,13 +577,6 @@ class _RoughNumbers:
         if self.power is None:
             self.power = _PowerRow(self.width)
         return self.power
-
-    def even_zeta(self) -> _EvenZeta:
-        """The closed form for even zeta, its (2 pi)^s begun at the width
-        of `prec`."""
-        if self.zeta is None:
-            self.zeta = _EvenZeta(_width(self.prec))
-        return self.zeta
 
     def primitive(self, chi: RealDirichletCharacter) -> Tuple[RealDirichletCharacter,
                                                                List[Tuple[int, int]]]:
@@ -640,8 +605,8 @@ def _l_minus_1(s: int, chi: RealDirichletCharacter, prec: int, m: int = 0,
     runs on ints, and the callers convert (_l_value) or take the logarithm
     (_twisted_product) there.  `rough` holds p_1, ..., p_m, the p_m-rough
     k, their power row, each character's chi* and removed factors, the
-    Chebyshev weights with the alternating rows, and the closed form's
-    (2 pi)^s (built here when the caller passes none).
+    Chebyshev weights and the alternating rows (built here when the caller
+    passes none).
 
     Above s' = (10^prec).bit_length() + 2 it computes at s' instead: as
     0 <= k^-s' - k^-s <= k^-s', L_m(s) and L_m(s') differ by at most
@@ -660,8 +625,8 @@ def _l_minus_1(s: int, chi: RealDirichletCharacter, prec: int, m: int = 0,
     L(s, chi*) and P = prod (1 - chi*(p) p^-s) over the p <= p_m and the
     p | q, and the value is (P - 1) + P (L - 1), with no n = 1 term in L - 1
     to cancel.  L - 1 comes by one of two routes:
-    - chi* = 1 (chi principal, L = zeta) at even s: _EvenZeta's closed
-      form, within 9 s units.
+    - chi* = 1 (chi principal, L = zeta) at even s: _even_zeta_minus_1's
+      closed form, within 9 s units.
     - Every other: _alternating_minus_1, one alternating row per residue on
       the one set of Chebyshev weights in `rough`, within 0.034 10^-prec +
       (0.2 h + 1) u for its h <= f rows; its docstring proves the identity
@@ -687,7 +652,7 @@ def _l_minus_1(s: int, chi: RealDirichletCharacter, prec: int, m: int = 0,
     for p, c in factors:
         t -= c * (t // p**s)
     if star.modulus == 1 and s % 2 == 0:
-        total = rough.even_zeta().minus_1(s, width)
+        total = _even_zeta_minus_1(s, width)
     else:
         total = _alternating_minus_1(s, star, prec, rough)
     return t - one + t * total // one

@@ -535,7 +535,7 @@ def test_l_minus_1_with_removed_factors_against_mpmath(monkeypatch, d, m, s):
     s = {"below-switch": switch - 1, "switch": switch}.get(s, s)
     sums = _counting(monkeypatch, "_dirichlet_sum")
     rough = _counting(monkeypatch, "sum", analytic._PowerRow)
-    closed = _counting(monkeypatch, "minus_1", analytic._EvenZeta)
+    closed = _counting(monkeypatch, "_even_zeta_minus_1")
     rows = _counting(monkeypatch, "_alternating_minus_1")
     got = _fixed(analytic._l_minus_1(s, chi, 40, m), 40)
     closed_form = s < switch and d == 1 and s % 2 == 0
@@ -573,7 +573,7 @@ def test_even_zeta_closed_form_against_euler_maclaurin_and_mpmath(s, prec):
     # two independent routes to zeta(s) - 1: Bernoulli and Machin's pi, and
     # S(s, 1, 2) by Euler-Maclaurin, both ints at the kernel's width; the
     # closed form claims 9 s units there, far inside 10^-(prec+2)
-    closed = analytic._EvenZeta().minus_1(s, analytic._width(prec))
+    closed = analytic._even_zeta_minus_1(s, analytic._width(prec))
     assert abs(closed - analytic._dirichlet_sum(s, 1, 2, prec)) < 10 ** (analytic._width(prec) - prec)
     mpmath.mp.dps = prec + 30
     closed = _fixed(closed, prec)
@@ -613,34 +613,6 @@ def test_principal_l_values_through_zeta_match_the_residue_sums(monkeypatch, q, 
         assert abs(got - ((whole - 1) + whole * residues)) < Decimal(10) ** -40
     mpmath.mp.dps = 60
     assert abs(mpmath.mpf(str(got)) - _l_m_reference(s, psi, m)) < mpmath.mpf(10) ** -40
-
-
-def test_stepped_power_of_two_pi_against_binary_powering(monkeypatch):
-    # one _EvenZeta walks s = 2, 4, ..., 260 as a plan does, with a wider
-    # width from s = 102 on, a step back to s = 60 and reads at a narrower
-    # width; it builds (2 pi)^s by binary powering only at its first s, the
-    # wider width and the smaller s, and steps by (2 pi)^2 otherwise.  Each
-    # stepped power is within 5.01 s units (relative, at its width) of the
-    # same bound for a fresh binary powering, and each value within 9 s
-    # units of mpmath's zeta(s) - 1
-    narrow, wide = analytic._width(40), analytic._width(300)
-    walk = ([(s, narrow) for s in range(2, 101, 2)] + [(s, wide) for s in range(102, 181, 2)]
-            + [(s, wide if s % 4 else narrow) for s in range(60, 261, 2)])
-    builds, rebuilt = _counting(monkeypatch, "pi_fixed"), []
-    stepped = analytic._EvenZeta()
-    mpmath.mp.dps = 340
-    for s, width in walk:
-        before = len(builds)
-        got = stepped.minus_1(s, width)
-        if len(builds) > before:
-            rebuilt.append((s, stepped.width))
-        fresh = analytic._EvenZeta()
-        fresh.minus_1(s, stepped.width)
-        bound = 1002 * s * fresh.power // 10 ** (stepped.width + 2) + 2  # 10.02 s relatively
-        assert abs(stepped.power - fresh.power) <= bound
-        want = (mpmath.zeta(s) - 1) * mpmath.mpf(10) ** width
-        assert abs(got - want) < 9 * s, (s, width)
-    assert rebuilt == [(2, narrow), (102, wide), (60, wide)]
 
 
 def test_log1p_in_fixed_point_against_mpmath():
@@ -1217,11 +1189,11 @@ def _routes(monkeypatch):
     power-row sum) and of each closed-form even zeta, and (n, f) for each
     alternating sum of a primitive character mod f."""
     rough = _counting(monkeypatch, "sum", analytic._PowerRow)
-    closed = _counting(monkeypatch, "minus_1", analytic._EvenZeta)
+    closed = _counting(monkeypatch, "_even_zeta_minus_1")
     rows = _counting(monkeypatch, "_alternating_minus_1")
 
     def taken():
-        routes = {"rough": [args[1] for args in rough], "closed": [args[1] for args in closed],
+        routes = {"rough": [args[1] for args in rough], "closed": [args[0] for args in closed],
                   "rows": [(args[0], args[1].modulus) for args in rows]}
         for calls in (rough, closed, rows):
             calls.clear()

@@ -163,9 +163,8 @@ def test_dirichlet_sums_come_from_hurwitz_zeta_alone():
 def test_one_tail_rule_and_one_euler_maclaurin_routine():
     # _tail_end alone finds the least K whose integral tail is below target,
     # for the rough sum and for the Euler-Maclaurin cut, and _dirichlet_sum
-    # alone adds the corrections: beside the even-zeta closed form
-    # (_EvenZeta.minus_1) it is the only reader of Bernoulli numbers; no
-    # attempt layer or float cut comes back
+    # alone adds the corrections: beside the even-zeta closed form it is the
+    # only reader of Bernoulli numbers; no attempt layer or float cut comes back
     defined, callers = set(), {"_tail_end": set(), "bernoulli": set()}
     for node in ast.walk(ast.parse((SRC / "analytic.py").read_text())):
         if isinstance(node, ast.FunctionDef):
@@ -176,7 +175,7 @@ def test_one_tail_rule_and_one_euler_maclaurin_routine():
                     callers[name].add(node.name)
     assert {"_em_attempt", "_rough_end"} & defined == set()
     assert callers == {"_tail_end": {"_l_minus_1", "_dirichlet_sum"},
-                       "bernoulli": {"_dirichlet_sum", "minus_1"}}
+                       "bernoulli": {"_dirichlet_sum", "_even_zeta_minus_1"}}
 
 
 def _calls_by_function(name, path="analytic.py"):
@@ -185,21 +184,6 @@ def _calls_by_function(name, path="analytic.py"):
             if isinstance(node, ast.FunctionDef)
             and any(isinstance(call, ast.Call) and getattr(call.func, "id", None) == name
                     for call in ast.walk(node))}
-
-
-def _calls_by_method(name, path="analytic.py"):
-    """The functions of a module whose bodies call a method `name`."""
-    return {node.name for node in ast.walk(ast.parse((SRC / path).read_text()))
-            if isinstance(node, ast.FunctionDef)
-            and any(isinstance(call, ast.Call) and getattr(call.func, "attr", None) == name
-                    for call in ast.walk(node))}
-
-
-def _methods_of(cls, path="analytic.py"):
-    """The methods that class `cls` of a module defines."""
-    node = next(node for node in ast.walk(ast.parse((SRC / path).read_text()))
-                if isinstance(node, ast.ClassDef) and node.name == cls)
-    return {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
 
 
 def _names_defined(tree):
@@ -227,9 +211,8 @@ def test_analytic_keeps_no_module_level_coefficient_table():
 
 def test_pi_is_computed_once_in_arith():
     # Machin's series in arith is the library's one pi, which only the
-    # closed form for even zeta (_EvenZeta.minus_1) reads; suites.PI_50
-    # stays a literal, so the battery's "zeta(2) vs pi^2/6" check does not
-    # rest on that series
+    # closed form for even zeta reads; suites.PI_50 stays a literal, so the
+    # battery's "zeta(2) vs pi^2/6" check does not rest on that series
     named, borrowed = set(), []
     pattern = re.compile(r"(^|_)pi(_|\d|$)", re.IGNORECASE)
     for path in sorted(SRC.glob("*.py")):
@@ -243,15 +226,12 @@ def test_pi_is_computed_once_in_arith():
     literal = next(node.value for node in ast.parse((SRC / "suites.py").read_text()).body
                    if isinstance(node, ast.Assign) and node.targets[0].id == "PI_50")
     assert isinstance(literal.args[0], ast.Constant) and literal.func.id == "Decimal"
-    assert _calls_by_function("pi_fixed") == {"minus_1"}
-    assert _methods_of("_EvenZeta") == {"__init__", "minus_1"}
+    assert _calls_by_function("pi_fixed") == {"_even_zeta_minus_1"}
 
 
 def test_the_closed_form_and_the_power_row_serve_the_one_kernel():
     # the even-zeta closed form and the alternating sums are routes of
-    # _l_minus_1, the closed form one _EvenZeta per plan, which the
-    # planner's _RoughNumbers holds; every direct sum (the rough sum and
-    # Euler-Maclaurin's terms
+    # _l_minus_1; every direct sum (the rough sum and Euler-Maclaurin's terms
     # below the cut) is a _PowerRow sum, and every alternating sum an
     # _AlternatingRow sum on the Chebyshev weights that _RoughNumbers holds:
     # no per-call division routine returns beside the rows, and
@@ -259,11 +239,8 @@ def test_the_closed_form_and_the_power_row_serve_the_one_kernel():
     # rows and in the removed factors
     tree = ast.parse((SRC / "analytic.py").read_text())
     defined = set(_names_defined(tree))
-    assert "_power_sum" not in defined and {"_PowerRow", "_EvenZeta"} <= defined
-    assert "_even_zeta_minus_1" not in defined
-    assert _calls_by_function("_EvenZeta") == {"even_zeta"}
-    assert _calls_by_method("minus_1") == {"_l_minus_1"}
-    assert _calls_by_method("even_zeta") == {"_l_minus_1"}
+    assert "_power_sum" not in defined and {"_PowerRow", "_even_zeta_minus_1"} <= defined
+    assert _calls_by_function("_even_zeta_minus_1") == {"_l_minus_1"}
     assert _calls_by_function("_alternating_minus_1") == {"_l_minus_1"}
     assert _calls_by_function("_PowerRow") == {"_dirichlet_sum", "row"}
     assert _calls_by_function("_AlternatingRow") == {"alternating_row"}
@@ -290,14 +267,18 @@ def test_the_l_value_kernel_runs_in_one_number_format():
     tree = ast.parse((SRC / "analytic.py").read_text())
     nodes = {node.name: node for node in ast.walk(tree)
              if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    for name in ("_PowerRow", "_dirichlet_sum", "_EvenZeta", "_ChebyshevWeights",
+    for name in ("_PowerRow", "_dirichlet_sum", "_even_zeta_minus_1", "_ChebyshevWeights",
                  "_AlternatingRow", "_alternating_minus_1", "_l_minus_1", "_log1p"):
         named = {node.id for node in ast.walk(nodes[name]) if isinstance(node, ast.Name)}
         assert {"Decimal", "localcontext", "Fraction", "float"} & named == set(), name
     for name in ("_l_value", "hurwitz_zeta", "_twisted_product"):
         made = [ast.unparse(call) for call in ast.walk(nodes[name]) if isinstance(call, ast.Call)
                 and getattr(call.func, "id", None) == "Decimal"]
-        assert len([text for text in made if text != "Decimal(0)"]) == 1, name
+        named = {node.id for node in ast.walk(nodes[name]) if isinstance(node, ast.Name)}
+        if name == "_twisted_product":  # Decimal(0): the tail of a product that terminates
+            made = [text for text in made if text != "Decimal(0)"]
+        # _l_value and _twisted_product open a context for _quantize and exp
+        assert len(made) == 1 and (name != "hurwitz_zeta" or "localcontext" not in named), name
     assert "_ln1p" not in nodes
 
 

@@ -1,28 +1,33 @@
 """One case list of printed values and the sha256 digest of each.
 
 Every case is a call of a public function, written as plain data; its text
-is the printed value, or "TypeName: message" for a call that refuses.  Three
+is the printed value, or "TypeName: message" for a call that refuses.  Four
 groups share the list: ANALYTIC_CASES (zeta, L, Hurwitz, Euler products and
 b_chi values), VERIFY_CASES (the JSON of verify_identity reports for all
 eight identities, and the coefficients of witt_transform, c_transform and
 series powers, over a seeded list of integer, Fraction and f(0) = 0 series,
-order-too-small refusals included) and CLI_CASES (the stdout of cli.main for
-each command of the README's CLI block and two more, with every runtime_s
-masked).  value_digests.json, next to this file, holds the digest of each
+order-too-small refusals included), SCAN_CASES (monotonicity_scan reports
+for all nine families and their refusals, witt_table rows, and the Moebius
+inversion and summation of a seeded sequence of series) and CLI_CASES (the
+stdout of cli.main for each command of the README's CLI block and two more,
+with every runtime_s masked).  value_digests.json, next to this file, holds the digest of each
 case's text, and test_value_digests.py names every case whose text no
 longer matches.  SCRIPT_CASES, values at up to 1000 digits (2000 for zeta
 and Hurwitz) and b_chi at a modulus of five digits, are pinned in the same
 file but recomputed only by the script below.  A change that is meant to
 move a printed value re-pins the file and says why.
 
-Run as a script, this recomputes every case, rewrites value_digests.json and
-prints the cases whose digest changed, appeared or disappeared:
+Run as a script, this recomputes every case, SCRIPT_CASES included, prints
+the cases whose digest changed, appeared or disappeared, and rewrites
+value_digests.json; with --check it writes nothing and exits 1 if any case
+is named:
 
-    PYTHONPATH=src python tests/value_digests.py
+    PYTHONPATH=src python tests/value_digests.py [--check]
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -36,7 +41,16 @@ from typing import Dict, Optional
 from wittkit import analytic, cli
 from wittkit.characters import RealDirichletCharacter
 from wittkit.series import RationalFunction, TruncatedSeries
-from wittkit.witt import c_transform, verify_identity, witt_transform
+from wittkit.witt import (
+    SCAN_FAMILIES,
+    c_transform,
+    moebius_invert_series,
+    moebius_sum_series,
+    monotonicity_scan,
+    verify_identity,
+    witt_table,
+    witt_transform,
+)
 
 DIGESTS = Path(__file__).with_name("value_digests.json")
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -85,6 +99,13 @@ _CALLS = {
     "witt_transform": lambda f, r: _json(witt_transform(_series(f), r)),
     "c_transform": lambda f, r: _json(c_transform(_series(f), r)),
     "pow": lambda f, k: _json(_series(f) ** k),
+    "scan": lambda f, family, params: _json(
+        monotonicity_scan(_series(f), family, **dict(params))),
+    "witt_table": lambda f, order, degree: _json(witt_table(_series(f), order, degree)),
+    "moebius_invert_series": lambda seq: json.dumps(
+        [s.to_json_dict() for s in moebius_invert_series([_series(f) for f in seq])]),
+    "moebius_sum_series": lambda seq: json.dumps(
+        [s.to_json_dict() for s in moebius_sum_series([_series(f) for f in seq])]),
     "cli": _cli,
 }
 
@@ -178,6 +199,33 @@ def _verify_cases() -> list:
 VERIFY_CASES = _verify_cases()
 
 
+def _scan_cases() -> list:
+    # monotonicity_battery's window and fixtures, plus 1/(1 - z), the one
+    # fixture whose coefficients are non-decreasing (the others are refused
+    # by T5.3* and T5.4*)
+    window = (("kmax", 10), ("rmax", 12))
+    fixtures = [((1, 1), 10), ((1, 1, 1), 10), ((1, 2, 3), 10), ((1,) * 11, 10)]
+    cases = [("scan", f, family, window) for f in fixtures for family in SCAN_FAMILIES[:-1]]
+    cases += [("scan", None, "P6", (("rmax", 12), ("cmax", 6))),
+              ("scan", None, "P6", (("rmax", 30), ("cmax", 9)))]
+    # refusals: Fraction coefficients, and windows that hold no comparison
+    cases += [("scan", ((1, "1/2"), 10), "T5.1", window),
+              ("scan", ((1, 1), 10), "T5.1", (("kmax", 1), ("rmax", 12))),
+              ("scan", ((1,) * 11, 10), "T5.3c", (("kmax", 10), ("rmax", 2))),
+              ("scan", None, "P6", (("rmax", 0), ("cmax", 6)))]
+    # witt_table rows at two sizes, of an integer and a Fraction f
+    for f in (((1, -1, 2, 0, 3), 12), (("1/2", 1, "-2/3", 0, "3/4"), 12)):
+        cases += [("witt_table", f, 6, 8), ("witt_table", f, 12, 12)]
+    # ten series of each kind in turn, all at order 12
+    rng = random.Random(20261021)
+    seq = tuple((_series_spec(rng, SERIES_KINDS[i % 3])[0], 12) for i in range(10))
+    cases += [("moebius_invert_series", seq), ("moebius_sum_series", seq)]
+    return cases
+
+
+SCAN_CASES = _scan_cases()
+
+
 def _readme_commands() -> list:
     """The argv of each command in the README's CLI block, without "wittkit"."""
     block = re.search(r"^## CLI$.*?^```sh$(.*?)^```$", README.read_text(), re.M | re.S)[1]
@@ -190,7 +238,7 @@ CLI_CASES = [("cli", *argv) for argv in _readme_commands()] + [
     ("cli", "lseries", "--table", "0,1,0,0,0,-1", "--s", "3", "--digits", "300"),
     ("cli", "bchi", "--kronecker", "-16", "--digits", "60", "--cross-check"),
 ]
-CASES = ANALYTIC_CASES + VERIFY_CASES + CLI_CASES
+CASES = ANALYTIC_CASES + VERIFY_CASES + SCAN_CASES + CLI_CASES
 
 # values at up to 1000 digits (2000 for zeta and Hurwitz), and b_chi at a
 # modulus of five digits: pinned in the same file, recomputed only when
@@ -224,16 +272,28 @@ def digests(cases=CASES) -> Dict[str, str]:
             for case in cases}
 
 
-def main() -> None:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description="Recompute every pinned case and name those whose digest moved.")
+    parser.add_argument("--check", action="store_true",
+                        help=f"write nothing; exit 1 if any case changed, appeared "
+                             f"or disappeared against {DIGESTS.name}")
+    args = parser.parse_args(argv)
     old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     new = digests(CASES + SCRIPT_CASES)
+    moved = 0
     for key in sorted(old.keys() | new.keys()):
         if old.get(key) != new.get(key):
             state = "new" if key not in old else "gone" if key not in new else "changed"
             print(f"{state}: {key}")
+            moved += 1
+    if args.check:
+        print(f"{moved} of {len(new)} cases moved; {DIGESTS.name} left as it is")
+        return 1 if moved else 0
     DIGESTS.write_text(json.dumps(new, indent=1) + "\n")
     print(f"{len(new)} cases written to {DIGESTS.name}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

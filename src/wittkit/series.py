@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import operator
 import re
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, Inexact, localcontext
 from fractions import Fraction
 from typing import Sequence, Tuple, Union
 
@@ -67,7 +67,75 @@ def coeff_str(x: Coeff) -> str:
     try:
         return str(x)
     except ValueError:
-        return str(Decimal(x))
+        return _long_int_str(x)
+
+
+def _long_int_str(x: int) -> str:
+    """str(x) for an int of any size, in quasi-linear time.
+
+    x = hi 2^h + lo is split down to pieces of at most 128 bits, and the
+    pieces are put together again as Decimals, whose products of large
+    operands are fast; str(Decimal(x)) converts digit by digit, in
+    quadratic time.  The context holds every digit, and its Inexact trap
+    turns any rounding into an error.  This is the method of CPython
+    3.12's _pylong.int_to_decimal_string.
+    """
+    twos = {}  # h -> 2^h as a Decimal, each built once
+
+    def two_to(h: int) -> Decimal:
+        if h not in twos:
+            twos[h] = (Decimal(2) ** h if h <= 128
+                       else two_to(h >> 1) * two_to(h - (h >> 1)))
+        return twos[h]
+
+    def convert(y: int, bits: int) -> Decimal:  # 0 <= y < 2^bits
+        if bits <= 128:
+            return Decimal(y)
+        h = bits >> 1
+        return convert(y >> h, bits - h) * two_to(h) + convert(y & ((1 << h) - 1), h)
+
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = MAX_PREC, MAX_EMAX, MIN_EMIN
+        ctx.traps[Inexact] = True
+        text = str(convert(abs(x), abs(x).bit_length()))
+    return "-" + text if x < 0 else text
+
+
+def _power_coeffs(a: Sequence[Coeff], k: int, order: int, integral: bool) -> list:
+    """The coefficients of a^k up to z^order, k >= 1, by J. C. P. Miller's
+    recurrence (Knuth, TAOCP vol. 2, 4.7); a is read up to z^order only.
+
+    With a = z^v u, u_0 != 0, and g = u^k, comparing coefficients in
+    u g' = k u' g gives n u_0 g_n = sum_{i=1..n} ((k+1) i - n) u_i g_{n-i},
+    one pass over the nonzero u_i per coefficient: O(order nnz(u)) work
+    where binary powering takes O(order^2 log k).  The result is z^(v k) g.
+    For `integral` coefficients each division by n u_0 is exact, and a
+    remainder raises IntegralityError (a bug, as in divexact); otherwise it
+    divides as a Fraction and normalizes.
+    """
+    v = next((j for j in range(order + 1) if a[j]), None)
+    if v is None or v * k > order:
+        return [0] * (order + 1)
+    top = order - v * k  # g is needed up to z^top
+    u0 = a[v]
+    terms = [(i, c) for i, c in enumerate(a[v + 1:v + top + 1], 1) if c]
+    g = [u0**k]
+    for n in range(1, top + 1):
+        acc = 0
+        for i, c in terms:
+            if i > n:
+                break
+            acc += ((k + 1) * i - n) * c * g[n - i]
+        if integral:
+            q, rem = divmod(acc, n * u0)
+            if rem:
+                raise IntegralityError(
+                    f"power {k}: coefficient of z^{n + v * k} is not an integer"
+                )
+            g.append(q)
+        else:
+            g.append(_norm(Fraction(acc, n * u0)))
+    return [0] * (v * k) + g
 
 
 def _json_field(obj: dict, key: str):
@@ -241,16 +309,7 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        """self^k by J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7).
-
-        With self = z^v u, u_0 != 0, and g = u^k, comparing coefficients in
-        u g' = k u' g gives n u_0 g_n = sum_{i=1..n} ((k+1) i - n) u_i g_{n-i},
-        one pass over the nonzero u_i per coefficient: O(order nnz(u)) work
-        where binary powering takes O(order^2 log k).  The result is z^(v k) g.
-        For an integral series each division by n u_0 is exact, and a
-        remainder raises IntegralityError (a bug, as in divexact); otherwise
-        it divides as a Fraction.
-        """
+        """self^k at self's order, by _power_coeffs (Miller's recurrence)."""
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
@@ -259,30 +318,8 @@ class TruncatedSeries:
             return TruncatedSeries.one(self.order)
         if k == 1:
             return self
-        a = self.coeffs
-        v = next((j for j, c in enumerate(a) if c), None)
-        if v is None or v * k > self.order:
-            return TruncatedSeries.zero(self.order)
-        top = self.order - v * k  # g is needed up to z^top
-        u0 = a[v]
-        terms = [(i, c) for i, c in enumerate(a[v + 1:v + top + 1], 1) if c]
-        g = [u0**k]
-        for n in range(1, top + 1):
-            acc = 0
-            for i, c in terms:
-                if i > n:
-                    break
-                acc += ((k + 1) * i - n) * c * g[n - i]
-            if self._all_int:
-                q, rem = divmod(acc, n * u0)
-                if rem:
-                    raise IntegralityError(
-                        f"power {k}: coefficient of z^{n + v * k} is not an integer"
-                    )
-                g.append(q)
-            else:
-                g.append(_norm(Fraction(acc, n * u0)))
-        return self._finish([0] * (v * k) + g, self.order, self._all_int)
+        return self._finish(_power_coeffs(self.coeffs, k, self.order, self._all_int),
+                            self.order, self._all_int)
 
     def inflate(self, d: int) -> "TruncatedSeries":
         """Substitute z -> z^d; truncation order is preserved."""

@@ -6,10 +6,14 @@ transform is again integral, and the division by r is performed exactly so
 that any violation raises instead of silently producing fractions.
 
 One kernel, _divisor_sum, computes every Moebius-weighted sum of inflated
-terms sum_{d|r} mu(d) X_{r/d}(z^d): c_transform and witt_transform take
-X_e = f^e, witt_table takes the powers f, f^2, ..., f^R built once at the
-table's degree, and the series inversions take X_e = A(e).  Each term is
-asked for only up to z^(N//d), the part that survives inflation by d.
+terms sum_{d|r} mu(d) X_{r/d}(z^d) on a plain list of coefficients, each
+term added to every d-th entry in one slice assignment: c_transform and
+witt_transform take X_e = f^e from a power memo (_powers), witt_table
+takes the powers f, f^2, ..., f^R built once at the table's degree, and
+the series inversions take X_e = A(e).  Each term is asked for only up to
+z^(N//d), the part that survives inflation by d.  _divide_by_order takes
+the 1/r in one pass, and each public function builds one TruncatedSeries,
+at the end.
 
 verify_identity evaluates both sides of the classical identities for the
 transform (product rule, power rule, sign rule, Moebius inversion, and the
@@ -21,17 +25,19 @@ and T1.2 the product and power rules on constant series, T3.1 the product
 rule with g = z^k, T3.2 the power rule at order 1 with its sides swapped,
 and T3.3 the product rule with g = -1 with both sides times (-1)^r.  Each
 right-side transform W_i(f)(z^e) is of f cut to z^(n//e), the part that
-inflation by e reads, and the right side is summed by j, one series
-product W_j(g)(...) (sum_i ...) per j; a j whose W_j(g) is zero is skipped,
-so the sparse z^k and -1 cost little.  monotonicity_scan checks the
-coefficient-monotonicity families on finite windows; it certifies the
-claims on the scanned window only.  One rise test, _drops, makes every
-comparison, over the lines of one table: for P6 the lines of M(c; r)
-along r (c >= 2) and then along c, each strict; for T5.1 and T5.2 the
-columns k >= 2 and k >= 3 along r; for T5.3b/T5.4b the rows along k from
-k = 0; for T5.3c/T5.4c the rows r >= 3 along k from k = 2, strict.
-T5.3a/T5.4a test m(k, r) >= 1 cell by cell.  T5.2 and T5.4* read the
-table of -f with its odd rows negated, row r being (-1)^r W_r(-f).
+inflation by e reads; every power of f and of g comes from one memo per
+call, and the right side is summed by j in lists.  A j whose W_j(g) is
+zero adds no work, so the sparse z^k and -1 cost little.
+
+monotonicity_scan checks the coefficient-monotonicity families on finite
+windows; it certifies the claims on the scanned window only.  One rise
+test, _drops, makes every comparison, over the lines of one table: for P6
+the lines of M(c; r) along r (c >= 2) and then along c, each strict; for
+T5.1 and T5.2 the columns k >= 2 and k >= 3 along r; for T5.3b/T5.4b the
+rows along k from k = 0; for T5.3c/T5.4c the rows r >= 3 along k from
+k = 2, strict.  T5.3a/T5.4a test m(k, r) >= 1 cell by cell.  T5.2 and
+T5.4* read the table of -f with its odd rows negated, row r being
+(-1)^r W_r(-f).
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from ._record import record
 from .arith import divisors, moebius
 from .errors import BudgetExceededError, IntegralityError, PreconditionError
 from .necklace import necklace_poly
-from .series import Coeff, TruncatedSeries, coeff_str
+from .series import Coeff, TruncatedSeries, _power_coeffs, coeff_str
 
 __all__ = [
     "witt_transform",
@@ -63,45 +69,72 @@ __all__ = [
 
 
 def _divisor_sum(term: Callable[[int, int], Sequence[Coeff]], r: int, n: int,
-                 signed: bool = True) -> TruncatedSeries:
-    """sum_{d|r} mu(d) X_{r/d}(z^d) truncated at z^n; the Witt kernel.
+                 signed: bool = True) -> List[Coeff]:
+    """sum_{d|r} mu(d) X_{r/d}(z^d) up to z^n, as a list; the Witt kernel.
 
     term(e, m) gives the coefficients of X_e at least up to z^m; inflating
-    by d only reaches z^(n//d), so m = n // d and no more is read.  With
+    by d only reaches z^(n//d), so m = n // d and no more is read, and each
+    term is added to every d-th entry in one slice assignment.  With
     signed=False the Moebius weights are dropped (the inverse summation).
+    Fraction sums are left unnormalized, for the caller's _finish.
     """
     acc: List[Coeff] = [0] * (n + 1)
     for d in divisors(r):
         mu = moebius(d) if signed else 1
-        if mu == 0:
-            continue
-        m = n // d
-        for j, c in enumerate(term(r // d, m)[: m + 1]):
-            if c:
-                acc[j * d] += c if mu == 1 else -c
-    # sums of normalized coefficients: no validation, and ints need no _norm
-    return TruncatedSeries._finish(acc, n, all(type(c) is int for c in acc))
+        if mu == 1:
+            acc[::d] = [a + c for a, c in zip(acc[::d], term(r // d, n // d))]
+        elif mu == -1:
+            acc[::d] = [a - c for a, c in zip(acc[::d], term(r // d, n // d))]
+    return acc
 
 
-def _divide_by_order(acc: TruncatedSeries, r: int, integral: bool) -> TruncatedSeries:
+def _divide_by_order(acc: List[Coeff], r: int, integral: bool) -> List[Coeff]:
     # the 1/r of the Witt transform: exact for integral input, where a
     # remainder is a bug and raises, and a Fraction scale otherwise
-    if integral:
-        try:
-            return acc.divexact(r)
-        except IntegralityError as exc:
-            raise IntegralityError(
-                f"witt_transform(r={r}) of an integral series is not integral: {exc}"
-            ) from exc
-    return acc * Fraction(1, r)
+    if r == 1:
+        return acc
+    if not integral:
+        scale = Fraction(1, r)
+        return [c * scale for c in acc]
+    if any(c % r for c in acc):
+        j = next(j for j, c in enumerate(acc) if c % r)
+        raise IntegralityError(
+            f"witt_transform(r={r}) of an integral series is not integral: "
+            f"coefficient of z^{j} ({acc[j]}) is not divisible by {r}"
+        )
+    return [c // r for c in acc]
+
+
+def _powers(f: TruncatedSeries) -> Callable[[int, int], Sequence[Coeff]]:
+    """term(e, m) for _divisor_sum: f^e up to z^m, from one memo per call.
+
+    f^1 is f's own tuple; any other f^e is raised once, by Miller's
+    recurrence from f read up to z^m, at the order it is first asked for.
+    Every caller asks for each e at one order, so nothing is raised twice.
+    """
+    a, integral = f.coeffs, f.is_integral()
+    memo: Dict[int, Sequence[Coeff]] = {1: a}
+
+    def term(e: int, m: int) -> Sequence[Coeff]:
+        got = memo.get(e)
+        if got is None or len(got) <= m:
+            got = memo[e] = _power_coeffs(a, e, m, integral)
+        return got
+
+    return term
+
+
+def _transform_coeffs(f: TruncatedSeries, r: int) -> List[Coeff]:
+    # sum_{d|r} mu(d) f(z^d)^(r/d) at f's order, r checked
+    if r < 1:
+        raise ValueError(f"transform order must be >= 1, got {r}")
+    return _divisor_sum(_powers(f), r, f.order)
 
 
 def c_transform(f: TruncatedSeries, r: int) -> TruncatedSeries:
     """Normalized transform sum_{d|r} mu(d) f(z^d)^{r/d} (r times the
     Witt transform); always integral for integral f."""
-    if r < 1:
-        raise ValueError(f"transform order must be >= 1, got {r}")
-    return _divisor_sum(lambda e, m: (f.truncate(m) ** e).coeffs, r, f.order)
+    return TruncatedSeries._finish(_transform_coeffs(f, r), f.order, f.is_integral())
 
 
 def witt_transform(f: TruncatedSeries, r: int) -> TruncatedSeries:
@@ -110,7 +143,9 @@ def witt_transform(f: TruncatedSeries, r: int) -> TruncatedSeries:
     Integer-coefficient input must give an integer-coefficient result;
     a failed exact division raises IntegralityError (a bug, not bad input).
     """
-    return _divide_by_order(c_transform(f, r), r, f.is_integral())
+    integral = f.is_integral()
+    return TruncatedSeries._finish(
+        _divide_by_order(_transform_coeffs(f, r), r, integral), f.order, integral)
 
 
 @record
@@ -172,11 +207,11 @@ def witt_table(f: TruncatedSeries, order: int, degree: int | None = None) -> Wit
     powers = [f]
     for _ in range(order - 1):
         powers.append(powers[-1] * f)
+    integral = f.is_integral()
     rows = tuple(
-        _divide_by_order(
-            _divisor_sum(lambda e, m: powers[e - 1].coeffs, r, degree),
-            r, f.is_integral(),
-        )
+        TruncatedSeries._finish(_divide_by_order(
+            _divisor_sum(lambda e, m: powers[e - 1].coeffs, r, degree), r, integral),
+            degree, integral)
         for r in range(1, order + 1)
     )
     table = WittTable(f=f, rows=rows)
@@ -200,18 +235,22 @@ def _check_constant_row(table: WittTable) -> None:
 # -- Moebius inversion for sequences of series ------------------------
 
 
+def _moebius_series(seq: Sequence[TruncatedSeries], signed: bool) -> List[TruncatedSeries]:
+    n = min(s.order for s in seq)
+    integral = all(s.is_integral() for s in seq)
+    return [TruncatedSeries._finish(
+                _divisor_sum(lambda e, m: seq[e - 1].coeffs, r, n, signed), n, integral)
+            for r in range(1, len(seq) + 1)]
+
+
 def moebius_invert_series(seq: Sequence[TruncatedSeries]) -> List[TruncatedSeries]:
     """B(r) = sum_{d|r} mu(d) A(r/d)(z^d) for r = 1..len(seq)."""
-    n = min(s.order for s in seq)
-    return [_divisor_sum(lambda e, m: seq[e - 1].coeffs, r, n)
-            for r in range(1, len(seq) + 1)]
+    return _moebius_series(seq, signed=True)
 
 
 def moebius_sum_series(seq: Sequence[TruncatedSeries]) -> List[TruncatedSeries]:
     """A(r) = sum_{d|r} B(r/d)(z^d); inverse of moebius_invert_series."""
-    n = min(s.order for s in seq)
-    return [_divisor_sum(lambda e, m: seq[e - 1].coeffs, r, n, signed=False)
-            for r in range(1, len(seq) + 1)]
+    return _moebius_series(seq, signed=False)
 
 
 # -- identity verification --------------------------------------------
@@ -268,20 +307,31 @@ def _mixed_power_rule(ident: str, f: TruncatedSeries, g: Optional[TruncatedSerie
     at order 1, W_1(f^r) = f^r) and the sign rule T3.3 (product rule with
     g = -1, W_j(-1) = M(-1; j) = -1, 1, 0, 0, ...).
 
-    Both sides are compared at the left side's order n.  Inflating by e
-    reads nothing above z^(n//e), so each W_i(f) inflated by e = r w'/i is
-    the transform of f cut to z^(n//e) (likewise W_j(g)), as _divisor_sum
-    asks of each term one level down.  The right side is summed by j,
-    sum_j W_j(g)(...) (sum_i (d/(v,w)) W_i(f)(...)): one series product per
-    j, and none for a j whose inflated W_j(g) is zero, where W_i(f) is not
-    computed either.
+    Both sides are compared at the left side's order n, and the right side
+    is summed in lists.  Inflating by e reads nothing above z^(n//e), so
+    W_i(f) inflated by e = R/i, R = r w', is the transform of f cut to
+    z^(n//e); its divisor d asks for f^(i/d) up to z^(n//(e d)), and e d =
+    R/(i/d) depends on the exponent alone.  So every power of f (and of g,
+    with R = r v') comes from one memo per call (_powers), each f^k raised
+    once at z^(n//(R/k)), and f^1 is f itself.  The right side is summed by
+    j, sum_j W_j(g)(...) (sum_i (d/(v,w)) W_i(f)(...)): the inflated, weighted
+    W_i(f) are added into one list, which is multiplied by the few nonzero
+    terms of the inflated W_j(g); a j whose W_j(g) is zero adds no work, and
+    W_i(f) is not computed for it either.
     """
     gg = math.gcd(v, w)
     w1, v1 = w // gg, v // gg
     lhs = witt_transform(f**w1 if g is None else g**v1 * f**w1, r)
     n = lhs.order
-    wf: Dict[int, Tuple[Coeff, ...]] = {}
-    rhs = TruncatedSeries.zero(n)
+
+    def transform(powers, i: int, e: int, integral: bool) -> List[Coeff]:
+        # W_i of the series behind `powers`, up to z^(n//e)
+        return _divide_by_order(_divisor_sum(powers, i, n // e), i, integral)
+
+    f_powers = _powers(f)
+    g_powers = _powers(g) if g is not None else None
+    wf: Dict[int, List[Coeff]] = {}
+    rhs: List[Coeff] = [0] * (n + 1)
     for j in range(1, r * v1 + 1) if g is not None else (1,):
         weights = []  # (i, d/(v,w)) for each pair (i, j)
         for i in range(1, r * w1 + 1):
@@ -296,28 +346,24 @@ def _mixed_power_rule(ident: str, f: TruncatedSeries, g: Optional[TruncatedSerie
             weights.append((i, d // gg))
         if not weights:
             continue
-        if g is not None:
-            wj = _inflated_transform(g, j, r * v1 // j, n)
-            if not any(wj.coeffs):
+        if g is None:
+            wj, ej = (1,), 1  # W_1(1) = 1
+        else:
+            ej = r * v1 // j
+            wj = transform(g_powers, j, ej, g.is_integral())
+            if not any(wj):
                 continue
-        acc: List[Coeff] = [0] * (n + 1)
+        inner: List[Coeff] = [0] * (n + 1)
         for i, weight in weights:
+            e = r * w1 // i
             if i not in wf:
-                wf[i] = _inflated_transform(f, i, r * w1 // i, n).coeffs
-            for t, c in enumerate(wf[i]):
-                if c:
-                    acc[t] += weight * c
-        inner = TruncatedSeries._finish(acc, n, all(type(c) is int for c in acc))
-        rhs = rhs + (inner if g is None else wj * inner)
-    return lhs, rhs
-
-
-def _inflated_transform(f: TruncatedSeries, r: int, e: int, n: int) -> TruncatedSeries:
-    """W_r(f)(z^e) at order n, from f cut to z^(n//e)."""
-    out: List[Coeff] = [0] * (n + 1)
-    wr = witt_transform(f.truncate(n // e), r)
-    out[::e] = wr.coeffs
-    return TruncatedSeries._finish(out, n, wr.is_integral())
+                wf[i] = transform(f_powers, i, e, f.is_integral())
+            inner[::e] = [a + weight * c for a, c in zip(inner[::e], wf[i])]
+        for t, c in enumerate(wj):
+            if c:
+                rhs[t * ej:] = [a + c * b for a, b in zip(rhs[t * ej:], inner)]
+    integral = f.is_integral() and (g is None or g.is_integral())
+    return lhs, TruncatedSeries._finish(rhs, n, integral)
 
 
 def _series_rule(ident, f, g, r, v, w):

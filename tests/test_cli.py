@@ -16,6 +16,7 @@ from conftest import B_CHI_MINUS_4, perturb_witt_table
 from wittkit import analytic, witt
 from wittkit.arith import divisors, moebius
 from wittkit.cli import _content, _int, _ratfun, _rational, _series, main
+from wittkit.errors import IntegralityError
 from wittkit.series import RationalFunction, TruncatedSeries
 from wittkit.witt import IDENTITY_IDS
 
@@ -228,18 +229,44 @@ def test_cyclotomic_failure_exits_1_with_the_mismatch(capsys, monkeypatch):
 
 
 def test_verify_failure_exits_1_with_the_mismatch(capsys, monkeypatch):
-    # W_2 made one too large at z^3 moves the sum side of T3.2 at r = 2,
-    # f(z^2) + 2 W_2(f), and leaves its other side f^2 as it is
-    real = witt.witt_transform
+    # W_2 made one too large at z^3, where the Witt kernel divides by the
+    # order, moves the sum side of T3.2 at r = 2, f(z^2) + 2 W_2(f), and
+    # leaves its other side f^2 = W_1(f^2) as it is
+    real = witt._divide_by_order
 
-    def faulty(f, r):
-        w = real(f, r)
-        return w + TruncatedSeries([0, 0, 0, 1], w.order) if r == 2 else w
+    def faulty(acc, r, integral):
+        w = real(acc, r, integral)
+        return [c + (r == 2 and j == 3) for j, c in enumerate(w)]
 
-    monkeypatch.setattr(witt, "witt_transform", faulty)
+    monkeypatch.setattr(witt, "_divide_by_order", faulty)
     code, out, err = run(capsys, "verify", "--id", "T3.2", "--f", SERIES_F, "--r", "2")
     assert (code, err) == (1, "")
     assert json.loads(out)["passed"] is False and json.loads(out)["first_mismatch"] == 3
+
+
+def test_a_non_integral_moebius_sum_raises_from_every_entry(capsys, monkeypatch):
+    # f^2 of f = 1 + 2z - z^2 made one too large at z^1: the Moebius sum of
+    # W_2(f), f^2 - f(z^2), is then 5 at z^1, not divisible by 2
+    real = witt._power_coeffs
+
+    def faulty(a, k, order, integral):
+        out = real(a, k, order, integral)
+        out[1] += k == 2
+        return out
+
+    monkeypatch.setattr(witt, "_power_coeffs", faulty)
+    message = ("witt_transform(r=2) of an integral series is not integral: "
+               "coefficient of z^1 (5) is not divisible by 2")
+    f = TruncatedSeries([1, 2, -1], 8)  # SERIES_F
+    with pytest.raises(IntegralityError) as raised:
+        witt.witt_transform(f, 2)
+    assert str(raised.value) == message
+    with pytest.raises(IntegralityError) as raised:
+        witt.verify_identity("T3.2", f, r=2)
+    assert str(raised.value) == message
+    code, out, err = run(capsys, "verify", "--id", "T3.2", "--f", SERIES_F, "--r", "2")
+    assert (code, err) == (1, f"mathematical failure: {message}\n")
+    assert json.loads(out) == {"error": message}
 
 
 def test_scan_failure_exits_1_with_the_drop(capsys, monkeypatch):

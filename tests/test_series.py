@@ -1,3 +1,4 @@
+import random
 import sys
 from fractions import Fraction
 
@@ -250,3 +251,20 @@ def test_coeff_str_past_the_int_str_limit():
         assert series["coeffs"] == [str(-big), f"1/{big}"]
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("digits", [4301, 10**5])
+def test_coeff_str_past_the_limit_is_the_text_str_gives(digits):
+    # the divide-and-conquer conversion, taken past the limit, against str()
+    # itself with the limit lifted: positive and negative values, and
+    # powers of ten, whose trailing zeros must stay digits
+    rng = random.Random(digits)
+    values = [10**(digits - 1), 10**digits - 1, rng.randrange(10**(digits - 1), 10**digits)]
+    texts = [coeff_str(x) for x in values], [coeff_str(-x) for x in values]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        wanted = [str(x) for x in values]  # quadratic: each str() once
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert texts == (wanted, ["-" + text for text in wanted])

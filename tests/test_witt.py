@@ -343,35 +343,45 @@ def test_mixed_power_rule_with_common_factors(xs, ys, v, w, r):
 
 
 def test_mixed_power_rule_transforms_only_what_its_inflation_reads(monkeypatch):
-    # every right-side transform W_i(f)(z^e) is of f cut to z^(n//e), and
-    # the right side takes one series product per distinct j
+    # the right side reads every power h^k of f and of g from one memo per
+    # call: h^1 is h itself, and any other h^k is raised once, from h cut to
+    # z^m with m <= n // (R/k) (R = r w' for f, r v' for g), the most that
+    # inflation reads
     f, g = S([1, 2, 0, -1, 0, 1], 12), S([2, 1, -1, 0, 3], 12)
     r, v, w = 2, 2, 3  # w' = 3, v' = 2
-    seen, products = [], []
-    transform, mul = witt.witt_transform, TruncatedSeries.__mul__
+    raised = []
+    power = witt._power_coeffs
 
-    def recording_transform(h, i):
-        seen.append((h, i))
-        return transform(h, i)
+    def recording_power(a, k, order, integral):
+        raised.append((a, k, order))
+        return power(a[:order + 1], k, order, integral)  # f cut to z^order
 
-    def counting_mul(a, b):
-        if isinstance(b, TruncatedSeries):
-            products.append((a.order, b.order))
-        return mul(a, b)
-
-    monkeypatch.setattr(witt, "witt_transform", recording_transform)
-    monkeypatch.setattr(TruncatedSeries, "__mul__", counting_mul)
+    monkeypatch.setattr(witt, "_power_coeffs", recording_power)
     assert verify_identity("T3.6", f, g, r=r, v=v, w=w).passed
-    (lhs_input, lhs_r), *rhs = seen
-    assert (lhs_input.order, lhs_r) == (12, r)
-    for h, i in rhs:
-        source, top = (f, r * 3) if h.coeffs[0] == 1 else (g, r * 2)
-        assert h.order <= 12 // (top // i)
-        assert h.coeffs == source.coeffs[:h.order + 1]
-    js = {j for i in range(1, r * 3 + 1) for j in range(1, r * 2 + 1)
-          if i * j == math.gcd(v * i, w * j) * r}
-    assert len(js) > 1
-    assert len(products) == 1 + len(js)  # g^v' f^w', then one per j
+    rhs = [(a is f.coeffs, k, m) for a, k, m in raised if a is f.coeffs or a is g.coeffs]
+    assert {of_f for of_f, _, _ in rhs} == {True, False}
+    assert len({(of_f, k) for of_f, k, _ in rhs}) == len(rhs)  # each power once
+    for of_f, k, m in rhs:
+        top = r * 3 if of_f else r * 2
+        assert k >= 2 and top % k == 0 and m <= 12 // (top // k)
+    # the left side W_r(g^v' f^w') raises powers of its own input only
+    lhs_input = (g**2 * f**3).coeffs
+    assert [a for a, _, _ in raised if a is not f.coeffs and a is not g.coeffs] == [lhs_input]
+
+    # a j whose W_j(g) is zero adds no work: of g = z^3 at r = 4 only W_1(g)
+    # is nonzero, so W_4(f), its one partner, is the one transform of f formed
+    sums = []
+    kernel = witt._divisor_sum
+
+    def recording_sum(term, i, m, signed=True):
+        sums.append((term(1, 0), i, m))  # term(1, .) is the series itself
+        return kernel(term, i, m, signed)
+
+    monkeypatch.setattr(witt, "_divisor_sum", recording_sum)
+    g = S([0, 0, 0, 1], 12)
+    assert verify_identity("T3.4", f, g, r=4).passed
+    assert [(i, m) for a, i, m in sums if a is f.coeffs] == [(4, 12)]
+    assert sorted((i, m) for a, i, m in sums if a is g.coeffs) == [(1, 3), (2, 6), (4, 12)]
 
 
 def _sides_or_error(sides):

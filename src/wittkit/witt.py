@@ -307,17 +307,17 @@ def _mixed_power_rule(ident: str, f: TruncatedSeries, g: Optional[TruncatedSerie
     at order 1, W_1(f^r) = f^r) and the sign rule T3.3 (product rule with
     g = -1, W_j(-1) = M(-1; j) = -1, 1, 0, 0, ...).
 
-    Both sides are compared at the left side's order n, and the right side
-    is summed in lists.  Inflating by e reads nothing above z^(n//e), so
-    W_i(f) inflated by e = R/i, R = r w', is the transform of f cut to
-    z^(n//e); its divisor d asks for f^(i/d) up to z^(n//(e d)), and e d =
-    R/(i/d) depends on the exponent alone.  So every power of f (and of g,
-    with R = r v') comes from one memo per call (_powers), each f^k raised
-    once at z^(n//(R/k)), and f^1 is f itself.  The right side is summed by
-    j, sum_j W_j(g)(...) (sum_i (d/(v,w)) W_i(f)(...)): the inflated, weighted
+    Both sides are compared at the left side's order n.  Inflating by e
+    reads nothing above z^(n//e), so W_i(f) inflated by e = R/i, R = r w',
+    is the transform of f cut to z^(n//e); its divisor d asks for f^(i/d)
+    up to z^(n//(e d)), and e d = R/(i/d) depends on the exponent alone.
+    So every power of f (and of g, with R = r v') comes from one memo per
+    call (_powers), each f^k raised once at z^(n//(R/k)), and f^1 is f
+    itself.  The right side is summed by j in lists,
+    sum_j W_j(g)(...) (sum_i (d/(v,w)) W_i(f)(...)): the inflated, weighted
     W_i(f) are added into one list, which is multiplied by the few nonzero
-    terms of the inflated W_j(g); a j whose W_j(g) is zero adds no work, and
-    W_i(f) is not computed for it either.
+    terms of the inflated W_j(g); a j whose W_j(g) is zero adds no work,
+    and W_i(f) is not computed for it either.
     """
     gg = math.gcd(v, w)
     w1, v1 = w // gg, v // gg

@@ -13,6 +13,8 @@ from fractions import Fraction
 from itertools import compress
 from typing import List, Sequence, Tuple
 
+from .errors import BudgetExceededError
+
 __all__ = [
     "moebius",
     "divisors",
@@ -46,10 +48,21 @@ def moebius(n: int) -> int:
     return result
 
 
+# largest n whose divisors are found by trial division, about 10^7 steps
+# (a few seconds); a larger n raises BudgetExceededError instead of hanging
+TRIAL_DIVISION_LIMIT = 10**14
+
+
 def divisors(n: int) -> List[int]:
-    """All positive divisors of n >= 1, sorted ascending."""
+    """All positive divisors of n >= 1, sorted ascending.  n above
+    TRIAL_DIVISION_LIMIT raises BudgetExceededError."""
     if n < 1:
         raise ValueError(f"divisors requires n >= 1, got {n}")
+    if n > TRIAL_DIVISION_LIMIT:
+        raise BudgetExceededError(
+            f"divisors of an integer of {n.bit_length()} bits: above the trial "
+            f"division limit {TRIAL_DIVISION_LIMIT}"
+        )
     small, large = [], []
     d = 1
     while d * d <= n:

@@ -38,7 +38,7 @@ from .errors import (
 )
 from .expansion import BiSeries, cyclotomic_check, peel_1d, peel_2d
 from .necklace import necklace_count, necklace_poly, v_count
-from .series import Coeff, RationalFunction, TruncatedSeries, _decimal, coeff_str
+from .series import Coeff, RationalFunction, TruncatedSeries, _decimal, _long_int, coeff_str
 from .witt import monotonicity_scan, verify_identity, witt_table, witt_transform
 from .words import DEFAULT_BUDGET, aperiodic_count, lyndon_words
 
@@ -49,15 +49,15 @@ def _emit(obj: dict) -> None:
 
 
 def _series(arg: str) -> TruncatedSeries:
-    return TruncatedSeries.from_json_dict(json.loads(arg))
+    return TruncatedSeries.from_json_dict(json.loads(arg, parse_int=_long_int))
 
 
 def _ratfun(arg: str) -> RationalFunction:
-    return RationalFunction.from_json_dict(json.loads(arg))
+    return RationalFunction.from_json_dict(json.loads(arg, parse_int=_long_int))
 
 
 def _biseries(arg: str) -> BiSeries:
-    return BiSeries.from_json_dict(json.loads(arg))
+    return BiSeries.from_json_dict(json.loads(arg, parse_int=_long_int))
 
 
 def _int(arg: str) -> int:

@@ -12,10 +12,11 @@ integrality theorems into runtime assertions.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .arith import divisors, moebius, multinomial
 from .errors import IntegralityError
+from .series import coeff_str
 
 __all__ = [
     "necklace_poly",
@@ -41,10 +42,17 @@ def content_gcd(parts: Sequence[int]) -> int:
     return g
 
 
-def _exact_div(num: int, den: int, what: str) -> int:
+def _parts_str(parts: Sequence[int]) -> str:
+    # repr(tuple(parts)), also for parts past the int-to-str digit limit
+    return "(" + ", ".join(map(coeff_str, parts)) + ("," if len(parts) == 1 else "") + ")"
+
+
+def _exact_div(num: int, den: int, what: Callable[[], str]) -> int:
+    # `what` names the sum, and is called only to report a remainder: the
+    # text of an int past the int-to-str digit limit is refused by str()
     q, rem = divmod(num, den)
     if rem:
-        raise IntegralityError(f"{what}: {num} not divisible by {den}")
+        raise IntegralityError(f"{what()}: {coeff_str(num)} not divisible by {coeff_str(den)}")
     return q
 
 
@@ -53,10 +61,10 @@ def necklace_poly(alpha: int, n: int) -> int:
     if n < 1:
         raise ValueError(f"necklace_poly requires n >= 1, got {n}")
     acc = sum(moebius(n // d) * alpha**d for d in divisors(n))
-    return _exact_div(acc, n, f"necklace_poly({alpha}, {n})")
+    return _exact_div(acc, n, lambda: f"necklace_poly({coeff_str(alpha)}, {n})")
 
 
-def _moebius_count(parts: Sequence[int], n: int, t: int, what: str) -> int:
+def _moebius_count(parts: Sequence[int], n: int, t: int, what: Callable[[], str]) -> int:
     """((-1)^t / n) sum_{d | gcd} mu(d) (-1)^(t/d) (n/d; n_1/d,...,n_r/d),
     exact; t = 0 gives M(n_1,...,n_r)."""
     acc = 0
@@ -72,9 +80,10 @@ def necklace_count(parts: Sequence[int]) -> int:
     n = content_total(parts)
     if n < 1:
         raise ValueError("necklace_count requires a nonzero content")
-    value = _moebius_count(parts, n, 0, f"necklace_count({parts!r})")
+    value = _moebius_count(parts, n, 0, lambda: f"necklace_count({_parts_str(parts)})")
     if value < 0:
-        raise IntegralityError(f"necklace_count({parts!r}) came out negative: {value}")
+        raise IntegralityError(
+            f"necklace_count({_parts_str(parts)}) came out negative: {coeff_str(value)}")
     return value
 
 
@@ -90,7 +99,8 @@ def v_count(parts: Sequence[int], k: int) -> int:
     n = content_total(parts)
     if n < 1:
         raise ValueError("v_count requires a nonzero content")
-    return _moebius_count(parts, n, sum(parts[:k]), f"v_count({parts!r}, k={k})")
+    return _moebius_count(parts, n, sum(parts[:k]),
+                          lambda: f"v_count({_parts_str(parts)}, k={k})")
 
 
 def necklace_closed(m: int, first: int) -> int:

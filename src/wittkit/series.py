@@ -48,8 +48,36 @@ def _decimal(value, what: str, integer: bool = False) -> Coeff:
         kind = "integer" if integer else "integer or fraction p/q with q > 0"
         raise ValueError(f"{what} {value!r} is not a decimal {kind}")
     if match[2] is None:
-        return int(match[1])
-    return _norm(Fraction(int(match[1]), int(match[2])))
+        return _long_int(match[1])
+    return _norm(Fraction(_long_int(match[1]), _long_int(match[2])))
+
+
+def _long_int(text: str) -> int:
+    """int(text) for a decimal text [+-]?[0-9]+ of any length, also past
+    the interpreter's int-from-str digit limit (which int() refuses).
+
+    Below the limit this is int() itself.  Past it the digits are split
+    in halves, hi 10^h + lo, down to pieces int() takes, and put together
+    again with 10^h built once per h: the inverse of _long_int_str, in
+    the time of a few big products, where int(Decimal(text)) is quadratic.
+    Also the parse_int of the CLI's JSON readers.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    tens = {}  # h -> 10^h, each built once
+
+    def convert(digits: str) -> int:
+        if len(digits) <= 640:  # the lowest int-from-str limit CPython allows
+            return int(digits)
+        h = len(digits) >> 1
+        if h not in tens:
+            tens[h] = 10**h
+        return convert(digits[:-h]) * tens[h] + convert(digits[-h:])
+
+    value = convert(text.lstrip("+-"))
+    return -value if text[0] == "-" else value
 
 
 def _exact_int(value, what: str) -> int:
@@ -101,7 +129,8 @@ def _long_int_str(x: int) -> str:
     return "-" + text if x < 0 else text
 
 
-def _power_coeffs(a: Sequence[Coeff], k: int, order: int, integral: bool) -> list:
+def _power_coeffs(a: Sequence[Coeff], k: int, order: int, integral: bool,
+                  prefix: Sequence[Coeff] = ()) -> list:
     """The coefficients of a^k up to z^order, k >= 1, by J. C. P. Miller's
     recurrence (Knuth, TAOCP vol. 2, 4.7); a is read up to z^order only.
 
@@ -109,9 +138,12 @@ def _power_coeffs(a: Sequence[Coeff], k: int, order: int, integral: bool) -> lis
     u g' = k u' g gives n u_0 g_n = sum_{i=1..n} ((k+1) i - n) u_i g_{n-i},
     one pass over the nonzero u_i per coefficient: O(order nnz(u)) work
     where binary powering takes O(order^2 log k).  The result is z^(v k) g.
-    For `integral` coefficients each division by n u_0 is exact, and a
-    remainder raises IntegralityError (a bug, as in divexact); otherwise it
-    divides as a Fraction and normalizes.
+    `prefix`, the first coefficients of a^k (from an earlier, lower
+    order), is kept and the recurrence continues after it, so raising from
+    order m to order M takes M - m steps.  For `integral` coefficients
+    each division by n u_0 is exact, and a remainder raises
+    IntegralityError (a bug, as in divexact); otherwise it divides as a
+    Fraction and normalizes.
     """
     v = next((j for j in range(order + 1) if a[j]), None)
     if v is None or v * k > order:
@@ -119,8 +151,8 @@ def _power_coeffs(a: Sequence[Coeff], k: int, order: int, integral: bool) -> lis
     top = order - v * k  # g is needed up to z^top
     u0 = a[v]
     terms = [(i, c) for i, c in enumerate(a[v + 1:v + top + 1], 1) if c]
-    g = [u0**k]
-    for n in range(1, top + 1):
+    g = list(prefix[v * k:]) or [u0**k]
+    for n in range(len(g), top + 1):
         acc = 0
         for i, c in terms:
             if i > n:
@@ -136,6 +168,23 @@ def _power_coeffs(a: Sequence[Coeff], k: int, order: int, integral: bool) -> lis
         else:
             g.append(_norm(Fraction(acc, n * u0)))
     return [0] * (v * k) + g
+
+
+def _mul_coeffs(a: Sequence[Coeff], b: Sequence[Coeff], n: int) -> list:
+    """The coefficients of a b up to z^n, unnormalized; a and b are read up
+    to z^n only.  The outer loop skips zeros, so the sparser factor drives."""
+    if a.count(0) < b.count(0):
+        a, b = b, a
+    out = [0] * (n + 1)
+    for i in range(n + 1):
+        ai = a[i]
+        if ai == 0:
+            continue
+        for j in range(n + 1 - i):
+            bj = b[j]
+            if bj != 0:
+                out[i + j] += ai * bj
+    return out
 
 
 def _json_field(obj: dict, key: str):
@@ -161,9 +210,15 @@ def _json_int(value, what: str) -> int:
 
 
 class TruncatedSeries:
-    """Immutable truncated power series; `order` is the last stored degree."""
+    """Immutable truncated power series; `order` is the last stored degree.
 
-    __slots__ = ("order", "coeffs", "_all_int")
+    Each series keeps the powers it has been raised to, {k: coefficients
+    of self^k}, in the private slot `_powers`: made on the first raise,
+    holding self^1 as `coeffs`, and dying with the series.  It is no part
+    of the value: ==, hash, repr and truncate do not read it.
+    """
+
+    __slots__ = ("order", "coeffs", "_all_int", "_powers")
 
     def __init__(self, coeffs: Sequence[Coeff], order: int | None = None):
         if any(isinstance(c, float) for c in coeffs):
@@ -292,24 +347,31 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         n = self._common_order(other)
-        a, b = self.coeffs, other.coeffs
-        if a.count(0) < b.count(0):  # the outer loop skips zeros: give it the sparser factor
-            a, b = b, a
-        out = [0] * (n + 1)
-        for i in range(n + 1):
-            ai = a[i]
-            if ai == 0:
-                continue
-            for j in range(n + 1 - i):
-                bj = b[j]
-                if bj != 0:
-                    out[i + j] += ai * bj
-        return self._finish(out, n, self._all_int and other._all_int)
+        return self._finish(_mul_coeffs(self.coeffs, other.coeffs, n), n,
+                            self._all_int and other._all_int)
 
     __rmul__ = __mul__
 
+    def _power(self, k: int, m: int) -> Sequence[Coeff]:
+        """The coefficients of self^k at least up to z^m (k >= 1, m <= order),
+        from the series' power memo; the Witt kernel's term(k, m).
+
+        Each power is stored at the highest order asked for so far and a
+        lower order is served by it, as a prefix; a higher one continues
+        Miller's recurrence (_power_coeffs) after the stored coefficients.
+        The stored list itself is returned: callers read it, never change it.
+        """
+        memo = getattr(self, "_powers", None)
+        if memo is None:
+            memo = {1: self.coeffs}
+            object.__setattr__(self, "_powers", memo)
+        got = memo.get(k, ())
+        if len(got) <= m:
+            got = memo[k] = _power_coeffs(self.coeffs, k, m, self._all_int, got)
+        return got
+
     def __pow__(self, k: int):
-        """self^k at self's order, by _power_coeffs (Miller's recurrence)."""
+        """self^k at self's order, from the series' power memo (_power)."""
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
@@ -318,8 +380,7 @@ class TruncatedSeries:
             return TruncatedSeries.one(self.order)
         if k == 1:
             return self
-        return self._finish(_power_coeffs(self.coeffs, k, self.order, self._all_int),
-                            self.order, self._all_int)
+        return self._finish(self._power(k, self.order), self.order, self._all_int)
 
     def inflate(self, d: int) -> "TruncatedSeries":
         """Substitute z -> z^d; truncation order is preserved."""

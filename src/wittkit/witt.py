@@ -8,12 +8,12 @@ that any violation raises instead of silently producing fractions.
 One kernel, _divisor_sum, computes every Moebius-weighted sum of inflated
 terms sum_{d|r} mu(d) X_{r/d}(z^d) on a plain list of coefficients, each
 term added to every d-th entry in one slice assignment: c_transform and
-witt_transform take X_e = f^e from a power memo (_powers), witt_table
-takes the powers f, f^2, ..., f^R built once at the table's degree, and
-the series inversions take X_e = A(e).  Each term is asked for only up to
-z^(N//d), the part that survives inflation by d.  _divide_by_order takes
-the 1/r in one pass, and each public function builds one TruncatedSeries,
-at the end.
+witt_transform take X_e = f^e from f's own power memo
+(TruncatedSeries._power), witt_table takes the powers f, f^2, ..., f^R
+built once at the table's degree, and the series inversions take
+X_e = A(e).  Each term is asked for only up to z^(N//d), the part that
+survives inflation by d.  _divide_by_order takes the 1/r in one pass, and
+each public function builds one TruncatedSeries, at the end.
 
 verify_identity evaluates both sides of the classical identities for the
 transform (product rule, power rule, sign rule, Moebius inversion, and the
@@ -25,9 +25,11 @@ and T1.2 the product and power rules on constant series, T3.1 the product
 rule with g = z^k, T3.2 the power rule at order 1 with its sides swapped,
 and T3.3 the product rule with g = -1 with both sides times (-1)^r.  Each
 right-side transform W_i(f)(z^e) is of f cut to z^(n//e), the part that
-inflation by e reads; every power of f and of g comes from one memo per
-call, and the right side is summed by j in lists.  A j whose W_j(g) is
-zero adds no work, so the sparse z^k and -1 cost little.
+inflation by e reads; every power of f and of g, on both sides, comes
+from the series' own power memo, which lives as long as the series, so
+the checks of one f raise each f^k once, and the right side is summed by
+j in lists.  A j whose W_j(g) is zero adds no work, so the sparse z^k and
+-1 cost little.
 
 monotonicity_scan checks the coefficient-monotonicity families on finite
 windows; it certifies the claims on the scanned window only.  One rise
@@ -50,7 +52,7 @@ from ._record import record
 from .arith import divisors, moebius
 from .errors import BudgetExceededError, IntegralityError, PreconditionError
 from .necklace import necklace_poly
-from .series import Coeff, TruncatedSeries, _power_coeffs, coeff_str
+from .series import Coeff, TruncatedSeries, _mul_coeffs, coeff_str
 
 __all__ = [
     "witt_transform",
@@ -105,30 +107,12 @@ def _divide_by_order(acc: List[Coeff], r: int, integral: bool) -> List[Coeff]:
     return [c // r for c in acc]
 
 
-def _powers(f: TruncatedSeries) -> Callable[[int, int], Sequence[Coeff]]:
-    """term(e, m) for _divisor_sum: f^e up to z^m, from one memo per call.
-
-    f^1 is f's own tuple; any other f^e is raised once, by Miller's
-    recurrence from f read up to z^m, at the order it is first asked for.
-    Every caller asks for each e at one order, so nothing is raised twice.
-    """
-    a, integral = f.coeffs, f.is_integral()
-    memo: Dict[int, Sequence[Coeff]] = {1: a}
-
-    def term(e: int, m: int) -> Sequence[Coeff]:
-        got = memo.get(e)
-        if got is None or len(got) <= m:
-            got = memo[e] = _power_coeffs(a, e, m, integral)
-        return got
-
-    return term
-
-
 def _transform_coeffs(f: TruncatedSeries, r: int) -> List[Coeff]:
-    # sum_{d|r} mu(d) f(z^d)^(r/d) at f's order, r checked
+    # sum_{d|r} mu(d) f(z^d)^(r/d) at f's order, r checked; each f^e from
+    # f's power memo
     if r < 1:
         raise ValueError(f"transform order must be >= 1, got {r}")
-    return _divisor_sum(_powers(f), r, f.order)
+    return _divisor_sum(f._power, r, f.order)
 
 
 def c_transform(f: TruncatedSeries, r: int) -> TruncatedSeries:
@@ -292,15 +276,42 @@ def _require_order(ident: str, f: TruncatedSeries, needed: int) -> None:
         )
 
 
+def _mixed_pairs(r: int, v: int, w: int,
+                 g_is_one: bool) -> List[Tuple[int, List[Tuple[int, int]]]]:
+    """The members (i, j) of the mixed power rule's sum, grouped by j in
+    ascending order: [(j, [(i, d/(v,w)), ...]), ...], i ascending, each j
+    with at least one i.
+
+    A pair is a member when i j (v,w) = d r, d = gcd(v i, w j); then
+    i (v,w) divides d r, hence i | r w', and likewise j | r v', so i runs
+    over the divisors of r w' and j over those of r v' (j = 1 alone when
+    g = 1).
+    """
+    gg = math.gcd(v, w)
+    w1, v1 = w // gg, v // gg
+    ii = divisors(r * w1)
+    pairs = []
+    for j in (1,) if g_is_one else divisors(r * v1):
+        weights = []
+        for i in ii:
+            d = math.gcd(v * i, w * j)
+            if i * j * gg == d * r:
+                weights.append((i, d // gg))
+        if weights:
+            pairs.append((j, weights))
+    return pairs
+
+
 def _mixed_power_rule(ident: str, f: TruncatedSeries, g: Optional[TruncatedSeries],
                       r: int, v: int, w: int):
-    """Both sides of W_r(f^w' g^v') = sum (d/(v,w)) W_i(f)(z^(r w'/i)) W_j(g)(z^(r v'/j)).
+    """Both sides of W_r(f^w' g^v') = sum (d/(v,w)) W_i(f)(z^(r w'/i)) W_j(g)(z^(r v'/j)),
+    for the identity named `ident`.
 
     w' = w/(v,w), v' = v/(v,w), d = gcd(v i, w j), and (i, j) runs over the
-    pairs with i j (v,w) = d r; that condition forces i | r w' and j | r v',
-    which is asserted rather than assumed.  g=None stands for g = 1, whose
-    transforms are W_1(1) = 1 and W_j(1) = M(1; j) = 0 for j >= 2, so only
-    j = 1 is visited.  The product rule is v = w = 1, the power rule is
+    pairs with i j (v,w) = d r, which _mixed_pairs finds among the divisor
+    pairs i | r w', j | r v'.  g=None stands for g = 1, whose transforms
+    are W_1(1) = 1 and W_j(1) = M(1; j) = 0 for j >= 2, so only j = 1 is
+    visited.  The product rule is v = w = 1, the power rule is
     g = 1, v = 1, w = k, and constant series give the necklace rules.  At
     fixed arguments the same sum is the shift rule T3.1 (product rule with
     g = z^k, W_j(z^k) = 0 for j >= 2), the inversion rule T3.2 (power rule
@@ -311,58 +322,52 @@ def _mixed_power_rule(ident: str, f: TruncatedSeries, g: Optional[TruncatedSerie
     reads nothing above z^(n//e), so W_i(f) inflated by e = R/i, R = r w',
     is the transform of f cut to z^(n//e); its divisor d asks for f^(i/d)
     up to z^(n//(e d)), and e d = R/(i/d) depends on the exponent alone.
-    So every power of f (and of g, with R = r v') comes from one memo per
-    call (_powers), each f^k raised once at z^(n//(R/k)), and f^1 is f
-    itself.  The right side is summed by j in lists,
-    sum_j W_j(g)(...) (sum_i (d/(v,w)) W_i(f)(...)): the inflated, weighted
-    W_i(f) are added into one list, which is multiplied by the few nonzero
-    terms of the inflated W_j(g); a j whose W_j(g) is zero adds no work,
-    and W_i(f) is not computed for it either.
+    Every power of f (and of g, with R = r v') is read from the series'
+    own memo (TruncatedSeries._power), and so is every power on the left:
+    W_r(g^v' f^w') takes each (g^v' f^w')^e as the product of g^(v' e) and
+    f^(w' e) (f^(w' e) alone when g = 1), and no series g^v' f^w' is
+    built.  So across the identities checked on one f each f^k is raised
+    once, at the highest order asked for.  The right side is summed by j
+    in lists, sum_j W_j(g)(...) (sum_i (d/(v,w)) W_i(f)(...)): the
+    inflated, weighted W_i(f) are added into one list, which is multiplied
+    by the few nonzero terms of the inflated W_j(g); a j whose W_j(g) is
+    zero adds no work, and W_i(f) is not computed for it either.
     """
     gg = math.gcd(v, w)
     w1, v1 = w // gg, v // gg
-    lhs = witt_transform(f**w1 if g is None else g**v1 * f**w1, r)
-    n = lhs.order
 
-    def transform(powers, i: int, e: int, integral: bool) -> List[Coeff]:
-        # W_i of the series behind `powers`, up to z^(n//e)
-        return _divide_by_order(_divisor_sum(powers, i, n // e), i, integral)
+    def transform(term, i: int, m: int, integral: bool) -> List[Coeff]:
+        # W_i up to z^m of the series whose e-th powers term(e, .) gives
+        return _divide_by_order(_divisor_sum(term, i, m), i, integral)
 
-    f_powers = _powers(f)
-    g_powers = _powers(g) if g is not None else None
+    # the left side W_r(g^v' f^w'), from the memo powers of f and g
+    n = f.order if g is None else min(f.order, g.order)
+    integral = f.is_integral() and (g is None or g.is_integral())
+    if g is None:
+        term = lambda e, m: f._power(w1 * e, m)
+    else:
+        term = lambda e, m: _mul_coeffs(g._power(v1 * e, m), f._power(w1 * e, m), m)
+    lhs = TruncatedSeries._finish(transform(term, r, n, integral), n, integral)
+
     wf: Dict[int, List[Coeff]] = {}
     rhs: List[Coeff] = [0] * (n + 1)
-    for j in range(1, r * v1 + 1) if g is not None else (1,):
-        weights = []  # (i, d/(v,w)) for each pair (i, j)
-        for i in range(1, r * w1 + 1):
-            d = math.gcd(v * i, w * j)
-            if i * j * gg != d * r:
-                continue
-            if (r * w1) % i or (r * v1) % j:
-                raise IntegralityError(
-                    f"{ident}: set member (i,j)=({i},{j}) violates "
-                    f"i | {r * w1}, j | {r * v1}"
-                )
-            weights.append((i, d // gg))
-        if not weights:
-            continue
+    for j, weights in _mixed_pairs(r, v, w, g is None):
         if g is None:
             wj, ej = (1,), 1  # W_1(1) = 1
         else:
             ej = r * v1 // j
-            wj = transform(g_powers, j, ej, g.is_integral())
+            wj = transform(g._power, j, n // ej, g.is_integral())
             if not any(wj):
                 continue
         inner: List[Coeff] = [0] * (n + 1)
         for i, weight in weights:
             e = r * w1 // i
             if i not in wf:
-                wf[i] = transform(f_powers, i, e, f.is_integral())
+                wf[i] = transform(f._power, i, n // e, f.is_integral())
             inner[::e] = [a + weight * c for a, c in zip(inner[::e], wf[i])]
         for t, c in enumerate(wj):
             if c:
                 rhs[t * ej:] = [a + c * b for a, b in zip(rhs[t * ej:], inner)]
-    integral = f.is_integral() and (g is None or g.is_integral())
     return lhs, TruncatedSeries._finish(rhs, n, integral)
 
 

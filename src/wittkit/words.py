@@ -47,9 +47,14 @@ def _content_of(word: Sequence[int], alphabet_size: int) -> Word:
     return tuple(word.count(i) for i in range(1, alphabet_size + 1))
 
 
-def _fixed_content_lyndon(content: Sequence[int], budget: int) -> Iterator[Word]:
+def _fixed_content_lyndon(content: Sequence[int], budget: int) -> Iterator[List[int]]:
     """Lyndon words whose letter-i multiplicity is content[i-1], in
     lexicographic order, from the prenecklace tree restricted to content.
+
+    Each word is yielded as the walk's working list a, whose a[1:] is the
+    word; the same list is reused and changed by the walk, so a caller
+    that keeps a word copies it (lyndon_words takes tuple(a[1:])), and
+    a caller that only counts builds nothing.
 
     A prefix a[1..t] of a necklace has a period p (a[i] = a[i-p] for
     p < i <= t); the next letter must be at least a[t+1-p], keeps the
@@ -95,7 +100,7 @@ def _fixed_content_lyndon(content: Sequence[int], budget: int) -> Iterator[Word]
         per[t] = p if j == a[t - p] else t
         if t == n:
             if per[t] == n:
-                yield tuple(a[1:])
+                yield a
             j += 1
         elif left[first] == n - t + (j == first):
             j += 1  # only copies of the smallest letter would remain
@@ -108,7 +113,7 @@ def _fixed_content_lyndon(content: Sequence[int], budget: int) -> Iterator[Word]
 def lyndon_words(content: Sequence[int], budget: int = DEFAULT_BUDGET) -> List[Word]:
     """Lyndon words whose letter-i multiplicity is content[i-1], in
     lexicographic order.  Totals above `budget` raise BudgetExceededError."""
-    return list(_fixed_content_lyndon(content, budget))
+    return [tuple(a[1:]) for a in _fixed_content_lyndon(content, budget)]
 
 
 def lyndon_words_naive(content: Sequence[int], budget: int = 10) -> List[Word]:

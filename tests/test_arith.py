@@ -14,6 +14,7 @@ from wittkit.arith import (
     nth_prime,
     primes_up_to,
 )
+from wittkit.errors import BudgetExceededError
 
 
 def test_moebius_small_values():
@@ -36,6 +37,13 @@ def test_divisors():
     assert divisors(1) == [1]
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert divisors(49) == [1, 7, 49]
+
+
+def test_divisors_refuse_what_trial_division_cannot_finish():
+    # about 10^7 steps at the limit; past it a named error, at once
+    for n in (arith.TRIAL_DIVISION_LIMIT + 1, 7 * 10**5000):
+        with pytest.raises(BudgetExceededError, match="trial division limit"):
+            divisors(n)
 
 
 def test_multinomial_examples():

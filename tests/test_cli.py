@@ -13,11 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import B_CHI_MINUS_4, perturb_witt_table
-from wittkit import analytic, witt
+from wittkit import analytic, series, witt
 from wittkit.arith import divisors, moebius
 from wittkit.cli import _content, _int, _ratfun, _rational, _series, main
 from wittkit.errors import IntegralityError
-from wittkit.series import RationalFunction, TruncatedSeries
+from wittkit.series import RationalFunction, TruncatedSeries, coeff_str
 from wittkit.witt import IDENTITY_IDS
 
 SERIES_1PZ = '{"order":4,"coeffs":["1","1","0","0","0"]}'
@@ -246,15 +246,17 @@ def test_verify_failure_exits_1_with_the_mismatch(capsys, monkeypatch):
 
 def test_a_non_integral_moebius_sum_raises_from_every_entry(capsys, monkeypatch):
     # f^2 of f = 1 + 2z - z^2 made one too large at z^1: the Moebius sum of
-    # W_2(f), f^2 - f(z^2), is then 5 at z^1, not divisible by 2
-    real = witt._power_coeffs
+    # W_2(f), f^2 - f(z^2), is then 5 at z^1, not divisible by 2.  The fault
+    # sits in the kernel behind every series' power memo, which W_2(f) and
+    # T3.2's f**2 both read
+    real = series._power_coeffs
 
-    def faulty(a, k, order, integral):
-        out = real(a, k, order, integral)
-        out[1] += k == 2
+    def faulty(a, k, order, integral, prefix=()):
+        out = real(a, k, order, integral, prefix)
+        out[1] += k == 2 and not prefix  # a prefix holds the fault already
         return out
 
-    monkeypatch.setattr(witt, "_power_coeffs", faulty)
+    monkeypatch.setattr(series, "_power_coeffs", faulty)
     message = ("witt_transform(r=2) of an integral series is not integral: "
                "coefficient of z^1 (5) is not divisible by 2")
     f = TruncatedSeries([1, 2, -1], 8)  # SERIES_F
@@ -490,6 +492,39 @@ def test_necklace_beyond_str_digit_limit(capsys):
         assert value == str(total)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("digits", [4301, 10**5])
+def test_inputs_beyond_str_digit_limit(capsys, digits):
+    # integers past CPython's 4300-digit int() limit, as JSON strings, JSON
+    # numbers, fractions and plain arguments, positive and negative
+    a = "7" * digits
+    b = "1" + "0" * (digits - 1) + "1"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        A, B = int(a), int(b)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert math.gcd(A, B) == 1
+
+    def value(*argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        return json.loads(out)["value"]
+
+    W2 = [coeff_str((A * A - A) // 2), a]  # W_2(z + A) = (A^2 - A)/2 + A z
+    for f in ('{"order":1,"coeffs":["%s","1"]}' % a, '{"order":1,"coeffs":[%s,1]}' % a):
+        assert value("witt", "--f", f, "--r", "2")["coeffs"] == W2
+    f = '{"order":1,"coeffs":["-%s",1]}' % a  # W_2(z - A) = (A^2 + A)/2 - A z
+    assert value("witt", "--f", f, "--r", "2")["coeffs"] == [coeff_str((A * A + A) // 2), "-" + a]
+    f = '{"order":1,"coeffs":["-%s/%s","1"]}' % (a, b)
+    assert value("witt", "--f", f, "--r", "1")["coeffs"] == [f"-{a}/{b}", "1"]
+    assert value("necklace", "--content", f"1,{a}") == "1"
+    # one part of that size would need its divisors: refused, not a hang
+    code, out, err = run(capsys, "necklace", "--content", a)
+    assert code == 1 and err.startswith("budget exceeded: divisors of an integer of ")
+    assert value("necklace", "--alpha", "-" + a, "--n", "2") == coeff_str((A * A + A) // 2)
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import longdiv_series
+from wittkit import series, suites
 from wittkit.analytic import hurwitz_zeta
 from wittkit.characters import RealDirichletCharacter
 from wittkit.errors import IntegralityError
 from wittkit.expansion import BiSeries
-from wittkit.series import RationalFunction, TruncatedSeries, coeff_str
+from wittkit.series import RationalFunction, TruncatedSeries, _decimal, _long_int, coeff_str
 
 small_ints = st.lists(st.integers(-9, 9), min_size=1, max_size=12)
 
@@ -122,6 +123,82 @@ def test_pow_makes_no_series_product(monkeypatch):
     for k in (0, 1, 2, 3, 8, 12, 15):
         f**k
     assert products == []
+
+
+def _counting_steps(monkeypatch):
+    # one exact division per step of Miller's recurrence: divmod for an
+    # integral series, _norm of the quotient for a Fraction series
+    steps = []
+    divmod_, norm = divmod, series._norm
+    monkeypatch.setattr(series, "divmod", lambda a, b: steps.append(1) or divmod_(a, b),
+                        raising=False)
+    monkeypatch.setattr(series, "_norm", lambda x: steps.append(1) or norm(x))
+    return steps
+
+
+@pytest.mark.parametrize("coeffs", [
+    [3, -1, 2, 0, 5],                          # integer
+    [Fraction(1, 2), 1, Fraction(-2, 3), 4],   # Fraction
+    [0, 0, 1, 4, 0, -1],                       # z^2 u: leading zeros
+    [-2, -3, 0, -1, 7],                        # negative
+])
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_a_stored_power_is_extended_not_raised_again(monkeypatch, coeffs, k):
+    # raising f^k to order m and then to M continues the m + 1 stored
+    # coefficients with M - m steps, and gives the list a fresh raise gives
+    M = 24
+    f = S(coeffs, M)
+    integral = f.is_integral()
+    v = next(j for j, c in enumerate(coeffs) if c)
+    fresh = series._power_coeffs(f.coeffs, k, M, integral)
+    steps = _counting_steps(monkeypatch)
+    for m in (v * k, v * k + 3, 15):
+        low = series._power_coeffs(f.coeffs, k, m, integral)
+        assert low == fresh[:m + 1]
+        del steps[:]
+        assert series._power_coeffs(f.coeffs, k, M, integral, low) == fresh
+        assert len(steps) == M - m
+    # the memo stores each power at the highest order asked for and
+    # serves a lower one from it; a higher one extends it
+    del steps[:]
+    assert f._power(k, 10) == fresh[:11]
+    assert f._power(k, 4) == fresh[:11]
+    assert f._power(k, M) == fresh
+    assert len(steps) == M - v * k
+    assert (f**k).coeffs == tuple(fresh)
+    assert f._power(1, M) is f.coeffs
+
+
+def test_one_identity_battery_seed_raises_no_coefficient_twice(monkeypatch):
+    # the six checks of a seed share f's and g's power memos: the raises
+    # of one (series, k) continue one another, so each coefficient of each
+    # power is computed once
+    raised = []
+    power = series._power_coeffs
+
+    def recording(a, k, order, integral, prefix=()):
+        raised.append((a, k, len(prefix), order))
+        return power(a, k, order, integral, prefix)
+
+    monkeypatch.setattr(series, "_power_coeffs", recording)
+    assert suites.identity_battery(1, seed0=1234567).passed
+    stored = {}
+    for a, k, start, order in raised:
+        key = (id(a), k)  # every a is alive in `raised`, so ids are distinct
+        assert start == stored.get(key, 0) and order >= start
+        stored[key] = order + 1
+    assert len(raised) > 20
+
+
+def test_the_power_memo_is_no_part_of_the_value():
+    f, g = S([1, 2, -1, 3], 9), S([1, 2, -1, 3], 9)
+    before = (repr(f), hash(f))
+    f**3, f._power(5, 4)
+    assert f == g and g == f and hash(f) == hash(g) == before[1]
+    assert repr(f) == repr(g) == before[0]
+    assert f.truncate(f.order) is f and f.truncate(f.order) == g
+    assert f.truncate(5) == g.truncate(5)
+    assert f.to_json_dict() == g.to_json_dict()
 
 
 fraction_coeffs = st.lists(st.fractions(-3, 3, max_denominator=5), min_size=1, max_size=12)
@@ -268,3 +345,29 @@ def test_coeff_str_past_the_limit_is_the_text_str_gives(digits):
     finally:
         sys.set_int_max_str_digits(limit)
     assert texts == (wanted, ["-" + text for text in wanted])
+
+
+@pytest.mark.parametrize("digits", [4301, 10**5])
+def test_decimal_text_past_the_limit_is_the_int_int_gives(digits):
+    # the divide-and-conquer reader, taken past the int-from-str limit,
+    # against int() itself with the limit lifted: positive and negative
+    # values, leading zeros, powers of ten and fractions
+    rng = random.Random(digits)
+    texts = ["1" + "0" * (digits - 1), "9" * digits, "0" * 7 + "3" * digits,
+             str(rng.randrange(1, 10)) + "".join(rng.choices("0123456789", k=digits - 1))]
+    with pytest.raises(ValueError):
+        int(texts[0])
+    got = [(_long_int(t), _long_int("-" + t), _long_int("+" + t), _decimal("-" + t, "c"))
+           for t in texts]
+    fraction = _decimal(f"-{texts[3]}/{texts[1]}", "c")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # the lowest limit CPython allows
+    try:
+        lowest = [_long_int(t) for t in texts]
+        sys.set_int_max_str_digits(0)
+        wanted = [int(t) for t in texts]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == [(x, -x, x, -x) for x in wanted] and lowest == wanted
+    assert fraction == Fraction(-wanted[3], wanted[1])
+    assert _long_int("-12") == -12 and _decimal("+7/14", "c") == Fraction(1, 2)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittkit import witt
+from wittkit import series, witt
 from wittkit.arith import divisors, moebius
 from wittkit.errors import BudgetExceededError, PreconditionError
 from wittkit.necklace import necklace_count, necklace_poly
@@ -343,30 +343,42 @@ def test_mixed_power_rule_with_common_factors(xs, ys, v, w, r):
 
 
 def test_mixed_power_rule_transforms_only_what_its_inflation_reads(monkeypatch):
-    # the right side reads every power h^k of f and of g from one memo per
-    # call: h^1 is h itself, and any other h^k is raised once, from h cut to
-    # z^m with m <= n // (R/k) (R = r w' for f, r v' for g), the most that
-    # inflation reads
+    # both sides read every power h^k of f and of g from h's power memo,
+    # each raise continuing the coefficients stored before it; the left
+    # side W_r(g^v' f^w') takes (g^v' f^w')^e as g^(v' e) f^(w' e) up to
+    # z^(n//d), e = r/d, and the right side asks for h^k only up to z^m,
+    # m <= n // (R/k) (R = r w' for f, r v' for g), the most inflation reads
     f, g = S([1, 2, 0, -1, 0, 1], 12), S([2, 1, -1, 0, 3], 12)
     r, v, w = 2, 2, 3  # w' = 3, v' = 2
-    raised = []
-    power = witt._power_coeffs
+    asked, raised, products = [], [], []
+    ask, power, mul = TruncatedSeries._power, series._power_coeffs, TruncatedSeries.__mul__
 
-    def recording_power(a, k, order, integral):
-        raised.append((a, k, order))
-        return power(a[:order + 1], k, order, integral)  # f cut to z^order
+    def recording_ask(h, k, m):
+        asked.append((h, k, m))
+        return ask(h, k, m)
 
-    monkeypatch.setattr(witt, "_power_coeffs", recording_power)
+    def recording_power(a, k, order, integral, prefix=()):
+        raised.append((a, k, len(prefix), order))
+        return power(a, k, order, integral, prefix)
+
+    monkeypatch.setattr(TruncatedSeries, "_power", recording_ask)
+    monkeypatch.setattr(series, "_power_coeffs", recording_power)
+    monkeypatch.setattr(TruncatedSeries, "__mul__",
+                        lambda a, b: products.append(1) or mul(a, b))
     assert verify_identity("T3.6", f, g, r=r, v=v, w=w).passed
-    rhs = [(a is f.coeffs, k, m) for a, k, m in raised if a is f.coeffs or a is g.coeffs]
+    assert asked[:4] == [(g, 4, 12), (f, 6, 12), (g, 2, 6), (f, 3, 6)]
+    assert all(h is f or h is g for h, _, _ in asked) and products == []
+    rhs = [(h is f, k, m) for h, k, m in asked[4:]]
     assert {of_f for of_f, _, _ in rhs} == {True, False}
-    assert len({(of_f, k) for of_f, k, _ in rhs}) == len(rhs)  # each power once
     for of_f, k, m in rhs:
         top = r * 3 if of_f else r * 2
-        assert k >= 2 and top % k == 0 and m <= 12 // (top // k)
-    # the left side W_r(g^v' f^w') raises powers of its own input only
-    lhs_input = (g**2 * f**3).coeffs
-    assert [a for a, _, _ in raised if a is not f.coeffs and a is not g.coeffs] == [lhs_input]
+        assert top % k == 0 and m <= 12 // (top // k)
+    assert (f.coeffs, 1) not in {(a, k) for a, k, _, _ in raised}
+    stored = {}  # (series, k) -> number of coefficients stored
+    for a, k, start, order in raised:
+        assert a is f.coeffs or a is g.coeffs
+        assert start == stored.get((a is f.coeffs, k), 0) and order >= start
+        stored[(a is f.coeffs, k)] = order + 1
 
     # a j whose W_j(g) is zero adds no work: of g = z^3 at r = 4 only W_1(g)
     # is nonzero, so W_4(f), its one partner, is the one transform of f formed
@@ -389,6 +401,25 @@ def _sides_or_error(sides):
         return sides()
     except ValueError as exc:
         return str(exc)
+
+
+def test_mixed_pairs_are_the_members_of_the_full_scan():
+    # i j (v,w) = gcd(v i, w j) r forces i | r w' and j | r v', so the
+    # enumeration over divisor pairs finds every member the scan of all
+    # 1 <= i <= r w', 1 <= j <= r v' finds, with the same weights
+    for r in range(1, 31):
+        for v in range(1, 7):
+            for w in range(1, 7):
+                gg = math.gcd(v, w)
+                for g_is_one in (False, True):
+                    scan = []
+                    for j in (1,) if g_is_one else range(1, r * v // gg + 1):
+                        weights = [(i, math.gcd(v * i, w * j) // gg)
+                                   for i in range(1, r * w // gg + 1)
+                                   if i * j * gg == math.gcd(v * i, w * j) * r]
+                        if weights:
+                            scan.append((j, weights))
+                    assert witt._mixed_pairs(r, v, w, g_is_one) == scan, (r, v, w, g_is_one)
 
 
 @settings(max_examples=80, deadline=None)

@@ -93,10 +93,12 @@ Fixed point.  The kernel runs on ints t standing for t 10^-W, at one
 width W = prec + 12, and returns its int: the L-value entry points
 convert it to Decimal once, exactly, and the planner takes
 ln(1 + t 10^-W) of it in fixed point as 2 atanh(t / (2 10^W + t)).  Every
-direct sum (the rough sum and the k < cut part of
-Euler-Maclaurin) is one _PowerRow of floor(10^W / k^s), and every
-alternating sum one _AlternatingRow of floor(C_k / (rk+a)^s), C_k the
-Chebyshev weights at a few more digits than W.  Correction j is one exact
+sum of powers is read from one row class, _Row, of floor(c_k / x_k^s):
+every direct sum (the rough sum and the k < cut part of Euler-Maclaurin)
+from a power row, c_k = 10^W on the k, and every alternating sum from an
+alternating row, c_k = C_k on the progression rk + a, C_k the Chebyshev
+weights at a few more digits than W.  The caller sums the entries: chi(k)
+times each, or with alternating signs.  Correction j is one exact
 floor, floor(B_2j X_j / (2j)!), with B_2j read from the Bernoulli cache and
 X_j the int for x_j = q^(2j-1) (s)_(2j-1) / base^(s+2j-1), stepped by one
 rational factor per j; no table of coefficients is kept.  The closed form
@@ -106,7 +108,7 @@ remainder bound is a proof in integers; _alternating_minus_1 counts its
 floors likewise.  The power row of the rough k and the alternating row of
 each progression rk + a are kept in the planner's shared _RoughNumbers,
 at the width of its largest precision, and move from s to a larger s' in
-place by v //= k^(s' - s), which is exact: the planner's L-values at
+place by v //= x_k^(s' - s), which is exact: the planner's L-values at
 n = 2, 3, ... share their divisions instead of dividing afresh for each n.
 """
 
@@ -117,7 +119,7 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
-from itertools import accumulate, compress, count
+from itertools import accumulate, compress, count, repeat
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ._record import record
@@ -163,7 +165,7 @@ DIGIT_BUDGET = 2000
 _UNROUNDED = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
-# -- Euler-Maclaurin core ----------------------------------------------
+# -- the L-value kernel: width, rows, tail rule, routes ------------------
 
 
 def _width(prec: int) -> int:
@@ -172,39 +174,44 @@ def _width(prec: int) -> int:
     return prec + 12
 
 
-class _PowerRow:
-    """floor(10^width / k^s) for the first k of one increasing sequence of
-    k >= 1, kept between calls at one exponent s at a time.  A call at a
-    larger s advances the row in place by v //= k^(s' - s), which is exact,
-    as floor(floor(x / a) / b) = floor(x / (a b)): a row holds exactly what
-    a fresh one would, whatever came before, at the cost of one division by
-    a short k^(s' - s) per entry instead of a long k^s.  A smaller s, or a
-    call needing a larger width, rebuilds it; a fresh row (width 0) does
-    the work of one sum from scratch."""
+class _Row:
+    """floor(c_k / x_k^s) for start values c_k at fixed-point `width` and
+    bases x_k >= 1, k = 0, 1, ..., as many as a call asks for, kept between
+    calls at one exponent s at a time: c_k = starts[k], or 10^width for
+    every k without starts.  A call at a larger s advances the row in place
+    by v //= x_k^(s' - s), which is exact, as floor(floor(c / a) / b) =
+    floor(c / (a b)): a row holds exactly what fresh divisions give,
+    whatever came before, at the cost of one division by a short
+    x_k^(s' - s) per entry instead of a long x_k^s.  A smaller s starts
+    again from the c_k.  The power rows (_power_row) hold floor(10^W / k^s)
+    on a sequence of k that grows from call to call, the alternating rows
+    (_RoughNumbers.alternating) the Chebyshev weights over one progression
+    qk + a; each caller sums the entries its own way."""
 
-    def __init__(self, width: int = 0):
-        self.width, self.s, self.values = width, 0, []
+    def __init__(self, width: int, starts: Optional[Sequence[int]] = None):
+        self.width, self.starts, self.s, self.values = width, starts, 0, []
 
-    def sum(self, s: int, ks: Sequence[int], width: int,
-            chi: Optional[RealDirichletCharacter] = None) -> int:
-        """sum chi(k) k^-s over ks (chi(k) = 1 without chi), which extends
-        the row's sequence, as an int at `width` within 2 units: the T terms
-        err by under 10^-self.width each, self.width >= width + len(str(T)),
-        and one floor to `width` follows."""
-        need = width + len(str(len(ks)))
-        if need > self.width or s < self.s:
-            self.width, self.values = max(need, self.width), []
-        elif s > self.s:
-            self.values = [v // k ** (s - self.s) for v, k in zip(self.values, ks)]
-        self.s, values = s, self.values
-        if len(values) < len(ks):
-            one = 10**self.width
-            values += [one // k**s for k in ks[len(values):]]
-        if chi is None:
-            total = sum(values[:len(ks)])
-        else:
-            total = sum(chi(k) * v for k, v in zip(ks, values))
-        return total // 10 ** (self.width - width)
+    def at(self, s: int, bases: Sequence[int]) -> List[int]:
+        """The entries floor(c_k / x_k^s) for the bases x_k in `bases`,
+        which continue or cut short those of the row's earlier calls."""
+        values = [] if s < self.s else self.values
+        if s > self.s:
+            values = [v // x ** (s - self.s) for v, x in zip(values, bases)]
+        n = len(values)
+        if n < len(bases):
+            starts = repeat(10**self.width) if self.starts is None else self.starts[n:]
+            values += [c // x**s for c, x in zip(starts, bases[n:])]
+        self.s, self.values = s, values
+        return values[:len(bases)]
+
+
+def _power_row(row: Optional[_Row], width: int, terms: int) -> _Row:
+    """A power row for a sum of `terms` terms k^-s at `width`: `row` if its
+    width W is at least width + len(str(terms)), else a new one at that
+    width.  Its T terms then err by under 10^-W each, so their sum floored
+    to `width` is within 2 units."""
+    need = width + len(str(terms))
+    return row if row is not None and row.width >= need else _Row(need)
 
 
 def _em_cut(prec: int) -> int:
@@ -218,22 +225,39 @@ def _em_cut(prec: int) -> int:
     return max(12, prec)
 
 
+def _settle(test, lo: int, guess: int) -> int:
+    """The least n > lo with test(n), for a test that is monotone above lo
+    (false, then true): galloping out from the guess, clamped above lo, by
+    steps 1, 2, 4, ... until the test turns, then halving what is left.  A
+    float guess is settled by exact tests in O(log d) of them, d its
+    distance from the answer."""
+    n, hi, step = max(guess, lo + 1), None, 1
+    while lo < n and (hi is None or n < hi):
+        if test(n):
+            hi, n = n, n - step
+        else:
+            lo, n = n, n + step
+        step *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if test(mid) else (mid, hi)
+    return hi
+
+
 def _tail_end(s: int, q: int, a: int, prec: int, cap: int) -> Optional[int]:
     """The least K >= 1 whose integral tail (qK+a)^(1-s) / (q(s-1)) is at
     most 10^-(prec+1), that is q(s-1) (qK+a)^(s-1) >= 10^(prec+1), if
     K <= cap; else None.  With (q, a) = (1, 0) the tail bounds
-    sum_{k>K} k^-s.  A float guess within a decade of q cap + a is settled
-    by exact integer comparisons."""
+    sum_{k>K} k^-s.  A float guess more than a decade above q cap + a
+    answers None at once; any other is settled by exact integer tests
+    (_settle)."""
     scale = q * (s - 1)
     guess = (prec + 1 - math.log10(scale)) / (s - 1)  # log10 of qK+a at the real root
     if guess > math.log10(q * cap + a) + 1:
         return None
     goal = 10 ** (prec + 1)
-    end = max(1, math.ceil((10.0**guess - a) / q))
-    while end > 1 and scale * (q * (end - 1) + a) ** (s - 1) >= goal:
-        end -= 1
-    while scale * (q * end + a) ** (s - 1) < goal:
-        end += 1
+    end = _settle(lambda k: scale * (q * k + a) ** (s - 1) >= goal, 0,
+                  math.ceil((10.0**guess - a) / q))
     return end if end <= cap else None
 
 
@@ -269,11 +293,13 @@ def _dirichlet_sum(s: int, q: int, a: int, prec: int) -> int:
     width = _width(prec)
     one, limit = 10**width, 10 ** (width - prec - 1)
     cut = _tail_end(s, q, a, prec, _em_cut(prec)) or _em_cut(prec)
-    row = _PowerRow()
+    row = None
     while True:
         base = q * cut + a
         square, power = base * base, base ** (s - 1)
-        total = row.sum(s, range(a, base, q), width)
+        ks = range(a, base, q)
+        row = _power_row(row, width, len(ks))
+        total = sum(row.at(s, ks)) // 10 ** (row.width - width)
         total += one // (q * (s - 1) * power) + one // (2 * power * base)
         x, err, spent, prev, factorial = one * q * s // (power * square), 1, 4, None, 2
         for j in range(1, 4 * prec + 1):
@@ -338,7 +364,7 @@ class _ChebyshevWeights:
     t_0 = 1, t_(i+1) = t_i A_i / B_i with A_i = 2 (n+i)(n-i) and B_i =
     (i+1)(2i+1), and d_k = t_0 + ... + t_k; d_n = T_n(3) (_chebyshev_at_3).
     n is the least with d_n >= 10^(prec+2): a float estimate settled by
-    exact comparisons, as in _tail_end.
+    exact comparisons (_settle).
 
     With v_i = t_i 10^width / d_n, x_k is the sum of v_i over i > k.  A_i /
     B_i falls as i grows, so t_i rises up to the least p with A_p <= B_p and
@@ -351,11 +377,8 @@ class _ChebyshevWeights:
 
     def __init__(self, prec: int):
         goal = 10 ** (prec + 2)
-        n = math.ceil((prec + 2 + _LOG10_2) / math.log10(3 + math.sqrt(8)))
-        while _chebyshev_at_3(n) < goal:
-            n += 1
-        while n > 1 and _chebyshev_at_3(n - 1) >= goal:
-            n -= 1
+        n = _settle(lambda n: _chebyshev_at_3(n) >= goal, 0,
+                    math.ceil((prec + 2 + _LOG10_2) / math.log10(3 + math.sqrt(8))))
         self.prec, self.width = prec, _width(prec) + 3 * len(str(n)) + 1
         p = next(i for i in range(n + 1) if 2 * (n + i) * (n - i) <= (i + 1) * (2 * i + 1))
         u = [0] * (n + 1)
@@ -366,27 +389,6 @@ class _ChebyshevWeights:
         for i in range(p - 1, 0, -1):
             u[i] = u[i + 1] * ((i + 1) * (2 * i + 1)) // (2 * (n + i) * (n - i))
         self.values = list(accumulate(reversed(u[1:])))[::-1]
-
-
-class _AlternatingRow:
-    """floor(C_k / (qk+a)^s) for the weights C_k, k < n, of one
-    _ChebyshevWeights and one progression qk + a, kept between calls at one
-    exponent s at a time, like _PowerRow: a call at a larger s advances the
-    row in place by v //= (qk+a)^(s' - s), which is exact, and a smaller s
-    starts again from the weights."""
-
-    def __init__(self, weights: _ChebyshevWeights, q: int, a: int):
-        self.weights, self.q, self.a, self.s, self.values = weights, q, a, 0, weights.values
-
-    def sum(self, s: int) -> int:
-        """sum_{k<n} (-1)^k floor(C_k / (qk+a)^s) at the weights' width."""
-        if s < self.s:
-            self.s, self.values = 0, self.weights.values
-        if s > self.s:
-            q, a, step = self.q, self.a, s - self.s
-            self.values = [v // (q * k + a) ** step for k, v in enumerate(self.values)]
-        self.s, values = s, self.values
-        return sum(values[::2]) - sum(values[1::2])
 
 
 def _primitive(chi: RealDirichletCharacter) -> RealDirichletCharacter:
@@ -450,8 +452,11 @@ def _alternating_minus_1(s: int, chi: RealDirichletCharacter, prec: int,
     under 10^-(prec+1) for any h below 10^10."""
     f, c = chi.modulus, chi(2)
     r = f if f % 2 else f // 2
-    total = sum((-1) ** (a - 1) * chi(a) * rough.alternating_row(r, a, prec).sum(s)
-                for a in range(1, r + 1) if chi(a))
+    total = 0
+    for a in range(1, r + 1):
+        if chi(a):
+            values = rough.alternating(r, a, s, prec)
+            total += (-1) ** (a - 1) * chi(a) * (sum(values[::2]) - sum(values[1::2]))
     width, power = rough.weights.width, 2 ** (s - 1)
     one, scale = 10**width, 10 ** (width - _width(prec))
     return ((total - one) * power + c * one) // ((power - c) * scale)
@@ -546,19 +551,19 @@ class _RoughNumbers:
     <= p_m) in increasing order, from p_(m+1) on, sieved in place as far as
     asked; each new segment at least doubles the sieved range.  It also
     holds what the L-values that share it reuse: one power row for the
-    rough k, begun at `width` digits; per character, its primitive chi* and
-    removed Euler factors; and the Chebyshev weights, built once at no less
-    than `prec`, with one alternating row per progression rk + a.  The
-    planner builds one, sets its width and prec from its largest precision
-    and shares it across its L-values."""
+    rough k (`power`); per character, its primitive chi* and removed Euler
+    factors; and the Chebyshev weights, built once at no less than `prec`,
+    with one alternating row per progression rk + a.  The planner builds
+    one, sets its power row and prec from its largest precision and shares
+    it across its L-values."""
 
     def __init__(self, m: int):
         primes = primes_up_to(nth_prime(m + 1))
         self.primes = primes[:m]
         self.density = math.prod(1 - 1 / p for p in self.primes)  # the share of rough k
         self.ks, self.limit = [primes[m]], primes[m]  # rough k <= limit, all of them
-        self.width, self.power, self.characters = 0, None, {}
-        self.prec, self.weights, self.alternating = 0, None, {}
+        self.power, self.characters = None, {}
+        self.prec, self.weights, self.rows = 0, None, {}
 
     def upto(self, end: int) -> List[int]:
         """The rough k, sieved at least through `end`."""
@@ -572,12 +577,6 @@ class _RoughNumbers:
             self.limit = hi - 1
         return self.ks
 
-    def row(self) -> _PowerRow:
-        """The power row of the rough k."""
-        if self.power is None:
-            self.power = _PowerRow(self.width)
-        return self.power
-
     def primitive(self, chi: RealDirichletCharacter) -> Tuple[RealDirichletCharacter,
                                                                List[Tuple[int, int]]]:
         """(chi*, [(p, chi*(p))]) for the primitive chi* of chi and the
@@ -588,14 +587,16 @@ class _RoughNumbers:
             self.characters[chi] = star, [(p, star(p)) for p in sorted(removed) if star(p)]
         return self.characters[chi]
 
-    def alternating_row(self, q: int, a: int, prec: int) -> _AlternatingRow:
-        """The alternating row of qk + a, on weights that serve `prec`; new
-        weights, at max(prec, self.prec), start every row afresh."""
+    def alternating(self, q: int, a: int, s: int, prec: int) -> List[int]:
+        """floor(C_k / (qk + a)^s) for the Chebyshev weights C_k, k < n, that
+        serve `prec`, from the alternating row of qk + a; new weights, at
+        max(prec, self.prec), start every row afresh."""
         if self.weights is None or self.weights.prec < prec:
-            self.weights, self.alternating = _ChebyshevWeights(max(prec, self.prec)), {}
-        if (q, a) not in self.alternating:
-            self.alternating[q, a] = _AlternatingRow(self.weights, q, a)
-        return self.alternating[q, a]
+            self.weights, self.rows = _ChebyshevWeights(max(prec, self.prec)), {}
+        weights = self.weights
+        if (q, a) not in self.rows:
+            self.rows[q, a] = _Row(weights.width, weights.values)
+        return self.rows[q, a].at(s, range(a, q * len(weights.values) + a, q))
 
 
 def _l_minus_1(s: int, chi: RealDirichletCharacter, prec: int, m: int = 0,
@@ -646,7 +647,11 @@ def _l_minus_1(s: int, chi: RealDirichletCharacter, prec: int, m: int = 0,
     end = _tail_end(s, 1, 0, prec, math.floor(q * _em_cut(prec) / rough.density))
     if end is not None:
         ks = rough.upto(end)
-        return rough.row().sum(s, ks[:bisect_right(ks, end)], width, chi if q > 1 else None)
+        ks = ks[:bisect_right(ks, end)]
+        row = rough.power = _power_row(rough.power, width, len(ks))
+        values = row.at(s, ks)
+        total = sum(values) if q == 1 else sum(chi(k) * v for k, v in zip(ks, values))
+        return total // 10 ** (row.width - width)
     star, factors = rough.primitive(chi)
     one = t = 10**width
     for p, c in factors:
@@ -733,24 +738,6 @@ def _is_exact_factorization(h: RationalFunction, exps) -> Optional[bool]:
     return num == den
 
 
-def _settle(test, lo: int, hi: int, guess: int) -> int:
-    """The least n in (lo, hi] with test(n), for a test that is false at
-    lo, true at hi and monotone between: galloping out from the guess,
-    clamped into the bracket, by steps 1, 2, 4, ... until the test turns,
-    then halving what is left."""
-    n, step = min(max(guess, lo + 1), hi - 1), 1
-    while lo < n < hi:
-        if test(n):
-            hi, n = n, n - step
-        else:
-            lo, n = n, n + step
-        step *= 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if test(mid) else (mid, hi)
-    return hi
-
-
 def _root_bound(poly: Sequence[int]) -> Fraction:
     """An exact rho >= |beta| for every reciprocal root beta of an integer
     polynomial a_0 + ... + a_d z^d, a_0 != 0: the least over k = 0..4 (a step
@@ -761,13 +748,13 @@ def _root_bound(poly: Sequence[int]) -> Fraction:
     x of C(x) = |a_0| x^d - |a_1| x^(d-1) - ... - |a_d|, and y = x^(1/power)
     is rounded up to the least y' with C(y'^power) >= 0 (an integer test)
     on the multiples of 2^(e-51) in (2^(e-1), 2^e] (in (0, 2] for e = 1),
-    e >= 1 the least with y <= 2^e.  A float guess of log2 x places e and
-    y': Newton's method on f(v) = log2 sum_i 2^(l_i - i v), l_i = log2 |a_i
-    / a_0| (math.log2 takes an int of any size, so no coefficient
-    overflows), which is convex and falls through 0 at v = log2 x, so its
-    steps from v = max l_i / i, where f >= 0, rise towards the root and
-    stop where one would not rise.  The test at 2^(e-1) and 2^e moves e
-    until it is the least, and _settle finds y' from the guess."""
+    e >= 1 the least with y <= 2^e, that is with C(2^(e power)) >= 0.  A
+    float guess of log2 x places e and y': Newton's method on f(v) = log2
+    sum_i 2^(l_i - i v), l_i = log2 |a_i / a_0| (math.log2 takes an int of
+    any size, so no coefficient overflows), which is convex and falls
+    through 0 at v = log2 x, so its steps from v = max l_i / i, where
+    f >= 0, rise towards the root and stop where one would not rise.  From
+    the guess _settle finds e, by the test at y = 2^e, and then y'."""
     poly = list(poly)
     while len(poly) > 1 and poly[-1] == 0:
         poly.pop()
@@ -791,12 +778,8 @@ def _root_bound(poly: Sequence[int]) -> Fraction:
                 break
             v += rise
         guess = v / power  # log2 y
-        e = max(1, math.ceil(guess))
-        while e > 1 and at(1 << 50, e):
-            e -= 1
-        while not at(1 << 51, e):
-            e += 1
-        k = _settle(lambda k: at(k, e), 1 << 50 if e > 1 else 0, 1 << 51,
+        e = _settle(lambda e: at(1 << 51, e), 0, math.ceil(guess))
+        k = _settle(lambda k: at(k, e), 1 << 50 if e > 1 else 0,
                     math.ceil(2.0 ** (guess + 51 - e)))
         bounds.append(Fraction(k << max(0, e - 51), 1 << max(0, 51 - e)))
         # Graeffe's step Q(z^2) = P(z) P(-z) squares the reciprocal roots
@@ -946,9 +929,9 @@ def _twisted_product(h: Dict[int, RationalFunction], chi: RealDirichletCharacter
              for key, e in terms.items()}
     prec = max(precs.values(), default=digits + 6 + GUARD_DIGITS)
     # the rows serve every L-value, so that none is rebuilt wider: the power
-    # row's width is at least that of every rough sum, with a factor 10 to
-    # spare in its number of terms, and the Chebyshev weights serve prec
-    rough.width = _width(prec) + 1 + len(str(chi.modulus * _em_cut(prec)))
+    # row is as wide as a rough sum at prec needs, with a factor 10 to spare
+    # in its number of terms, and the Chebyshev weights serve prec
+    rough.power = _power_row(None, _width(prec), 10 * chi.modulus * _em_cut(prec))
     rough.prec = prec
     small = _twisted_direct(h, chi, m, rough.primes[-1], prec).value  # p_m < p <= p_m'
     divisors = _twisted_direct({-1: _ONE, 0: h[0], 1: _ONE}, chi, plan, chi.modulus, prec).value

@@ -3,7 +3,7 @@ import math
 import time
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, count
 
 import mpmath
 import pytest
@@ -69,10 +69,10 @@ def test_hurwitz_high_precision_against_mpmath():
 
 
 def _em_cuts(monkeypatch):
-    """The cut of every Euler-Maclaurin attempt: each attempt sums its terms
-    k < cut in one power-row sum inside _dirichlet_sum."""
+    """The cut of every Euler-Maclaurin attempt: each attempt reads its terms
+    k < cut from one power row inside _dirichlet_sum."""
     cuts, depth = [], []
-    dirichlet, power = analytic._dirichlet_sum, analytic._PowerRow.sum
+    dirichlet, read = analytic._dirichlet_sum, analytic._Row.at
 
     def in_dirichlet(*args):
         depth.append(None)
@@ -81,13 +81,13 @@ def _em_cuts(monkeypatch):
         finally:
             depth.pop()
 
-    def counted(row, s, ks, width, chi=None):
+    def counted(row, s, bases):
         if depth:
-            cuts.append(len(ks))
-        return power(row, s, ks, width, chi)
+            cuts.append(len(bases))
+        return read(row, s, bases)
 
     monkeypatch.setattr(analytic, "_dirichlet_sum", in_dirichlet)
-    monkeypatch.setattr(analytic._PowerRow, "sum", counted)
+    monkeypatch.setattr(analytic._Row, "at", counted)
     return cuts
 
 
@@ -205,6 +205,45 @@ def test_the_exact_tail_rule_takes_a_tie_the_float_rule_misses(a, cut):
         assert abs(mpmath.mpf(str(value)) - exact) < mpmath.mpf(10) ** -1
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 8).flatmap(lambda s: st.tuples(st.just(s), st.integers(1, 3 * s - 4))),
+       st.integers(1, 6).flatmap(lambda q: st.tuples(st.just(q), st.integers(0, q + 1))))
+@example((2, 1), (5, 5)).via("a tie: 5 (5 + 5) = 10^2 at K = 1")
+@example((2, 2), (1, 0)).via("the kernel's (q, a) = (1, 0)")
+def test_the_tail_rule_is_the_least_k_by_brute_force(sp, qa):
+    # K, the least k >= 1 with q (s-1) (qk+a)^(s-1) >= 10^(prec+1), counted
+    # up from 1, is what the tail rule returns at cap K, and below that cap
+    # it returns None (prec <= 3 s - 4 keeps K below 10^3)
+    (s, prec), (q, a) = sp, qa
+    goal = 10 ** (prec + 1)
+    end = next(k for k in count(1) if q * (s - 1) * (q * k + a) ** (s - 1) >= goal)
+    assert analytic._tail_end(s, q, a, prec, end) == end
+    assert analytic._tail_end(s, q, a, prec, end + 5) == end
+    if q * (end - 1) + a:  # a cap of 0 with a = 0 leaves no term to bound
+        assert analytic._tail_end(s, q, a, prec, end - 1) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([0, 5]), st.integers(1, 600), st.sampled_from(["below", "at", "far"]),
+       st.integers(0, 20))
+@example(0, 1, "far", 0).via("a guess far above the least n, which is lo + 1")
+@example(5, 600, "below", 0).via("a guess at lo, far below")
+def test_settle_finds_the_least_n_in_logarithmically_many_tests(lo, offset, where, below):
+    # the least n > lo with n >= t, from a guess at or `below` under lo, at
+    # t or far above it, in at most 2 ceil(log2(d + 2)) + 2 tests, d the
+    # distance from the guess clamped above lo to t; no test is asked at
+    # or below lo
+    t = lo + offset
+    guess = {"below": lo - below, "at": t, "far": 10**6}[where]
+    tested = []
+    got = analytic._settle(lambda n: tested.append(n) or n >= t, lo, guess)
+    d = abs(max(guess, lo + 1) - t)
+    assert got == t
+    # ceil(log2(d + 2)) is (d + 1).bit_length()
+    assert len(tested) <= 2 * (d + 1).bit_length() + 2
+    assert min(tested) > lo
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(2, 300),
        st.integers(1, 12).flatmap(lambda q: st.tuples(st.just(q), st.integers(1, q + 1))),
@@ -236,13 +275,14 @@ def test_non_principal_l_values_sum_the_residues_in_one_loop(monkeypatch, d, m, 
     chi = RealDirichletCharacter.from_kronecker(d)
     q, prec = chi.modulus, 60
     sums = _counting(monkeypatch, "_dirichlet_sum")
-    rows = _counting(monkeypatch, "_AlternatingRow")
+    rows, reads = _alternating_rows(monkeypatch)
     weights = _counting(monkeypatch, "_ChebyshevWeights")
     got = _fixed(analytic._l_minus_1(s, chi, prec, m), prec)
     step = q if q % 2 else q // 2
     residues = [a for a in range(1, step + 1) if chi(a)]
     assert sums == [] and weights == [(prec,)]
-    assert [args[1:] for args in rows] == [(step, a) for a in residues]
+    assert len(rows) == len(residues)
+    assert [args[1:3] for args in reads] == [(step, a) for a in residues]
     mpmath.mp.dps = prec + 20
     assert abs(mpmath.mpf(str(got)) - _l_m_reference(s, chi, m)) < mpmath.mpf(10) ** -prec
 
@@ -268,11 +308,12 @@ def test_characters_without_an_alternating_form_keep_euler_maclaurin(monkeypatch
     q, star, prec = chi.modulus, RealDirichletCharacter.from_kronecker(d), 60
     assert analytic._primitive(chi) == star
     sums = _counting(monkeypatch, "_dirichlet_sum")
-    rows = _counting(monkeypatch, "_AlternatingRow")
+    rows, reads = _alternating_rows(monkeypatch)
     got = _fixed(analytic._l_minus_1(s, chi, prec, m), prec)
     r = star.modulus if star.modulus % 2 else star.modulus // 2
     assert sums == []
-    assert [args[1:] for args in rows] == [(r, a) for a in range(1, r + 1) if star(a)]
+    assert [args[1:3] for args in reads] == [(r, a) for a in range(1, r + 1) if star(a)]
+    assert len(rows) == len(reads)
     monkeypatch.undo()
     work = prec + len(str(q)) + 1
     with localcontext() as ctx:
@@ -528,18 +569,18 @@ def test_l_minus_1_with_removed_factors_against_mpmath(monkeypatch, d, m, s):
     # below the switch the alternating rows (each of these characters has
     # an alternating form), except at even s for the principal chi (d = 1),
     # where zeta(s) has a closed form; from the switch on, the direct sum
-    # over the p_m-rough k, one power-row sum, which calls neither;
+    # over the p_m-rough k, one power-row read, which calls neither;
     # Euler-Maclaurin never
     chi = RealDirichletCharacter.from_kronecker(d)
     switch = _first_direct_s(chi.modulus, m, 40)
     s = {"below-switch": switch - 1, "switch": switch}.get(s, s)
     sums = _counting(monkeypatch, "_dirichlet_sum")
-    rough = _counting(monkeypatch, "sum", analytic._PowerRow)
+    reads = _counting(monkeypatch, "at", analytic._Row)
     closed = _counting(monkeypatch, "_even_zeta_minus_1")
     rows = _counting(monkeypatch, "_alternating_minus_1")
     got = _fixed(analytic._l_minus_1(s, chi, 40, m), 40)
     closed_form = s < switch and d == 1 and s % 2 == 0
-    assert (bool(sums), len(rough), len(closed), len(rows)) == (
+    assert (bool(sums), len(_power_reads(reads)), len(closed), len(rows)) == (
         False, s >= switch, closed_form, s < switch and not closed_form)
     mpmath.mp.dps = 60
     ref = _l_m_reference(s, chi, m)
@@ -596,10 +637,11 @@ def test_principal_l_values_through_zeta_match_the_residue_sums(monkeypatch, q, 
     # and mpmath's Hurwitz sums
     psi = _principal(q)
     sums = _counting(monkeypatch, "_dirichlet_sum")
-    rows = _counting(monkeypatch, "_AlternatingRow")
+    rows, reads = _alternating_rows(monkeypatch)
     got = _fixed(analytic._l_minus_1(s, psi, 40, m), 40)
     assert sums == []
-    assert [args[1:] for args in rows] == ([] if s % 2 == 0 else [(1, 1)])
+    assert [args[1:3] for args in reads] == ([] if s % 2 == 0 else [(1, 1)])
+    assert len(rows) == len(reads)
     monkeypatch.undo()
     work = 40 + len(str(q)) + 1
     with localcontext() as ctx:
@@ -646,28 +688,38 @@ def test_machin_pi_against_mpmath_and_the_battery_literal(monkeypatch):
     assert arith._pi[0] >= 2000
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.lists(st.tuples(st.integers(2, 40), st.integers(1, 60), st.integers(1, 40)),
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 30), st.integers(1, 60), st.integers(1, 40)),
                 min_size=1, max_size=8),
-       st.sampled_from([0, 50]), st.sampled_from([None, -3, 5]))
-@example([(3, 20, 10), (5, 30, 10), (4, 10, 30), (9, 60, 5)], 0, None).via(
-    "advance, shrink and rebuild")
-def test_a_power_row_holds_what_fresh_divisions_give(calls, start, d):
-    # advancing by v //= k^(s' - s) is exact, so after any history the row
-    # equals floor(10^W / k^s) at its width W, the sum is that row's sum
-    # floored to the width asked for, and a fresh row (width 0) sums
-    # exactly as the per-call divisions do
-    chi = d and RealDirichletCharacter.from_kronecker(d)
-    ks = range(3, 400, 7)
-    row = analytic._PowerRow(start)
-    for i, (s, n, width) in enumerate(calls):
-        terms = [(k, chi(k) if chi else 1) for k in ks[:n]]
-        got = row.sum(s, ks[:n], width, chi)
-        assert row.width >= width + len(str(n))
-        want = sum(c * (10**row.width // k**s) for k, c in terms)
-        assert got == want // 10 ** (row.width - width)
-        if i == 0 and start == 0:
-            assert got == _reference_power_sum(s, terms, width)
+       st.sampled_from([None, 1, 5, 40]), st.integers(1, 12), st.integers(1, 13))
+@example([(3, 20, 10), (5, 30, 10), (4, 10, 30), (9, 60, 5)], None, 1, 1).via(
+    "advance, shrink and rebuild a power row")
+@example([(3, 60, 1), (9, 60, 1), (2, 5, 1), (5, 60, 1)], 40, 5, 2).via(
+    "advance, restart, cut short and extend an alternating row")
+def test_a_row_holds_what_fresh_divisions_give(calls, prec, q, a):
+    # advancing by v //= x_k^(s' - s) is exact, so after any history of
+    # calls (advance, restart at a smaller s, extend, cut short) a row holds
+    # floor(c_k / x_k^s) for both kinds of start value: 10^W on prefixes of
+    # one growing sequence of k, each call through the power-row width rule
+    # at its own width (prec None), and the Chebyshev weights of prec on
+    # the progression qk + a
+    if prec is None:
+        row, ks = None, list(range(3, 400, 7))
+    else:
+        weights = analytic._ChebyshevWeights(prec)
+        row = analytic._Row(weights.width, weights.values)
+        ks = range(a, q * len(weights.values) + a, q)
+    for s, n, width in calls:
+        bases = ks[:n]
+        if prec is None:
+            before, row = row, analytic._power_row(row, width, n)
+            assert row.width >= width + len(str(n))
+            assert row is before or before is None or row.width > before.width
+            starts = [10**row.width] * n
+        else:
+            starts = weights.values
+        assert row.at(s, bases) == [c // x**s for c, x in zip(starts, bases)]
+        assert row.s == s
 
 
 def test_euler_product_quadratic_fixture():
@@ -1183,19 +1235,40 @@ def test_b_chi_of_a_principal_character_is_exact(monkeypatch, values, exact):
     assert calls == [] and rep.tail_estimate == 0
 
 
+def _power_reads(reads):
+    """The s of each read of a power row (a _Row without start values) among
+    the arguments of _Row.at calls."""
+    return [args[1] for args in reads if args[0].starts is None]
+
+
+def _alternating_rows(monkeypatch):
+    """(rows, reads): the start values of each alternating row built (a _Row
+    with start values) and the arguments (rough, q, a, s, prec) of each read
+    of one, from now on."""
+    rows, row = [], analytic._Row
+
+    def counted(width, starts=None):
+        if starts is not None:
+            rows.append(starts)
+        return row(width, starts)
+
+    monkeypatch.setattr(analytic, "_Row", counted)
+    return rows, _counting(monkeypatch, "alternating", analytic._RoughNumbers)
+
+
 def _routes(monkeypatch):
     """A function giving, and then forgetting, the L-values the kernel has
     computed since the last call, by route: the n of each rough sum (one
-    power-row sum) and of each closed-form even zeta, and (n, f) for each
+    power-row read) and of each closed-form even zeta, and (n, f) for each
     alternating sum of a primitive character mod f."""
-    rough = _counting(monkeypatch, "sum", analytic._PowerRow)
+    reads = _counting(monkeypatch, "at", analytic._Row)
     closed = _counting(monkeypatch, "_even_zeta_minus_1")
     rows = _counting(monkeypatch, "_alternating_minus_1")
 
     def taken():
-        routes = {"rough": [args[1] for args in rough], "closed": [args[0] for args in closed],
+        routes = {"rough": _power_reads(reads), "closed": [args[0] for args in closed],
                   "rows": [(args[0], args[1].modulus) for args in rows]}
-        for calls in (rough, closed, rows):
+        for calls in (reads, closed, rows):
             calls.clear()
         return routes
     return taken

@@ -178,6 +178,26 @@ def test_one_tail_rule_and_one_euler_maclaurin_routine():
                        "bernoulli": {"_dirichlet_sum", "_even_zeta_minus_1"}}
 
 
+def test_one_settling_helper_settles_every_float_guess():
+    # _settle(test, lo, guess) alone turns a float guess into the least n
+    # above lo that passes an exact test: the tail rule's K, the Chebyshev
+    # weights' n, and the root bound's binade and grid point.  None of them
+    # steps by one from its guess any more
+    tree = ast.parse((SRC / "analytic.py").read_text())
+    tops = {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    callers = {name for name, node in tops.items()
+               if any(isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_settle"
+                      for call in ast.walk(node))}
+    assert callers == {"_tail_end", "_ChebyshevWeights", "_root_bound"}
+    assert [arg.arg for arg in tops["_settle"].args.args] == ["test", "lo", "guess"]
+    for name in callers:
+        steps = [ast.unparse(node) for node in ast.walk(tops[name])
+                 if isinstance(node, ast.AugAssign) and isinstance(node.value, ast.Constant)
+                 and node.value.value == 1]
+        assert steps == [], name
+
+
 def _calls_by_function(name, path="analytic.py"):
     """The functions of a module whose bodies call `name`."""
     return {node.name for node in ast.walk(ast.parse((SRC / path).read_text()))
@@ -231,35 +251,38 @@ def test_pi_is_computed_once_in_arith():
 
 def test_the_closed_form_and_the_power_row_serve_the_one_kernel():
     # the even-zeta closed form and the alternating sums are routes of
-    # _l_minus_1; every direct sum (the rough sum and Euler-Maclaurin's terms
-    # below the cut) is a _PowerRow sum, and every alternating sum an
-    # _AlternatingRow sum on the Chebyshev weights that _RoughNumbers holds:
-    # no per-call division routine returns beside the rows, and
+    # _l_minus_1; one row class, _Row, holds every sum's powers: every
+    # direct sum (the rough sum and Euler-Maclaurin's terms below the cut)
+    # reads a power row from _power_row, and every alternating sum reads
+    # the alternating rows on the Chebyshev weights that _RoughNumbers
+    # holds: no per-call division routine returns beside the rows, and
     # floor(x / k^s), a floor by a power of exponent s, is left only in the
-    # rows and in the removed factors
+    # row and in the removed factors
     tree = ast.parse((SRC / "analytic.py").read_text())
     defined = set(_names_defined(tree))
-    assert "_power_sum" not in defined and {"_PowerRow", "_even_zeta_minus_1"} <= defined
+    assert "_power_sum" not in defined and {"_Row", "_power_row", "_even_zeta_minus_1"} <= defined
+    assert {name for name in defined if name.endswith("Row")} == {"_Row"}
     assert _calls_by_function("_even_zeta_minus_1") == {"_l_minus_1"}
     assert _calls_by_function("_alternating_minus_1") == {"_l_minus_1"}
-    assert _calls_by_function("_PowerRow") == {"_dirichlet_sum", "row"}
-    assert _calls_by_function("_AlternatingRow") == {"alternating_row"}
-    assert _calls_by_function("_ChebyshevWeights") == {"alternating_row"}
-    summed = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
-              for call in ast.walk(node) if isinstance(call, ast.Call)
-              and getattr(call.func, "attr", None) == "sum"}
-    assert summed == {"_dirichlet_sum", "_l_minus_1", "_alternating_minus_1"}
+    assert _calls_by_function("_Row") == {"_power_row", "alternating"}
+    assert _calls_by_function("_power_row") == {"_dirichlet_sum", "_l_minus_1",
+                                                "_twisted_product"}
+    assert _calls_by_function("_ChebyshevWeights") == {"alternating"}
+    read = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+            for call in ast.walk(node) if isinstance(call, ast.Call)
+            and getattr(call.func, "attr", None) in ("at", "alternating")}
+    assert read == {"_dirichlet_sum", "_l_minus_1", "alternating", "_alternating_minus_1"}
     floors = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
               for op in ast.walk(node) if isinstance(op, ast.BinOp)
               and isinstance(op.op, ast.FloorDiv) and isinstance(op.right, ast.BinOp)
               and isinstance(op.right.op, ast.Pow)
               and "s" in {name.id for name in ast.walk(op.right.right)
                           if isinstance(name, ast.Name)}}
-    assert floors == {"sum", "_l_minus_1"}
+    assert floors == {"at", "_l_minus_1"}
 
 
 def test_the_l_value_kernel_runs_in_one_number_format():
-    # the power rows, Euler-Maclaurin (Bernoulli numbers by their numerator
+    # the rows, Euler-Maclaurin (Bernoulli numbers by their numerator
     # and denominator), the closed form, the kernel _l_minus_1 and the
     # planner's logarithm compute on ints alone; _l_value and hurwitz_zeta
     # convert their kernel's int to Decimal once each, and the planner its
@@ -267,8 +290,8 @@ def test_the_l_value_kernel_runs_in_one_number_format():
     tree = ast.parse((SRC / "analytic.py").read_text())
     nodes = {node.name: node for node in ast.walk(tree)
              if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    for name in ("_PowerRow", "_dirichlet_sum", "_even_zeta_minus_1", "_ChebyshevWeights",
-                 "_AlternatingRow", "_alternating_minus_1", "_l_minus_1", "_log1p"):
+    for name in ("_Row", "_power_row", "_dirichlet_sum", "_even_zeta_minus_1",
+                 "_ChebyshevWeights", "_alternating_minus_1", "_l_minus_1", "_log1p"):
         named = {node.id for node in ast.walk(nodes[name]) if isinstance(node, ast.Name)}
         assert {"Decimal", "localcontext", "Fraction", "float"} & named == set(), name
     for name in ("_l_value", "hurwitz_zeta", "_twisted_product"):
@@ -398,26 +421,29 @@ def test_all_eight_identities_take_the_one_mixed_power_kernel(monkeypatch):
 def test_one_planner_builds_its_chebyshev_weights_once_and_no_row_twice(monkeypatch):
     # the planner's _RoughNumbers holds one set of weights, sized at its
     # widest precision (the record's working digits) before the first
-    # alternating sum, and one row per progression, which only advances:
-    # no row is built twice or started again from the weights
-    builds, rows, sums = [], [], []
+    # alternating sum, and one alternating row (a _Row on the weights) per
+    # progression, which only advances: no row is built twice, serves two
+    # progressions or is started again from the weights
+    builds, rows, reads = [], [], []
 
     class Weights(analytic._ChebyshevWeights):
         def __init__(self, prec):
             builds.append(prec)
             super().__init__(prec)
 
-    class Row(analytic._AlternatingRow):
-        def __init__(self, weights, q, a):
-            rows.append((q, a))
-            super().__init__(weights, q, a)
+    class Row(analytic._Row):
+        def __init__(self, width, starts=None):
+            if starts is not None:
+                rows.append(self)
+            super().__init__(width, starts)
 
-        def sum(self, s):
-            sums.append((s, self.s))
-            return super().sum(s)
+        def at(self, s, bases):
+            if self.starts is not None:
+                reads.append((self, (bases.step, bases.start), s, self.s))
+            return super().at(s, bases)
 
     monkeypatch.setattr(analytic, "_ChebyshevWeights", Weights)
-    monkeypatch.setattr(analytic, "_AlternatingRow", Row)
+    monkeypatch.setattr(analytic, "_Row", Row)
     artin = RationalFunction([1, -1, -1], [1, -1])
     for run, progressions in (
             (lambda: analytic.b_chi(RealDirichletCharacter.from_kronecker(5), 60),
@@ -426,33 +452,45 @@ def test_one_planner_builds_its_chebyshev_weights_once_and_no_row_twice(monkeypa
              {(1, 1), (2, 1)}),
             (lambda: analytic.euler_product(analytic.EulerProductSpec(artin, 0, 200)),
              {(1, 1)})):
-        builds.clear(), rows.clear(), sums.clear()
+        builds.clear(), rows.clear(), reads.clear()
         result = run()
+        served = {(id(row), progression) for row, progression, _, _ in reads}
         assert builds == [result.working_digits]
-        assert sorted(rows) == sorted(progressions)
-        assert sums and all(s >= before for s, before in sums)
+        assert len(rows) == len(served) == len(progressions)
+        assert {p for _, p in served} == progressions
+        assert reads and all(s >= before for _, _, s, before in reads)
 
 
 def test_one_plan_reduces_each_character_once_and_rebuilds_no_power_row(monkeypatch):
     # the planner's _RoughNumbers keeps each character's primitive chi* and
     # removed factors, so one b_chi plan reduces chi and chi^2 once each,
     # however many of their L-values it computes; the power row of the
-    # rough k is built once, wide enough for every rough sum, and only
-    # advances: no sum finds it too narrow or at a larger s
+    # rough k (a _Row without start values) is built once, wide enough for
+    # every rough sum, and only advances: no sum finds it too narrow
+    # (_power_row returns the row it was given) or at a larger s
     reduced, rows, fits = [], [], []
-    primitive = analytic._primitive
+    primitive, power_row = analytic._primitive, analytic._power_row
     monkeypatch.setattr(analytic, "_primitive", lambda chi: reduced.append(chi) or primitive(chi))
 
-    class Row(analytic._PowerRow):
-        def __init__(self, width=0):
-            rows.append(width)
-            super().__init__(width)
+    def wide(row, width, terms):
+        new = power_row(row, width, terms)
+        if row is not None:
+            fits.append(new is row)
+        return new
 
-        def sum(self, s, ks, width, chi=None):
-            fits.append(width + len(str(len(ks))) <= self.width and s >= self.s)
-            return super().sum(s, ks, width, chi)
+    class Row(analytic._Row):
+        def __init__(self, width, starts=None):
+            if starts is None:
+                rows.append(width)
+            super().__init__(width, starts)
 
-    monkeypatch.setattr(analytic, "_PowerRow", Row)
+        def at(self, s, bases):
+            if self.starts is None:
+                fits.append(s >= self.s)
+            return super().at(s, bases)
+
+    monkeypatch.setattr(analytic, "_power_row", wide)
+    monkeypatch.setattr(analytic, "_Row", Row)
     for chi in (RealDirichletCharacter.from_kronecker(-16),
                 RealDirichletCharacter.from_values([0, 1, 0, 0, 0, -1]),
                 RealDirichletCharacter.from_kronecker(5)):

@@ -12,6 +12,7 @@ import pytest
 from value_digests import (
     CASES,
     DIGESTS,
+    EXPANSION_CASES,
     SCAN_CASES,
     SCRIPT_CASES,
     VERIFY_CASES,
@@ -60,6 +61,18 @@ def test_scan_group_covers_every_family_table_inversion_and_refusal():
     assert len({case[2:] for case in SCAN_CASES if case[0] == "witt_table"}) == 2
     assert {case[0] for case in SCAN_CASES} == {
         "scan", "witt_table", "moebius_invert_series", "moebius_sum_series"}
+
+
+def test_expansion_group_covers_every_kernel_and_input_kind():
+    assert {case[0] for case in EXPANSION_CASES} == {
+        "recip", "expand", "reconstruct_1d", "reconstruct_2d", "cyclotomic_check",
+        "euler_product", "convergence"}
+    u0 = [case[1][0][0] for case in EXPANSION_CASES if case[0] == "recip"]
+    assert {1, -1} & set(u0) and {2, -3, 4, 6} & set(u0) and 0 in u0
+    assert any(isinstance(c, str) for c in u0)  # Fraction series
+    assert {case[3] for case in EXPANSION_CASES if case[0] == "expand"} == {2, 64, 600}
+    kinds = [case[1][1] is None for case in EXPANSION_CASES if case[0] == "convergence"]
+    assert True in kinds and False in kinds  # rational and truncated f
 
 
 @pytest.mark.parametrize("argv", [["--bogus"], ["extra"], ["--help"]])

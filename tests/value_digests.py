@@ -1,19 +1,23 @@
 """One case list of printed values and the sha256 digest of each.
 
 Every case is a call of a public function, written as plain data; its text
-is the printed value, or "TypeName: message" for a call that refuses.  Four
+is the printed value, or "TypeName: message" for a call that refuses.  Five
 groups share the list: ANALYTIC_CASES (zeta, L, Hurwitz, Euler products and
 b_chi values), VERIFY_CASES (the JSON of verify_identity reports for all
 eight identities, and the coefficients of witt_transform, c_transform and
 series powers, over a seeded list of integer, Fraction and f(0) = 0 series,
 order-too-small refusals included), SCAN_CASES (monotonicity_scan reports
 for all nine families and their refusals, witt_table rows, and the Moebius
-inversion and summation of a seeded sequence of series) and CLI_CASES (the
-stdout of cli.main for each command of the README's CLI block and two more,
+inversion and summation of a seeded sequence of series), EXPANSION_CASES
+(series reciprocals and rational expansions, reconstructed products of
+peeled exponents in one and two variables, the exponent grids of
+cyclotomic_check, a terminating Euler product and convergence reports) and
+CLI_CASES (the stdout of cli.main for each command of the README's CLI block and two more,
 with every runtime_s masked).  value_digests.json, next to this file, holds the digest of each
 case's text, and test_value_digests.py names every case whose text no
 longer matches.  SCRIPT_CASES, values at up to 1000 digits (2000 for zeta
-and Hurwitz) and b_chi at a modulus of five digits, are pinned in the same
+and Hurwitz), b_chi at a modulus of five digits and rational expansions
+to z^2000, are pinned in the same
 file but recomputed only by the script below.  A change that is meant to
 move a printed value re-pins the file and says why.
 
@@ -40,6 +44,14 @@ from typing import Dict, Optional
 
 from wittkit import analytic, cli
 from wittkit.characters import RealDirichletCharacter
+from wittkit.expansion import (
+    BiSeries,
+    cyclotomic_check,
+    peel_1d,
+    peel_2d,
+    reconstruct_1d,
+    reconstruct_2d,
+)
 from wittkit.series import RationalFunction, TruncatedSeries
 from wittkit.witt import (
     SCAN_FAMILIES,
@@ -55,7 +67,9 @@ from wittkit.witt import (
 DIGESTS = Path(__file__).with_name("value_digests.json")
 README = Path(__file__).resolve().parent.parent / "README.md"
 
-_H = {"artin": ([1, -1, -1], [1, -1]), "twin": ([1, -2], [1, -2, 1])}
+# h = 1 - z^2 is a terminating product, (1 - z^2)^1, which the planner
+# confirms by multiplying the factors back out
+_H = {"artin": ([1, -1, -1], [1, -1]), "twin": ([1, -2], [1, -2, 1]), "square": ([1, 0, -1], [1])}
 
 
 def _chi(key) -> RealDirichletCharacter:
@@ -77,6 +91,18 @@ def _series(spec) -> Optional[TruncatedSeries]:
 
 def _json(value) -> str:
     return json.dumps(value.to_json_dict())
+
+
+def _cyclotomic(f, deg_z: int, deg_y: int) -> str:
+    report = cyclotomic_check(_series(f), deg_z, deg_y)
+    return json.dumps({**report.to_json_dict(), "lhs": report.lhs.to_json_dict(),
+                       "rhs": report.rhs.to_json_dict()})
+
+
+def _convergence(f) -> str:
+    """f is (num, den) for a rational function, or a series spec."""
+    value = RationalFunction(*f[0]) if f[1] is None else _series(f)
+    return _json(analytic.check_convergence_hypotheses(value))
 
 
 def _cli(*argv) -> str:
@@ -106,6 +132,13 @@ _CALLS = {
         [s.to_json_dict() for s in moebius_invert_series([_series(f) for f in seq])]),
     "moebius_sum_series": lambda seq: json.dumps(
         [s.to_json_dict() for s in moebius_sum_series([_series(f) for f in seq])]),
+    "recip": lambda f: _json(_series(f).recip()),
+    "expand": lambda num, den, order: _json(RationalFunction(num, den).expand(order)),
+    "reconstruct_1d": lambda f, order: _json(reconstruct_1d(peel_1d(_series(f)), order)),
+    "reconstruct_2d": lambda rows, deg_z, deg_y: _json(
+        reconstruct_2d(peel_2d(BiSeries.from_rows(rows)), deg_z, deg_y)),
+    "cyclotomic_check": _cyclotomic,
+    "convergence": _convergence,
     "cli": _cli,
 }
 
@@ -226,6 +259,58 @@ def _scan_cases() -> list:
 SCAN_CASES = _scan_cases()
 
 
+# the rational h of the expansion cases: Artin's and the twin-prime h, the
+# Fibonacci -1/(1 - z - z^2) and a denominator without a unit constant term
+_EXPAND_H = (_H["artin"], _H["twin"], ([-1], [1, -1, -1]), ([1, 3], [2, -1, 5]))
+
+
+def _expansion_cases() -> list:
+    rng = random.Random(20261022)
+    cases = []
+    # reciprocals at orders 0..30: integer series with a unit and with a
+    # non-unit constant term, Fraction series, and a zero constant term
+    for u0s in ((1, -1), (2, -3, 4, 6), None):
+        for i in range(10):
+            order = 3 * i + rng.randint(0, 3)
+            coeffs = [rng.randint(-3, 3) for _ in range(rng.randint(0, order))]
+            if u0s is None:
+                coeffs = [f"{rng.choice((-1, 1)) * rng.randint(1, 4)}/{rng.randint(2, 5)}"] + [
+                    f"{c}/{rng.randint(1, 5)}" for c in coeffs]
+            else:
+                coeffs = [rng.choice(u0s)] + coeffs
+            cases.append(("recip", (tuple(coeffs), order)))
+    cases.append(("recip", ((0, 1, 2), 5)))
+    cases += [("expand", num, den, order) for num, den in _EXPAND_H for order in (2, 64, 600)]
+    # products of peeled exponents at, below and beyond the peeled order,
+    # where exponents of both signs meet in every factor
+    for _ in range(12):
+        order = rng.randint(1, 16)
+        f = (tuple([1] + [rng.randint(-4, 4) for _ in range(order)]), order)
+        cases += [("reconstruct_1d", f, m) for m in (order // 2, order, order + 8)]
+    for _ in range(8):
+        J, K = rng.randint(0, 5), rng.randint(0, 4)
+        rows = [[rng.randint(-2, 2) for _ in range(J + 1)] for _ in range(K + 1)]
+        rows[0][0] = 1
+        rows = tuple(map(tuple, rows))
+        cases += [("reconstruct_2d", rows, j, k) for j, k in ((J, K), (J + 3, K + 2))]
+    for _ in range(6):
+        spec = _series_spec(rng, "int")
+        cases.append(("cyclotomic_check", spec, min(spec[1], 8), rng.randint(1, 4)))
+    cases += [("cyclotomic_check", ((1, 1), 6), 6, 0), ("cyclotomic_check", ((1, 1), 4), 6, 2)]
+    cases += [("euler_product", "square", 1, digits) for digits in (12, 60)]
+    # convergence reports: rational f (num, den), None, and series specs
+    rational = (([0, 1], [1, -1, -1]), ([0, -1, -1], [1, -1, -1]), ([0, 0, 1], [1, -1]),
+                ([0, 1], [10, 30, 30, 10]), ([0, 0, 3], [4, -1]), ([0, 1, 0, 2], [1]),
+                ([0, 1], [1] + [0] * 64 + [-3 * 2**63]), ([1, 1], [1, -1]))
+    cases += [("convergence", (f, None)) for f in rational]
+    cases += [("convergence", f) for f in (((0, 1), 20), ((0, 0, 3), 20), ((0,), 10),
+                                           ((0, 1, 2, 4, 8, 16, 32), 30), ((0, "1/2", -1), 12))]
+    return cases
+
+
+EXPANSION_CASES = _expansion_cases()
+
+
 def _readme_commands() -> list:
     """The argv of each command in the README's CLI block, without "wittkit"."""
     block = re.search(r"^## CLI$.*?^```sh$(.*?)^```$", README.read_text(), re.M | re.S)[1]
@@ -238,10 +323,10 @@ CLI_CASES = [("cli", *argv) for argv in _readme_commands()] + [
     ("cli", "lseries", "--table", "0,1,0,0,0,-1", "--s", "3", "--digits", "300"),
     ("cli", "bchi", "--kronecker", "-16", "--digits", "60", "--cross-check"),
 ]
-CASES = ANALYTIC_CASES + VERIFY_CASES + SCAN_CASES + CLI_CASES
+CASES = ANALYTIC_CASES + VERIFY_CASES + SCAN_CASES + EXPANSION_CASES + CLI_CASES
 
-# values at up to 1000 digits (2000 for zeta and Hurwitz), and b_chi at a
-# modulus of five digits: pinned in the same file, recomputed only when
+# values at up to 1000 digits (2000 for zeta and Hurwitz), b_chi at a
+# modulus of five digits and rational expansions to z^2000: pinned in the same file, recomputed only when
 # this file runs as a script (a few seconds more), never by
 # test_value_digests.py
 SCRIPT_CASES = (
@@ -250,6 +335,7 @@ SCRIPT_CASES = (
     + [("l_series", 3, chi, 1000) for chi in _CHARS + _IMPRIMITIVE]
     + [("hurwitz_zeta", 3, "1/3", 2000)]
     + [("b_chi", -16012, 12)]
+    + [("expand", num, den, 2000) for num, den in _EXPAND_H]
 )
 
 

@@ -18,7 +18,6 @@ compares the log-derivative kernel with the Moebius-sum table.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ._record import record
@@ -41,29 +40,25 @@ __all__ = [
 ]
 
 
-def _binom_term(e: int, i: int) -> int:
-    """Coefficient of X^i in (1 - X)^e for any integer e."""
-    if i == 0:
-        return 1
-    if e >= 0:
-        if i > e:
-            return 0
-        return -math.comb(e, i) if i % 2 else math.comb(e, i)
-    return math.comb(-e + i - 1, i)
-
-
 def _mul_factor(rows: Sequence[Sequence[int]], j: int, k: int, e: int) -> List[List[int]]:
     """Multiply the grid rows[b][a] (the coefficient of z^a y^b) by
-    (1 - z^j y^k)^e, truncated to its shape; a series is one row."""
+    (1 - z^j y^k)^e, truncated to its shape; a series is one row.
+
+    The coefficients b_i of X^i in (1 - X)^e, any integer e, come from
+    Miller's recurrence for the two-term series 1 - X (series._power_coeffs):
+    i b_i = (i - 1 - e) b_(i-1), each division exact.  For e >= 0 they end
+    after b_e."""
     if (j, k) == (0, 0):
         raise ValueError("factor exponent position (0,0) is not allowed")
     J, K = len(rows[0]) - 1, len(rows) - 1
     limit = min(J // j if j else K, K // k if k else J)
     out = [[0] * (J + 1) for _ in range(K + 1)]
+    b = 1
     for i in range(limit + 1):
-        b = _binom_term(e, i)
-        if b == 0:
-            continue
+        if i:
+            b = b * (i - 1 - e) // i
+            if b == 0:
+                break
         dj, dk = i * j, i * k
         for k0 in range(K + 1 - dk):
             row = rows[k0]

@@ -131,17 +131,19 @@ def _long_int_str(x: int) -> str:
 
 def _power_coeffs(a: Sequence[Coeff], k: int, order: int, integral: bool,
                   prefix: Sequence[Coeff] = ()) -> list:
-    """The coefficients of a^k up to z^order, k >= 1, by J. C. P. Miller's
-    recurrence (Knuth, TAOCP vol. 2, 4.7); a is read up to z^order only.
+    """The coefficients of a^k up to z^order for any integer k, by J. C. P.
+    Miller's recurrence (Knuth, TAOCP vol. 2, 4.7); a is read up to
+    z^order only, and for k < 0 needs a_0 != 0.
 
     With a = z^v u, u_0 != 0, and g = u^k, comparing coefficients in
     u g' = k u' g gives n u_0 g_n = sum_{i=1..n} ((k+1) i - n) u_i g_{n-i},
     one pass over the nonzero u_i per coefficient: O(order nnz(u)) work
-    where binary powering takes O(order^2 log k).  The result is z^(v k) g.
-    `prefix`, the first coefficients of a^k (from an earlier, lower
-    order), is kept and the recurrence continues after it, so raising from
-    order m to order M takes M - m steps.  For `integral` coefficients
-    each division by n u_0 is exact, and a remainder raises
+    where binary powering takes O(order^2 log k).  The result is z^(v k) g;
+    for k < 0, g_0 = 1/u_0^|k| is a normalized Fraction.  `prefix`, the
+    first coefficients of a^k (from an earlier, lower order), is kept and
+    the recurrence continues after it, so raising from order m to order M
+    takes M - m steps.  For `integral` coefficients, and k >= 0 or a unit
+    u_0 = +-1, each division by n u_0 is exact, and a remainder raises
     IntegralityError (a bug, as in divexact); otherwise it divides as a
     Fraction and normalizes.
     """
@@ -151,7 +153,8 @@ def _power_coeffs(a: Sequence[Coeff], k: int, order: int, integral: bool,
     top = order - v * k  # g is needed up to z^top
     u0 = a[v]
     terms = [(i, c) for i, c in enumerate(a[v + 1:v + top + 1], 1) if c]
-    g = list(prefix[v * k:]) or [u0**k]
+    g = list(prefix[v * k:]) or [u0**k if k >= 0 else _norm(Fraction(1, u0**-k))]
+    integral = integral and (k >= 0 or u0 in (1, -1))
     for n in range(len(g), top + 1):
         acc = 0
         for i, c in terms:
@@ -396,16 +399,13 @@ class TruncatedSeries:
         return self._finish(out, self.order, self._all_int)
 
     def recip(self) -> "TruncatedSeries":
-        """Multiplicative inverse at the same truncation (a(0) != 0)."""
-        a0 = self.coeffs[0]
-        if a0 == 0:
+        """Multiplicative inverse at the same truncation (a(0) != 0): self^-1
+        by Miller's recurrence (_power_coeffs at k = -1), which skips the
+        zero coefficients of self.  It does not use the power memo."""
+        if self.coeffs[0] == 0:
             raise ValueError("series with zero constant term has no reciprocal")
-        inv0 = _norm(Fraction(1, 1) / a0)
-        out: list[Coeff] = [inv0]
-        for n in range(1, self.order + 1):
-            acc = sum(self.coeffs[i] * out[n - i] for i in range(1, n + 1))
-            out.append(_norm(-acc * inv0))
-        return TruncatedSeries(out, self.order)
+        return TruncatedSeries(_power_coeffs(self.coeffs, -1, self.order, self._all_int),
+                               self.order)
 
     def divexact(self, r: int) -> "TruncatedSeries":
         """Divide every coefficient by r; ints must divide exactly."""
@@ -453,7 +453,8 @@ class RationalFunction:
         object.__setattr__(self, "den", den)
 
     def expand(self, order: int) -> TruncatedSeries:
-        """Taylor expansion at 0 to the given truncation order."""
+        """Taylor expansion at 0 to the given truncation order: num times
+        den.recip(), O(order deg den) for a short denominator."""
         num = TruncatedSeries(list(self.num) or [0], order)
         den = TruncatedSeries(list(self.den), order)
         return num * den.recip()

@@ -7,12 +7,13 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import wittkit
-from wittkit import analytic, suites, witt
+from wittkit import analytic, series, suites, witt
 from wittkit.analytic import hurwitz_zeta, partial_zeta, zeta
 from wittkit.arith import bernoulli, divisors
 from wittkit.characters import RealDirichletCharacter
@@ -382,6 +383,29 @@ def test_cyclotomic_check_compares_exponents_and_rebuilds_no_product():
                       for call in ast.walk(node) if isinstance(call, ast.Call)}
     assert {"witt_table", "peel_2d"} <= called
     assert {"reconstruct_2d", "_mul_factor", "mul_factor"} & called == set()
+
+
+def test_every_series_power_comes_from_millers_recurrence(monkeypatch):
+    # recip is Miller's recurrence at k = -1, one call with no loop of its
+    # own, and the factor kernel's binomials are the recurrence's two-term
+    # case inline: neither the convolution loop nor math.comb comes back
+    tree = ast.parse((SRC / "series.py").read_text())
+    recip = next(node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and node.name == "recip")
+    assert not [node for node in ast.walk(recip)
+                if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    calls = []
+    power = series._power_coeffs
+    monkeypatch.setattr(series, "_power_coeffs",
+                        lambda a, k, *args: calls.append(k) or power(a, k, *args))
+    f = TruncatedSeries([2, 3, -1, 5], 9)
+    assert f * f.recip() == TruncatedSeries.one(9)
+    assert RationalFunction([1, 3], [2, -1, 5]).expand(40).coeff(0) == Fraction(1, 2)
+    assert calls == [-1, -1]
+    tree = ast.parse((SRC / "expansion.py").read_text())
+    named = {getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+             for node in ast.walk(tree)}
+    assert {"math", "comb", "_binom_term"} & named == set()
 
 
 def test_every_scan_family_takes_one_table_and_one_rise_test():

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from conftest import perturb_witt_table
 from hypothesis import given, settings
@@ -86,6 +88,30 @@ def test_peel_rejects_bad_input():
         peel_1d(S([2, 1], 4))
     with pytest.raises(ValueError):
         peel_1d(S(["1", "1/2"], 4))
+
+
+def binom_by_comb(e, i):
+    """The coefficient of X^i in (1 - X)^e from math.comb, for any integer e."""
+    if i == 0:
+        return 1
+    if e >= 0:
+        if i > e:
+            return 0
+        return -math.comb(e, i) if i % 2 else math.comb(e, i)
+    return math.comb(-e + i - 1, i)
+
+
+@pytest.mark.parametrize("e", list(range(-12, 13)) + [10**15, -10**15, 10**15 + 7, -10**15 - 3])
+def test_factor_binomials_match_math_comb(e):
+    # the factor kernel's inline recurrence i b_i = (i - 1 - e) b_(i-1)
+    # gives (-1)^i C(e, i), also for negative and huge e, at every limit
+    for limit in range(31):
+        assert _mul_factor([[1] + [0] * limit], 1, 0, e) == [
+            [binom_by_comb(e, i) for i in range(limit + 1)]]
+    # in two variables the binomials step along the diagonal of (j, k)
+    grid = _mul_factor([[1, 0, 0, 0, 0], [0] * 5, [0] * 5], 2, 1, e)
+    assert grid == [[1, 0, 0, 0, 0], [0, 0, binom_by_comb(e, 1), 0, 0],
+                    [0, 0, 0, 0, binom_by_comb(e, 2)]]
 
 
 def test_reconstruct_examples():

@@ -241,6 +241,42 @@ def test_recip_is_inverse():
     assert f * f.recip() == TruncatedSeries.one(9)
 
 
+def recip_by_convolution(f):
+    """The reciprocal's coefficients by a_0 b_n = -sum_{i=1..n} a_i b_{n-i},
+    a pass over every coefficient of f: O(order^2)."""
+    inv0 = series._norm(Fraction(1, 1) / f.coeffs[0])
+    out = [inv0]
+    for n in range(1, f.order + 1):
+        acc = sum(f.coeffs[i] * out[n - i] for i in range(1, n + 1))
+        out.append(series._norm(-acc * inv0))
+    return out
+
+
+nonzero = st.integers(-9, 9).filter(bool)
+recip_inputs = st.one_of(
+    st.tuples(st.sampled_from([1, -1]), st.lists(st.integers(-9, 9), max_size=30)),
+    st.tuples(nonzero.filter(lambda c: abs(c) > 1), st.lists(st.integers(-9, 9), max_size=30)),
+    st.tuples(st.fractions(-3, 3, max_denominator=5).filter(bool),
+              st.lists(st.fractions(-3, 3, max_denominator=5), max_size=30)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(recip_inputs, st.integers(0, 30))
+def test_recip_matches_the_convolution_recurrence(u0_rest, order):
+    # Miller's recurrence at k = -1 gives the coefficients, and their
+    # types, of the O(order^2) recurrence: unit and non-unit integer a_0,
+    # and Fraction series
+    u0, rest = u0_rest
+    f = S([u0] + rest, order)
+    inverse = f.recip()
+    expected = recip_by_convolution(f)
+    assert list(inverse.coeffs) == expected
+    assert [type(c) for c in inverse.coeffs] == [type(c) for c in expected]
+    assert inverse.is_integral() == all(type(c) is int for c in expected)
+    assert f * inverse == TruncatedSeries.one(order)
+
+
 def test_ratfun_expand_against_long_division():
     cases = [
         (( 1, -1, -1), (1, -1), 4),

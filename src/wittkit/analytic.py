@@ -1126,8 +1126,15 @@ def check_convergence_hypotheses(
     proof) whether sum_p g(1/p) converges, which for rational f holds
     exactly when the first nonzero coefficient index is >= 2.
 
+    For rational f = num/den, g(1/2) is the sum over the expansion P to
+    z^64 plus a proven bound on the rest.  The remainder R = num - den P
+    has terms above z^64 only and R/den is f - P, so by majorants the rest
+    is at most |R|(1/2) / (|d_0| - sum_{i>=1} |d_i| 2^-i) when that
+    denominator is positive; otherwise g(1/2) is reported as inf, unproven.
+
     f must have zero constant term.
     """
+    rest = Fraction(0)  # a bound on g's terms past the coefficients read
     if isinstance(f, RationalFunction):
         probe = f.expand(64)
         if probe.coeff(0) != 0:
@@ -1137,9 +1144,12 @@ def check_convergence_hypotheses(
         method = "denominator root bound (a proven lower bound on the radius)"
         coeffs = probe.coeffs
         window_note = ""
-        # g's terms past the expansion, bounded geometrically with ratio
-        # 1/(2 radius) = rho/2 when the radius exceeds 1/2
-        ratio = rho / 2 if 0 < rho < 2 else 0
+        rem = list(f.num) + [0] * (len(f.den) + 64 - len(f.num))  # R = num - den P
+        for i, d in enumerate(f.den):
+            for j, a in enumerate(coeffs):
+                rem[i + j] -= d * a
+        low = abs(f.den[0]) - sum(Fraction(abs(d), 2**i) for i, d in enumerate(f.den) if i)
+        rest = sum(Fraction(abs(r), 2**j) for j, r in enumerate(rem) if r) / low if low > 0 else None
     else:
         if f.coeff(0) != 0:
             raise ValueError("f must have zero constant term")
@@ -1164,13 +1174,13 @@ def check_convergence_hypotheses(
                 radius = _float_or_inf(lambda: 2.0 ** ((logs[0] - logs[1]) / (j - i)))
         method = "coefficient-growth"
         window_note = " (estimated from the truncated window)"
-        ratio = 0
 
     j0 = next((j for j, c in enumerate(coeffs) if j >= 1 and c), None)
-    g = sum(abs(Fraction(c)) / 2**j for j, c in enumerate(coeffs))
-    if ratio:
-        g += abs(Fraction(coeffs[-1])) / 2 ** (len(coeffs) - 1) * ratio / (1 - ratio)
-    g_half, g_ok = _float_or_inf(lambda: float(g)), g < 1  # decided on the exact g
+    if rest is None:
+        g_half, g_ok = math.inf, False
+    else:
+        g = sum(abs(Fraction(c)) / 2**j for j, c in enumerate(coeffs)) + rest
+        g_half, g_ok = _float_or_inf(lambda: float(g)), g < 1  # decided on the exact g
     radius_ok = radius > 0.5
     prime_sum = None if j0 is None else (j0 >= 2)
     return ConvergenceReport(
@@ -1182,5 +1192,6 @@ def check_convergence_hypotheses(
         prime_sum_converges=prime_sum,
         hypotheses_hold=radius_ok and g_ok,
         note="prime-sum convergence is stated from the leading exponent, "
-        "not proved; g(1/2) includes a geometric tail bound for rational f",
+        "not proved; for rational f, g(1/2) includes a proven bound on the "
+        "terms past z^64, and is inf where the denominator admits none",
     )

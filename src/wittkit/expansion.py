@@ -171,6 +171,13 @@ def _rational_exponents(h: RationalFunction, order: int) -> Expansion1D:
     return Expansion1D(order, tuple(E[0][1:]))
 
 
+def _check_degrees(name: str, deg_z: int, deg_y: int) -> None:
+    if deg_z < 0:
+        raise ValueError(f"{name} needs deg_z (J) >= 0, got {deg_z}")
+    if deg_y < 0:
+        raise ValueError(f"{name} needs deg_y (K) >= 0, got {deg_y}")
+
+
 def reconstruct_1d(expansion: Expansion1D, order: int) -> TruncatedSeries:
     """prod_n (1 - z^n)^(-e_n) truncated at the given order."""
     rows = [[1] + [0] * order]
@@ -214,6 +221,7 @@ class BiSeries:
 
     @classmethod
     def one(cls, deg_z: int, deg_y: int) -> "BiSeries":
+        _check_degrees("one", deg_z, deg_y)
         rows = [[0] * (deg_z + 1) for _ in range(deg_y + 1)]
         rows[0][0] = 1
         return cls.from_rows(rows)
@@ -221,6 +229,7 @@ class BiSeries:
     @classmethod
     def one_minus_y_times(cls, f: TruncatedSeries, deg_z: int, deg_y: int) -> "BiSeries":
         """The grid of 1 - y*f(z)."""
+        _check_degrees("one_minus_y_times", deg_z, deg_y)
         if f.order < deg_z:
             raise ValueError(f"series order {f.order} below grid degree {deg_z}")
         if not f.is_integral():
@@ -237,10 +246,7 @@ class BiSeries:
         return BiSeries.from_rows(_mul_factor(self.grid, j, k, e))
 
     def truncate(self, deg_z: int, deg_y: int) -> "BiSeries":
-        if deg_z < 0:
-            raise ValueError(f"truncate needs deg_z (J) >= 0, got {deg_z}")
-        if deg_y < 0:
-            raise ValueError(f"truncate needs deg_y (K) >= 0, got {deg_y}")
+        _check_degrees("truncate", deg_z, deg_y)
         if deg_z > self.deg_z or deg_y > self.deg_y:
             raise ValueError("cannot extend a grid; higher coefficients unknown")
         return BiSeries.from_rows(
@@ -308,6 +314,7 @@ def peel_2d(F: BiSeries) -> Expansion2D:
 
 def reconstruct_2d(expansion: Expansion2D, deg_z: int, deg_y: int) -> BiSeries:
     """prod (1 - z^j y^k)^(e(j,k)) truncated to the given bidegree."""
+    _check_degrees("reconstruct_2d", deg_z, deg_y)
     rows = BiSeries.one(deg_z, deg_y).grid
     for (j, k), e in expansion.exponents:
         if j <= deg_z and k <= deg_y:

@@ -958,6 +958,22 @@ def test_convergence_report_fibonacci_tail():
     assert rep.prime_sum_converges is False
 
 
+def test_convergence_bounds_the_rational_tail_past_the_window():
+    # f = z/(1 - c z^65), c = 3 2^63: the expansion to z^64 is z alone, and
+    # a_66 = c lies past it, so g(1/2) = 1/2 + c 2^-66 / (1 - c 2^-65) = 2.
+    # The remainder R = c z^66 bounds the tail exactly here
+    rep = check_convergence_hypotheses(RationalFunction([0, 1], [1] + [0] * 64 + [-3 * 2**63]))
+    assert rep.g_half == 2.0 and not rep.g_half_ok and not rep.hypotheses_hold
+    # z^70/(1 - z): nothing in the window, the tail 2^-70 / (1 - 1/2)
+    rep = check_convergence_hypotheses(RationalFunction([0] * 70 + [1], [1, -1]))
+    assert rep.g_half == 2.0**-69 and rep.g_half_ok
+    # z/(10 (1 + z)^3) has g(1/2) = 0.4, but |d_0| - sum |d_i| 2^-i < 0 gives
+    # no bound on its tail: unproven, reported as inf
+    rep = check_convergence_hypotheses(RationalFunction([0, 1], [10, 30, 30, 10]))
+    assert math.isinf(rep.g_half) and not rep.g_half_ok and not rep.hypotheses_hold
+    assert "inf where the denominator admits none" in rep.note
+
+
 def test_convergence_report_simple_passes():
     rep = check_convergence_hypotheses(TruncatedSeries([0, 1], 20))
     assert math.isinf(rep.radius) and rep.g_half == 0.5 and rep.hypotheses_hold

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from conftest import perturb_witt_table
@@ -263,6 +264,21 @@ def test_cyclotomic_grids_are_the_peeled_exponents_and_the_table():
     assert rep.rhs.grid[0] == (0,) * 7
     assert all(rep.rhs.coeff(j, k) == table.m(j, k) for k in range(1, 6) for j in range(7))
     assert rep.lhs == rep.rhs
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda e: reconstruct_2d(e, -1, 1), "reconstruct_2d needs deg_z (J) >= 0, got -1"),
+    (lambda e: reconstruct_2d(e, 1, -1), "reconstruct_2d needs deg_y (K) >= 0, got -1"),
+    (lambda e: BiSeries.one(-1, 0), "one needs deg_z (J) >= 0, got -1"),
+    (lambda e: BiSeries.one_minus_y_times(S([1, 2], 3), -1, 1),
+     "one_minus_y_times needs deg_z (J) >= 0, got -1"),
+    (lambda e: BiSeries.one_minus_y_times(S([1, 2], 3), 2, -1),
+     "one_minus_y_times needs deg_y (K) >= 0, got -1"),
+], ids=["reconstruct-z", "reconstruct-y", "one", "one-minus-y-times-z", "one-minus-y-times-y"])
+def test_negative_degrees_are_refused_by_name(call, message):
+    expansion = peel_2d(BiSeries.from_rows([[1, 2], [3, 4]]))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(expansion)
 
 
 @pytest.mark.parametrize("j, k", [(0, 1), (3, 1), (0, 4), (5, 2), (6, 6)])

@@ -53,12 +53,8 @@ def _mul_factor(rows: Sequence[Sequence[int]], j: int, k: int, e: int) -> List[L
     J, K = len(rows[0]) - 1, len(rows) - 1
     limit = min(J // j if j else K, K // k if k else J)
     out = [[0] * (J + 1) for _ in range(K + 1)]
-    b = 1
+    b = 1  # b_i
     for i in range(limit + 1):
-        if i:
-            b = b * (i - 1 - e) // i
-            if b == 0:
-                break
         dj, dk = i * j, i * k
         for k0 in range(K + 1 - dk):
             row = rows[k0]
@@ -67,6 +63,9 @@ def _mul_factor(rows: Sequence[Sequence[int]], j: int, k: int, e: int) -> List[L
                 c = row[j0]
                 if c:
                     orow[j0 + dj] += b * c
+        b = b * (i - e) // (i + 1)
+        if b == 0:
+            break
     return out
 
 

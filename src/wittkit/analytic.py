@@ -1131,6 +1131,9 @@ def check_convergence_hypotheses(
     has terms above z^64 only and R/den is f - P, so by majorants the rest
     is at most |R|(1/2) / (|d_0| - sum_{i>=1} |d_i| 2^-i) when that
     denominator is positive; otherwise g(1/2) is reported as inf, unproven.
+    For a truncated series nothing past its order is known: g_half is the
+    partial sum over the stored window, a lower bound of g(1/2), and the
+    note says that g_half_ok and hypotheses_hold rest on the window.
 
     f must have zero constant term.
     """
@@ -1144,6 +1147,8 @@ def check_convergence_hypotheses(
         method = "denominator root bound (a proven lower bound on the radius)"
         coeffs = probe.coeffs
         window_note = ""
+        g_note = ("for rational f, g(1/2) includes a proven bound on the terms past z^64, "
+                  "and is inf where the denominator admits none")
         rem = list(f.num) + [0] * (len(f.den) + 64 - len(f.num))  # R = num - den P
         for i, d in enumerate(f.den):
             for j, a in enumerate(coeffs):
@@ -1174,6 +1179,8 @@ def check_convergence_hypotheses(
                 radius = _float_or_inf(lambda: 2.0 ** ((logs[0] - logs[1]) / (j - i)))
         method = "coefficient-growth"
         window_note = " (estimated from the truncated window)"
+        g_note = (f"g_half is the partial sum over the window to z^{f.order}, a lower bound "
+                  "of g(1/2), so g_half_ok and hypotheses_hold rest on the window")
 
     j0 = next((j for j, c in enumerate(coeffs) if j >= 1 and c), None)
     if rest is None:
@@ -1191,7 +1198,5 @@ def check_convergence_hypotheses(
         g_half_ok=g_ok,
         prime_sum_converges=prime_sum,
         hypotheses_hold=radius_ok and g_ok,
-        note="prime-sum convergence is stated from the leading exponent, "
-        "not proved; for rational f, g(1/2) includes a proven bound on the "
-        "terms past z^64, and is inf where the denominator admits none",
+        note="prime-sum convergence is stated from the leading exponent, not proved; " + g_note,
     )

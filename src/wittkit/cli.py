@@ -6,14 +6,22 @@ to stderr, and big numbers are serialized as strings.  Exit codes: 1 when
 the printed object says "passed": false (a check did not hold) or is
 {"error": ...} (a mathematical failure or an exceeded budget), 2 for a
 usage error (nothing on stdout), 0 otherwise.
+
+A program that embeds the CLI calls `main`, which returns the exit code and
+exits nothing.  The process entry points (`python -m wittkit.cli` and the
+`wittkit` console script) call `entry`: after `main`, it runs the atexit
+handlers, flushes stdout and stderr and exits without the interpreter's
+teardown, which would add about 10 ms to every call and print nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import json
+import os
 import sys
-from typing import List, Optional
+from typing import List, NoReturn, Optional
 
 from . import suites
 from .analytic import (
@@ -293,9 +301,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     return 1 if out.get("passed") is False else 0
 
 
-def entry() -> None:  # console-script hook
-    raise SystemExit(main())
+def entry() -> NoReturn:  # console-script hook
+    """Run `main` as the whole process and end it with main's exit code.
+
+    The atexit handlers run (`_run_exitfuncs` also clears them) and stdout
+    and stderr are flushed; then `os._exit` skips the rest of a normal
+    exit, the join of non-daemon threads (importing this module starts
+    none) and the teardown of modules, as a forked multiprocessing child
+    does.  An exception from `main` or from a flush, such as a closed
+    stdout pipe, never reaches it and leaves through the normal exit.
+    """
+    code = main()
+    atexit._run_exitfuncs()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry()

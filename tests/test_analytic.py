@@ -974,6 +974,18 @@ def test_convergence_bounds_the_rational_tail_past_the_window():
     assert "inf where the denominator admits none" in rep.note
 
 
+def test_a_truncated_series_reports_g_half_as_its_window_sum():
+    # the same f cut at z^100 keeps a_66 = c but not a_131, so the window
+    # sums to 7/8 < 2 = g(1/2); the booleans rest on the window, and the
+    # note says so instead of claiming a bound on the terms past it
+    rep = check_convergence_hypotheses(
+        RationalFunction([0, 1], [1] + [0] * 64 + [-3 * 2**63]).expand(100))
+    assert rep.g_half == 0.875 and rep.g_half_ok and rep.hypotheses_hold
+    assert rep.note.endswith("g_half is the partial sum over the window to z^100, a lower "
+                             "bound of g(1/2), so g_half_ok and hypotheses_hold rest on the window")
+    assert "proven bound" not in rep.note
+
+
 def test_convergence_report_simple_passes():
     rep = check_convergence_hypotheses(TruncatedSeries([0, 1], 20))
     assert math.isinf(rep.radius) and rep.g_half == 0.5 and rep.hypotheses_hold

@@ -72,20 +72,39 @@ def test_no_module_imports_dataclasses():
     assert importers == []
 
 
+def _fresh(statement, expression):
+    """The value of expression after statement, in a new interpreter on this src."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    probe = f"import sys; {statement}print(repr({expression}))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    return ast.literal_eval(out)
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # compared with a bare interpreter, so that modules a site hook loads
     # in every interpreter do not count against the package
-    probe = "import sys; {}print(sorted(sys.modules))"
-    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-
-    def loaded(statement):
-        out = subprocess.run([sys.executable, "-c", probe.format(statement)], env=env,
-                             capture_output=True, text=True, check=True, timeout=60).stdout
-        return set(ast.literal_eval(out))
-
-    added = loaded("import wittkit.cli; ") - loaded("")
+    modules = "sorted(sys.modules)"
+    added = set(_fresh("import wittkit.cli; ", modules)) - set(_fresh("", modules))
     assert "wittkit.cli" in added
     assert {"dataclasses", "inspect"} & added == set()
+
+
+def test_the_cli_ends_its_process_in_one_place_and_starts_no_thread():
+    # cli.entry ends a process with os._exit, which skips threading's join
+    # of non-daemon threads, so importing the CLI must start none; main
+    # returns its code to a program that embeds it
+    exits = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                exits += [(path.name, node.name) for call in ast.walk(node)
+                          if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                          and call.func.attr == "_exit"]
+    assert exits == [("cli.py", "entry")]
+    threads = "[t.name for t in threading.enumerate()]"
+    assert _fresh("import threading, wittkit.cli; ", threads) == _fresh("import threading; ",
+                                                                      threads)
 
 
 _ONE_PLUS_Z = TruncatedSeries([1, 1], 4)

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
 import sys
 import time
 from decimal import Decimal
@@ -21,6 +23,7 @@ from wittkit.series import RationalFunction, TruncatedSeries, coeff_str
 from wittkit.witt import IDENTITY_IDS
 
 SERIES_1PZ = '{"order":4,"coeffs":["1","1","0","0","0"]}'
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -139,18 +142,73 @@ def test_hurwitz_zeta_beyond_its_magnitude_budget_fails_fast(capsys):
     assert "400000 * 1 = 400000, exceed the budget of 2000 digits" in json.loads(out)["error"]
 
 
-def test_the_readme_cli_block_runs(capsys):
-    # every line of the sh block under "## CLI" exits 0 and prints one object
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    block = re.search(r"^## CLI$.*?^```sh$(.*?)^```$", readme, re.M | re.S)[1]
+def _readme_commands():
+    """The argv of each line of the sh block under "## CLI", "wittkit" included."""
+    block = re.search(r"^## CLI$.*?^```sh$(.*?)^```$", (ROOT / "README.md").read_text(),
+                      re.M | re.S)[1]
     commands = [shlex.split(line, comments=True)
                 for line in block.replace("\\\n", " ").splitlines()]
-    commands = [argv for argv in commands if argv]
+    return [argv for argv in commands if argv]
+
+
+def test_the_readme_cli_block_runs(capsys):
+    # every line of the sh block under "## CLI" exits 0 and prints one object
+    commands = _readme_commands()
     assert commands and all(argv[0] == "wittkit" for argv in commands)
     for argv in commands:
         code, out, _ = run(capsys, *argv[1:])
         assert code == 0, argv
         assert out.count("\n") == 1 and isinstance(json.loads(out), dict), argv
+
+
+# A real process ends through cli.entry (os._exit after the atexit handlers
+# and the flushes), which no in-process call of main exercises
+_BIG_TABLE = ("witt-table", "--f", '{"order":300,"coeffs":["1","1","1"]}', "--R", "40")
+_PROCESS_ARGVS = [tuple(argv[1:]) for argv in _readme_commands()] + [
+    ("necklace",),  # usage error: exit 2, nothing on stdout
+    ("constant", "--h", '{"num":[1,-2],"den":[1,-2,1]}', "--m", "0", "--digits", "8"),  # exit 1
+    ("--help",),
+    _BIG_TABLE,
+]
+
+
+def _process(*args):
+    # stdout block-buffered, as without PYTHONUNBUFFERED, so that what entry
+    # flushes is what reaches the pipe; COLUMNS fixes argparse's help width,
+    # as in process below
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=str(ROOT / "src"), COLUMNS="80")
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=60)
+
+
+def _masked(text: bytes) -> bytes:
+    return re.sub(rb'"runtime_s": [^,}]*', b'"runtime_s": "*"', text)
+
+
+@pytest.mark.parametrize("argv", _PROCESS_ARGVS, ids=[" ".join(a)[:40] for a in _PROCESS_ARGVS])
+def test_a_cli_process_prints_what_main_returns(capsysbinary, monkeypatch, argv):
+    proc = _process("-m", "wittkit.cli", *argv)
+    monkeypatch.setenv("COLUMNS", "80")
+    code = main(list(argv))
+    out, err = capsysbinary.readouterr()
+    assert (proc.returncode, proc.stderr) == (code, err)
+    assert _masked(proc.stdout) == _masked(out)
+    if argv == _BIG_TABLE:  # more than one 64 KiB pipe buffer
+        assert len(out) == 71309
+
+
+def test_a_cli_process_runs_its_atexit_handlers_and_flushes_them():
+    # the handler's stdout line sits in the pipe's block buffer until the
+    # flush after the handlers; its stderr line is written at once
+    script = ("import atexit, sys\n"
+              "atexit.register(lambda: print('handler ran') or print('handler ran', "
+              "file=sys.stderr))\n"
+              "from wittkit.cli import entry\n"
+              "entry()\n")
+    proc = _process("-c", script, "necklace", "--alpha", "2", "--n", "6")
+    assert proc.returncode == 0
+    assert proc.stdout == b'{"value": "9"}\nhandler ran\n'
+    assert proc.stderr == b"handler ran\n"
 
 
 def test_verify_pass_and_params(capsys):

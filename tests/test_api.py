@@ -96,11 +96,12 @@ def test_the_cli_ends_its_process_in_one_place_and_starts_no_thread():
     # returns its code to a program that embeds it
     exits = []
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.FunctionDef):
-                exits += [(path.name, node.name) for call in ast.walk(node)
-                          if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
-                          and call.func.attr == "_exit"]
+        tree = ast.parse(path.read_text())
+        # ast.walk reaches an outer function before its inner ones
+        owner = {id(node): func.name for func in ast.walk(tree)
+                 if isinstance(func, ast.FunctionDef) for node in ast.walk(func)}
+        exits += [(path.name, owner.get(id(call), "<module>")) for call in ast.walk(tree)
+                  if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "_exit"]
     assert exits == [("cli.py", "entry")]
     threads = "[t.name for t in threading.enumerate()]"
     assert _fresh("import threading, wittkit.cli; ", threads) == _fresh("import threading; ",
